@@ -8,6 +8,10 @@ Before enumerating, rows/columns that are entrywise identical are merged
 the maximum because identical rows enter or leave an optimal subset
 together. Layered kernels collapse dramatically under this reduction,
 which is what keeps exact values reachable well past the nominal cap.
+The merge groups rows exactly by their bytes (with -0.0 folded into 0.0),
+through a hash whose groups are checked member by member, and orders the
+distinct rows lexicographically; ``kernel_cut_norm`` runs it once per call
+and hands the result to the oracle it picks.
 """
 
 import itertools
@@ -85,28 +89,57 @@ def l2_norm(obj):
     return float(np.sqrt(np.sum(kern.coeffs**2 * np.outer(m, m))))
 
 
+def _group_rows(rows):
+    """Group equal rows exactly: (group of each row, first row of each group).
+
+    Groups are numbered by first appearance. Rows are keyed by the hash of
+    their bytes, which keeps no bytes copy of every row alive; only if some
+    row differs from the first row of its group, i.e. two hashes collided,
+    are they keyed by the bytes themselves.
+    """
+    for key in (lambda row: hash(row.tobytes()), lambda row: row.tobytes()):
+        ids = {}
+        inverse = np.fromiter(
+            (ids.setdefault(key(row), len(ids)) for row in rows),
+            dtype=np.intp,
+            count=len(rows),
+        )
+        first = np.unique(inverse, return_index=True)[1]
+        if np.array_equal(rows, rows[first[inverse]]):
+            break
+    return inverse, first
+
+
 def _merge_axis(coeffs, meas, axis):
-    """Merge identical rows (axis=0) or columns (axis=1), summing measures."""
+    """Merge identical rows (axis=0) or columns (axis=1), summing measures.
+
+    Rows are grouped by their values after ``+ 0.0``, which turns -0.0 into
+    0.0, so two rows share a group exactly when they are equal as floats.
+    All-zero groups are dropped; the rest come in lexicographic order of
+    their rows, each represented by its first member, as
+    ``np.unique(axis=0)`` orders them. The heuristic oracle's random starts
+    are indexed in that order.
+    """
     mat = coeffs if axis == 0 else coeffs.T
-    _, first_idx, inverse = np.unique(
-        mat, axis=0, return_index=True, return_inverse=True
-    )
-    k = first_idx.size
-    merged_meas = np.zeros(k)
-    np.add.at(merged_meas, inverse, meas)
-    groups = [[] for _ in range(k)]
+    folded = np.add(mat, 0.0, order="C")
+    inverse, first = _group_rows(folded)
+    groups = [[] for _ in first]
     for orig, g in enumerate(inverse):
         groups[g].append(orig)
-    red = mat[first_idx]
-    keep = np.flatnonzero(np.any(red != 0.0, axis=1))
-    red = red[keep]
-    merged_meas = merged_meas[keep]
-    groups = [groups[i] for i in keep]
-    return (red if axis == 0 else red.T), merged_meas, groups
+    merged_meas = np.bincount(inverse, weights=meas, minlength=first.size)
+    reps = folded[first]
+    keep = np.flatnonzero(np.any(reps != 0.0, axis=1))
+    if keep.size:  # rows of length 0 keep nothing, and lexsort needs keys
+        keep = keep[np.lexsort(reps[keep].T[::-1])]
+    red = mat[first[keep]]
+    return (red if axis == 0 else red.T), merged_meas[keep], [groups[i] for i in keep]
 
 
 def _reduce(kern):
-    """Lossless shrink: drop zero rows/cols, merge duplicates with measures."""
+    """Lossless shrink: drop zero rows/cols, merge duplicates with measures.
+
+    Returns (coeffs, row measures, col measures, row groups, col groups).
+    """
     meas = kern.partition.measures
     c, rmeas, rgroups = _merge_axis(kern.coeffs, meas, axis=0)
     c, cmeas, cgroups = _merge_axis(c, meas, axis=1)
@@ -115,8 +148,7 @@ def _reduce(kern):
 
 def reduced_dims(kern):
     """(rows, cols) after the lossless reduction; cheap feasibility probe."""
-    c, rmeas, cmeas, _, _ = _reduce(kern)
-    return c.shape
+    return _reduce(kern)[0].shape
 
 
 def _best_subset_enumeration(weighted, n_enum, chunk=1 << 14):
@@ -149,17 +181,18 @@ def _expand(groups, indices):
     return tuple(sorted(flat))
 
 
-def kernel_cut_norm_exact(kern, cap=EXACT_CAP_DEFAULT):
+def kernel_cut_norm_exact(kern, cap=EXACT_CAP_DEFAULT, *, reduction=None):
     """Exact cut norm by subset enumeration on the reduced kernel.
 
     Enumerates the smaller side after reduction; the other side is optimal
     in closed form (take all columns whose induced sum shares the winning
     sign). Raises CapacityError when even the reduced instance exceeds the
-    cap; use kernel_cut_norm_lower then.
+    cap; use kernel_cut_norm_lower then. ``reduction`` is ``_reduce(kern)``
+    when the caller has already computed it.
     """
     if isinstance(kern, ComputationalKernel):
         kern = kern.kernel
-    c, rmeas, cmeas, rgroups, cgroups = _reduce(kern)
+    c, rmeas, cmeas, rgroups, cgroups = reduction or _reduce(kern)
     if c.size == 0:
         return CutWitness(0.0, (), ())
     transposed = c.shape[0] > c.shape[1]
@@ -185,16 +218,17 @@ def kernel_cut_norm_exact(kern, cap=EXACT_CAP_DEFAULT):
     return w
 
 
-def kernel_cut_norm_lower(kern, restarts=32, seed=0, max_rounds=200):
+def kernel_cut_norm_lower(kern, restarts=32, seed=0, max_rounds=200, *, reduction=None):
     """Alternating-maximization lower bound; deterministic under the seed.
 
     Each restart alternates the closed-form update on one side against the
     current other side until a fixed point. The returned value is the
     bilinear mass of an explicit witness, hence always a valid lower bound.
+    ``reduction`` is ``_reduce(kern)`` when the caller has already computed it.
     """
     if isinstance(kern, ComputationalKernel):
         kern = kern.kernel
-    c, rmeas, cmeas, rgroups, cgroups = _reduce(kern)
+    c, rmeas, cmeas, rgroups, cgroups = reduction or _reduce(kern)
     if c.size == 0:
         return CutWitness(0.0, (), ())
     weighted = c * rmeas[:, None] * cmeas[None, :]
@@ -236,7 +270,8 @@ def kernel_cut_norm(kern, oracle="auto", cap=EXACT_CAP_DEFAULT, restarts=32, see
     """Dispatch to the exact or heuristic cut norm.
 
     Returns (witness, exact_flag). With oracle='auto' the exact route is
-    used whenever the reduced instance fits under the cap.
+    used whenever the reduced instance fits under the cap; the kernel is
+    reduced once and that reduction is handed to the chosen oracle.
     """
     if oracle == "exact":
         return kernel_cut_norm_exact(kern, cap=cap), True
@@ -245,9 +280,10 @@ def kernel_cut_norm(kern, oracle="auto", cap=EXACT_CAP_DEFAULT, restarts=32, see
     if oracle != "auto":
         raise ParameterError(f"unknown oracle {oracle!r}")
     k = kern.kernel if isinstance(kern, ComputationalKernel) else kern
-    if min(reduced_dims(k)) <= cap:
-        return kernel_cut_norm_exact(k, cap=cap), True
-    return kernel_cut_norm_lower(k, restarts=restarts, seed=seed), False
+    red = _reduce(k)
+    if min(red[0].shape) <= cap:
+        return kernel_cut_norm_exact(k, cap=cap, reduction=red), True
+    return kernel_cut_norm_lower(k, restarts=restarts, seed=seed, reduction=red), False
 
 
 def restrict_to_layer(signal, layers, ell):

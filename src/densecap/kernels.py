@@ -128,10 +128,9 @@ class StepKernel:
         n = self.partition.size
         if c.shape != (n, n):
             raise DimensionMismatchError("kernel coefficients", (n, n), c.shape)
-        if np.max(np.abs(c), initial=0.0) > 1.0 + 1e-9:
-            raise ParameterError(
-                f"coefficient magnitude {np.max(np.abs(c))} exceeds 1"
-            )
+        top = np.max(np.abs(c), initial=0.0)
+        if not top <= 1.0 + 1e-9:  # also refuses NaN
+            raise ParameterError(f"coefficient magnitude {top} exceeds 1")
 
     @property
     def n(self):
@@ -457,6 +456,17 @@ def serialize_kernel(ck):
     return out.getvalue()
 
 
+def _numbers(fields, kind, line, what):
+    """Convert text fields with ``kind`` (int or float); ParseError if one fails."""
+    try:
+        return [kind(v) for v in fields]
+    except ValueError:
+        raise ParseError(
+            f"{what}: expected {kind.__name__} values, got {' '.join(fields)!r}",
+            line=line,
+        ) from None
+
+
 def deserialize_kernel(text):
     lines = text.splitlines()
     if not lines or lines[0].strip() != MAGIC_KERNEL:
@@ -466,8 +476,8 @@ def deserialize_kernel(text):
     head = lines[1].split()
     if len(head) != 5:
         raise ParseError("dimensions line needs 'n L d0 dL B'", line=2)
-    n, L, d0, dL = (int(v) for v in head[:4])
-    B = float(head[4])
+    n, L, d0, dL = _numbers(head[:4], int, 2, "dimensions 'n L d0 dL'")
+    (B,) = _numbers(head[4:], float, 2, "bound B")
     if len(lines) < 2 + n:
         raise ParseError(
             f"truncated record: expected {n} coefficient rows, found {len(lines) - 2}",
@@ -478,7 +488,9 @@ def deserialize_kernel(text):
         vals = lines[2 + r].split()
         if len(vals) != n:
             raise ParseError(f"row {r} has {len(vals)} entries, expected {n}", line=3 + r)
-        rows.append([float(v) for v in vals])
+        rows.append(_numbers(vals, float, 3 + r, f"row {r}"))
+    if L < 2:
+        raise ParseError(f"depth L={L} must be at least 2", line=2)
     if n % (L + 2):
         raise ParseError(f"size {n} not divisible by L+2={L + 2}", line=2)
     ls = LayerStructure(L, d0, dL, n // (L + 2))
@@ -500,8 +512,10 @@ def deserialize_signal(text):
     if len(lines) < 3:
         raise ParseError("truncated record", line=len(lines) + 1)
     head = lines[1].split()
-    n = int(head[0])
-    vals = [float(v) for v in lines[2].split()]
+    if not head:
+        raise ParseError("dimensions line is empty", line=2)
+    (n,) = _numbers(head[:1], int, 2, "size n")
+    vals = _numbers(lines[2].split(), float, 3, "values")
     if len(vals) != n:
         raise ParseError(f"expected {n} values, found {len(vals)}", line=3)
     return StepSignal(equipartition(n), np.array(vals))

@@ -69,9 +69,13 @@ def project(kernel, partition):
         mid = (own.boundaries()[:-1] + own.boundaries()[1:]) / 2
         labels = np.clip(np.searchsorted(bounds, mid) - 1, 0, partition.size - 1)
         vals, _, _ = _project_grouping(kernel.coeffs, own.measures, labels)
-        order = np.unique(labels)
-        # groups come back sorted by label = target index, already aligned
-        assert order.size == partition.size
+        # groups come back sorted by label = target index, aligned only if
+        # every target part received a part of the kernel's partition
+        if vals.shape[0] != partition.size:
+            raise ParameterError(
+                f"{partition.size - vals.shape[0]} of {partition.size} target "
+                "parts contain no part of the kernel's partition"
+            )
         return StepKernel(partition, np.clip(vals, -1.0, 1.0))
     ov = overlap_matrix(partition, own)
     wg = ov / ov.sum(axis=1, keepdims=True)
@@ -265,18 +269,15 @@ def layer_respecting_regularity(
     measured = None
     measured_exact = False
     if measure_exact:
-        try:
-            w, measured_exact = _residual_cut_norm(
-                ck.kernel.coeffs - fine.coeffs,
-                ck.kernel.partition.measures,
-                "auto",
-                cap,
-                restarts,
-                seed,
-            )
-            measured = w.value
-        except Exception:
-            measured = None
+        w, measured_exact = _residual_cut_norm(
+            ck.kernel.coeffs - fine.coeffs,
+            ck.kernel.partition.measures,
+            "auto",
+            cap,
+            restarts,
+            seed,
+        )
+        measured = w.value
     return LayerRegularityResult(
         labels, fine, trace, trace.bound, 2.0 * trace.bound, measured, measured_exact
     )
@@ -556,7 +557,10 @@ def _layer_slots(labels, ls, ell, d_new, tol=1e-12):
         raise ParameterError(
             f"layer {ell}: slicing yielded {len(parts)} parts for target {d_new}"
         )
-    assert h <= len(groups)
+    if h > len(groups):
+        raise ParameterError(
+            f"layer {ell}: {h} pooled remainder parts from only {len(groups)} groups"
+        )
     return parts, h
 
 

@@ -61,6 +61,15 @@ def test_induce_validate_cutnorm(net_file, tmp_path):
     assert "heuristic" in r.stdout
 
 
+def test_cutnorm_bad_header_is_one_line_error(tmp_path):
+    kern = tmp_path / "bad.txt"
+    kern.write_text("densecap-kernel v1\n4 x 1 1 5\n" + "0 0 0 0\n" * 4)
+    r = run_cli("cutnorm", str(kern))
+    assert r.returncode == 1
+    assert r.stderr.count("\n") == 1 and r.stderr.startswith("error: ")
+    assert "(line 2)" in r.stderr
+
+
 def test_equiv_check_random():
     r = run_cli("equiv-check", "--random", "12", "--seed", "3")
     assert r.returncode == 0

@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densecap import cutnorm
 from densecap.cutnorm import (
     CutWitness,
+    _merge_axis,
+    _reduce,
     comp_cut_distance_upper,
     evaluate_witness,
+    kernel_cut_norm,
     kernel_cut_norm_exact,
     kernel_cut_norm_lower,
     l1_norm,
@@ -214,3 +218,117 @@ def test_witness_dataclass_check_helper():
     w = signal_cut_norm(sig)
     assert w.check(sig)
     assert not CutWitness(w.value + 1.0, w.row_set).check(sig)
+
+
+def reference_merge(coeffs, meas, axis):
+    """The row/column merge as np.unique(axis=0) defines it."""
+    mat = coeffs if axis == 0 else coeffs.T
+    _, first_idx, inverse = np.unique(
+        mat, axis=0, return_index=True, return_inverse=True
+    )
+    merged = np.zeros(first_idx.size)
+    np.add.at(merged, inverse.ravel(), meas)
+    groups = [[] for _ in first_idx]
+    for orig, g in enumerate(inverse.ravel()):
+        groups[g].append(orig)
+    red = mat[first_idx]
+    keep = np.flatnonzero(np.any(red != 0.0, axis=1))
+    red = red[keep]
+    return (red if axis == 0 else red.T), merged[keep], [groups[i] for i in keep]
+
+
+def reference_reduce(kern):
+    meas = kern.partition.measures
+    c, rmeas, rgroups = reference_merge(kern.coeffs, meas, axis=0)
+    c, cmeas, cgroups = reference_merge(c, meas, axis=1)
+    return c, rmeas, cmeas, rgroups, cgroups
+
+
+def assert_same_reduction(got, want):
+    """Bitwise equal arrays (-0.0 included, same layout) and equal groups."""
+    for a, b in zip(got, want):
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and a.strides == b.strides
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+            assert all(type(i) is int for g in a for i in g)
+
+
+@st.composite
+def duplicated_kernels(draw):
+    """Kernels with repeated rows and columns, zero rows and signed zeros."""
+    n = draw(st.integers(1, 9))
+    palette = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300, 0.3])
+    base = np.array(
+        draw(st.lists(st.lists(palette, min_size=n, max_size=n), min_size=1, max_size=n))
+    )
+    row_map = draw(st.lists(st.integers(0, len(base) - 1), min_size=n, max_size=n))
+    col_map = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    coeffs = base[np.ix_(row_map, col_map)]
+    flip = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+    coeffs = np.where((coeffs == 0.0) & flip.reshape(n, n), -0.0, coeffs)
+    meas = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).dirichlet(np.ones(n))
+    return StepKernel(Partition(meas), coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kern=duplicated_kernels())
+def test_reduce_matches_unique_reference(kern):
+    assert_same_reduction(_reduce(kern), reference_reduce(kern))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kern=duplicated_kernels())
+def test_reduce_resolves_hash_collisions_exactly(kern):
+    # every row hashes alike, so distinct rows must be told apart by their bytes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cutnorm, "hash", lambda key: 0, raising=False)
+        got = _reduce(kern)
+    assert_same_reduction(got, reference_reduce(kern))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kern=duplicated_kernels(), axis=st.sampled_from([0, 1]), line=st.integers(0, 8))
+def test_merge_matches_reference_on_single_row_or_column(kern, axis, line):
+    # one row (axis 0) or one column (axis 1) of the kernel, merged both ways
+    line = min(line, kern.n - 1)
+    part = kern.coeffs[line : line + 1] if axis == 0 else kern.coeffs[:, line : line + 1]
+    for merge_axis in (0, 1):
+        meas = kern.partition.measures if merge_axis != axis else np.ones(1)
+        assert_same_reduction(
+            _merge_axis(part, meas, merge_axis), reference_merge(part, meas, merge_axis)
+        )
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 4), (0, 0)])
+def test_merge_of_zero_size_matrix_is_empty(shape):
+    meas = np.full(shape[0], 0.5)
+    red, merged, groups = _merge_axis(np.zeros(shape), meas, axis=0)
+    assert red.shape == (0, shape[1]) and merged.size == 0 and groups == []
+
+
+def test_all_zero_kernel_reduces_to_nothing():
+    kern = StepKernel(equipartition(4), np.array([[0.0, -0.0] * 2] * 4))
+    c, rmeas, cmeas, rgroups, cgroups = _reduce(kern)
+    assert c.shape == (0, 0) and rmeas.size == cmeas.size == 0
+    assert rgroups == cgroups == []
+    for oracle in ("auto", "exact", "heuristic"):
+        w, _ = kernel_cut_norm(kern, oracle=oracle)
+        assert (w.value, w.row_set, w.col_set) == (0.0, (), ())
+
+
+@pytest.mark.parametrize("cap, exact", [(24, True), (2, False)])
+def test_auto_oracle_reduces_once(monkeypatch, cap, exact):
+    kern = random_kernel(np.random.default_rng(12), 6)
+    alone = (
+        kernel_cut_norm_exact(kern, cap=cap)
+        if exact
+        else kernel_cut_norm_lower(kern, restarts=32, seed=0)
+    )
+    calls = []
+    original = cutnorm._reduce
+    monkeypatch.setattr(cutnorm, "_reduce", lambda k: calls.append(k) or original(k))
+    w, was_exact = kernel_cut_norm(kern, oracle="auto", cap=cap)
+    assert len(calls) == 1 and was_exact is exact
+    assert (w.value, w.row_set, w.col_set) == (alone.value, alone.row_set, alone.col_set)

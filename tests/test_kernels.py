@@ -22,6 +22,7 @@ from densecap.kernels import (
     validate_computational,
 )
 from densecap.networks import DenseNetwork, random_network
+from densecap.partitions import equipartition
 
 from conftest import random_layered_net
 
@@ -226,6 +227,29 @@ def test_kernel_deserialize_errors():
     assert "truncated" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "header, row, line",
+    [
+        ("4 x 1 1 5", "0 0 0 0", 2),
+        ("4 2 1 1 five", "0 0 0 0", 2),
+        ("4 -2 1 1 5", "0 0 0 0", 2),
+        ("4 2 1 1 5", "0 0 zero 0", 3),
+    ],
+)
+def test_kernel_deserialize_bad_numbers_are_parse_errors(header, row, line):
+    text = "\n".join(["densecap-kernel v1", header] + [row] * 4)
+    with pytest.raises(ParseError) as exc:
+        deserialize_kernel(text)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("bad", [1.5, -np.inf, np.nan])
+def test_step_kernel_rejects_out_of_range_coefficients(bad):
+    # NaN would also break the exact row merge of the cut norm
+    with pytest.raises(ParameterError):
+        StepKernel(equipartition(2), np.array([[0.5, bad], [0.0, 1.0]]))
+
+
 def test_layer_structure_rejects_bad_divisibility():
     with pytest.raises(ParameterError):
         LayerStructure(2, 2, 1, 3)
@@ -240,3 +264,7 @@ def test_signal_serialization_round_trip():
     assert np.array_equal(back.values, sig.values)
     with pytest.raises(ParseError):
         deserialize_signal("wrong header\n")
+    for head, vals, line in [("", "0.5", 2), ("1.5 2 1 1 4", "0.5", 2), ("1", "half", 3)]:
+        with pytest.raises(ParseError) as exc:
+            deserialize_signal(f"densecap-signal v1\n{head}\n{vals}\n")
+        assert exc.value.line == line

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from densecap import regularity
 from densecap.cutnorm import kernel_cut_norm_exact, l2_norm
 from densecap.errors import ParameterError
 from densecap.kernels import StepKernel, induce_kernel, validate_computational
@@ -148,6 +149,39 @@ def test_layer_respecting_partition_refines_structure():
     for lab in np.unique(labels):
         members = np.flatnonzero(labels == lab)
         assert len({struct[i] for i in members}) == 1
+
+
+def test_layer_respecting_measurement_errors_propagate(monkeypatch):
+    # the loop runs with oracle="exact"; only the final measurement is "auto"
+    original = regularity.kernel_cut_norm
+
+    def failing(kern, oracle, **kw):
+        if oracle == "auto":
+            raise RuntimeError("measurement failed")
+        return original(kern, oracle=oracle, **kw)
+
+    monkeypatch.setattr(regularity, "kernel_cut_norm", failing)
+    ck = induce_kernel(random_layered_net(np.random.default_rng(6), L=2, max_d=6))
+    with pytest.raises(RuntimeError, match="measurement failed"):
+        layer_respecting_regularity(ck, 1.9, oracle="exact")
+
+
+def test_project_rejects_target_parts_left_empty(monkeypatch):
+    # claim a refinement that does not hold: two parts cannot fill four
+    monkeypatch.setattr(regularity, "is_refinement", lambda own, target: True)
+    kern = StepKernel(equipartition(2), np.eye(2))
+    with pytest.raises(ParameterError, match="2 of 4 target parts"):
+        project(kern, equipartition(4))
+
+
+def test_layer_slots_rejects_excess_remainder(monkeypatch):
+    ck = induce_kernel(random_network(2, 1, 1, 4, 4.0, np.random.default_rng(0)))
+    labels = np.arange(ck.n) // 2  # two groups of two parts in every layer
+    monkeypatch.setattr(
+        regularity, "_slice_stream", lambda groups, unit, tol: ([[]] * 6, None, 3)
+    )
+    with pytest.raises(ParameterError, match="3 pooled remainder parts"):
+        regularity._layer_slots(labels, ck.layers, 1, 6)
 
 
 def test_layer_refinement_does_not_increase_distance_small_instances():
