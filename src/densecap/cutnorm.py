@@ -12,6 +12,13 @@ The merge groups rows exactly by their bytes (with -0.0 folded into 0.0),
 through a hash whose groups are checked member by member, and orders the
 distinct rows lexicographically; ``kernel_cut_norm`` runs it once per call
 and hands the result to the oracle it picks.
+
+The enumeration does not rebuild each subset's column sums from its rows.
+It splits the rows into low and high ones. All subset sums of the low rows
+come from a table made by doubling, ``low[2^b : 2^(b+1)] = low[:2^b] +
+row b``, sized by a number of entries rather than of rows. Each value of
+the high rows adds its one row sum to the whole table, so every column sum
+costs a single addition, and subsets are still visited in index order.
 """
 
 import itertools
@@ -151,25 +158,41 @@ def reduced_dims(kern):
     return _reduce(kern)[0].shape
 
 
-def _best_subset_enumeration(weighted, n_enum, chunk=1 << 14):
+def _best_subset_enumeration(weighted, n_enum, *, block=1 << 16):
     """Max over row subsets of max(sum of positive, -sum of negative) column sums.
 
-    Returns (value, subset_index, side) with side +1 for the positive class.
+    Returns (value, subset_index, side) with side +1 for the positive class;
+    bit b of the index selects row b, and the index is the first one, in
+    index order, that attains the value. The doubling table (see the module
+    docstring) covers the low ``n_lo`` rows, as many as keep their 2^n_lo
+    subset sums within ``block`` entries (possibly none); it is stored
+    column by column, so the positive and negative sums over the columns
+    are elementwise additions of its rows. Memory stays near
+    max(block, columns) entries; the default keeps the table and its two
+    work buffers (1.5 MB) in a core's cache.
     """
-    total = 1 << n_enum
-    shifts = np.arange(n_enum, dtype=np.uint64)
+    n_cols = weighted.shape[1]
+    n_lo = min(n_enum, max(1, block // max(n_cols, 1)).bit_length() - 1)
+    low = np.zeros((n_cols, 1 << n_lo))
+    for b in range(n_lo):
+        np.add(low[:, : 1 << b], weighted[b][:, None], out=low[:, 1 << b : 2 << b])
+    high = weighted[n_lo:n_enum]
+    sums, part = np.empty_like(low), np.empty_like(low)
+    pos, neg, cand = np.empty((3, 1 << n_lo))
     best_val, best_idx, best_side = 0.0, 0, 1
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        bits = ((idx[:, None] >> shifts[None, :]) & 1).astype(float)
-        g = bits @ weighted
-        pos = np.where(g > 0, g, 0.0).sum(axis=1)
-        neg = np.where(g < 0, -g, 0.0).sum(axis=1)
-        cand = np.maximum(pos, neg)
+    for hi in range(1 << (n_enum - n_lo)):
+        shift = high[[b for b in range(len(high)) if (hi >> b) & 1]].sum(axis=0)
+        np.add(low, shift[:, None], out=sums)
+        np.maximum(sums, 0.0, out=part)
+        part.sum(axis=0, out=pos)
+        np.minimum(sums, 0.0, out=part)
+        part.sum(axis=0, out=neg)
+        np.negative(neg, out=neg)
+        np.maximum(pos, neg, out=cand)
         k = int(np.argmax(cand))
         if cand[k] > best_val:
             best_val = float(cand[k])
-            best_idx = start + k
+            best_idx = (hi << n_lo) + k
             best_side = 1 if pos[k] >= neg[k] else -1
     return best_val, best_idx, best_side
 

@@ -2,6 +2,8 @@
 
 Each check re-derives a module's core guarantee on fresh random instances
 and reports one pass/fail line; ``quick`` shrinks the instance counts.
+Checks raise ``CheckFailed`` naming the value they got, never through
+``assert``, so they still run under ``python -O``.
 """
 
 import numpy as np
@@ -24,6 +26,15 @@ from .networks import forward, param_count, random_network
 from .partitions import Partition, equipartition
 from .propagation import check_equivalence
 from .regularity import equitize, project, weak_regularity
+
+
+class CheckFailed(Exception):
+    """An invariant did not hold; the message names the value found."""
+
+
+def _require(ok, detail):
+    if not ok:
+        raise CheckFailed(detail)
 
 
 def _random_net(rng, max_d=24):
@@ -58,7 +69,7 @@ def run_verification(quick=False, seed=0):
         try:
             detail = fn()
             results.append((name, True, detail or ""))
-        except AssertionError as exc:
+        except CheckFailed as exc:
             results.append((name, False, str(exc)))
         except Exception as exc:  # noqa: BLE001 - verify must report, not crash
             results.append((name, False, f"{type(exc).__name__}: {exc}"))
@@ -81,7 +92,7 @@ def run_verification(quick=False, seed=0):
                 )
                 h = pre if ell == net.L else np.maximum(pre, 0)
             worst = max(worst, float(np.abs(forward(net, x) - h).max()))
-        assert worst <= 1e-12, f"disagreement {worst:.2e}"
+        _require(worst <= 1e-12, f"disagreement {worst:.2e}")
         return f"max |fast - straight-line| = {worst:.1e}"
 
     def three_paths():
@@ -91,8 +102,8 @@ def run_verification(quick=False, seed=0):
             rep = check_equivalence(net, rng.uniform(0, 1, net.d0))
             worst = max(worst, rep.max_discrepancy)
             drift = max(drift, rep.max_bias_drift)
-        assert worst <= 1e-9, f"discrepancy {worst:.2e}"
-        assert drift <= 1e-12, f"bias drift {drift:.2e}"
+        _require(worst <= 1e-9, f"discrepancy {worst:.2e}")
+        _require(drift <= 1e-12, f"bias drift {drift:.2e}")
         return f"max discrepancy {worst:.1e}, bias drift {drift:.1e}"
 
     def roundtrip():
@@ -102,7 +113,12 @@ def run_verification(quick=False, seed=0):
             net = random_network(net.L, net.d0, net.dL, net.d, 8.0, rng)
             back = extract_network(induce_kernel(net))
             for a, b in zip(net.weights + net.biases, back.weights + back.biases):
-                assert np.array_equal(a, b), "parameters changed in round trip"
+                _require(
+                    np.array_equal(a, b),
+                    "parameters changed in round trip: "
+                    f"{np.array2string(a, threshold=6)} became "
+                    f"{np.array2string(b, threshold=6)}",
+                )
         return "induce/extract identity, exact"
 
     def cut_exact():
@@ -116,8 +132,8 @@ def run_verification(quick=False, seed=0):
             bf = _brute_cut_norm(kern)
             worst = max(worst, abs(v - bf))
             lo = kernel_cut_norm_lower(kern, restarts=8, seed=1).value
-            assert lo <= v + 1e-12, "heuristic exceeded exact"
-        assert worst <= 1e-12, f"exact vs enumeration gap {worst:.2e}"
+            _require(lo <= v + 1e-12, f"heuristic {lo!r} exceeded exact {v!r}")
+        _require(worst <= 1e-12, f"exact vs enumeration gap {worst:.2e}")
         return f"max |exact - enumeration| = {worst:.1e}"
 
     def sandwich():
@@ -127,7 +143,7 @@ def run_verification(quick=False, seed=0):
                 Partition(rng.dirichlet(np.ones(n))), rng.uniform(-2, 2, n)
             )
             v, l1 = signal_cut_norm(sig).value, l1_norm(sig)
-            assert 0.5 * l1 - 1e-12 <= v <= l1 + 1e-12, f"{v} vs L1 {l1}"
+            _require(0.5 * l1 - 1e-12 <= v <= l1 + 1e-12, f"{v} vs L1 {l1}")
         return "0.5*L1 <= cut <= L1 held"
 
     def projection():
@@ -136,13 +152,16 @@ def run_verification(quick=False, seed=0):
             kern = StepKernel(
                 Partition(rng.dirichlet(np.ones(n))), rng.uniform(-1, 1, (n, n))
             )
-            assert project(kern, kern.partition) is kern
+            _require(
+                project(kern, kern.partition) is kern,
+                "projection onto the kernel's own partition returned a copy",
+            )
             coarse = equipartition(int(rng.integers(1, n)))
             kp = project(kern, coarse)
             m, mp = kern.partition.measures, coarse.measures
             ints = (kern.coeffs * np.outer(m, m)).sum()
             intp = (kp.coeffs * np.outer(mp, mp)).sum()
-            assert abs(ints - intp) <= 1e-12, "integral not preserved"
+            _require(abs(ints - intp) <= 1e-12, f"integral {ints!r} became {intp!r}")
         return "idempotence and integral preservation"
 
     def fk_trace():
@@ -151,10 +170,11 @@ def run_verification(quick=False, seed=0):
             reps = np.repeat(np.arange(5), rng.multinomial(11, np.ones(5) / 5) + 1)
             kern = StepKernel(equipartition(reps.size), base[np.ix_(reps, reps)])
             tr = weak_regularity(kern, 0.2, oracle="exact")
-            en = tr.energies
-            assert all(b >= a for a, b in zip(en, en[1:])), "energy decreased"
-            assert len(tr.iterations) <= int(np.ceil(4 / 0.04)) + 1, "cap exceeded"
-            assert tr.status in ("certified", "cap_reached")
+            drops = [(a, b) for a, b in zip(tr.energies, tr.energies[1:]) if b < a]
+            _require(not drops, f"energy decreased: {drops[:1]}")
+            cap = int(np.ceil(4 / 0.04)) + 1
+            _require(len(tr.iterations) <= cap, f"{len(tr.iterations)} iterations, cap {cap}")
+            _require(tr.status in ("certified", "cap_reached"), f"status {tr.status!r}")
         return "energy monotone, iteration cap held"
 
     def equitize_h():
@@ -163,21 +183,31 @@ def run_verification(quick=False, seed=0):
             part = Partition(rng.dirichlet(np.ones(n)))
             m = n + int(rng.integers(1, 12))
             res = equitize(part, m)
-            assert res.h <= n, f"h={res.h} exceeds {n}"
-            assert len(res.composition) == m
+            _require(res.h <= n, f"h={res.h} exceeds {n}")
+            _require(
+                len(res.composition) == m,
+                f"{len(res.composition)} parts in the composition, expected {m}",
+            )
         return "h <= part count on all instances"
 
     def bounds_spot():
-        assert lipschitz_constant(4, 2).exact == 64
-        assert wrl_hidden_dim(4, 2, 1, 1).exact == 16
-        assert compression_hidden_dim(1, 4, 2, 1, 1).log2 == 2097164
-        assert d0_threshold(4, 2, 1, 1).exact == 18_253_611_637
-        assert param_count(2, 1, 1, 4) == 29
+        for name, got, want in (
+            ("lipschitz_constant(4, 2)", lipschitz_constant(4, 2).exact, 64),
+            ("wrl_hidden_dim(4, 2, 1, 1)", wrl_hidden_dim(4, 2, 1, 1).exact, 16),
+            (
+                "log2 compression_hidden_dim(1, 4, 2, 1, 1)",
+                compression_hidden_dim(1, 4, 2, 1, 1).log2,
+                2097164,
+            ),
+            ("d0_threshold(4, 2, 1, 1)", d0_threshold(4, 2, 1, 1).exact, 18_253_611_637),
+            ("param_count(2, 1, 1, 4)", param_count(2, 1, 1, 4), 29),
+        ):
+            _require(got == want, f"{name} = {got!r}, expected {want!r}")
         return "spot values exact"
 
     def gradients():
         worst = numeric_gradient_check(width=8, seed=seed)
-        assert worst <= 1e-5, f"relative gap {worst:.2e}"
+        _require(worst <= 1e-5, f"relative gap {worst:.2e}")
         return f"max relative gap {worst:.1e}"
 
     check("forward vs straight-line oracle", forward_oracle)

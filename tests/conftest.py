@@ -1,8 +1,10 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import densecap
 from densecap.networks import random_network
 
 
@@ -18,6 +20,13 @@ def find_mnist_dir():
 
 
 MNIST_DIR = find_mnist_dir()
+
+
+def package_env():
+    """Environment in which a child Python imports the densecap under test."""
+    path = [str(Path(densecap.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
 
 needs_mnist = pytest.mark.skipif(
     MNIST_DIR is None, reason="no IDX dataset directory found (set DENSECAP_DATA)"

@@ -10,6 +10,8 @@ import pytest
 
 from densecap.networks import random_network, save_network
 
+from conftest import package_env
+
 BIN = shutil.which("densecap")
 
 
@@ -18,7 +20,9 @@ def run_cli(*args, **kw):
         cmd = [BIN, *args]
     else:
         cmd = [sys.executable, "-m", "densecap.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, timeout=600, **kw)
+    return subprocess.run(
+        cmd, capture_output=True, text=True, timeout=600, env=package_env(), **kw
+    )
 
 
 @pytest.fixture(scope="module")

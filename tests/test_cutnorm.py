@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -332,3 +334,65 @@ def test_auto_oracle_reduces_once(monkeypatch, cap, exact):
     w, was_exact = kernel_cut_norm(kern, oracle="auto", cap=cap)
     assert len(calls) == 1 and was_exact is exact
     assert (w.value, w.row_set, w.col_set) == (alone.value, alone.row_set, alone.col_set)
+
+
+def reference_enumeration(weighted, n_enum):
+    """Every subset's column sums at once, from a (2^n x n) bit matrix."""
+    idx = np.arange(1 << n_enum)
+    bits = ((idx[:, None] >> np.arange(n_enum)[None, :]) & 1).astype(float)
+    g = bits @ weighted[:n_enum]
+    pos = np.where(g > 0, g, 0.0).sum(axis=1)
+    neg = np.where(g < 0, -g, 0.0).sum(axis=1)
+    cand = np.maximum(pos, neg)
+    k = int(np.argmax(cand))
+    if cand[k] > 0.0:
+        return float(cand[k]), k, 1 if pos[k] >= neg[k] else -1
+    return 0.0, 0, 1
+
+
+@st.composite
+def enumeration_instances(draw):
+    """(weighted, n_enum, block, tied); block puts 2^n_lo low rows in the table.
+
+    n_lo runs over 0 (no table), n_enum (no high rows) and every split
+    between, with at most 2^8 values of the high rows. Tied instances
+    repeat a few random rows, so distinct subsets share a value up to
+    rounding.
+    """
+    n_enum = draw(st.integers(0, 14))
+    n_cols = draw(st.integers(1, 6))
+    n_lo = draw(st.integers(max(0, n_enum - 8), n_enum))
+    block = draw(st.integers(n_cols << n_lo, (n_cols << (n_lo + 1)) - 1))
+    tied = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weighted = rng.uniform(-1.0, 1.0, (n_enum, n_cols))
+    if tied and n_enum:
+        weighted = weighted[rng.integers(0, 3, n_enum) % n_enum]
+    return weighted, n_enum, block, tied
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=enumeration_instances())
+def test_subset_enumeration_matches_bit_matrix_reference(inst):
+    weighted, n_enum, block, tied = inst
+    value, idx, side = cutnorm._best_subset_enumeration(weighted, n_enum, block=block)
+    want = reference_enumeration(weighted, n_enum)
+    assert abs(value - want[0]) <= 1e-12
+    # the witness attains the value, up to rounding
+    g = weighted[[b for b in range(n_enum) if (idx >> b) & 1]].sum(axis=0)
+    assert abs(value - (g[g > 0].sum() if side > 0 else -g[g < 0].sum())) <= 1e-12
+    if not tied:
+        assert (idx, side) == want[1:]
+
+
+def test_subset_enumeration_memory_is_bounded_by_entries_not_subsets():
+    # column sums of all 2^12 subsets at once would take 655 MB
+    weighted = np.random.default_rng(13).uniform(-1.0, 1.0, (12, 20_000))
+    tracemalloc.start()
+    try:
+        value, _, _ = cutnorm._best_subset_enumeration(weighted, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value > 0.0
+    assert peak < 64 << 20
