@@ -21,7 +21,6 @@ from .partitions import (
     common_refinement,
     equipartition,
     is_refinement,
-    refine,
 )
 from .kernels import (
     ComputationalGraph,

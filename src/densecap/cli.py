@@ -16,7 +16,7 @@ from . import bounds as bounds_mod
 from .cutnorm import kernel_cut_norm_exact, kernel_cut_norm_lower
 from .errors import DensecapError
 from .kernels import load_kernel, save_kernel, induce_kernel, validate_computational
-from .networks import load_network, random_network, save_network
+from .networks import load_network, random_small_network, save_network
 from .propagation import check_equivalence
 from .regularity import compress_network
 
@@ -24,7 +24,6 @@ from .regularity import compress_network
 def _add_common(p):
     p.add_argument("--config", help="JSON file supplying default values for flags")
     p.add_argument("--seed", type=int, default=0, help="seed for anything random")
-    p.add_argument("--jobs", type=int, default=1, help="worker cap for parallel parts")
 
 
 def build_parser():
@@ -106,6 +105,7 @@ def build_parser():
     p.add_argument("--dataset", default="mnist")
     p.add_argument("--data-dir")
     p.add_argument("--out", help="CSV path (default: stdout)")
+    p.add_argument("--jobs", type=int, default=1, help="worker cap for parallel runs")
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the module invariant suites")
@@ -115,18 +115,23 @@ def build_parser():
 
 
 def _apply_config(ap, argv):
-    """Pre-scan for --config and install its values as parser defaults."""
-    if "--config" not in argv:
-        return argv
-    path = argv[argv.index("--config") + 1]
+    """Pre-parse --config and install its values as parser defaults."""
+    # no abbreviations here, or "--c" (the VC constant) would read as --config
+    pre = argparse.ArgumentParser(prog=ap.prog, add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return
     with open(path, encoding="utf-8") as fh:
-        values = json.load(fh)
+        try:
+            values = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DensecapError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(values, dict):
         raise DensecapError(f"config {path} must hold a JSON object")
     for action in ap._subparsers._group_actions[0].choices.values():
         known = {a.dest for a in action._actions}
         action.set_defaults(**{k: v for k, v in values.items() if k in known})
-    return argv
 
 
 def cmd_induce(args):
@@ -148,18 +153,10 @@ def cmd_equiv_check(args):
         net = load_network(args.net)
         cases = [(net, rng.uniform(0, 1, net.d0)) for _ in range(max(1, args.random))]
     else:
-        count = args.random or 20
         cases = []
-        for _ in range(count):
-            L = int(rng.integers(2, 5))
-            d0 = int(rng.integers(1, 4))
-            dL = int(rng.integers(1, 4))
-            mult = int(np.lcm(d0, dL))
-            d = mult * int(rng.integers(1, max(2, 24 // mult + 1)))
-            B = float(rng.uniform(L + 2, 10.0))
-            cases.append(
-                (random_network(L, d0, dL, d, B, rng), rng.uniform(0, 1, d0))
-            )
+        for _ in range(args.random or 20):
+            net = random_small_network(rng)
+            cases.append((net, rng.uniform(0, 1, net.d0)))
     for net, x in cases:
         rep = check_equivalence(net, x, tolerance=args.tolerance)
         worst = max(worst, rep.max_discrepancy)
@@ -204,29 +201,24 @@ def cmd_compress(args):
     return 0
 
 
-def _print_bound(v):
-    print(v)
-    return 0
-
-
 def cmd_bounds(args):
     f = args.formula
     if f == "lipschitz":
-        return _print_bound(bounds_mod.lipschitz_constant(args.B, args.L))
-    if f == "wrl-dim":
-        return _print_bound(bounds_mod.wrl_hidden_dim(args.eps, args.L, args.d0, args.dL))
-    if f == "compression-dim":
-        return _print_bound(
-            bounds_mod.compression_hidden_dim(args.eps, args.B, args.L, args.d0, args.dL)
-        )
-    if f == "vc-lower":
-        return _print_bound(bounds_mod.vc_lower_bound(args.eps, args.d0, args.c))
-    if f == "d0-threshold":
-        return _print_bound(bounds_mod.d0_threshold(args.B, args.L, args.dL, args.c))
-    if f == "non-universality":
-        print(bounds_mod.non_universality_check(args.B, args.L, args.dL, args.d0, args.c))
-        return 0
-    raise DensecapError(f"unknown formula {f}")
+        value = bounds_mod.lipschitz_constant(args.B, args.L)
+    elif f == "wrl-dim":
+        value = bounds_mod.wrl_hidden_dim(args.eps, args.L, args.d0, args.dL)
+    elif f == "compression-dim":
+        value = bounds_mod.compression_hidden_dim(args.eps, args.B, args.L, args.d0, args.dL)
+    elif f == "vc-lower":
+        value = bounds_mod.vc_lower_bound(args.eps, args.d0, args.c)
+    elif f == "d0-threshold":
+        value = bounds_mod.d0_threshold(args.B, args.L, args.dL, args.c)
+    elif f == "non-universality":
+        value = bounds_mod.non_universality_check(args.B, args.L, args.dL, args.d0, args.c)
+    else:
+        raise DensecapError(f"unknown formula {f}")
+    print(value)
+    return 0
 
 
 def cmd_train(args):
@@ -304,7 +296,7 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        argv = _apply_config(ap, argv)
+        _apply_config(ap, argv)
         args = ap.parse_args(argv)
         return COMMANDS[args.command](args)
     except DensecapError as exc:

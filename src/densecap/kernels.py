@@ -74,40 +74,20 @@ class LayerStructure:
     def fine_partition(self):
         return equipartition(self.n)
 
-    def layer_partition(self):
-        labels = tuple(("layer", ell) for ell in range(self.L + 1)) + (("bias",),)
-        return Partition(
-            np.full(self.L + 2, 1.0 / (self.L + 2)), labels=labels, interval=True
-        )
-
-    def input_partition(self):
-        """The d0 input cells as a partition of the layer-0 interval."""
-        hi = 1.0 / (self.L + 2)
-        return equipartition(self.d0, domain=(0.0, hi))
-
-    def output_partition(self):
-        lo = self.L / (self.L + 2)
-        hi = (self.L + 1) / (self.L + 2)
-        return equipartition(self.dL, domain=(lo, hi))
-
     def structural_labels(self):
         """Per fine interval: input cell / hidden layer / output cell / bias.
 
         This is the coarsest structure a compressed kernel must respect:
-        d0 + (L-1) + dL + 1 groups.
+        d0 + (L-1) + dL + 1 groups, numbered in layout order.
         """
-        labels = np.empty(self.n, dtype=object)
-        w_in = self.d // self.d0
-        for i in range(self.d):
-            labels[i] = ("in", i // w_in)
-        for ell in range(1, self.L):
-            labels[self.layer_slice(ell)] = [("hidden", ell)] * self.d
-        w_out = self.d // self.dL
-        base = self.L * self.d
-        for i in range(self.d):
-            labels[base + i] = ("out", i // w_out)
-        labels[self.bias_slice] = [("bias",)] * self.d
-        return labels
+        d, d0, L = self.d, self.d0, self.L
+        cells = np.arange(d)
+        return np.concatenate([
+            cells // (d // d0),
+            np.repeat(np.arange(d0, d0 + L - 1), d),
+            d0 + L - 1 + cells // (d // self.dL),
+            np.full(d, d0 + L - 1 + self.dL),
+        ]).astype(np.int64)
 
     def region_of(self, idx):
         ell = idx // self.d

@@ -216,3 +216,14 @@ def random_network(L, d0, dL, d, B, rng, scale=1.0):
     )
     bs = tuple(rng.uniform(-lim, lim, size=dims[ell]) for ell in range(1, L + 1))
     return DenseNetwork(L, d0, dL, d, B, ws, bs)
+
+
+def random_small_network(rng):
+    """Random network of depth 2-4, d0 and dL in 1-3, width at most 24."""
+    L = int(rng.integers(2, 5))
+    d0 = int(rng.integers(1, 4))
+    dL = int(rng.integers(1, 4))
+    mult = int(np.lcm(d0, dL))
+    d = mult * int(rng.integers(1, max(2, 24 // mult + 1)))
+    B = float(rng.uniform(L + 2, 10.0))
+    return random_network(L, d0, dL, d, B, rng)

@@ -107,11 +107,6 @@ def common_refinement(p, q, with_maps=False):
     return ref
 
 
-def refine(p, q):
-    """Refinement of p by q: alias for their common refinement."""
-    return common_refinement(p, q)
-
-
 def is_refinement(fine, coarse):
     """Whether every part of ``fine`` lies inside a part of ``coarse``."""
     if fine.domain != coarse.domain:

@@ -133,8 +133,49 @@ class RegularityTrace:
         return [r.energy for r in self.iterations]
 
 
-def _expand(vals, inverse):
-    return vals[np.ix_(inverse, inverse)]
+def _refine(kernel, labels, split, stop, max_iter, oracle, cap, restarts, seed):
+    """The energy-increment loop shared by every refinement in this module.
+
+    Each round projects the kernel onto the label groups, records the
+    projection energy and the residual's cut witness, and stops once the
+    witness drops below ``stop`` or after ``max_iter`` splits. Otherwise
+    ``split(labels, s, t)`` refines the labels by the witness indicator
+    vectors s (rows) and t (columns); it returns None when it refuses to
+    refine, which ends the run as "budget_exhausted".
+    """
+    coeffs = kernel.coeffs
+    meas = kernel.partition.measures
+    records = []
+    exact_used = True
+    for it in range(max_iter + 1):
+        vals, gm, inverse = _project_grouping(coeffs, meas, labels)
+        proj = vals[np.ix_(inverse, inverse)]
+        energy = float(np.sum(vals * vals * np.outer(gm, gm)))
+        witness, was_exact = _residual_cut_norm(
+            coeffs - proj, meas, oracle, cap, restarts, seed
+        )
+        exact_used = exact_used and was_exact
+        records.append(IterationRecord(it, int(gm.size), energy, witness.value))
+        if witness.value < stop:
+            status = "certified" if was_exact else "heuristic_termination"
+            break
+        if it == max_iter:
+            status = "cap_reached"
+            break
+        s = np.zeros(meas.size, dtype=np.int64)
+        t = np.zeros(meas.size, dtype=np.int64)
+        s[list(witness.row_set)] = 1
+        t[list(witness.col_set)] = 1
+        refined = split(labels, s, t)
+        if refined is None:
+            status = "budget_exhausted"
+            break
+        labels = refined
+    fine = StepKernel(kernel.partition, np.clip(proj, -1, 1))
+    coarse = StepKernel(Partition(gm, interval=False), np.clip(vals, -1, 1))
+    return RegularityTrace(
+        records, labels, coarse, fine, witness.value, status, exact_used
+    )
 
 
 def weak_regularity(
@@ -158,45 +199,23 @@ def weak_regularity(
     """
     if not 0 < eps <= 2:
         raise ParameterError(f"eps must lie in (0, 2], got {eps}")
-    coeffs = kernel.coeffs
-    meas = kernel.partition.measures
-    n = meas.size
-    cap_iters = math.ceil(4.0 / (eps * eps)) if max_iter is None else max_iter
+    if max_iter is not None and max_iter < 0:
+        raise ParameterError(f"max_iter must be non-negative, got {max_iter}")
     labels = (
-        np.zeros(n, dtype=np.int64)
+        np.zeros(kernel.n, dtype=np.int64)
         if initial_labels is None
         else np.asarray(initial_labels).copy()
     )
-    records = []
-    status = "cap_reached"
-    witness = None
-    exact_used = True
-    for it in range(cap_iters + 1):
-        vals, gm, inverse = _project_grouping(coeffs, meas, labels)
-        proj = _expand(vals, inverse)
-        energy = float(np.sum(vals * vals * np.outer(gm, gm)))
-        witness, was_exact = _residual_cut_norm(
-            coeffs - proj, meas, oracle, cap, restarts, seed
-        )
-        exact_used = exact_used and was_exact
-        records.append(IterationRecord(it, int(gm.size), energy, witness.value))
-        if witness.value < eps:
-            status = "certified" if was_exact else "heuristic_termination"
-            break
-        if it == cap_iters:
-            status = "cap_reached"
-            break
-        s = np.zeros(n, dtype=np.int64)
-        t = np.zeros(n, dtype=np.int64)
-        s[list(witness.row_set)] = 1
-        t[list(witness.col_set)] = 1
-        labels = _relabel(labels * 4 + 2 * s + t)
-    vals, gm, inverse = _project_grouping(coeffs, meas, labels)
-    group_part = Partition(gm, interval=False)
-    fine = StepKernel(kernel.partition, np.clip(_expand(vals, inverse), -1, 1))
-    coarse = StepKernel(group_part, np.clip(vals, -1, 1))
-    return RegularityTrace(
-        records, labels, coarse, fine, witness.value, status, exact_used
+    return _refine(
+        kernel,
+        labels,
+        lambda labels, s, t: _relabel(labels * 4 + 2 * s + t),
+        eps,
+        math.ceil(4.0 / (eps * eps)) if max_iter is None else max_iter,
+        oracle,
+        cap,
+        restarts,
+        seed,
     )
 
 
@@ -205,19 +224,16 @@ def _relabel(raw):
     return inv.astype(np.int64)
 
 
-def _combine_labels(a, b):
-    pairs = np.empty(len(a), dtype=object)
-    for i, (x, y) in enumerate(zip(a, b)):
-        pairs[i] = (x, y)
-    return _relabel_obj(pairs)
+def _pair_labels(a, b):
+    """Group ids of the pairs (a[i], b[i]), numbered by first occurrence.
 
-
-def _relabel_obj(raw):
-    seen = {}
-    out = np.empty(len(raw), dtype=np.int64)
-    for i, v in enumerate(raw):
-        out[i] = seen.setdefault(v, len(seen))
-    return out
+    Both inputs are non-negative integer label arrays.
+    """
+    codes = a * (b.max() + 1) + b
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
 
 
 @dataclass
@@ -260,12 +276,11 @@ def layer_respecting_regularity(
     trace = weak_regularity(
         ck.kernel, eps / 2.0, oracle=oracle, cap=cap, restarts=restarts, seed=seed
     )
-    struct = ck.layers.structural_labels()
-    labels = _combine_labels(trace.labels, struct)
-    vals, gm, inverse = _project_grouping(
+    labels = _pair_labels(trace.labels, ck.layers.structural_labels())
+    vals, _, inverse = _project_grouping(
         ck.kernel.coeffs, ck.kernel.partition.measures, labels
     )
-    fine = StepKernel(ck.kernel.partition, np.clip(_expand(vals, inverse), -1, 1))
+    fine = StepKernel(ck.kernel.partition, np.clip(vals[np.ix_(inverse, inverse)], -1, 1))
     measured = None
     measured_exact = False
     if measure_exact:
@@ -451,56 +466,34 @@ def _layer_group_counts(labels, ls):
     return counts
 
 
-def _budgeted_fk(ck, budget, oracle, cap, restarts, seed, stop_floor=1e-9, max_iter=200):
+def _budgeted_fk(ck, budget, oracle, cap, restarts, seed):
     """Cut refinement that keeps every hidden/bias layer within a part budget.
 
     Splits are applied per region; a layer is left untouched whenever the
     full split (and its one-sided fallbacks) would push it past the budget,
     unless a split lands exactly on the budget with equal-size groups.
     Layers 0 and L carry no budget since their cells are coarsened back.
+    The run ends once no region can be refined.
     """
     ls = ck.layers
-    coeffs = ck.kernel.coeffs
-    meas = ck.kernel.partition.measures
     struct = ls.structural_labels()
-    labels = _relabel_obj(struct)
     regions = [("free", np.r_[np.arange(ls.d), np.arange(ls.L * ls.d, (ls.L + 1) * ls.d)])]
     for ell in list(range(1, ls.L)) + ["bias"]:
         sl = ls.layer_slice(ell)
         regions.append((ell, np.arange(sl.start, sl.stop)))
-    records = []
-    status = "budget_exhausted"
-    exact_used = True
-    for it in range(max_iter + 1):
-        vals, gm, inverse = _project_grouping(coeffs, meas, labels)
-        proj = _expand(vals, inverse)
-        energy = float(np.sum(vals * vals * np.outer(gm, gm)))
-        witness, was_exact = _residual_cut_norm(
-            coeffs - proj, meas, oracle, cap, restarts, seed
-        )
-        exact_used = exact_used and was_exact
-        records.append(IterationRecord(it, int(gm.size), energy, witness.value))
-        if witness.value < stop_floor:
-            status = "certified" if was_exact else "heuristic_termination"
-            break
-        if it == max_iter:
-            status = "cap_reached"
-            break
-        s = np.zeros(meas.size, dtype=np.int64)
-        t = np.zeros(meas.size, dtype=np.int64)
-        s[list(witness.row_set)] = 1
-        t[list(witness.col_set)] = 1
+
+    def split(labels, s, t):
         new_labels = labels.copy()
         changed = False
         for ell, region in regions:
             before = int(np.unique(labels[region]).size)
-            for split in (
+            for raw in (
                 labels[region] * 4 + 2 * s[region] + t[region],
                 labels[region] * 2 + s[region],
                 labels[region] * 2 + t[region],
             ):
-                cand = _relabel(split)
-                count = int(np.unique(cand).size)
+                cand = _relabel(raw)
+                count = int(cand.max()) + 1
                 if ell != "free":
                     if count > budget:
                         continue
@@ -510,18 +503,10 @@ def _budgeted_fk(ck, budget, oracle, cap, restarts, seed, stop_floor=1e-9, max_i
                     changed = True
                 new_labels[region] = cand
                 break
-        if not changed:
-            status = "budget_exhausted"
-            break
         # regions re-separated by pairing with the structural label
-        labels = _relabel_obj(list(zip(new_labels, struct)))
-    vals, gm, inverse = _project_grouping(coeffs, meas, labels)
-    fine = StepKernel(ck.kernel.partition, np.clip(_expand(vals, inverse), -1, 1))
-    trace = RegularityTrace(
-        records, labels, StepKernel(Partition(gm, interval=False), np.clip(vals, -1, 1)),
-        fine, records[-1].witness_value, status, exact_used
-    )
-    return trace
+        return _pair_labels(new_labels, struct) if changed else None
+
+    return _refine(ck.kernel, struct, split, 1e-9, 200, oracle, cap, restarts, seed)
 
 
 def _equitized_groups(labels, ls, ell):
@@ -617,10 +602,9 @@ def compress_network(
             raise ParameterError(f"target width must be at least {ls.M}")
         if target_d == net.d:
             # projection onto the network's own structure, nothing to search
-            atomic = _relabel_obj(list(zip(range(ls.n), ls.structural_labels())))
             trace = weak_regularity(
                 ck.kernel, 2.0, oracle=oracle, cap=cap, restarts=restarts,
-                seed=seed, initial_labels=atomic,
+                seed=seed, initial_labels=np.arange(ls.n),
             )
         else:
             trace = _budgeted_fk(ck, target_d, oracle, cap, restarts, seed)
@@ -636,21 +620,12 @@ def compress_network(
         )
         trace = res.trace
         labels = res.labels
-        counts = _layer_group_counts(labels, ls)
-        d_new = ls.M
-        while True:
-            ok = True
-            for ell, cnt in counts.items():
-                if cnt > d_new:
-                    ok = False
-                elif cnt == d_new:
-                    sl = ls.layer_slice(ell)
-                    sizes = np.bincount(_relabel(labels[sl]))
-                    if np.ptp(sizes) != 0:
-                        ok = False
-            if ok:
-                break
-            d_new += ls.M
+        # a layer of k groups fits k slots only if its groups are equal
+        need = 0
+        for ell in list(range(1, ls.L)) + ["bias"]:
+            _, sizes = np.unique(labels[ls.layer_slice(ell)], return_counts=True)
+            need = max(need, sizes.size + int(np.ptp(sizes) != 0))
+        d_new = ls.M * -(-need // ls.M)
         fk_status = trace.status
         stages.append({"name": "regularity", "status": fk_status,
                        "detail": f"certified bound {res.certified_bound:.4g}"})

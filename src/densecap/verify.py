@@ -22,7 +22,7 @@ from .cutnorm import (
 )
 from .experiments.training import numeric_gradient_check
 from .kernels import StepKernel, StepSignal, extract_network, induce_kernel
-from .networks import forward, param_count, random_network
+from .networks import forward, param_count, random_network, random_small_network
 from .partitions import Partition, equipartition
 from .propagation import check_equivalence
 from .regularity import equitize, project, weak_regularity
@@ -35,16 +35,6 @@ class CheckFailed(Exception):
 def _require(ok, detail):
     if not ok:
         raise CheckFailed(detail)
-
-
-def _random_net(rng, max_d=24):
-    L = int(rng.integers(2, 5))
-    d0 = int(rng.integers(1, 4))
-    dL = int(rng.integers(1, 4))
-    mult = int(np.lcm(d0, dL))
-    d = mult * int(rng.integers(1, max(2, max_d // mult + 1)))
-    B = float(rng.uniform(L + 2, 10.0))
-    return random_network(L, d0, dL, d, B, rng)
 
 
 def _brute_cut_norm(kern):
@@ -77,7 +67,7 @@ def run_verification(quick=False, seed=0):
     def forward_oracle():
         worst = 0.0
         for _ in range(25 * k):
-            net = _random_net(rng)
+            net = random_small_network(rng)
             x = rng.uniform(0, 1, net.d0)
             h = x.copy()
             dims = net.layer_dims
@@ -98,7 +88,7 @@ def run_verification(quick=False, seed=0):
     def three_paths():
         worst, drift = 0.0, 0.0
         for _ in range(25 * k):
-            net = _random_net(rng)
+            net = random_small_network(rng)
             rep = check_equivalence(net, rng.uniform(0, 1, net.d0))
             worst = max(worst, rep.max_discrepancy)
             drift = max(drift, rep.max_bias_drift)
@@ -108,7 +98,7 @@ def run_verification(quick=False, seed=0):
 
     def roundtrip():
         for _ in range(10 * k):
-            net = _random_net(rng)
+            net = random_small_network(rng)
             # exact round trips need a power-of-two bound
             net = random_network(net.L, net.d0, net.dL, net.d, 8.0, rng)
             back = extract_network(induce_kernel(net))

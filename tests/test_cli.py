@@ -137,3 +137,38 @@ def test_verify_quick_passes():
     assert r.returncode == 0, r.stdout + r.stderr
     assert "all checks passed" in r.stdout
     assert "FAIL" not in r.stdout
+
+
+def test_config_without_path_is_usage_error():
+    r = run_cli("verify", "--quick", "--config")
+    assert r.returncode == 2
+    assert "usage" in r.stderr.lower()
+    assert "Traceback" not in r.stderr
+
+
+def test_config_with_bad_json_is_one_line_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{not json")
+    r = run_cli("bounds", "lipschitz", "--config", str(cfg))
+    assert r.returncode == 1
+    assert r.stderr.count("\n") == 1 and r.stderr.startswith("error: ")
+
+
+def test_config_equals_form_is_read(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"B": "4", "L": 3}))
+    r = run_cli("bounds", "lipschitz", f"--config={cfg}")
+    assert r.returncode == 0, r.stderr
+    assert "512" in r.stdout
+
+
+def test_jobs_belongs_to_sweep_only():
+    r = run_cli("verify", "--jobs", "2")
+    assert r.returncode == 2
+    assert "--jobs" in r.stderr
+    r = run_cli(
+        "sweep", "--dataset", "spike:d0=1,N=2,samples=200", "--widths", "4",
+        "--modes", "standard", "--seeds", "0", "--epochs", "1", "--jobs", "2",
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("width,mode,seed")

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densecap import regularity
 from densecap.cutnorm import kernel_cut_norm_exact, l2_norm
 from densecap.errors import ParameterError
-from densecap.kernels import StepKernel, induce_kernel, validate_computational
+from densecap.kernels import LayerStructure, StepKernel, induce_kernel, validate_computational
 from densecap.networks import forward, random_network
 from densecap.partitions import Partition, equipartition
 from densecap.regularity import (
@@ -117,6 +119,8 @@ def test_weak_regularity_rejects_bad_eps():
         weak_regularity(kern, 0.0)
     with pytest.raises(ParameterError):
         weak_regularity(kern, 2.5)
+    with pytest.raises(ParameterError):
+        weak_regularity(kern, 0.5, max_iter=-1)
 
 
 def test_layer_respecting_trivial_on_induced_kernel_large_eps():
@@ -315,3 +319,64 @@ def test_compressed_network_outputs_track_original():
     xs = rng.uniform(0, 1, (200, 1))
     gap = float(np.max(np.abs(forward(net, xs) - forward(net2, xs))))
     assert gap <= rep.theoretical_bound
+
+
+def pair_labels_reference(a, b):
+    """Ids of the pairs (a[i], b[i]) numbered by first occurrence."""
+    seen = {}
+    return np.array([seen.setdefault(p, len(seen)) for p in zip(a.tolist(), b.tolist())])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6)), min_size=1, max_size=60)
+)
+def test_pair_labels_numbers_pairs_by_first_occurrence(pairs):
+    a = np.array([p[0] for p in pairs], dtype=np.int64)
+    b = np.array([p[1] for p in pairs], dtype=np.int64)
+    got = regularity._pair_labels(a, b)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, pair_labels_reference(a, b))
+
+
+def structural_labels_reference(ls):
+    """Input cell / hidden layer / output cell / bias keys, first-occurrence ids."""
+    keys = [("in", i // (ls.d // ls.d0)) for i in range(ls.d)]
+    keys += [("hidden", ell) for ell in range(1, ls.L) for _ in range(ls.d)]
+    keys += [("out", i // (ls.d // ls.dL)) for i in range(ls.d)]
+    keys += [("bias",)] * ls.d
+    seen = {}
+    return [seen.setdefault(k, len(seen)) for k in keys]
+
+
+@pytest.mark.parametrize("L,d0,dL,d", [(2, 1, 1, 3), (3, 2, 3, 12), (4, 3, 1, 6)])
+def test_structural_labels_are_layout_ordered_ids(L, d0, dL, d):
+    ls = LayerStructure(L, d0, dL, d)
+    ids = ls.structural_labels()
+    assert ids.dtype == np.int64 and ids.shape == (ls.n,)
+    assert ids.tolist() == structural_labels_reference(ls)
+    assert np.array_equal(np.unique(ids), np.arange(d0 + (L - 1) + dL + 1))
+    assert np.all(np.diff(ids) >= 0)
+    for ell in range(1, L):
+        assert np.unique(ids[ls.layer_slice(ell)]).size == 1
+    assert np.unique(ids[ls.bias_slice]).size == 1
+    assert np.unique(ids[ls.layer_slice(0)]).size == d0
+    assert np.unique(ids[ls.layer_slice(L)]).size == dL
+
+
+@pytest.mark.parametrize(
+    "L,d0,dL,d,budget,seed",
+    [(3, 2, 2, 24, 6, 0), (2, 1, 3, 12, 6, 1), (2, 2, 2, 16, 4, 2), (4, 1, 1, 10, 5, 3)],
+)
+def test_budgeted_refinement_respects_budget_and_structure(L, d0, dL, d, budget, seed):
+    ck = induce_kernel(random_network(L, d0, dL, d, 6.0, np.random.default_rng(seed)))
+    tr = regularity._budgeted_fk(ck, budget, "auto", 24, 8, seed)
+    ls = ck.layers
+    for ell in list(range(1, L)) + ["bias"]:
+        assert np.unique(tr.labels[ls.layer_slice(ell)]).size <= budget
+    struct = ls.structural_labels()
+    for lab in np.unique(tr.labels):
+        assert np.unique(struct[tr.labels == lab]).size == 1
+    en = tr.energies
+    assert all(b >= a - 1e-12 for a, b in zip(en, en[1:]))
+    assert tr.status in ("certified", "heuristic_termination", "budget_exhausted", "cap_reached")
