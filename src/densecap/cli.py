@@ -22,6 +22,8 @@ from .regularity import compress_network
 
 
 def _add_common(p):
+    # abbreviations would read "--conf" as --config after the config pre-parse
+    p.allow_abbrev = False
     p.add_argument("--config", help="JSON file supplying default values for flags")
     p.add_argument("--seed", type=int, default=0, help="seed for anything random")
 

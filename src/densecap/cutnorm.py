@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .kernels import ComputationalKernel, StepKernel, StepSignal
+from .partitions import Partition
 
 EXACT_CAP_DEFAULT = 24
 PERM_CAP_DEFAULT = 1_000_000
@@ -330,16 +331,6 @@ def _hidden_permutation_index(layers, perms):
     return idx
 
 
-def _apply_perms(ck, perms):
-    idx = _hidden_permutation_index(ck.layers, perms)
-    return ck.kernel.coeffs[np.ix_(idx, idx)]
-
-
-def _diff_kernel(ck, other_coeffs):
-    d = (ck.kernel.coeffs - other_coeffs) / 2.0
-    return StepKernel(ck.kernel.partition, d)
-
-
 def _layer_profiles(ck, ell):
     """Permutation-robust fingerprint of each part of a hidden layer."""
     ls, c = ck.layers, ck.kernel.coeffs
@@ -376,7 +367,8 @@ class CompDistanceResult:
     The minimum runs over an explored set of per-hidden-layer part
     permutations, each a valid layer-preserving relabeling, so the value
     always upper-bounds the true infimum. ``exact`` records whether the
-    inner cut norms were computed exactly.
+    inner cut norms were computed exactly; the witness sets index parts of
+    the common refinement the kernels were compared on.
     """
 
     value: float
@@ -401,8 +393,10 @@ def comp_cut_distance_upper(
     Modes: 'identity' compares as laid out; 'greedy' matches parts within
     each hidden layer by profile similarity first; 'exhaustive' tries every
     per-layer permutation (hidden width at most 8). Kernels must share
-    (L, d0, dL, B) and size; lift the smaller one to a common refinement
-    first if the hidden widths differ.
+    (L, d0, dL, B). Both are measured on the common refinement of their
+    two equipartitions, whose cuts are integer multiples of 1/lcm(n, n');
+    the cut norm of a step kernel does not change under refinement. Only
+    'identity' accepts different hidden widths.
     """
     a, b = ck.layers, cj.layers
     if (a.L, a.d0, a.dL) != (b.L, b.d0, b.dL):
@@ -411,14 +405,18 @@ def comp_cut_distance_upper(
         )
     if abs(ck.B - cj.B) > 1e-12:
         raise ParameterError(f"kernels disagree on B: {ck.B} vs {cj.B}")
-    if a.d != b.d:
-        raise ParameterError(
-            f"hidden dims differ ({a.d} vs {b.d}); lift to a common refinement first"
-        )
+    if a.d != b.d and mode != "identity":
+        raise ParameterError(f"mode {mode!r} needs equal hidden dims, got {a.d} vs {b.d}")
     identity = (None,) * (a.L - 1)
+    N = math.lcm(a.n, b.n)
+    cuts = np.union1d(np.arange(0, N + 1, N // a.n), np.arange(0, N + 1, N // b.n))
+    refined = Partition(np.diff(cuts) / N)
+    ri, rj = cuts[:-1] // (N // a.n), cuts[:-1] // (N // b.n)
+    kc = ck.kernel.coeffs[np.ix_(ri, ri)]
 
     def measure(perms):
-        diff = _diff_kernel(ck, _apply_perms(cj, perms))
+        idx = _hidden_permutation_index(b, perms)[rj]
+        diff = StepKernel(refined, (kc - cj.kernel.coeffs[np.ix_(idx, idx)]) / 2.0)
         w, is_exact = kernel_cut_norm(
             diff, oracle=oracle, cap=cap, restarts=restarts, seed=seed
         )

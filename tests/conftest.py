@@ -42,13 +42,3 @@ def random_layered_net(rng, L=None, max_d=24, B=None, d0=None, dL=None):
     d = mult * int(rng.integers(1, max(2, max_d // mult + 1)))
     B = B if B is not None else float(rng.uniform(L + 2, 10.0))
     return random_network(L, d0, dL, d, B, rng)
-
-
-def brute_force_cut_norm(kern):
-    """Full double enumeration over all 2^n x 2^n part-set pairs, vectorized."""
-    n = kern.n
-    meas = kern.partition.measures
-    w = kern.coeffs * np.outer(meas, meas)
-    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-    table = bits @ w @ bits.T
-    return float(np.abs(table).max())

@@ -36,8 +36,9 @@ from densecap.propagation import check_equivalence, mpnn_forward
 from densecap.regularity import compress_network, weak_regularity
 from densecap.experiments import TrainConfig, load_mnist, take_subset, train
 from densecap.experiments.training import numeric_gradient_check
+from densecap.verify import brute_force_cut_norm
 
-from conftest import MNIST_DIR, brute_force_cut_norm
+from conftest import MNIST_DIR
 
 
 def report(num, passed, detail):

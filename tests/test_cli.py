@@ -172,3 +172,14 @@ def test_jobs_belongs_to_sweep_only():
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.startswith("width,mode,seed")
+
+
+def test_abbreviated_config_is_usage_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"B": "4"}))
+    r = run_cli("bounds", "lipschitz", "--conf", str(cfg), "--L", "2")
+    assert r.returncode == 2
+    assert "usage" in r.stderr.lower() and "--conf" in r.stderr
+    r = run_cli("bounds", "lipschitz", "--config", str(cfg), "--L", "2")
+    assert r.returncode == 0, r.stderr
+    assert "64" in r.stdout

@@ -20,18 +20,21 @@ from densecap.cutnorm import (
     restrict_to_layer,
     signal_cut_norm,
 )
-from densecap.errors import CapacityError
+from densecap.errors import CapacityError, ParameterError
 from densecap.kernels import (
     StepKernel,
     StepSignal,
     induce_input_signal,
     induce_kernel,
+    lift_computational,
 )
+from densecap.networks import random_network
 from densecap.partitions import Partition, equipartition
 from densecap.propagation import mpnn_forward
 from densecap.regularity import apply_permutation
+from densecap.verify import brute_force_cut_norm
 
-from conftest import brute_force_cut_norm, random_layered_net
+from conftest import random_layered_net
 
 
 def random_kernel(rng, n, uniform_measures=False):
@@ -178,6 +181,63 @@ def test_comp_distance_modes_nested():
         greedy = comp_cut_distance_upper(a, b, mode="greedy").value
         exh = comp_cut_distance_upper(a, b, mode="exhaustive").value
         assert exh <= greedy + 1e-12 <= ident + 2e-12
+
+
+def lifted_distance(ck, cj, **kw):
+    """Reference: both kernels lifted to lcm(d, d') cells, then compared."""
+    common = np.lcm(ck.d, cj.d)
+    return comp_cut_distance_upper(
+        lift_computational(ck, common // ck.d), lift_computational(cj, common // cj.d), **kw
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    L=st.sampled_from([2, 3]),
+    dims=st.sampled_from([(2, 3), (3, 2), (2, 5), (3, 4), (4, 3), (4, 6), (5, 6), (6, 5)]),
+    seed=st.integers(0, 2**16),
+)
+def test_comp_distance_on_refinement_matches_lcm_lift(L, dims, seed):
+    d, e = dims
+    rng = np.random.default_rng(seed)
+    ck = induce_kernel(random_network(L, 1, 1, d, 6.0, rng))
+    cj = induce_kernel(random_network(L, 1, 1, e, 6.0, rng))
+    got = comp_cut_distance_upper(ck, cj, oracle="exact")
+    want = lifted_distance(ck, cj, oracle="exact")
+    assert got.exact and want.exact
+    assert abs(got.value - want.value) <= 1e-12
+
+
+def test_comp_distance_non_nested_widths_heuristic():
+    rng = np.random.default_rng(11)
+    ck = induce_kernel(random_network(3, 2, 2, 36, 5.0, rng))
+    cj = induce_kernel(random_network(3, 2, 2, 24, 5.0, rng))
+    got = comp_cut_distance_upper(ck, cj)
+    want = lifted_distance(ck, cj)
+    assert not got.exact
+    assert abs(got.value - want.value) <= 1e-12
+
+
+@pytest.mark.parametrize("d, e", [(24, 12), (12, 36), (30, 6)])
+def test_comp_distance_nested_widths_bitwise(d, e):
+    rng = np.random.default_rng(12)
+    ck = induce_kernel(random_network(3, 2, 2, d, 5.0, rng))
+    cj = induce_kernel(random_network(3, 2, 2, e, 5.0, rng))
+    got = comp_cut_distance_upper(ck, cj)
+    want = lifted_distance(ck, cj)
+    assert got.value == want.value
+    assert (got.witness.row_set, got.witness.col_set) == (
+        want.witness.row_set, want.witness.col_set
+    )
+
+
+@pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
+def test_comp_distance_matching_modes_need_equal_widths(mode):
+    rng = np.random.default_rng(13)
+    ck = induce_kernel(random_network(2, 1, 1, 3, 6.0, rng))
+    cj = induce_kernel(random_network(2, 1, 1, 2, 6.0, rng))
+    with pytest.raises(ParameterError, match="equal hidden dims"):
+        comp_cut_distance_upper(ck, cj, mode=mode)
 
 
 def test_comp_distance_capacity_guard():

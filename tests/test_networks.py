@@ -17,6 +17,7 @@ from densecap.networks import (
     random_network,
     serialize_network,
 )
+from densecap.verify import straight_line_forward
 
 from conftest import random_layered_net
 
@@ -26,23 +27,6 @@ def all_b_net(L=2, B=4.0, d0=1, dL=1, d=4):
     ws = tuple(np.full((dims[k + 1], dims[k]), B) for k in range(L))
     bs = tuple(np.zeros(dims[k + 1]) for k in range(L))
     return DenseNetwork(L, d0, dL, d, B, ws, bs)
-
-
-def straight_line_forward(net, x):
-    """Independent re-implementation with explicit loops, used as the oracle."""
-    h = [float(v) for v in x]
-    dims = net.layer_dims
-    for ell in range(1, net.L + 1):
-        w, b = net.weights[ell - 1], net.biases[ell - 1]
-        nxt = []
-        for i in range(dims[ell]):
-            acc = 0.0
-            for j in range(dims[ell - 1]):
-                acc += w[i, j] * h[j] + b[i]
-            acc /= dims[ell - 1] * (net.L + 2)
-            nxt.append(acc if ell == net.L else max(acc, 0.0))
-        h = nxt
-    return np.array(h)
 
 
 def test_forward_hand_example_all_b():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -310,6 +312,19 @@ def test_compress_pipeline_roundtrip_on_result():
     net3 = extract_network(ck2)
     for a, b in zip(net2.weights + net2.biases, net3.weights + net3.biases):
         assert np.array_equal(a, b)
+
+
+def test_compress_distance_needs_no_lcm_lift():
+    # 50 -> 24 would lift both kernels to 600-wide layers (3000 x 3000 floats)
+    net = random_network(3, 2, 2, 50, 5.0, np.random.default_rng(42))
+    tracemalloc.start()
+    try:
+        _, rep = compress_network(net, target_d=24, samples=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.d_compressed == 24 and rep.validation_ok
+    assert peak < 32 << 20
 
 
 def test_compressed_network_outputs_track_original():
