@@ -33,6 +33,7 @@ from .partitions import Partition
 
 EXACT_CAP_DEFAULT = 24
 PERM_CAP_DEFAULT = 1_000_000
+LOWER_MAX_ROUNDS = 200  # alternating updates per heuristic restart
 
 
 @dataclass
@@ -242,7 +243,7 @@ def kernel_cut_norm_exact(kern, cap=EXACT_CAP_DEFAULT, *, reduction=None):
     return w
 
 
-def kernel_cut_norm_lower(kern, restarts=32, seed=0, max_rounds=200, *, reduction=None):
+def kernel_cut_norm_lower(kern, restarts=32, seed=0, *, reduction=None):
     """Alternating-maximization lower bound; deterministic under the seed.
 
     Each restart alternates the closed-form update on one side against the
@@ -264,7 +265,7 @@ def kernel_cut_norm_lower(kern, restarts=32, seed=0, max_rounds=200, *, reductio
     for s in starts:
         s = s.copy()
         sign = 1
-        for _ in range(max_rounds):
+        for _ in range(LOWER_MAX_ROUNDS):
             g = weighted[s].sum(axis=0) if s.any() else np.zeros(weighted.shape[1])
             pos, neg = g[g > 0].sum(), -g[g < 0].sum()
             sign = 1 if pos >= neg else -1
@@ -386,7 +387,6 @@ def comp_cut_distance_upper(
     cap=EXACT_CAP_DEFAULT,
     restarts=32,
     seed=0,
-    perm_cap=PERM_CAP_DEFAULT,
 ):
     """Cut norm of the difference, minimized over hidden-part relabelings.
 
@@ -444,9 +444,9 @@ def comp_cut_distance_upper(
                 f"exhaustive permutation search needs hidden dim <= 8, got {a.d}"
             )
         total = math.factorial(a.d) ** (a.L - 1)
-        if total > perm_cap:
+        if total > PERM_CAP_DEFAULT:
             raise CapacityError(
-                f"{total} permutation combinations exceed the cap {perm_cap}"
+                f"{total} permutation combinations exceed the cap {PERM_CAP_DEFAULT}"
             )
         best, best_perms, ex_all = None, None, True
         layer_perms = list(itertools.permutations(range(a.d)))

@@ -301,16 +301,10 @@ def _block_name(ls, i, j):
     return f"rows {ls.region_of(i)} x cols {ls.region_of(j)} (entry {i},{j})"
 
 
-def validate_computational(kernel, layers=None, B=None, atol=1e-12):
-    """Diagnostics for the four structural conditions; never raises.
-
-    Accepts a ComputationalKernel or a bare StepKernel plus layers and B.
-    """
-    if isinstance(kernel, ComputationalKernel):
-        layers, B, kernel = kernel.layers, kernel.B, kernel.kernel
-    if layers is None or B is None:
-        raise ParameterError("need layers and B for a bare step kernel")
-    ls, c = layers, kernel.coeffs
+def validate_computational(ck, atol=1e-12):
+    """Diagnostics for the four structural conditions; never raises."""
+    ls, B, kernel = ck.layers, ck.B, ck.kernel
+    c = kernel.coeffs
     out = {}
 
     # condition 1: interval equipartition of the right, divisible size
@@ -376,9 +370,9 @@ def validate_computational(kernel, layers=None, B=None, atol=1e-12):
     return ValidationReport(out)
 
 
-def extract_network(ck, atol=1e-12):
+def extract_network(ck):
     """Read the inducing network back off a valid computational kernel."""
-    report = validate_computational(ck, atol=atol)
+    report = validate_computational(ck)
     if not report.ok:
         raise ValidationFailedError(
             f"kernel failed validation: {report.first_failure()}"

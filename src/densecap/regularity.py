@@ -8,11 +8,17 @@ witness value squared, which caps the iteration count. Restricting the
 final partition to respect the layered structure, rebalancing each layer
 into equally sized parts, and laying those parts out as intervals turns
 the coarse projection back into a (smaller) network encoding.
+
+One slicer, ``_slot_weights``, does every rebalancing: it cuts grouped
+pieces into equal units and returns the amount of each piece in each unit
+as an array. Compression runs it on integer ticks, so every slot weight is
+an exact ratio and a compression to the network's own width reproduces
+its kernel.
 """
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -224,16 +230,58 @@ def _relabel(raw):
     return inv.astype(np.int64)
 
 
+def _first_occurrence(codes):
+    """Ids of the distinct values of ``codes``, numbered by first occurrence."""
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
+
+
 def _pair_labels(a, b):
     """Group ids of the pairs (a[i], b[i]), numbered by first occurrence.
 
     Both inputs are non-negative integer label arrays.
     """
-    codes = a * (b.max() + 1) + b
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    rank = np.empty(first.size, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(first.size)
-    return rank[inverse]
+    return _first_occurrence(a * (b.max() + 1) + b)
+
+
+def _slot_weights(sizes, groups, unit):
+    """Cut grouped pieces into equal units; returns (amounts, h).
+
+    Groups are numbered by their first piece. Each group in turn gives as
+    many whole units from its front as fit, its pieces taken in index
+    order; what is left of every group is pooled in the same order and cut
+    into the h remainder units, the last of which takes whatever remains.
+    ``amounts[k, i]`` is how much of piece i unit k holds. With integer
+    sizes and unit every amount is exact, each leftover is shorter than a
+    unit, and so h is below the number of groups.
+    """
+    g = _first_occurrence(groups)
+    order = np.argsort(g, kind="stable")
+    s, g = np.asarray(sizes, dtype=float)[order], g[order]
+    total = np.bincount(g, weights=s)
+    offset = np.cumsum(s) - s - (np.cumsum(total) - total)[g]  # within group
+    whole = np.floor(total / unit + 1e-9).astype(np.int64)
+    front = whole * unit
+    left = np.maximum(total - front, 0.0)
+    h = int(round(left.sum() / unit))
+    # the stream: every group's front block, then every leftover block
+    in_front = np.clip(front[g] - offset, 0.0, s)
+    at_front = (np.cumsum(whole) - whole)[g] * unit + offset
+    at_left = (
+        whole.sum() * unit
+        + (np.cumsum(left) - left)[g]
+        + np.maximum(offset - front[g], 0.0)
+    )
+    cuts = unit * np.arange(whole.sum() + h + 1.0)
+    cuts[-1] = np.inf
+    below = np.clip(cuts[:, None] - at_front, 0.0, in_front) + np.clip(
+        cuts[:, None] - at_left, 0.0, s - in_front
+    )
+    amounts = np.empty((cuts.size - 1, s.size))
+    amounts[:, order] = np.diff(below, axis=0)
+    return amounts, h
 
 
 @dataclass
@@ -314,94 +362,38 @@ class EquitizeResult:
         return [c for c, r in zip(self.composition, self.refinement_mask) if not r]
 
 
-def _slice_stream(groups, unit, tol=1e-12):
-    """Cut an ordered stream of measured pieces into equal units.
-
-    Each group yields as many whole units as fit (each contained in that
-    group); leftovers are pooled in order and cut into further units. The
-    pooled units are the remainder parts; there are fewer of them than
-    there are groups.
-    """
-    parts, flags = [], []
-    leftovers = []
-    for group in groups:
-        total = sum(m for _, m in group)
-        q = int(math.floor(total / unit + 1e-9))
-        rem = total - q * unit
-        if rem <= tol:
-            rem = 0.0
-        # walk the group's pieces, carving q whole units
-        walk = [(k, m) for k, m in group]
-        walk.reverse()
-        for _ in range(q):
-            need, got = unit, []
-            while need > tol and walk:
-                k, m = walk.pop()
-                take = min(m, need)
-                got.append((k, take))
-                need -= take
-                if m - take > tol:
-                    walk.append((k, m - take))
-            parts.append(got)
-            flags.append(True)
-        leftover = []
-        while walk:
-            leftover.append(walk.pop())
-        if rem > 0.0 and leftover:
-            leftovers.extend(leftover)
-    pooled = sum(m for _, m in leftovers)
-    h = int(round(pooled / unit))
-    walk = list(reversed(leftovers))
-    for r in range(h):
-        need, got = unit, []
-        while walk and (need > tol or r == h - 1):
-            k, m = walk.pop()
-            take = m if r == h - 1 else min(m, need)
-            got.append((k, take))
-            need -= take
-            if m - take > tol and r < h - 1:
-                walk.append((k, m - take))
-        parts.append(got)
-        flags.append(False)
-    return parts, np.asarray(flags, dtype=bool), h
-
-
-def equitize(partition, m, tol=1e-12):
+def equitize(partition, m):
     """Rebalance a partition into m equal-measure parts.
 
-    All but h < size(partition) of the new parts are contained in an
-    original part; the rest pool the leftovers. Exact multiples leave no
-    leftover (the empty remainder is dropped).
+    Each part, in order, gives as many whole units of measure 1/m (times
+    the total) as fit; the leftovers are pooled in the same order into the
+    last h < size(partition) units, which may span several parts. Amounts
+    of at most 1e-12 are dropped, so exact multiples leave no remainder.
     """
     if m <= partition.size:
         raise ParameterError(
             f"target count {m} must exceed the current {partition.size} parts"
         )
-    total = float(partition.measures.sum())
-    unit = total / m
-    groups = [[(i, float(mu))] for i, mu in enumerate(partition.measures)]
-    parts, flags, h = _slice_stream(groups, unit, tol=tol)
-    if len(parts) != m:
-        raise ParameterError(
-            f"slicing produced {len(parts)} parts for target {m}; "
-            "measures are inconsistent with the unit size"
-        )
-    meas = np.full(m, unit)
-    eq = Partition(meas, interval=True, domain=partition.domain)
-    return EquitizeResult(eq, parts, flags, h)
+    unit = float(partition.measures.sum()) / m
+    amounts, h = _slot_weights(partition.measures, np.arange(partition.size), unit)
+    parts = [
+        [(int(k), float(row[k])) for k in np.flatnonzero(row > 1e-12)]
+        for row in amounts
+    ]
+    eq = Partition(np.full(m, unit), interval=True, domain=partition.domain)
+    return EquitizeResult(eq, parts, np.arange(m) < m - h, h)
 
 
-def sort_to_intervals(partition, key=None):
+def sort_to_intervals(partition):
     """Permutation laying equal-measure parts out as intervals by label.
 
     Slot i of the returned array holds the index of the part that should
-    occupy the i-th interval; sorting is by label (or the given key).
+    occupy the i-th interval; sorting is by label.
     """
     meas = partition.measures
     if float(np.ptp(meas)) > 1e-12:
         raise ParameterError("parts must have equal measure to be interval-sorted")
-    key = key or (lambda lab: lab)
-    order = sorted(range(partition.size), key=lambda i: key(partition.labels[i]))
+    order = sorted(range(partition.size), key=lambda i: partition.labels[i])
     return np.asarray(order, dtype=int)
 
 
@@ -438,24 +430,7 @@ class CompressionReport:
     elapsed_s: float = 0.0
 
     def to_dict(self):
-        return {
-            "d_original": self.d_original,
-            "d_compressed": self.d_compressed,
-            "delta_hat": self.delta_hat,
-            "delta_exact": self.delta_exact,
-            "output_factor": self.output_factor,
-            "amplifier": self.amplifier,
-            "theoretical_bound": self.theoretical_bound,
-            "empirical_max": self.empirical_max,
-            "samples": self.samples,
-            "seed": self.seed,
-            "iterations": self.iterations,
-            "layer_counts": {str(k): v for k, v in self.layer_counts.items()},
-            "validation_ok": self.validation_ok,
-            "fk_status": self.fk_status,
-            "stages": self.stages,
-            "elapsed_s": self.elapsed_s,
-        }
+        return asdict(self)
 
 
 def _layer_group_counts(labels, ls):
@@ -509,63 +484,6 @@ def _budgeted_fk(ck, budget, oracle, cap, restarts, seed):
     return _refine(ck.kernel, struct, split, 1e-9, 200, oracle, cap, restarts, seed)
 
 
-def _equitized_groups(labels, ls, ell):
-    """Label groups of one layer as ordered streams of fine pieces."""
-    sl = ls.layer_slice(ell)
-    idx = np.arange(sl.start, sl.stop)
-    fine = 1.0 / ls.n
-    order = {}
-    for i in idx:
-        order.setdefault(labels[i], []).append((int(i), fine))
-    groups = sorted(order.values(), key=lambda g: g[0][0])
-    return groups
-
-
-def _layer_slots(labels, ls, ell, d_new, tol=1e-12):
-    """Equitize one hidden/bias layer into d_new slots of fine pieces."""
-    groups = _equitized_groups(labels, ls, ell)
-    unit = 1.0 / ((ls.L + 2) * d_new)
-    if len(groups) == d_new:
-        sizes = [len(g) for g in groups]
-        if np.ptp(sizes) == 0:
-            return groups, 0
-        raise ParameterError(
-            f"layer {ell}: {len(groups)} unequal parts cannot be rebalanced "
-            f"into {d_new} without a strictly larger target"
-        )
-    if len(groups) > d_new:
-        raise ParameterError(
-            f"layer {ell} has {len(groups)} parts, exceeding target width {d_new}"
-        )
-    parts, _, h = _slice_stream(groups, unit, tol=tol)
-    if len(parts) != d_new:
-        raise ParameterError(
-            f"layer {ell}: slicing yielded {len(parts)} parts for target {d_new}"
-        )
-    if h > len(groups):
-        raise ParameterError(
-            f"layer {ell}: {h} pooled remainder parts from only {len(groups)} groups"
-        )
-    return parts, h
-
-
-def _cell_slots(ls, ell, cells, d_new):
-    """Proportional slices of each input/output cell, repeated per slot."""
-    sl = ls.layer_slice(ell)
-    per_cell = ls.d // cells
-    repeat = d_new // cells
-    fine = 1.0 / ls.n
-    scale = float(cells) / d_new
-    slots = []
-    for c in range(cells):
-        comp = [
-            (int(sl.start + c * per_cell + r), fine * scale)
-            for r in range(per_cell)
-        ]
-        slots.extend([comp] * repeat)
-    return slots
-
-
 def compress_network(
     net,
     epsilon=None,
@@ -584,9 +502,17 @@ def compress_network(
     report carrying the measured kernel distance ``delta_hat``, the output
     bound (L+2) * dL * (2B)^L * delta_hat it implies, and the empirical
     maximum output gap over uniformly sampled inputs. ``delta_hat`` is the
-    cut distance of the two kernels as laid out, measured on the common
-    refinement of their partitions (at most n + n' parts), so any two
-    widths can be compared without lifting either kernel.
+    cut distance between the kernels of the input and the returned network
+    as laid out, measured on the common refinement of their partitions (at
+    most n + n' parts), so any two widths can be compared without lifting
+    either kernel.
+
+    Each layer is cut into slots by ``_slot_weights`` in integer ticks:
+    d_new per fine part and d per slot, grouping layers 0 and L by their
+    input and output cells and the hidden and bias layers by the refined
+    labels. A slot's weights are its tick counts over d, exact ratios that
+    sum to one, so compressing to the network's own width returns its
+    weights and biases unchanged, with delta_hat and the output gap 0.
     """
     t0 = time.monotonic()
     if (epsilon is None) == (target_d is None):
@@ -635,23 +561,18 @@ def compress_network(
     counts = _layer_group_counts(labels, ls)
     ls_new = LayerStructure(ls.L, ls.d0, ls.dL, d_new)
 
-    slot_comps = []
-    slot_comps.extend(_cell_slots(ls, 0, ls.d0, d_new))
-    for ell in range(1, ls.L):
-        parts, _ = _layer_slots(labels, ls, ell, d_new)
-        slot_comps.extend(parts)
-    slot_comps.extend(_cell_slots(ls, ls.L, ls.dL, d_new))
-    bias_parts, _ = _layer_slots(labels, ls, "bias", d_new)
-    slot_comps.extend(bias_parts)
+    # slot weights in ticks: d_new per fine part, d per slot, so every
+    # amount is an integer and every row of weights sums to one
+    struct = ls.structural_labels()
+    weights = np.zeros((ls_new.n, ls.n))
+    for ell in list(range(ls.L + 1)) + ["bias"]:
+        sl = ls.layer_slice(ell)
+        groups = struct[sl] if ell in (0, ls.L) else labels[sl]
+        ticks, _ = _slot_weights(np.full(ls.d, d_new), groups, ls.d)
+        weights[ls_new.layer_slice(ell), sl] = ticks / ls.d
     stages.append({"name": "equitize", "status": "ok",
                    "detail": f"width {d_new}"})
 
-    n_new = ls_new.n
-    weights = np.zeros((n_new, ls.n))
-    for srow, comp in enumerate(slot_comps):
-        for k, m in comp:
-            weights[srow, k] += m
-    weights /= weights.sum(axis=1, keepdims=True)
     coeffs_new = weights @ ck.kernel.coeffs @ weights.T
     coeffs_new[~_allowed_support(ls_new)] = 0.0
     bias_sl = ls_new.bias_slice
@@ -668,9 +589,12 @@ def compress_network(
     stages.append({"name": "validate", "status": "ok", "detail": ""})
     net_new = extract_network(ck_new)
 
+    # the returned network's kernel is exactly constant on its cells; the
+    # averaged cell columns of ck_new can differ in the last bit, which
+    # splits them in the cut-norm reduction and moves the heuristic oracle
     dist = comp_cut_distance_upper(
         ck,
-        ck_new,
+        induce_kernel(net_new),
         mode="identity",
         oracle=oracle,
         cap=cap,

@@ -91,6 +91,7 @@ def test_compress_writes_outputs(net_file, tmp_path):
     rep = json.loads(open(report).read())
     assert rep["d_compressed"] == 2
     assert rep["empirical_max"] <= rep["theoretical_bound"]
+    assert "bias" in rep["layer_counts"]
     r2 = run_cli("validate-file-missing")
     assert r2.returncode == 2
 

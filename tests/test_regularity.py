@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -180,14 +181,78 @@ def test_project_rejects_target_parts_left_empty(monkeypatch):
         project(kern, equipartition(4))
 
 
-def test_layer_slots_rejects_excess_remainder(monkeypatch):
-    ck = induce_kernel(random_network(2, 1, 1, 4, 4.0, np.random.default_rng(0)))
-    labels = np.arange(ck.n) // 2  # two groups of two parts in every layer
-    monkeypatch.setattr(
-        regularity, "_slice_stream", lambda groups, unit, tol: ([[]] * 6, None, 3)
-    )
-    with pytest.raises(ParameterError, match="3 pooled remainder parts"):
-        regularity._layer_slots(labels, ck.layers, 1, 6)
+def _slice_stream_reference(groups, unit, tol=1e-12):
+    """The piece-by-piece walk that ``_slot_weights`` replaced.
+
+    ``groups`` is a list of groups, each an ordered list of (piece, size).
+    Returns (units as lists of (piece, amount), h).
+    """
+    parts = []
+    leftovers = []
+    for group in groups:
+        total = sum(m for _, m in group)
+        q = int(math.floor(total / unit + 1e-9))
+        rem = total - q * unit
+        if rem <= tol:
+            rem = 0.0
+        walk = [(k, m) for k, m in group]
+        walk.reverse()
+        for _ in range(q):
+            need, got = unit, []
+            while need > tol and walk:
+                k, m = walk.pop()
+                take = min(m, need)
+                got.append((k, take))
+                need -= take
+                if m - take > tol:
+                    walk.append((k, m - take))
+            parts.append(got)
+        leftover = []
+        while walk:
+            leftover.append(walk.pop())
+        if rem > 0.0 and leftover:
+            leftovers.extend(leftover)
+    pooled = sum(m for _, m in leftovers)
+    h = int(round(pooled / unit))
+    walk = list(reversed(leftovers))
+    for r in range(h):
+        need, got = unit, []
+        while walk and (need > tol or r == h - 1):
+            k, m = walk.pop()
+            take = m if r == h - 1 else min(m, need)
+            got.append((k, take))
+            need -= take
+            if m - take > tol and r < h - 1:
+                walk.append((k, m - take))
+        parts.append(got)
+    return parts, h
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 20), st.integers(0, 4)), min_size=1, max_size=25
+    ),
+    st.integers(1, 12),
+)
+def test_slot_weights_match_piece_walk(pieces, unit):
+    sizes = np.array([s for s, _ in pieces])
+    sizes[-1] += -int(sizes.sum()) % unit  # a whole number of units
+    labels = np.array([g for _, g in pieces])
+    amounts, h = regularity._slot_weights(sizes, labels, unit)
+
+    streams = {}
+    for i, g in enumerate(labels):
+        streams.setdefault(g, []).append((i, int(sizes[i])))
+    ref, ref_h = _slice_stream_reference(list(streams.values()), unit)
+    assert h == ref_h < len(streams)
+    assert len(ref) == amounts.shape[0] == sizes.sum() // unit
+    for row, comp in zip(amounts, ref):
+        assert {int(k): row[k] for k in np.flatnonzero(row)} == dict(comp)
+    assert np.array_equal(amounts.sum(axis=1), np.full(len(ref), unit))
+    assert np.array_equal(amounts.sum(axis=0), sizes)
+    for row in amounts[: len(ref) - h]:
+        assert np.unique(labels[row > 0]).size == 1
 
 
 def test_layer_refinement_does_not_increase_distance_small_instances():
@@ -263,13 +328,16 @@ def test_sort_to_intervals_rejects_unequal_measures():
 
 
 def test_compress_identity_width():
-    rng = np.random.default_rng(11)
-    net = random_network(2, 2, 2, 8, 8.0, rng)
-    net2, rep = compress_network(net, target_d=8, seed=0, samples=500)
-    assert rep.delta_hat == 0.0
-    assert rep.empirical_max == 0.0
-    for a, b in zip(net.weights + net.biases, net2.weights + net2.biases):
-        assert np.array_equal(a, b)
+    # slot weights are exact tick ratios, so the own width is reproduced bitwise
+    for net, seed in (
+        (random_network(2, 2, 2, 8, 8.0, np.random.default_rng(11)), 0),
+        (random_network(3, 2, 2, 24, 5.0, np.random.default_rng(42)), 5),
+    ):
+        net2, rep = compress_network(net, target_d=net.d, seed=seed, samples=500)
+        assert rep.delta_hat == 0.0
+        assert rep.empirical_max == 0.0
+        for a, b in zip(net.weights + net.biases, net2.weights + net2.biases):
+            assert np.array_equal(a, b)
 
 
 def test_compress_bound_chain_small():
