@@ -21,6 +21,18 @@ from .propagation import check_equivalence
 from .regularity import compress_network
 
 
+def _count(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"count must be non-negative, got {value}")
+    return value
+
+
+def _int_list(text):
+    # argparse turns the ValueError of a bad item into a usage error
+    return [int(v) for v in text.split(",")]
+
+
 def _add_common(p):
     # abbreviations would read "--conf" as --config after the config pre-parse
     p.allow_abbrev = False
@@ -43,7 +55,7 @@ def build_parser():
 
     p = sub.add_parser("equiv-check", help="network / kernel / graph agreement")
     p.add_argument("--net", help="network file (default: random instances)")
-    p.add_argument("--random", type=int, default=0, help="number of random instances")
+    p.add_argument("--random", type=_count, default=0, help="number of random instances")
     p.add_argument("--tolerance", type=float, default=1e-9)
     _add_common(p)
 
@@ -99,9 +111,9 @@ def build_parser():
     _add_common(p)
 
     p = sub.add_parser("sweep", help="grid of training runs -> CSV")
-    p.add_argument("--widths", default="16,128,512")
+    p.add_argument("--widths", type=_int_list, default="16,128,512")
     p.add_argument("--modes", default="standard,dense")
-    p.add_argument("--seeds", default="0,1")
+    p.add_argument("--seeds", type=_int_list, default="0,1")
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--subset", type=int)
     p.add_argument("--dataset", default="mnist")
@@ -243,11 +255,11 @@ def cmd_sweep(args):
     from .experiments import TrainConfig, sweep, sweep_to_csv
     from .experiments.training import sweep_summary
 
-    widths = [int(v) for v in args.widths.split(",")]
-    modes = args.modes.split(",")
-    seeds = [int(v) for v in args.seeds.split(",")]
     base = TrainConfig(epochs=args.epochs, dataset=args.dataset, subset=args.subset)
-    rows = sweep(widths, modes, seeds, base, data_dir=args.data_dir, jobs=args.jobs)
+    rows = sweep(
+        args.widths, args.modes.split(","), args.seeds, base,
+        data_dir=args.data_dir, jobs=args.jobs,
+    )
     csv = sweep_to_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

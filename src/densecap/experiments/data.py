@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bounds import spike_target
-from ..errors import IngestionError
+from ..errors import IngestionError, ParameterError
 
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
@@ -123,6 +123,8 @@ def make_spike_dataset(d0, N, seed, samples, test_samples=None):
     Inputs are uniform on the unit cube; grid labels are Boolean picks
     scaled to keep the target 1-Lipschitz.
     """
+    if samples < 1:
+        raise ParameterError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     z = rng.integers(0, 2, size=N**d0)
     target = spike_target(d0, N, z / (2.0 * N))

@@ -9,6 +9,7 @@ deterministic given the config: one generator seeds initialization and
 another the shuffling stream.
 """
 
+import re
 import time
 from dataclasses import dataclass, replace
 
@@ -40,6 +41,8 @@ class TrainConfig:
             raise ParameterError("width and batch must be positive, epochs >= 0")
         if self.lr <= 0 or self.clamp_numerator <= 0:
             raise ParameterError("learning rate and clamp numerator must be positive")
+        if self.subset is not None and self.subset < 1:
+            raise ParameterError(f"subset must be at least 1, got {self.subset}")
 
 
 @dataclass
@@ -158,13 +161,15 @@ def _resolve_dataset(config, data, data_dir):
         ds = load_mnist(data_dir)
         subset = subset or int(args)
     elif name == "spike":
-        kv = dict(p.split("=") for p in args.split(",")) if args else {}
-        ds = make_spike_dataset(
-            d0=int(kv.get("d0", 2)),
-            N=int(kv.get("N", 4)),
-            seed=int(kv.get("seed", config.seed)),
-            samples=int(kv.get("samples", 20000)),
-        )
+        kv = {"d0": 2, "N": 4, "seed": config.seed, "samples": 20000}
+        for field in args.split(",") if args else ():
+            m = re.fullmatch(r"(d0|N|seed|samples)=(\d+)", field)
+            if m is None:
+                raise ParameterError(
+                    f"bad spike field {field!r}: want d0|N|seed|samples=<non-negative int>"
+                )
+            kv[m[1]] = int(m[2])
+        ds = make_spike_dataset(**kv)
     else:
         raise ParameterError(f"unknown dataset {config.dataset!r}")
     if subset:

@@ -4,16 +4,18 @@ The driver is the classical energy-increment loop: project the kernel
 onto the current partition, locate a set pair on which the residual has
 large integral, refine the partition by that pair, repeat. Each completed
 refinement raises the squared L2 norm of the projection by at least the
-witness value squared, which caps the iteration count. Restricting the
-final partition to respect the layered structure, rebalancing each layer
-into equally sized parts, and laying those parts out as intervals turns
-the coarse projection back into a (smaller) network encoding.
+witness value squared, which caps the iteration count.
 
-One slicer, ``_slot_weights``, does every rebalancing: it cuts grouped
-pieces into equal units and returns the amount of each piece in each unit
-as an array. Compression runs it on integer ticks, so every slot weight is
-an exact ratio and a compression to the network's own width reproduces
-its kernel.
+Compression restricts the final partition to respect the layered
+structure and averages each hidden layer's neurons over equal slots of
+its parts: with ``P_l`` the (d' x d) slot matrix of hidden layer l, the
+smaller network has ``W'_l = P_l W_l P_{l-1}^T`` and ``b'_l = P_l b_l``
+(the first layer keeps its inputs, the last its outputs). Its kernel is
+induced, validated and measured against the original. One slicer,
+``_slot_weights``, does every rebalancing: it cuts grouped pieces into
+equal units and returns the amount of each piece in each unit as an
+array. Compression runs it on integer ticks, so every slot weight is an
+exact ratio and a compression to the network's own width reproduces it.
 """
 
 import math
@@ -30,16 +32,13 @@ from .cutnorm import (
 )
 from .errors import ParameterError, ValidationFailedError
 from .kernels import (
-    ComputationalKernel,
-    LayerStructure,
     StepKernel,
-    _allowed_support,
-    extract_network,
+    extract_network,  # noqa: F401 - bench/tracing.py wraps this name here
     induce_kernel,
     lift_computational,  # noqa: F401 - bench/tracing.py wraps this name here
     validate_computational,
 )
-from .networks import forward
+from .networks import DenseNetwork, forward
 from .partitions import Partition, is_refinement, overlap_matrix
 
 
@@ -497,26 +496,33 @@ def compress_network(
     """Compress a dense network to a smaller hidden width.
 
     Either ``epsilon`` (regularity accuracy; the width follows from the
-    final partition) or ``target_d`` (explicit width, divisible by
-    lcm(d0, dL)) must be given. Returns the compressed network and a
-    report carrying the measured kernel distance ``delta_hat``, the output
-    bound (L+2) * dL * (2B)^L * delta_hat it implies, and the empirical
-    maximum output gap over uniformly sampled inputs. ``delta_hat`` is the
-    cut distance between the kernels of the input and the returned network
-    as laid out, measured on the common refinement of their partitions (at
-    most n + n' parts), so any two widths can be compared without lifting
-    either kernel.
+    final partition) or ``target_d`` (explicit width, at most the
+    network's and divisible by lcm(d0, dL)) must be given. Returns the
+    compressed network and a report carrying the measured kernel distance
+    ``delta_hat``, the output bound (L+2) * dL * (2B)^L * delta_hat it
+    implies, and the empirical maximum output gap over uniformly sampled
+    inputs. ``delta_hat`` is the cut distance between the kernels of the
+    input and the returned network as laid out, measured on the common
+    refinement of their partitions (at most n + n' parts), so any two
+    widths can be compared without lifting either kernel.
 
-    Each layer is cut into slots by ``_slot_weights`` in integer ticks:
-    d_new per fine part and d per slot, grouping layers 0 and L by their
-    input and output cells and the hidden and bias layers by the refined
-    labels. A slot's weights are its tick counts over d, exact ratios that
-    sum to one, so compressing to the network's own width returns its
-    weights and biases unchanged, with delta_hat and the output gap 0.
+    Each hidden layer is cut into slots by ``_slot_weights`` in integer
+    ticks, d_new per fine part and d per slot, grouped by the refined
+    labels; a slot's weights are its tick counts over d, exact ratios that
+    sum to one. The slot matrices P average the layer's neurons:
+    W'_1 = P_1 W_1, W'_l = P_l W_l P_{l-1}^T, W'_L = W_L P_{L-1}^T,
+    b'_l = P_l b_l and b'_L = b_L, clipped to [-B, B]. The new network's
+    kernel is induced, validated once and measured. Compressing to the
+    network's own width returns its weights and biases unchanged, with
+    delta_hat and the output gap 0.
     """
     t0 = time.monotonic()
     if (epsilon is None) == (target_d is None):
         raise ParameterError("give exactly one of epsilon or target_d")
+    if samples < 1:
+        raise ParameterError(f"samples must be at least 1, got {samples}")
+    if target_d is not None and target_d > net.d:
+        raise ParameterError(f"target width {target_d} exceeds the network width {net.d}")
     ck = induce_kernel(net)
     ls = ck.layers
     stages = []
@@ -559,42 +565,37 @@ def compress_network(
                        "detail": f"certified bound {res.certified_bound:.4g}"})
 
     counts = _layer_group_counts(labels, ls)
-    ls_new = LayerStructure(ls.L, ls.d0, ls.dL, d_new)
-
     # slot weights in ticks: d_new per fine part, d per slot, so every
-    # amount is an integer and every row of weights sums to one
-    struct = ls.structural_labels()
-    weights = np.zeros((ls_new.n, ls.n))
-    for ell in list(range(ls.L + 1)) + ["bias"]:
-        sl = ls.layer_slice(ell)
-        groups = struct[sl] if ell in (0, ls.L) else labels[sl]
-        ticks, _ = _slot_weights(np.full(ls.d, d_new), groups, ls.d)
-        weights[ls_new.layer_slice(ell), sl] = ticks / ls.d
+    # amount is an exact ratio and every row of a slot matrix sums to one
+    P = [
+        _slot_weights(np.full(ls.d, d_new), labels[ls.layer_slice(k + 1)], ls.d)[0] / ls.d
+        for k in range(ls.L - 1)
+    ]
     stages.append({"name": "equitize", "status": "ok",
                    "detail": f"width {d_new}"})
 
-    coeffs_new = weights @ ck.kernel.coeffs @ weights.T
-    coeffs_new[~_allowed_support(ls_new)] = 0.0
-    bias_sl = ls_new.bias_slice
-    coeffs_new[bias_sl, bias_sl] = (ls.L + 2) / ck.B
-    coeffs_new = np.clip(coeffs_new, -1.0, 1.0)
-    ck_new = ComputationalKernel(
-        StepKernel(ls_new.fine_partition(), coeffs_new), ls_new, ck.B
+    W, b = net.weights, net.biases
+    weights = [P[0] @ W[0]]
+    weights += [P[k] @ W[k] @ P[k - 1].T for k in range(1, ls.L - 1)]
+    weights.append(W[-1] @ P[-1].T)
+    biases = [p @ c for p, c in zip(P, b)] + [b[-1]]
+    # a convex average can overshoot the bound by an ulp
+    net_new = DenseNetwork(
+        ls.L, ls.d0, ls.dL, d_new, ck.B,
+        tuple(np.clip(a, -ck.B, ck.B) for a in weights),
+        tuple(np.clip(a, -ck.B, ck.B) for a in biases),
     )
+    ck_new = induce_kernel(net_new)
     report = validate_computational(ck_new)
     if not report.ok:
         raise ValidationFailedError(
             f"compressed kernel failed validation: {report.first_failure()}"
         )
     stages.append({"name": "validate", "status": "ok", "detail": ""})
-    net_new = extract_network(ck_new)
 
-    # the returned network's kernel is exactly constant on its cells; the
-    # averaged cell columns of ck_new can differ in the last bit, which
-    # splits them in the cut-norm reduction and moves the heuristic oracle
     dist = comp_cut_distance_upper(
         ck,
-        induce_kernel(net_new),
+        ck_new,
         mode="identity",
         oracle=oracle,
         cap=cap,

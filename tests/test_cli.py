@@ -104,6 +104,39 @@ def test_compress_bad_width_is_operational_error(tmp_path):
     assert "divisible" in r.stderr
 
 
+def assert_one_line_error(r, text):
+    assert r.returncode == 1
+    assert r.stderr.count("\n") == 1 and r.stderr.startswith("error: ")
+    assert text in r.stderr
+
+
+def test_compress_refuses_no_samples_and_widening(tmp_path):
+    narrow = str(tmp_path / "narrow.txt")
+    save_network(random_network(2, 2, 3, 12, 5.0, np.random.default_rng(1)), narrow)
+    out = str(tmp_path / "x.txt")
+    r = run_cli("compress", narrow, "--target-d", "6", "--samples", "0", "--out", out)
+    assert_one_line_error(r, "samples")
+    r = run_cli("compress", narrow, "--target-d", "24", "--out", out)
+    assert_one_line_error(r, "exceeds")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("sweep", "--widths", "4,x"), ("sweep", "--seeds", "0,y"),
+     ("equiv-check", "--random", "-3")],
+)
+def test_bad_counts_and_lists_are_usage_errors(args):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert "usage" in r.stderr.lower() and "Traceback" not in r.stderr
+    assert args[1] in r.stderr
+
+
+def test_train_bad_spike_field_is_one_line_error():
+    r = run_cli("train", "--dataset", "spike:d0=1,N", "--width", "4", "--epochs", "1")
+    assert_one_line_error(r, "'N'")
+
+
 def test_train_and_sweep_on_spike(tmp_path):
     r = run_cli(
         "train", "--dataset", "spike:d0=1,N=2,samples=400", "--width", "8",

@@ -207,3 +207,21 @@ def test_untrained_mnist_accuracy_is_chance():
     data = take_subset(load_mnist(MNIST_DIR), 4000, seed=0)
     m = train(TrainConfig(width=64, epochs=0, seed=0), data=data)
     assert 5.0 <= m.test_acc <= 15.0
+
+
+def test_config_refuses_subset_below_one():
+    # a negative subset would slice [:-3] and train on all but 3 samples
+    for bad in (-3, 0):
+        with pytest.raises(ParameterError, match="subset"):
+            TrainConfig(subset=bad)
+    assert TrainConfig(subset=1).subset == 1
+
+
+@pytest.mark.parametrize(
+    "spec,field",
+    [("spike:d0=1,N", "'N'"), ("spike:d0=1,M=3", "'M=3'"), ("spike:d0=x", "'d0=x'"),
+     ("spike:seed=-1", "'seed=-1'"), ("spike:samples=0", "samples")],
+)
+def test_spike_dataset_string_names_bad_field(spec, field):
+    with pytest.raises(ParameterError, match=field):
+        train(TrainConfig(dataset=spec, width=4, epochs=1))

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 from densecap import regularity
 from densecap.cutnorm import kernel_cut_norm_exact, l2_norm
 from densecap.errors import ParameterError
-from densecap.kernels import LayerStructure, StepKernel, induce_kernel, validate_computational
+from densecap.kernels import (
+    ComputationalKernel,
+    LayerStructure,
+    StepKernel,
+    _allowed_support,
+    extract_network,
+    induce_kernel,
+    validate_computational,
+)
 from densecap.networks import forward, random_network
 from densecap.partitions import Partition, equipartition
 from densecap.regularity import (
@@ -369,14 +377,106 @@ def test_compress_rejects_bad_width():
         compress_network(net, epsilon=0.5, target_d=6)  # both
 
 
+def test_compress_checks_inputs_before_inducing(monkeypatch):
+    net = random_network(2, 2, 3, 12, 5.0, np.random.default_rng(14))
+
+    def never(net):
+        raise AssertionError("induce_kernel reached")
+
+    monkeypatch.setattr(regularity, "induce_kernel", never)
+    with pytest.raises(ParameterError, match="samples"):
+        compress_network(net, target_d=6, samples=0)
+    with pytest.raises(ParameterError, match="exceeds"):
+        compress_network(net, target_d=24)  # would widen 12 -> 24
+    monkeypatch.undo()
+    _, rep = compress_network(net, target_d=12, samples=1)
+    assert rep.d_compressed == 12 and rep.delta_hat == 0.0
+
+
+def sandwich_reference(net, labels, d_new):
+    """The kernel-sandwich construction that ``compress_network`` replaced.
+
+    One slot matrix over all L+2 regions (layers 0 and L grouped by their
+    cells) averages the whole kernel, P K P^T; the forbidden blocks are
+    zeroed, the bias block pinned, the coefficients clipped and the
+    network read back off the kernel.
+    """
+    ck = induce_kernel(net)
+    ls = ck.layers
+    ls_new = LayerStructure(ls.L, ls.d0, ls.dL, d_new)
+    struct = ls.structural_labels()
+    weights = np.zeros((ls_new.n, ls.n))
+    for ell in list(range(ls.L + 1)) + ["bias"]:
+        sl = ls.layer_slice(ell)
+        groups = struct[sl] if ell in (0, ls.L) else labels[sl]
+        ticks, _ = regularity._slot_weights(np.full(ls.d, d_new), groups, ls.d)
+        weights[ls_new.layer_slice(ell), sl] = ticks / ls.d
+    coeffs = weights @ ck.kernel.coeffs @ weights.T
+    coeffs[~_allowed_support(ls_new)] = 0.0
+    coeffs[ls_new.bias_slice, ls_new.bias_slice] = (ls.L + 2) / ck.B
+    coeffs = np.clip(coeffs, -1.0, 1.0)
+    return extract_network(
+        ComputationalKernel(StepKernel(ls_new.fine_partition(), coeffs), ls_new, ck.B)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 4), st.integers(1, 3), st.integers(1, 3), st.integers(1, 24),
+    st.integers(0, 2**16), st.data(),
+)
+def test_compress_matches_kernel_sandwich(L, d0, dL, d, seed, data):
+    M = math.lcm(d0, dL)
+    d = M * max(1, d // M)
+    target = M * data.draw(st.integers(1, d // M))
+    net = random_network(L, d0, dL, d, L + 3.0, np.random.default_rng(seed))
+    traces = []
+    refine = regularity._refine
+
+    def recording(*args):
+        traces.append(refine(*args))
+        return traces[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularity, "_refine", recording)
+        got, _ = compress_network(
+            net, target_d=target, oracle="heuristic", restarts=4, seed=seed, samples=1
+        )
+    assert len(traces) == 1
+    ref = sandwich_reference(net, traces[0].labels, target)
+    # rounding scales with the averaged entries, which can cancel to far less
+    for a, b, c in zip(
+        got.weights + got.biases, ref.weights + ref.biases, net.weights + net.biases
+    ):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(c).max()
+
+
+def test_compress_validates_once_and_extracts_nothing(monkeypatch):
+    calls = {"validate": 0, "extract": 0}
+    validate = regularity.validate_computational
+
+    def counting_validate(ck):
+        calls["validate"] += 1
+        return validate(ck)
+
+    def counting_extract(ck):
+        calls["extract"] += 1
+        return extract_network(ck)
+
+    monkeypatch.setattr(regularity, "validate_computational", counting_validate)
+    monkeypatch.setattr(regularity, "extract_network", counting_extract)
+    net = random_network(3, 2, 2, 24, 5.0, np.random.default_rng(42))
+    compress_network(net, target_d=12, seed=5, samples=100)
+    assert calls == {"validate": 1, "extract": 0}
+
+
 def test_compress_pipeline_roundtrip_on_result():
     rng = np.random.default_rng(15)
     net = random_network(3, 1, 1, 30, 8.0, rng)
     net2, rep = compress_network(net, target_d=6, seed=2, samples=1000)
     ck2 = induce_kernel(net2)
     assert validate_computational(ck2).ok
-    from densecap.kernels import extract_network
-
     net3 = extract_network(ck2)
     for a, b in zip(net2.weights + net2.biases, net3.weights + net3.biases):
         assert np.array_equal(a, b)
