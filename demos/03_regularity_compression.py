@@ -2,9 +2,10 @@
 
 The pipeline: encode the network as a step kernel, refine a coarse
 partition along cut-norm witnesses (each refinement is forced to respect
-the layer structure and a per-layer part budget), rebalance every hidden
-layer into equal parts, lay the parts out as intervals, re-project, and
-read the smaller network back off the projected kernel. The report bounds
+the layer structure and a per-layer part budget), cut every hidden layer
+into equal slots of its parts, and build the smaller network from the
+per-layer slot averages: W'_l = P_l W_l P_{l-1}^T and b'_l = P_l b_l,
+with P_l the slot matrix of hidden layer l. The report bounds
 the worst output gap by (L+2) * dL * (2B)^L times the measured kernel
 distance; the empirical gap is typically orders of magnitude below that.
 """

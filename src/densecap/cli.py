@@ -64,8 +64,8 @@ def build_parser():
     g = p.add_mutually_exclusive_group()
     g.add_argument("--exact", action="store_true")
     g.add_argument("--heuristic", action="store_true")
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--cap", type=int, default=24)
+    p.add_argument("--restarts", type=_count, default=32)
+    p.add_argument("--cap", type=_count, default=24)
     _add_common(p)
 
     p = sub.add_parser("compress", help="shrink a network's hidden width")
@@ -129,7 +129,12 @@ def build_parser():
 
 
 def _apply_config(ap, argv):
-    """Pre-parse --config and install its values as parser defaults."""
+    """Pre-parse --config and install its values as parser defaults.
+
+    A value for a flag that takes one is installed as the command line
+    would spell it (a list joined by commas), because argparse passes only
+    string defaults through the flag's type and its checks.
+    """
     # no abbreviations here, or "--c" (the VC constant) would read as --config
     pre = argparse.ArgumentParser(prog=ap.prog, add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
@@ -143,9 +148,12 @@ def _apply_config(ap, argv):
             raise DensecapError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(values, dict):
         raise DensecapError(f"config {path} must hold a JSON object")
-    for action in ap._subparsers._group_actions[0].choices.values():
-        known = {a.dest for a in action._actions}
-        action.set_defaults(**{k: v for k, v in values.items() if k in known})
+    for parser in ap._subparsers._group_actions[0].choices.values():
+        for action in (a for a in parser._actions if a.dest in values):
+            value = values[action.dest]
+            if action.nargs != 0 and value is not None and not isinstance(value, str):
+                value = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            parser.set_defaults(**{action.dest: value})
 
 
 def cmd_induce(args):

@@ -11,7 +11,9 @@ which is what keeps exact values reachable well past the nominal cap.
 The merge groups rows exactly by their bytes (with -0.0 folded into 0.0),
 through a hash whose groups are checked member by member, and orders the
 distinct rows lexicographically; ``kernel_cut_norm`` runs it once per call
-and hands the result to the oracle it picks.
+and hands the result to the oracle it picks. The merge returns an index
+map from each part to its reduced row or column (-1 if dropped), and both
+oracles read their witness sets on the original parts through it.
 
 The enumeration does not rebuild each subset's column sums from its rows.
 It splits the rows into low and high ones. All subset sums of the low rows
@@ -127,32 +129,33 @@ def _merge_axis(coeffs, meas, axis):
     All-zero groups are dropped; the rest come in lexicographic order of
     their rows, each represented by its first member, as
     ``np.unique(axis=0)`` orders them. The heuristic oracle's random starts
-    are indexed in that order.
+    are indexed in that order. The third value maps each row to its merged
+    row, or to -1 if the row was dropped.
     """
     mat = coeffs if axis == 0 else coeffs.T
     folded = np.add(mat, 0.0, order="C")
     inverse, first = _group_rows(folded)
-    groups = [[] for _ in first]
-    for orig, g in enumerate(inverse):
-        groups[g].append(orig)
     merged_meas = np.bincount(inverse, weights=meas, minlength=first.size)
     reps = folded[first]
     keep = np.flatnonzero(np.any(reps != 0.0, axis=1))
     if keep.size:  # rows of length 0 keep nothing, and lexsort needs keys
         keep = keep[np.lexsort(reps[keep].T[::-1])]
+    reduced = np.full(first.size, -1, dtype=np.intp)  # group -> reduced row
+    reduced[keep] = np.arange(keep.size)
     red = mat[first[keep]]
-    return (red if axis == 0 else red.T), merged_meas[keep], [groups[i] for i in keep]
+    return (red if axis == 0 else red.T), merged_meas[keep], reduced[inverse]
 
 
 def _reduce(kern):
     """Lossless shrink: drop zero rows/cols, merge duplicates with measures.
 
-    Returns (coeffs, row measures, col measures, row groups, col groups).
+    Returns (coeffs, row measures, col measures, row map, col map); a map
+    sends each part to its reduced row or column, or to -1 if it was dropped.
     """
     meas = kern.partition.measures
-    c, rmeas, rgroups = _merge_axis(kern.coeffs, meas, axis=0)
-    c, cmeas, cgroups = _merge_axis(c, meas, axis=1)
-    return c, rmeas, cmeas, rgroups, cgroups
+    c, rmeas, rmap = _merge_axis(kern.coeffs, meas, axis=0)
+    c, cmeas, cmap = _merge_axis(c, meas, axis=1)
+    return c, rmeas, cmeas, rmap, cmap
 
 
 def reduced_dims(kern):
@@ -205,11 +208,16 @@ def _best_subset_enumeration(weighted, n_enum, *, block=1 << 16):
     return best_val, best_idx, best_side
 
 
-def _expand(groups, indices):
-    flat = []
-    for i in indices:
-        flat.extend(groups[i])
-    return tuple(sorted(flat))
+def _witness(kern, rmap, cmap, s, t):
+    """Witness on the original parts from masks s, t over the reduced rows, columns.
+
+    Each mask gains a False at its end, which the dropped parts (-1) pick.
+    """
+    rows = np.flatnonzero(np.append(s, False)[rmap])
+    cols = np.flatnonzero(np.append(t, False)[cmap])
+    w = CutWitness(0.0, tuple(rows.tolist()), tuple(cols.tolist()))
+    w.value = evaluate_witness(kern, w)
+    return w
 
 
 def kernel_cut_norm_exact(kern, cap=EXACT_CAP_DEFAULT, *, reduction=None):
@@ -223,13 +231,12 @@ def kernel_cut_norm_exact(kern, cap=EXACT_CAP_DEFAULT, *, reduction=None):
     """
     if isinstance(kern, ComputationalKernel):
         kern = kern.kernel
-    c, rmeas, cmeas, rgroups, cgroups = reduction or _reduce(kern)
+    c, rmeas, cmeas, rmap, cmap = reduction or _reduce(kern)
     if c.size == 0:
         return CutWitness(0.0, (), ())
     transposed = c.shape[0] > c.shape[1]
     if transposed:
         c, rmeas, cmeas = c.T, cmeas, rmeas
-        rgroups, cgroups = cgroups, rgroups
     n_enum = c.shape[0]
     if n_enum > cap:
         raise CapacityError(
@@ -238,15 +245,11 @@ def kernel_cut_norm_exact(kern, cap=EXACT_CAP_DEFAULT, *, reduction=None):
         )
     weighted = c * rmeas[:, None] * cmeas[None, :]
     _, idx, side = _best_subset_enumeration(weighted, n_enum)
-    s = [i for i in range(n_enum) if (idx >> i) & 1]
-    g = weighted[s].sum(axis=0) if s else np.zeros(c.shape[1])
-    t = list(np.flatnonzero(g > 0) if side > 0 else np.flatnonzero(g < 0))
-    rows, cols = _expand(rgroups, s), _expand(cgroups, t)
+    s = (idx >> np.arange(n_enum)) & 1 == 1
+    t = weighted[s].sum(axis=0) * side > 0
     if transposed:
-        rows, cols = cols, rows
-    w = CutWitness(0.0, rows, cols)
-    w.value = evaluate_witness(kern, w)
-    return w
+        s, t = t, s
+    return _witness(kern, rmap, cmap, s, t)
 
 
 def kernel_cut_norm_lower(kern, restarts=32, seed=0, *, reduction=None):
@@ -259,7 +262,9 @@ def kernel_cut_norm_lower(kern, restarts=32, seed=0, *, reduction=None):
     """
     if isinstance(kern, ComputationalKernel):
         kern = kern.kernel
-    c, rmeas, cmeas, rgroups, cgroups = reduction or _reduce(kern)
+    if restarts < 0:
+        raise ParameterError(f"restarts must be non-negative, got {restarts}")
+    c, rmeas, cmeas, rmap, cmap = reduction or _reduce(kern)
     if c.size == 0:
         return CutWitness(0.0, (), ())
     weighted = c * rmeas[:, None] * cmeas[None, :]
@@ -267,9 +272,8 @@ def kernel_cut_norm_lower(kern, restarts=32, seed=0, *, reduction=None):
     rng = np.random.default_rng(seed)
     starts = [np.ones(nr, dtype=bool), weighted.sum(axis=1) > 0]
     starts += [rng.random(nr) < 0.5 for _ in range(restarts)]
-    best = (0.0, (), ())
+    best = (0.0, np.zeros(nr, dtype=bool), np.zeros(weighted.shape[1], dtype=bool))
     for s in starts:
-        s = s.copy()
         sign = 1
         for _ in range(LOWER_MAX_ROUNDS):
             g = weighted[s].sum(axis=0) if s.any() else np.zeros(weighted.shape[1])
@@ -290,11 +294,8 @@ def kernel_cut_norm_lower(kern, restarts=32, seed=0, *, reduction=None):
         t = g > 0 if sign > 0 else g < 0
         val = abs(float(weighted[np.ix_(s, t)].sum())) if (s.any() and t.any()) else 0.0
         if val > best[0]:
-            best = (val, np.flatnonzero(s), np.flatnonzero(t))
-    rows, cols = _expand(rgroups, best[1]), _expand(cgroups, best[2])
-    w = CutWitness(0.0, rows, cols)
-    w.value = evaluate_witness(kern, w)
-    return w
+            best = (val, s, t)
+    return _witness(kern, rmap, cmap, best[1], best[2])
 
 
 def kernel_cut_norm(kern, oracle="auto", cap=EXACT_CAP_DEFAULT, restarts=32, seed=0):
@@ -304,6 +305,8 @@ def kernel_cut_norm(kern, oracle="auto", cap=EXACT_CAP_DEFAULT, restarts=32, see
     used whenever the reduced instance fits under the cap; the kernel is
     reduced once and that reduction is handed to the chosen oracle.
     """
+    if restarts < 0:
+        raise ParameterError(f"restarts must be non-negative, got {restarts}")
     if oracle == "exact":
         return kernel_cut_norm_exact(kern, cap=cap), True
     if oracle == "heuristic":
@@ -315,6 +318,20 @@ def kernel_cut_norm(kern, oracle="auto", cap=EXACT_CAP_DEFAULT, restarts=32, see
     if min(red[0].shape) <= cap:
         return kernel_cut_norm_exact(k, cap=cap, reduction=red), True
     return kernel_cut_norm_lower(k, restarts=restarts, seed=seed, reduction=red), False
+
+
+def difference_cut_norm(partition, diff, oracle, cap, restarts, seed):
+    """Cut norm of ``diff``, a difference of two kernels on ``partition``.
+
+    Kernel entries lie in [-1, 1], so ``diff`` lies in [-2, 2] and its half
+    is a step kernel (the clip only removes the last-bit overshoot of
+    averaged kernels). Halving and doubling are exact in floating point,
+    so the doubled witness value is the mass of ``diff`` on the witness
+    sets. Returns (witness, exact) as ``kernel_cut_norm`` does.
+    """
+    half = StepKernel(partition, np.clip(diff / 2.0, -1.0, 1.0))
+    w, exact = kernel_cut_norm(half, oracle=oracle, cap=cap, restarts=restarts, seed=seed)
+    return CutWitness(w.value * 2.0, w.row_set, w.col_set), exact
 
 
 def restrict_to_layer(signal, layers, ell):
@@ -411,40 +428,17 @@ def comp_cut_distance_upper(
         )
     if abs(ck.B - cj.B) > 1e-12:
         raise ParameterError(f"kernels disagree on B: {ck.B} vs {cj.B}")
+    if mode not in ("identity", "greedy", "exhaustive"):
+        raise ParameterError(f"unknown mode {mode!r}")
     if a.d != b.d and mode != "identity":
         raise ParameterError(f"mode {mode!r} needs equal hidden dims, got {a.d} vs {b.d}")
-    identity = (None,) * (a.L - 1)
-    N = math.lcm(a.n, b.n)
-    cuts = np.union1d(np.arange(0, N + 1, N // a.n), np.arange(0, N + 1, N // b.n))
-    refined = Partition(np.diff(cuts) / N)
-    ri, rj = cuts[:-1] // (N // a.n), cuts[:-1] // (N // b.n)
-    kc = ck.kernel.coeffs[np.ix_(ri, ri)]
-
-    def measure(perms):
-        idx = _hidden_permutation_index(b, perms)[rj]
-        diff = StepKernel(refined, (kc - cj.kernel.coeffs[np.ix_(idx, idx)]) / 2.0)
-        w, is_exact = kernel_cut_norm(
-            diff, oracle=oracle, cap=cap, restarts=restarts, seed=seed
-        )
-        scaled = CutWitness(w.value * 2.0, w.row_set, w.col_set)
-        return scaled, is_exact
-
-    if mode == "identity":
-        w, is_exact = measure(identity)
-        return CompDistanceResult(w.value, identity, is_exact, mode, w)
+    candidates = [(None,) * (a.L - 1)]
     if mode == "greedy":
-        perms = tuple(
+        candidates.append(tuple(
             _greedy_match(_layer_profiles(ck, ell), _layer_profiles(cj, ell))
             for ell in range(1, a.L)
-        )
-        best, best_perms, ex_all = None, None, True
-        for cand in (identity, perms):
-            w, is_exact = measure(cand)
-            ex_all = ex_all and is_exact
-            if best is None or w.value < best.value:
-                best, best_perms = w, cand
-        return CompDistanceResult(best.value, best_perms, ex_all, mode, best)
-    if mode == "exhaustive":
+        ))
+    elif mode == "exhaustive":
         if a.d > 8:
             raise CapacityError(
                 f"exhaustive permutation search needs hidden dim <= 8, got {a.d}"
@@ -454,12 +448,20 @@ def comp_cut_distance_upper(
             raise CapacityError(
                 f"{total} permutation combinations exceed the cap {PERM_CAP_DEFAULT}"
             )
-        best, best_perms, ex_all = None, None, True
         layer_perms = list(itertools.permutations(range(a.d)))
-        for combo in itertools.product(layer_perms, repeat=a.L - 1):
-            w, is_exact = measure(combo)
-            ex_all = ex_all and is_exact
-            if best is None or w.value < best.value:
-                best, best_perms = w, combo
-        return CompDistanceResult(best.value, best_perms, ex_all, mode, best)
-    raise ParameterError(f"unknown mode {mode!r}")
+        candidates = itertools.product(layer_perms, repeat=a.L - 1)
+    N = math.lcm(a.n, b.n)
+    cuts = np.union1d(np.arange(0, N + 1, N // a.n), np.arange(0, N + 1, N // b.n))
+    refined = Partition(np.diff(cuts) / N)
+    ri, rj = cuts[:-1] // (N // a.n), cuts[:-1] // (N // b.n)
+    kc = ck.kernel.coeffs[np.ix_(ri, ri)]
+    best, best_perms, ex_all = None, None, True
+    for perms in candidates:
+        idx = _hidden_permutation_index(b, perms)[rj]
+        w, is_exact = difference_cut_norm(
+            refined, kc - cj.kernel.coeffs[np.ix_(idx, idx)], oracle, cap, restarts, seed
+        )
+        ex_all = ex_all and is_exact
+        if best is None or w.value < best.value:
+            best, best_perms = w, perms
+    return CompDistanceResult(best.value, best_perms, ex_all, mode, best)

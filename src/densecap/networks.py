@@ -34,7 +34,6 @@ class DenseNetwork:
     B: float
     weights: tuple
     biases: tuple
-    check: bool = True
 
     def __post_init__(self):
         ws = tuple(np.ascontiguousarray(w, dtype=float) for w in self.weights)
@@ -43,8 +42,7 @@ class DenseNetwork:
             a.setflags(write=False)
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "biases", bs)
-        if self.check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         if self.L < 2:

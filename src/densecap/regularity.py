@@ -26,9 +26,9 @@ import numpy as np
 
 from .cutnorm import (
     EXACT_CAP_DEFAULT,
-    CutWitness,
     comp_cut_distance_upper,
-    kernel_cut_norm,
+    difference_cut_norm,
+    kernel_cut_norm,  # noqa: F401 - bench/tracing.py wraps this name here
 )
 from .errors import ParameterError, ValidationFailedError
 from .kernels import (
@@ -88,17 +88,6 @@ def project(kernel, partition):
     return StepKernel(partition, np.clip(vals, -1.0, 1.0))
 
 
-def _residual_cut_norm(diff, measures, oracle, cap, restarts, seed):
-    """Cut norm of a residual with entries in [-2, 2]; exact halving trick."""
-    half = StepKernel(
-        Partition(measures, interval=True), np.clip(diff / 2.0, -1.0, 1.0)
-    )
-    w, exact = kernel_cut_norm(
-        half, oracle=oracle, cap=cap, restarts=restarts, seed=seed
-    )
-    return CutWitness(w.value * 2.0, w.row_set, w.col_set), exact
-
-
 @dataclass
 class IterationRecord:
     iteration: int
@@ -156,8 +145,8 @@ def _refine(kernel, labels, split, stop, max_iter, oracle, cap, restarts, seed):
         vals, gm, inverse = _project_grouping(coeffs, meas, labels)
         proj = vals[np.ix_(inverse, inverse)]
         energy = float(np.sum(vals * vals * np.outer(gm, gm)))
-        witness, was_exact = _residual_cut_norm(
-            coeffs - proj, meas, oracle, cap, restarts, seed
+        witness, was_exact = difference_cut_norm(
+            kernel.partition, coeffs - proj, oracle, cap, restarts, seed
         )
         exact_used = exact_used and was_exact
         records.append(IterationRecord(it, int(gm.size), energy, witness.value))
@@ -331,13 +320,8 @@ def layer_respecting_regularity(
     measured = None
     measured_exact = False
     if measure_exact:
-        w, measured_exact = _residual_cut_norm(
-            ck.kernel.coeffs - fine.coeffs,
-            ck.kernel.partition.measures,
-            "auto",
-            cap,
-            restarts,
-            seed,
+        w, measured_exact = difference_cut_norm(
+            ck.kernel.partition, ck.kernel.coeffs - fine.coeffs, "auto", cap, restarts, seed
         )
         measured = w.value
     return LayerRegularityResult(

@@ -65,6 +65,25 @@ def test_induce_validate_cutnorm(net_file, tmp_path):
     assert "heuristic" in r.stdout
 
 
+def test_cutnorm_prints_plain_int_parts(net_file, tmp_path):
+    kern = str(tmp_path / "kern.txt")
+    assert run_cli("induce", net_file, "--out", kern).returncode == 0
+    for flag in ("--exact", "--heuristic"):
+        r = run_cli("cutnorm", kern, flag)
+        assert r.returncode == 0, r.stderr
+        rows = next(line for line in r.stdout.splitlines() if line.startswith("row parts:"))
+        assert isinstance(json.loads(rows.split(":", 1)[1]), list)
+
+
+@pytest.mark.parametrize("flag", ["--restarts", "--cap"])
+def test_cutnorm_negative_count_is_usage_error(net_file, tmp_path, flag):
+    kern = str(tmp_path / "kern.txt")
+    assert run_cli("induce", net_file, "--out", kern).returncode == 0
+    r = run_cli("cutnorm", kern, "--heuristic", flag, "-4")
+    assert r.returncode == 2
+    assert "count must be non-negative" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_cutnorm_bad_header_is_one_line_error(tmp_path):
     kern = tmp_path / "bad.txt"
     kern.write_text("densecap-kernel v1\n4 x 1 1 5\n" + "0 0 0 0\n" * 4)
@@ -164,6 +183,34 @@ def test_config_file_supplies_defaults(tmp_path):
     # explicit flags win over the file
     r = run_cli("bounds", "lipschitz", "--config", str(cfg), "--L", "3")
     assert "512" in r.stdout
+
+
+def test_config_negative_count_is_usage_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"random": -3}))
+    r = run_cli("equiv-check", "--config", str(cfg))
+    assert r.returncode == 2
+    assert "usage" in r.stderr.lower() and "--random" in r.stderr
+    assert "Traceback" not in r.stderr
+    # a count given on the command line still wins over the file
+    r = run_cli("equiv-check", "--config", str(cfg), "--random", "2")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("2 instances")
+
+
+def test_config_bad_list_item_is_usage_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "widths": [4, "x"], "dataset": "spike:d0=1,N=2,samples=200",
+        "modes": "standard", "seeds": [0], "epochs": 1,
+    }))
+    r = run_cli("sweep", "--config", str(cfg))
+    assert r.returncode == 2
+    assert "usage" in r.stderr.lower() and "--widths" in r.stderr
+    assert "Traceback" not in r.stderr
+    r = run_cli("sweep", "--config", str(cfg), "--widths", "4")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("width,mode,seed")
 
 
 def test_verify_quick_passes():

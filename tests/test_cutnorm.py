@@ -11,6 +11,7 @@ from densecap.cutnorm import (
     _merge_axis,
     _reduce,
     comp_cut_distance_upper,
+    difference_cut_norm,
     evaluate_witness,
     kernel_cut_norm,
     kernel_cut_norm_exact,
@@ -306,6 +307,24 @@ def reference_reduce(kern):
     return c, rmeas, cmeas, rgroups, cgroups
 
 
+def map_to_groups(mapping, size):
+    """The groups of an index map; every row outside them must map to -1."""
+    groups = [np.flatnonzero(mapping == g).tolist() for g in range(size)]
+    grouped = {i for g in groups for i in g}
+    assert set(np.flatnonzero(mapping == -1).tolist()) == set(range(mapping.size)) - grouped
+    return groups
+
+
+def merge_groups(merge):
+    red, merged, mapping = merge
+    return red, merged, map_to_groups(mapping, merged.size)
+
+
+def reduce_groups(reduction):
+    c, rmeas, cmeas, rmap, cmap = reduction
+    return c, rmeas, cmeas, map_to_groups(rmap, rmeas.size), map_to_groups(cmap, cmeas.size)
+
+
 def assert_same_reduction(got, want):
     """Bitwise equal arrays (-0.0 included, same layout) and equal groups."""
     for a, b in zip(got, want):
@@ -337,7 +356,7 @@ def duplicated_kernels(draw):
 @settings(max_examples=300, deadline=None)
 @given(kern=duplicated_kernels())
 def test_reduce_matches_unique_reference(kern):
-    assert_same_reduction(_reduce(kern), reference_reduce(kern))
+    assert_same_reduction(reduce_groups(_reduce(kern)), reference_reduce(kern))
 
 
 @settings(max_examples=100, deadline=None)
@@ -347,7 +366,7 @@ def test_reduce_resolves_hash_collisions_exactly(kern):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cutnorm, "hash", lambda key: 0, raising=False)
         got = _reduce(kern)
-    assert_same_reduction(got, reference_reduce(kern))
+    assert_same_reduction(reduce_groups(got), reference_reduce(kern))
 
 
 @settings(max_examples=100, deadline=None)
@@ -359,25 +378,66 @@ def test_merge_matches_reference_on_single_row_or_column(kern, axis, line):
     for merge_axis in (0, 1):
         meas = kern.partition.measures if merge_axis != axis else np.ones(1)
         assert_same_reduction(
-            _merge_axis(part, meas, merge_axis), reference_merge(part, meas, merge_axis)
+            merge_groups(_merge_axis(part, meas, merge_axis)),
+            reference_merge(part, meas, merge_axis),
         )
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (0, 4), (0, 0)])
 def test_merge_of_zero_size_matrix_is_empty(shape):
     meas = np.full(shape[0], 0.5)
-    red, merged, groups = _merge_axis(np.zeros(shape), meas, axis=0)
-    assert red.shape == (0, shape[1]) and merged.size == 0 and groups == []
+    red, merged, mapping = _merge_axis(np.zeros(shape), meas, axis=0)
+    assert red.shape == (0, shape[1]) and merged.size == 0
+    assert mapping.tolist() == [-1] * shape[0]
 
 
 def test_all_zero_kernel_reduces_to_nothing():
     kern = StepKernel(equipartition(4), np.array([[0.0, -0.0] * 2] * 4))
-    c, rmeas, cmeas, rgroups, cgroups = _reduce(kern)
+    c, rmeas, cmeas, rmap, cmap = _reduce(kern)
     assert c.shape == (0, 0) and rmeas.size == cmeas.size == 0
-    assert rgroups == cgroups == []
+    assert rmap.tolist() == cmap.tolist() == [-1] * 4
     for oracle in ("auto", "exact", "heuristic"):
         w, _ = kernel_cut_norm(kern, oracle=oracle)
         assert (w.value, w.row_set, w.col_set) == (0.0, (), ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(kern=duplicated_kernels())
+def test_witness_sets_are_whole_merge_groups(kern):
+    _, _, _, rmap, cmap = _reduce(kern)
+    for oracle in ("exact", "heuristic"):
+        w, _ = kernel_cut_norm(kern, oracle=oracle, restarts=4)
+        for parts, mapping in ((w.row_set, rmap), (w.col_set, cmap)):
+            assert type(parts) is tuple and list(parts) == sorted(parts)
+            assert all(type(i) is int for i in parts)
+            # a set holds every part of a merge group it touches, and no dropped part
+            taken = set(mapping[list(parts)].tolist())
+            assert -1 not in taken
+            assert set(parts) == set(np.flatnonzero(np.isin(mapping, list(taken))).tolist())
+        assert w.check(kern)
+
+
+@pytest.mark.parametrize("oracle", ["exact", "heuristic"])
+def test_difference_cut_norm_doubles_the_halved_kernel(oracle):
+    rng = np.random.default_rng(31)
+    part = Partition(rng.dirichlet(np.ones(9)))
+    diff = rng.uniform(-1, 1, (9, 9)) - rng.uniform(-1, 1, (9, 9))
+    w, exact = difference_cut_norm(part, diff, oracle, 24, 8, 3)
+    half, half_exact = kernel_cut_norm(
+        StepKernel(part, diff / 2.0), oracle=oracle, restarts=8, seed=3
+    )
+    assert w.value == 2.0 * half.value and exact is half_exact
+    assert (w.row_set, w.col_set) == (half.row_set, half.col_set)
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: kernel_cut_norm_lower(k, restarts=-1),
+    lambda k: kernel_cut_norm(k, oracle="heuristic", restarts=-1),
+    lambda k: kernel_cut_norm(k, oracle="exact", restarts=-1),
+])
+def test_negative_restarts_are_refused(call):
+    with pytest.raises(ParameterError, match="restarts must be non-negative"):
+        call(random_kernel(np.random.default_rng(0), 4))
 
 
 @pytest.mark.parametrize("cap, exact", [(24, True), (2, False)])

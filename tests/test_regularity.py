@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densecap import regularity
+from densecap import cutnorm, regularity
 from densecap.cutnorm import kernel_cut_norm_exact, l2_norm
 from densecap.errors import ParameterError
 from densecap.kernels import (
@@ -168,14 +168,14 @@ def test_layer_respecting_partition_refines_structure():
 
 def test_layer_respecting_measurement_errors_propagate(monkeypatch):
     # the loop runs with oracle="exact"; only the final measurement is "auto"
-    original = regularity.kernel_cut_norm
+    original = cutnorm.kernel_cut_norm
 
     def failing(kern, oracle, **kw):
         if oracle == "auto":
             raise RuntimeError("measurement failed")
         return original(kern, oracle=oracle, **kw)
 
-    monkeypatch.setattr(regularity, "kernel_cut_norm", failing)
+    monkeypatch.setattr(cutnorm, "kernel_cut_norm", failing)
     ck = induce_kernel(random_layered_net(np.random.default_rng(6), L=2, max_d=6))
     with pytest.raises(RuntimeError, match="measurement failed"):
         layer_respecting_regularity(ck, 1.9, oracle="exact")
