@@ -49,7 +49,6 @@ from .regularity import (
     equitize,
     layer_respecting_regularity,
     project,
-    sort_to_intervals,
     weak_regularity,
 )
 from . import bounds

@@ -33,6 +33,17 @@ def _int_list(text):
     return [int(v) for v in text.split(",")]
 
 
+# formula -> (evaluator, the flags it takes in order); only --c has a default
+BOUNDS = {
+    "lipschitz": (bounds_mod.lipschitz_constant, ("B", "L")),
+    "wrl-dim": (bounds_mod.wrl_hidden_dim, ("eps", "L", "d0", "dL")),
+    "compression-dim": (bounds_mod.compression_hidden_dim, ("eps", "B", "L", "d0", "dL")),
+    "vc-lower": (bounds_mod.vc_lower_bound, ("eps", "d0", "c")),
+    "d0-threshold": (bounds_mod.d0_threshold, ("B", "L", "dL", "c")),
+    "non-universality": (bounds_mod.non_universality_check, ("B", "L", "dL", "d0", "c")),
+}
+
+
 def _add_common(p):
     # abbreviations would read "--conf" as --config after the config pre-parse
     p.allow_abbrev = False
@@ -80,13 +91,7 @@ def build_parser():
     _add_common(p)
 
     p = sub.add_parser("bounds", help="closed-form bound evaluators")
-    p.add_argument(
-        "formula",
-        choices=(
-            "lipschitz", "wrl-dim", "compression-dim", "vc-lower",
-            "d0-threshold", "non-universality",
-        ),
-    )
+    p.add_argument("formula", choices=tuple(BOUNDS))
     p.add_argument("--B")
     p.add_argument("--L", type=int)
     p.add_argument("--d0", type=int)
@@ -148,7 +153,12 @@ def _apply_config(ap, argv):
             raise DensecapError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(values, dict):
         raise DensecapError(f"config {path} must hold a JSON object")
-    for parser in ap._subparsers._group_actions[0].choices.values():
+    parsers = ap._subparsers._group_actions[0].choices.values()
+    # keys of other subcommands pass, so one file can serve several of them
+    unknown = sorted(set(values) - {a.dest for p in parsers for a in p._actions})
+    if unknown:
+        raise DensecapError(f"config {path} has keys that name no flag: {', '.join(unknown)}")
+    for parser in parsers:
         for action in (a for a in parser._actions if a.dest in values):
             value = values[action.dest]
             if action.nargs != 0 and value is not None and not isinstance(value, str):
@@ -224,22 +234,11 @@ def cmd_compress(args):
 
 
 def cmd_bounds(args):
-    f = args.formula
-    if f == "lipschitz":
-        value = bounds_mod.lipschitz_constant(args.B, args.L)
-    elif f == "wrl-dim":
-        value = bounds_mod.wrl_hidden_dim(args.eps, args.L, args.d0, args.dL)
-    elif f == "compression-dim":
-        value = bounds_mod.compression_hidden_dim(args.eps, args.B, args.L, args.d0, args.dL)
-    elif f == "vc-lower":
-        value = bounds_mod.vc_lower_bound(args.eps, args.d0, args.c)
-    elif f == "d0-threshold":
-        value = bounds_mod.d0_threshold(args.B, args.L, args.dL, args.c)
-    elif f == "non-universality":
-        value = bounds_mod.non_universality_check(args.B, args.L, args.dL, args.d0, args.c)
-    else:
-        raise DensecapError(f"unknown formula {f}")
-    print(value)
+    evaluate, flags = BOUNDS[args.formula]
+    missing = [f"--{f}" for f in flags if getattr(args, f) is None]
+    if missing:
+        raise DensecapError(f"bounds {args.formula} needs {', '.join(missing)}")
+    print(evaluate(*(getattr(args, f) for f in flags)))
     return 0
 
 

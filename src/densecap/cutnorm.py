@@ -335,12 +335,14 @@ def difference_cut_norm(partition, diff, oracle, cap, restarts, seed):
 
 
 def restrict_to_layer(signal, layers, ell):
-    """Zero a signal outside one layer region (partition must refine it)."""
+    """Zero a signal on the layout's fine partition outside one layer region."""
+    if signal.partition != layers.fine_partition():
+        raise ParameterError(
+            f"restriction needs the {layers.n}-part fine partition of the layout"
+        )
+    vals = np.zeros(layers.n)
     sl = layers.layer_slice(ell)
-    lo, hi = sl.start / layers.n, sl.stop / layers.n
-    bounds = signal.partition.boundaries()
-    inside = (bounds[:-1] >= lo - 1e-12) & (bounds[1:] <= hi + 1e-12)
-    vals = np.where(inside, signal.values, 0.0)
+    vals[sl] = signal.values[sl]
     return StepSignal(signal.partition, vals)
 
 

@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     ValidationFailedError,
 )
-from .networks import DenseNetwork
+from .networks import DenseNetwork, _numbers
 from .partitions import Partition, equipartition
 
 
@@ -307,16 +307,16 @@ def validate_computational(ck, atol=1e-12):
     c = kernel.coeffs
     out = {}
 
-    # condition 1: interval equipartition of the right, divisible size
+    # condition 1: equipartition of the right, divisible size
     n_ok = kernel.n == ls.n and ls.d % ls.M == 0
-    eq_ok = kernel.partition.interval and np.allclose(
+    eq_ok = np.allclose(
         kernel.partition.measures, 1.0 / ls.n, rtol=0, atol=1e-12
     )
     detail = ""
     if not n_ok:
         detail = f"size {kernel.n} not equal to (L+2)*d={ls.n} with d divisible by M={ls.M}"
     elif not eq_ok:
-        detail = "partition is not the interval equipartition"
+        detail = "partition is not the equipartition"
     out["1 (size and equipartition)"] = ConditionCheck(n_ok and eq_ok, detail)
     if not (n_ok and eq_ok):
         out["2 (cell constancy)"] = ConditionCheck(False, "skipped: bad partition")
@@ -428,17 +428,6 @@ def serialize_kernel(ck):
     for row in ck.kernel.coeffs:
         out.write(" ".join(repr(float(v)) for v in row) + "\n")
     return out.getvalue()
-
-
-def _numbers(fields, kind, line, what):
-    """Convert text fields with ``kind`` (int or float); ParseError if one fails."""
-    try:
-        return [kind(v) for v in fields]
-    except ValueError:
-        raise ParseError(
-            f"{what}: expected {kind.__name__} values, got {' '.join(fields)!r}",
-            line=line,
-        ) from None
 
 
 def deserialize_kernel(text):

@@ -53,7 +53,7 @@ class DenseNetwork:
             raise InvalidNetworkError(
                 f"hidden width {self.d} not divisible by d0={self.d0}, dL={self.dL}"
             )
-        if self.B < self.L + 2:
+        if not self.B >= self.L + 2:  # also refuses NaN
             raise InvalidNetworkError(f"bound B={self.B} below L+2={self.L + 2}")
         if len(self.weights) != self.L or len(self.biases) != self.L:
             raise InvalidNetworkError(
@@ -69,11 +69,11 @@ class DenseNetwork:
             if b.shape != (dims[ell],):
                 raise DimensionMismatchError(f"b[{ell}]", (dims[ell],), b.shape)
             for name, arr in (("W", w), ("b", b)):
-                bad = np.argwhere(np.abs(arr) > self.B)
+                bad = np.argwhere(~(np.abs(arr) <= self.B))  # also finds NaN
                 if bad.size:
                     idx = tuple(int(k) for k in bad[0])
                     raise InvalidNetworkError(
-                        f"{name}[{ell}] entry {idx} = {arr[tuple(bad[0])]!r} "
+                        f"{name}[{ell}] entry {idx} = {float(arr[idx])!r} "
                         f"outside [-{self.B}, {self.B}]"
                     )
 
@@ -145,6 +145,17 @@ def serialize_network(net):
     return out.getvalue()
 
 
+def _numbers(fields, kind, line, what):
+    """Convert text fields with ``kind`` (int or float); ParseError if one fails."""
+    try:
+        return [kind(v) for v in fields]
+    except ValueError:
+        raise ParseError(
+            f"{what}: expected {kind.__name__} values, got {' '.join(fields)!r}",
+            line=line,
+        ) from None
+
+
 def deserialize_network(text):
     lines = text.splitlines()
     pos = 0
@@ -161,11 +172,8 @@ def deserialize_network(text):
     head = take("dimensions line").split()
     if len(head) != 5:
         raise ParseError("dimensions line needs 'L d0 dL d B'", line=2)
-    try:
-        L, d0, dL, d = (int(v) for v in head[:4])
-        B = float(head[4])
-    except ValueError as exc:
-        raise ParseError(f"bad dimensions line: {exc}", line=2) from None
+    L, d0, dL, d = _numbers(head[:4], int, 2, "dimensions 'L d0 dL d'")
+    (B,) = _numbers(head[4:], float, 2, "bound B")
     dims = (d0,) + (d,) * (L - 1) + (dL,)
     weights, biases = [], []
     for ell in range(1, L + 1):
@@ -180,7 +188,7 @@ def deserialize_network(text):
                     f"W {ell} row {r} has {len(vals)} entries, expected {dims[ell - 1]}",
                     line=pos,
                 )
-            rows.append([float(v) for v in vals])
+            rows.append(_numbers(vals, float, pos, f"W {ell} row {r}"))
         tag = take(f"b {ell} marker").split()
         if tag != ["b", str(ell)]:
             raise ParseError(f"expected 'b {ell}' marker, got {' '.join(tag)!r}", line=pos)
@@ -190,7 +198,7 @@ def deserialize_network(text):
                 f"b {ell} has {len(vals)} entries, expected {dims[ell]}", line=pos
             )
         weights.append(np.array(rows))
-        biases.append(np.array([float(v) for v in vals]))
+        biases.append(np.array(_numbers(vals, float, pos, f"b {ell} values")))
     return DenseNetwork(L, d0, dL, d, B, tuple(weights), tuple(biases))
 
 

@@ -1,11 +1,11 @@
-"""Finite partitions of an interval, stored as part measures.
+"""Finite partitions of [0, 1], stored as part measures.
 
-A partition is an ordered list of parts with positive measures. Interval
-partitions additionally promise that part ``i`` occupies the ``i``-th
-consecutive interval of the domain, so boundaries are the running sums of
-the measures. Abstract partitions carry no geometry; whenever geometry is
-needed they are realized as intervals in listed order (every partition of
-an interval can be rearranged into this form by a measure-preserving map).
+A partition is its vector of positive part measures, summing to 1. Part
+``i`` is realized as the ``i``-th consecutive interval, so boundaries are
+the running sums of the measures. Listed order loses nothing: cut norms
+and every integral of a step object are invariant under measure-preserving
+rearrangements of the parts, and any partition of [0, 1] can be rearranged
+into this form.
 """
 
 from dataclasses import dataclass
@@ -20,9 +20,6 @@ MEASURE_TOL = 1e-12
 @dataclass(frozen=True)
 class Partition:
     measures: np.ndarray
-    labels: tuple = None
-    interval: bool = True
-    domain: tuple = (0.0, 1.0)
 
     def __post_init__(self):
         meas = np.asarray(self.measures, dtype=float)
@@ -32,49 +29,42 @@ class Partition:
             raise ParameterError("partition needs a nonempty 1-d measure vector")
         if np.any(meas <= 0):
             raise ParameterError("zero- or negative-measure parts are forbidden")
-        total = self.domain[1] - self.domain[0]
-        if abs(float(meas.sum()) - total) > MEASURE_TOL * max(1.0, abs(total)):
-            raise ParameterError(
-                f"measures sum to {meas.sum()!r}, expected {total!r}"
-            )
-        if self.labels is None:
-            object.__setattr__(self, "labels", tuple(range(meas.size)))
-        elif len(self.labels) != meas.size:
-            raise ParameterError("labels and measures disagree in length")
+        if abs(float(meas.sum()) - 1.0) > MEASURE_TOL:
+            raise ParameterError(f"measures sum to {meas.sum()!r}, expected 1.0")
 
     @property
     def size(self):
         return int(self.measures.size)
 
     def boundaries(self):
-        """Interval endpoints: array of size+1 running sums over the domain."""
+        """Interval endpoints: 0, the running sums of the measures, then 1."""
         b = np.empty(self.size + 1)
-        b[0] = self.domain[0]
+        b[0] = 0.0
         np.cumsum(self.measures, out=b[1:])
-        b[1:] += self.domain[0]
-        b[-1] = self.domain[1]
+        b[-1] = 1.0
         return b
 
     def __eq__(self, other):
         if not isinstance(other, Partition):
             return NotImplemented
-        return (
-            self.size == other.size
-            and self.domain == other.domain
-            and self.labels == other.labels
-            and np.allclose(self.measures, other.measures, rtol=0, atol=MEASURE_TOL)
+        return self.size == other.size and np.allclose(
+            self.measures, other.measures, rtol=0, atol=MEASURE_TOL
         )
 
 
-def equipartition(n, domain=(0.0, 1.0)):
-    """The interval partition of the domain into n equal parts."""
+def equipartition(n):
+    """The partition of [0, 1] into n equal parts."""
     if n < 1:
         raise ParameterError("need at least one part")
-    total = domain[1] - domain[0]
-    return Partition(np.full(n, total / n), interval=True, domain=domain)
+    return Partition(np.full(n, 1.0 / n))
 
 
-def _merged_boundaries(p, q):
+def common_refinement(p, q):
+    """Coarsest partition refining both arguments (nonempty overlaps only).
+
+    Returns ``(partition, pi, qi)``: per refined part, the index of its
+    parent part in ``p`` and in ``q``.
+    """
     bp, bq = p.boundaries(), q.boundaries()
     merged = np.union1d(bp, bq)
     # collapse boundary pairs closer than the measure tolerance
@@ -82,35 +72,16 @@ def _merged_boundaries(p, q):
     for x in merged[1:]:
         if x - keep[-1] > MEASURE_TOL:
             keep.append(x)
-    keep[-1] = p.domain[1]
-    return np.asarray(keep), bp, bq
-
-
-def common_refinement(p, q, with_maps=False):
-    """Coarsest partition refining both arguments (nonempty overlaps only).
-
-    Both partitions are taken over the same domain in interval realization.
-    With ``with_maps=True`` also returns, per refined part, the index of its
-    parent part in ``p`` and in ``q``.
-    """
-    if p.domain != q.domain:
-        raise ParameterError(f"domains differ: {p.domain} vs {q.domain}")
-    merged, bp, bq = _merged_boundaries(p, q)
-    meas = np.diff(merged)
+    keep[-1] = 1.0
+    merged = np.asarray(keep)
     mid = (merged[:-1] + merged[1:]) / 2
     pi = np.clip(np.searchsorted(bp, mid) - 1, 0, p.size - 1)
     qi = np.clip(np.searchsorted(bq, mid) - 1, 0, q.size - 1)
-    labels = tuple((p.labels[a], q.labels[b]) for a, b in zip(pi, qi))
-    ref = Partition(meas, labels=labels, interval=True, domain=p.domain)
-    if with_maps:
-        return ref, pi, qi
-    return ref
+    return Partition(np.diff(merged)), pi, qi
 
 
 def is_refinement(fine, coarse):
     """Whether every part of ``fine`` lies inside a part of ``coarse``."""
-    if fine.domain != coarse.domain:
-        return False
     if fine.size < coarse.size:
         return False
     bf, bc = fine.boundaries(), coarse.boundaries()
@@ -123,13 +94,11 @@ def is_refinement(fine, coarse):
 
 
 def overlap_matrix(parts, base):
-    """Measure of intersection between each part of two interval partitions.
+    """Measure of intersection between each part of two partitions.
 
     Returns the ``(parts.size, base.size)`` matrix whose ``(a, i)`` entry is
     the measure of the overlap of part ``a`` with base part ``i``.
     """
-    if parts.domain != base.domain:
-        raise ParameterError(f"domains differ: {parts.domain} vs {base.domain}")
     ba, bb = parts.boundaries(), base.boundaries()
     lo = np.maximum(ba[:-1, None], bb[None, :-1])
     hi = np.minimum(ba[1:, None], bb[None, 1:])

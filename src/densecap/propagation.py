@@ -31,7 +31,7 @@ def _align(kernel, signal):
         pk.boundaries(), ps.boundaries(), rtol=0, atol=1e-12
     ):
         return kernel, signal
-    ref, ki, si = common_refinement(pk, ps, with_maps=True)
+    ref, ki, si = common_refinement(pk, ps)
     c = kernel.coeffs[np.ix_(ki, ki)]
     v = signal.values[si]
     return StepKernel(ref, c), StepSignal(ref, v)
@@ -62,31 +62,16 @@ def mpnn_forward(kernel, signal, B, L, return_hidden=False):
 
 
 def readout(signal, layers, tol=1e-10):
-    """Per-output-cell value of a signal defined on a refinement of the cells.
+    """Per-output-cell value of a signal on the layout's fine partition.
 
     The value must be constant on each output cell; variation beyond the
     tolerance signals a structural bug rather than noise, so it raises.
     """
-    bounds = signal.partition.boundaries()
-    out = np.empty(layers.dL)
-    cell = 1.0 / ((layers.L + 2) * layers.dL)
-    lo0 = layers.L / (layers.L + 2)
-    for i in range(layers.dL):
-        lo, hi = lo0 + i * cell, lo0 + (i + 1) * cell
-        inside = (bounds[:-1] >= lo - 1e-12) & (bounds[1:] <= hi + 1e-12)
-        idx = np.flatnonzero(inside)
-        if idx.size == 0:
-            raise ParameterError(
-                f"signal partition has no parts inside output cell {i}"
-            )
-        vals = signal.values[idx]
-        dev = float(np.ptp(vals))
-        if dev > tol:
-            raise EquivalenceViolationError(
-                f"output cell {i} not constant: spread {dev:.3g} exceeds {tol:.1g}"
-            )
-        out[i] = vals[0]
-    return out
+    if signal.partition != layers.fine_partition():
+        raise ParameterError(
+            f"readout needs the {layers.n}-part fine partition of the layout"
+        )
+    return graph_readout(signal.values, layers, tol)
 
 
 def sr_mpnn_forward(graph, features, L, return_hidden=False):

@@ -166,7 +166,7 @@ def _refine(kernel, labels, split, stop, max_iter, oracle, cap, restarts, seed):
             break
         labels = refined
     fine = StepKernel(kernel.partition, np.clip(proj, -1, 1))
-    coarse = StepKernel(Partition(gm, interval=False), np.clip(vals, -1, 1))
+    coarse = StepKernel(Partition(gm), np.clip(vals, -1, 1))
     return RegularityTrace(
         records, labels, coarse, fine, witness.value, status, exact_used
     )
@@ -363,34 +363,8 @@ def equitize(partition, m):
         [(int(k), float(row[k])) for k in np.flatnonzero(row > 1e-12)]
         for row in amounts
     ]
-    eq = Partition(np.full(m, unit), interval=True, domain=partition.domain)
+    eq = Partition(np.full(m, unit))
     return EquitizeResult(eq, parts, np.arange(m) < m - h, h)
-
-
-def sort_to_intervals(partition):
-    """Permutation laying equal-measure parts out as intervals by label.
-
-    Slot i of the returned array holds the index of the part that should
-    occupy the i-th interval; sorting is by label.
-    """
-    meas = partition.measures
-    if float(np.ptp(meas)) > 1e-12:
-        raise ParameterError("parts must have equal measure to be interval-sorted")
-    order = sorted(range(partition.size), key=lambda i: partition.labels[i])
-    return np.asarray(order, dtype=int)
-
-
-def apply_permutation(coeffs, perm, rows=None):
-    """Relabel kernel rows and columns of one index range by a permutation.
-
-    ``rows`` is a slice of the part indices (default: the whole range);
-    slot i of that range takes the part previously at ``perm[i]``.
-    """
-    n = coeffs.shape[0]
-    sl = rows if rows is not None else slice(0, n)
-    idx = np.arange(n)
-    idx[sl] = sl.start + np.asarray(perm, dtype=int)
-    return coeffs[np.ix_(idx, idx)]
 
 
 @dataclass

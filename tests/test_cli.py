@@ -52,6 +52,31 @@ def test_bounds_threshold_and_vc():
     assert "4" in r.stdout
 
 
+@pytest.mark.parametrize("args, flag", [
+    (("lipschitz", "--B", "4"), "--L"),
+    (("wrl-dim", "--eps", "1/2"), "--L"),
+    (("vc-lower", "--eps", "1/8"), "--d0"),
+    (("d0-threshold", "--B", "4", "--L", "2"), "--dL"),
+])
+def test_bounds_missing_flag_is_one_line_error(args, flag):
+    r = run_cli("bounds", *args)
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: bounds {args[0]} needs {flag}")
+    assert r.stderr.count("\n") == 1
+
+
+def test_induce_bad_weight_is_one_line_error(net_file, tmp_path):
+    lines = open(net_file).read().splitlines()
+    assert lines[2] == "W 1"
+    lines[3] = "x"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    r = run_cli("induce", str(bad), "--out", str(tmp_path / "kern.txt"))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: W 1 row 0") and "(line 4)" in r.stderr
+    assert r.stderr.count("\n") == 1
+
+
 def test_induce_validate_cutnorm(net_file, tmp_path):
     kern = str(tmp_path / "kern.txt")
     assert run_cli("induce", net_file, "--out", kern).returncode == 0
@@ -194,6 +219,20 @@ def test_config_negative_count_is_usage_error(tmp_path):
     assert "Traceback" not in r.stderr
     # a count given on the command line still wins over the file
     r = run_cli("equiv-check", "--config", str(cfg), "--random", "2")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("2 instances")
+
+
+def test_config_unknown_key_is_one_line_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radnom": 3}))
+    r = run_cli("equiv-check", "--config", str(cfg))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ") and "radnom" in r.stderr
+    assert r.stderr.count("\n") == 1
+    # a key of another subcommand is allowed, so one file serves several
+    cfg.write_text(json.dumps({"random": 2, "widths": [4]}))
+    r = run_cli("equiv-check", "--config", str(cfg))
     assert r.returncode == 0, r.stderr
     assert r.stdout.startswith("2 instances")
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from densecap import cutnorm
 from densecap.cutnorm import (
     CutWitness,
+    _hidden_permutation_index,
     _merge_axis,
     _reduce,
     comp_cut_distance_upper,
@@ -23,6 +24,7 @@ from densecap.cutnorm import (
 )
 from densecap.errors import CapacityError, ParameterError
 from densecap.kernels import (
+    LayerStructure,
     StepKernel,
     StepSignal,
     induce_input_signal,
@@ -32,7 +34,6 @@ from densecap.kernels import (
 from densecap.networks import random_network
 from densecap.partitions import Partition, equipartition
 from densecap.propagation import mpnn_forward
-from densecap.regularity import apply_permutation
 from densecap.verify import brute_force_cut_norm
 
 from conftest import random_layered_net
@@ -158,9 +159,8 @@ def test_comp_distance_swap_recovered_by_exhaustive():
     rng = np.random.default_rng(7)
     net = random_layered_net(rng, L=2, max_d=4, d0=1, dL=1)
     ck = induce_kernel(net)
-    swapped = apply_permutation(
-        ck.kernel.coeffs, [1, 0] + list(range(2, net.d)), rows=ck.layers.layer_slice(1)
-    )
+    idx = _hidden_permutation_index(ck.layers, [[1, 0] + list(range(2, net.d))])
+    swapped = ck.kernel.coeffs[np.ix_(idx, idx)]
     cj = type(ck)(StepKernel(ck.layers.fine_partition(), swapped), ck.layers, ck.B)
     ident = comp_cut_distance_upper(ck, cj, mode="identity")
     exh = comp_cut_distance_upper(ck, cj, mode="exhaustive")
@@ -248,6 +248,28 @@ def test_comp_distance_capacity_guard():
     ck = induce_kernel(random_network(2, 1, 1, 10, 8.0, rng))
     with pytest.raises(CapacityError):
         comp_cut_distance_upper(ck, ck, mode="exhaustive")
+
+
+def test_restrict_to_layer_copies_one_layer_by_index():
+    ls = LayerStructure(2, 1, 1, 3)
+    vals = np.arange(1.0, ls.n + 1)
+    out = restrict_to_layer(StepSignal(ls.fine_partition(), vals), ls, 1)
+    want = np.zeros(ls.n)
+    want[ls.layer_slice(1)] = vals[ls.layer_slice(1)]
+    assert np.array_equal(out.values, want)
+
+
+@pytest.mark.parametrize("uneven", [False, True])
+def test_restrict_to_layer_needs_the_fine_partition(uneven):
+    ls = LayerStructure(2, 1, 1, 3)
+    if uneven:
+        meas = np.full(ls.n, 1.0 / ls.n)
+        meas[:2] = [0.5 / ls.n, 1.5 / ls.n]
+        part = Partition(meas)
+    else:
+        part = equipartition(2 * ls.n)
+    with pytest.raises(ParameterError):
+        restrict_to_layer(StepSignal(part, np.ones(part.size)), ls, 1)
 
 
 def test_output_restricted_lipschitz_consequence():

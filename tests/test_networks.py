@@ -164,6 +164,32 @@ def test_network_invariants_enforced():
     assert "W[1]" in str(exc.value) and "(0, 0)" in str(exc.value)
 
 
+@pytest.mark.parametrize("where", ["B", "W", "b"])
+def test_nan_is_refused_by_validation(where):
+    ws = [np.zeros((2, 1)), np.zeros((1, 2))]
+    bs = [np.zeros(2), np.zeros(1)]
+    B = float("nan") if where == "B" else 4.0
+    if where == "W":
+        ws[1][0, 1] = np.nan
+    elif where == "b":
+        bs[0][1] = np.nan
+    with pytest.raises(InvalidNetworkError) as exc:
+        DenseNetwork(2, 1, 1, 2, B, tuple(ws), tuple(bs))
+    want = {"B": "B=nan", "W": "W[2] entry (0, 1) = nan", "b": "b[1] entry (1,) = nan"}
+    assert want[where] in str(exc.value)
+
+
+@pytest.mark.parametrize("line", [1, 3, 8])
+def test_deserialize_bad_number_names_the_line(line):
+    lines = serialize_network(all_b_net()).splitlines()
+    assert lines[2] == "W 1" and lines[7] == "b 1"
+    fields = lines[line].split()
+    lines[line] = " ".join(["x"] + fields[1:])
+    with pytest.raises(ParseError) as exc:
+        deserialize_network("\n".join(lines))
+    assert f"(line {line + 1})" in str(exc.value)
+
+
 def test_serialize_round_trip_bit_identical():
     rng = np.random.default_rng(6)
     net = random_layered_net(rng)

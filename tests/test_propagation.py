@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from densecap.errors import EquivalenceViolationError
+from densecap.errors import EquivalenceViolationError, ParameterError
 from densecap.kernels import (
     LayerStructure,
     StepKernel,
@@ -11,7 +11,7 @@ from densecap.kernels import (
     induce_kernel,
 )
 from densecap.networks import forward
-from densecap.partitions import equipartition
+from densecap.partitions import Partition, equipartition
 from densecap.propagation import (
     check_equivalence,
     graph_readout,
@@ -89,6 +89,19 @@ def test_readout_rejects_non_constant_cells():
     vals[ls.out_cell_slice(0)] = [0.0, 1.0, 0.0, 0.0]
     with pytest.raises(EquivalenceViolationError):
         readout(StepSignal(ls.fine_partition(), vals), ls)
+
+
+@pytest.mark.parametrize("uneven", [False, True])
+def test_readout_needs_the_fine_partition(uneven):
+    ls = LayerStructure(2, 1, 2, 4)
+    if uneven:
+        meas = np.full(ls.n, 1.0 / ls.n)
+        meas[:2] = [0.5 / ls.n, 1.5 / ls.n]
+        part = Partition(meas)
+    else:
+        part = equipartition(2 * ls.n)
+    with pytest.raises(ParameterError):
+        readout(StepSignal(part, np.zeros(part.size)), ls)
 
 
 def test_readout_equals_network_output():

@@ -21,12 +21,10 @@ from densecap.kernels import (
 from densecap.networks import forward, random_network
 from densecap.partitions import Partition, equipartition
 from densecap.regularity import (
-    apply_permutation,
     compress_network,
     equitize,
     layer_respecting_regularity,
     project,
-    sort_to_intervals,
     weak_regularity,
 )
 
@@ -314,25 +312,6 @@ def test_equitize_rejects_small_target():
     part = equipartition(4)
     with pytest.raises(ParameterError):
         equitize(part, 4)
-
-
-def test_sort_to_intervals_identity_reverse_inverse():
-    part = Partition(np.full(4, 0.25), labels=(0, 1, 2, 3))
-    assert np.array_equal(sort_to_intervals(part), [0, 1, 2, 3])
-    rev = Partition(np.full(4, 0.25), labels=(3, 2, 1, 0))
-    perm = sort_to_intervals(rev)
-    assert np.array_equal(perm, [3, 2, 1, 0])
-    rng = np.random.default_rng(10)
-    coeffs = rng.uniform(-1, 1, (4, 4))
-    permuted = apply_permutation(coeffs, perm)
-    inverse = np.argsort(perm)
-    assert np.array_equal(apply_permutation(permuted, inverse), coeffs)
-
-
-def test_sort_to_intervals_rejects_unequal_measures():
-    part = Partition(np.array([0.4, 0.6]))
-    with pytest.raises(ParameterError):
-        sort_to_intervals(part)
 
 
 def test_compress_identity_width():
