@@ -20,7 +20,6 @@ from .partitions import (
     Partition,
     common_refinement,
     equipartition,
-    is_refinement,
 )
 from .kernels import (
     ComputationalGraph,
@@ -29,7 +28,6 @@ from .kernels import (
     StepKernel,
     StepSignal,
     extract_network,
-    graph_to_kernel,
     induce_graph,
     induce_input_signal,
     induce_kernel,
@@ -41,14 +39,10 @@ from .cutnorm import (
     kernel_cut_norm_exact,
     kernel_cut_norm_lower,
     l1_norm,
-    l2_norm,
     signal_cut_norm,
 )
 from .regularity import (
     compress_network,
-    equitize,
-    layer_respecting_regularity,
-    project,
     weak_regularity,
 )
 from . import bounds

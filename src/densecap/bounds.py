@@ -22,12 +22,13 @@ MAX_EXACT_BITS = 50_000_000
 def _frac(x):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
+    try:
+        if isinstance(x, (int, str)):
+            return Fraction(x)
+        if isinstance(x, float):
+            return Fraction(x).limit_denominator(10**12)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass  # text that is no fraction, "1/0", or a NaN or infinite float
     raise ParameterError(f"cannot interpret {x!r} as an exact number")
 
 

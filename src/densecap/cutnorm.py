@@ -92,14 +92,6 @@ def l1_norm(obj):
     return float(np.sum(np.abs(kern.coeffs) * np.outer(m, m)))
 
 
-def l2_norm(obj):
-    if isinstance(obj, StepSignal):
-        return float(np.sqrt(np.sum(obj.values**2 * obj.partition.measures)))
-    kern = obj.kernel if isinstance(obj, ComputationalKernel) else obj
-    m = kern.partition.measures
-    return float(np.sqrt(np.sum(kern.coeffs**2 * np.outer(m, m))))
-
-
 def _group_rows(rows):
     """Group equal rows exactly: (group of each row, first row of each group).
 
@@ -357,35 +349,6 @@ def _hidden_permutation_index(layers, perms):
     return idx
 
 
-def _layer_profiles(ck, ell):
-    """Permutation-robust fingerprint of each part of a hidden layer."""
-    ls, c = ck.layers, ck.kernel.coeffs
-    sl = ls.layer_slice(ell)
-    prev = ls.layer_slice(ell - 1)
-    nxt = ls.layer_slice(ell + 1)
-    incoming = c[sl, prev]
-    outgoing = c[nxt, sl].T
-    if ell > 1:
-        incoming = np.sort(incoming, axis=1)
-    if ell + 1 < ls.L:
-        outgoing = np.sort(outgoing, axis=1)
-    bias = c[sl, ls.bias_slice.start][:, None]
-    return np.hstack([incoming, outgoing, bias])
-
-
-def _greedy_match(pk, pj):
-    d = pk.shape[0]
-    used = np.zeros(d, dtype=bool)
-    perm = np.empty(d, dtype=int)
-    for p in range(d):
-        dist = np.linalg.norm(pj - pk[p], axis=1)
-        dist[used] = np.inf
-        q = int(np.argmin(dist))
-        perm[p] = q
-        used[q] = True
-    return tuple(int(v) for v in perm)
-
-
 @dataclass
 class CompDistanceResult:
     """An upper bound on the layer-aligned cut distance between two kernels.
@@ -415,8 +378,7 @@ def comp_cut_distance_upper(
 ):
     """Cut norm of the difference, minimized over hidden-part relabelings.
 
-    Modes: 'identity' compares as laid out; 'greedy' matches parts within
-    each hidden layer by profile similarity first; 'exhaustive' tries every
+    Modes: 'identity' compares as laid out; 'exhaustive' tries every
     per-layer permutation (hidden width at most 8). Kernels must share
     (L, d0, dL, B). Both are measured on the common refinement of their
     two equipartitions, whose cuts are integer multiples of 1/lcm(n, n');
@@ -430,17 +392,12 @@ def comp_cut_distance_upper(
         )
     if abs(ck.B - cj.B) > 1e-12:
         raise ParameterError(f"kernels disagree on B: {ck.B} vs {cj.B}")
-    if mode not in ("identity", "greedy", "exhaustive"):
+    if mode not in ("identity", "exhaustive"):
         raise ParameterError(f"unknown mode {mode!r}")
     if a.d != b.d and mode != "identity":
         raise ParameterError(f"mode {mode!r} needs equal hidden dims, got {a.d} vs {b.d}")
     candidates = [(None,) * (a.L - 1)]
-    if mode == "greedy":
-        candidates.append(tuple(
-            _greedy_match(_layer_profiles(ck, ell), _layer_profiles(cj, ell))
-            for ell in range(1, a.L)
-        ))
-    elif mode == "exhaustive":
+    if mode == "exhaustive":
         if a.d > 8:
             raise CapacityError(
                 f"exhaustive permutation search needs hidden dim <= 8, got {a.d}"

@@ -139,7 +139,7 @@ class ComputationalKernel:
     B: float
 
     def __post_init__(self):
-        if self.B < self.layers.L + 2:
+        if not self.B >= self.layers.L + 2:  # also refuses NaN
             raise InvalidBoundError(
                 f"B={self.B} below L+2={self.layers.L + 2}: the bias block "
                 "(L+2)/B would exceed 1"
@@ -209,7 +209,7 @@ def _fill_blocks(net, divisor):
 
 def induce_kernel(net):
     """Computational kernel of a network: weights/B on the layered blocks."""
-    if net.B < net.L + 2:
+    if not net.B >= net.L + 2:  # also refuses NaN
         raise InvalidBoundError(
             f"B={net.B} below L+2={net.L + 2}: bias block would exceed 1"
         )
@@ -223,13 +223,6 @@ def induce_graph(net):
     """Weighted-graph encoding of a network (raw weights, bias block L+2)."""
     ls, adj = _fill_blocks(net, 1.0)
     return ComputationalGraph(adj, ls, float(net.B))
-
-
-def graph_to_kernel(graph, B):
-    """Kernel induced by a weighted graph: coefficients A/B on equal cells."""
-    if np.max(np.abs(graph.adjacency), initial=0.0) > B + 1e-9:
-        raise ParameterError(f"graph weights exceed requested bound B={B}")
-    return StepKernel(graph.layers.fine_partition(), graph.adjacency / B)
 
 
 def induce_input_signal(x, layers):
@@ -417,7 +410,6 @@ def lift_computational(ck, factor):
 
 
 MAGIC_KERNEL = "densecap-kernel v1"
-MAGIC_SIGNAL = "densecap-signal v1"
 
 
 def serialize_kernel(ck):
@@ -458,30 +450,6 @@ def deserialize_kernel(text):
         raise ParseError(f"size {n} not divisible by L+2={L + 2}", line=2)
     ls = LayerStructure(L, d0, dL, n // (L + 2))
     return ComputationalKernel(StepKernel(ls.fine_partition(), np.array(rows)), ls, B)
-
-
-def serialize_signal(sig, layers, B):
-    out = io.StringIO()
-    out.write(MAGIC_SIGNAL + "\n")
-    out.write(f"{sig.values.size} {layers.L} {layers.d0} {layers.dL} {B!r}\n")
-    out.write(" ".join(repr(float(v)) for v in sig.values) + "\n")
-    return out.getvalue()
-
-
-def deserialize_signal(text):
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != MAGIC_SIGNAL:
-        raise ParseError(f"bad header, expected {MAGIC_SIGNAL!r}", line=1)
-    if len(lines) < 3:
-        raise ParseError("truncated record", line=len(lines) + 1)
-    head = lines[1].split()
-    if not head:
-        raise ParseError("dimensions line is empty", line=2)
-    (n,) = _numbers(head[:1], int, 2, "size n")
-    vals = _numbers(lines[2].split(), float, 3, "values")
-    if len(vals) != n:
-        raise ParseError(f"expected {n} values, found {len(vals)}", line=3)
-    return StepSignal(equipartition(n), np.array(vals))
 
 
 def save_kernel(ck, path):

@@ -174,18 +174,22 @@ def deserialize_network(text):
         raise ParseError("dimensions line needs 'L d0 dL d B'", line=2)
     L, d0, dL, d = _numbers(head[:4], int, 2, "dimensions 'L d0 dL d'")
     (B,) = _numbers(head[4:], float, 2, "bound B")
-    dims = (d0,) + (d,) * (L - 1) + (dL,)
+
+    def width(k):
+        # per layer, so a header's L allocates nothing before its layers
+        return d0 if k == 0 else dL if k == L else d
+
     weights, biases = [], []
     for ell in range(1, L + 1):
         tag = take(f"W {ell} marker").split()
         if tag != ["W", str(ell)]:
             raise ParseError(f"expected 'W {ell}' marker, got {' '.join(tag)!r}", line=pos)
         rows = []
-        for r in range(dims[ell]):
+        for r in range(width(ell)):
             vals = take(f"W {ell} row {r}").split()
-            if len(vals) != dims[ell - 1]:
+            if len(vals) != width(ell - 1):
                 raise ParseError(
-                    f"W {ell} row {r} has {len(vals)} entries, expected {dims[ell - 1]}",
+                    f"W {ell} row {r} has {len(vals)} entries, expected {width(ell - 1)}",
                     line=pos,
                 )
             rows.append(_numbers(vals, float, pos, f"W {ell} row {r}"))
@@ -193,9 +197,9 @@ def deserialize_network(text):
         if tag != ["b", str(ell)]:
             raise ParseError(f"expected 'b {ell}' marker, got {' '.join(tag)!r}", line=pos)
         vals = take(f"b {ell} values").split()
-        if len(vals) != dims[ell]:
+        if len(vals) != width(ell):
             raise ParseError(
-                f"b {ell} has {len(vals)} entries, expected {dims[ell]}", line=pos
+                f"b {ell} has {len(vals)} entries, expected {width(ell)}", line=pos
             )
         weights.append(np.array(rows))
         biases.append(np.array(_numbers(vals, float, pos, f"b {ell} values")))

@@ -78,28 +78,3 @@ def common_refinement(p, q):
     pi = np.clip(np.searchsorted(bp, mid) - 1, 0, p.size - 1)
     qi = np.clip(np.searchsorted(bq, mid) - 1, 0, q.size - 1)
     return Partition(np.diff(merged)), pi, qi
-
-
-def is_refinement(fine, coarse):
-    """Whether every part of ``fine`` lies inside a part of ``coarse``."""
-    if fine.size < coarse.size:
-        return False
-    bf, bc = fine.boundaries(), coarse.boundaries()
-    # each coarse boundary must appear among the fine ones
-    pos = np.searchsorted(bf, bc)
-    lo = np.clip(pos - 1, 0, bf.size - 1)
-    hi = np.clip(pos, 0, bf.size - 1)
-    near = np.minimum(np.abs(bf[lo] - bc), np.abs(bf[hi] - bc))
-    return bool(np.all(near <= MEASURE_TOL))
-
-
-def overlap_matrix(parts, base):
-    """Measure of intersection between each part of two partitions.
-
-    Returns the ``(parts.size, base.size)`` matrix whose ``(a, i)`` entry is
-    the measure of the overlap of part ``a`` with base part ``i``.
-    """
-    ba, bb = parts.boundaries(), base.boundaries()
-    lo = np.maximum(ba[:-1, None], bb[None, :-1])
-    hi = np.minimum(ba[1:, None], bb[None, 1:])
-    return np.maximum(hi - lo, 0.0)

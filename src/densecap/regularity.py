@@ -1,9 +1,9 @@
 """Constructive weak regularity for step kernels and network compression.
 
-The driver is the classical energy-increment loop: project the kernel
-onto the current partition, locate a set pair on which the residual has
-large integral, refine the partition by that pair, repeat. Each completed
-refinement raises the squared L2 norm of the projection by at least the
+The driver is the classical energy-increment loop: average the kernel
+over the blocks of the current partition, locate a set pair on which the
+residual has large integral, refine the partition by that pair, repeat.
+Each completed refinement raises the squared L2 norm of the projection by at least the
 witness value squared, which caps the iteration count.
 
 Compression restricts the final partition to respect the layered
@@ -39,7 +39,7 @@ from .kernels import (
     validate_computational,
 )
 from .networks import DenseNetwork, forward
-from .partitions import Partition, is_refinement, overlap_matrix
+from .partitions import Partition
 
 
 def _project_grouping(coeffs, measures, labels):
@@ -56,36 +56,6 @@ def _project_grouping(coeffs, measures, labels):
     wg /= gm[:, None]
     vals = wg @ coeffs @ wg.T
     return vals, gm, inverse
-
-
-def project(kernel, partition):
-    """Project a step kernel onto a partition (blockwise averages).
-
-    When the target partition coarsens the kernel's own partition the
-    averages use exact part measures; otherwise overlaps are computed from
-    the interval realizations of both partitions. Projecting onto the
-    kernel's own partition returns the kernel unchanged.
-    """
-    own = kernel.partition
-    if partition == own:
-        return kernel
-    if is_refinement(own, partition):
-        bounds = partition.boundaries()
-        mid = (own.boundaries()[:-1] + own.boundaries()[1:]) / 2
-        labels = np.clip(np.searchsorted(bounds, mid) - 1, 0, partition.size - 1)
-        vals, _, _ = _project_grouping(kernel.coeffs, own.measures, labels)
-        # groups come back sorted by label = target index, aligned only if
-        # every target part received a part of the kernel's partition
-        if vals.shape[0] != partition.size:
-            raise ParameterError(
-                f"{partition.size - vals.shape[0]} of {partition.size} target "
-                "parts contain no part of the kernel's partition"
-            )
-        return StepKernel(partition, np.clip(vals, -1.0, 1.0))
-    ov = overlap_matrix(partition, own)
-    wg = ov / ov.sum(axis=1, keepdims=True)
-    vals = wg @ kernel.coeffs @ wg.T
-    return StepKernel(partition, np.clip(vals, -1.0, 1.0))
 
 
 @dataclass
@@ -273,101 +243,6 @@ def _slot_weights(sizes, groups, unit):
 
 
 @dataclass
-class LayerRegularityResult:
-    """A structure-respecting coarse approximation of a layered kernel."""
-
-    labels: np.ndarray
-    projected_fine: StepKernel
-    trace: RegularityTrace
-    wr_bound: float
-    certified_bound: float
-    measured: float = None
-    measured_exact: bool = False
-
-    @property
-    def certified(self):
-        return self.trace.certified
-
-
-def layer_respecting_regularity(
-    ck,
-    eps,
-    oracle="exact",
-    cap=EXACT_CAP_DEFAULT,
-    restarts=32,
-    seed=0,
-    measure_exact=True,
-):
-    """Weak regularity followed by refinement with the layered structure.
-
-    Runs the cut-refinement loop at eps/2, then refines the partition by
-    the input cells, hidden layers, output cells, and bias region, and
-    re-projects. Refining and re-projecting at most doubles the residual
-    cut norm (the residual against the refined projection integrates to
-    the same value as against the coarse one on any union of refined
-    parts), hence the certified bound 2 * (loop bound) <= eps. The refined
-    projection inherits constancy on input-cell columns and output-cell
-    rows from the kernel itself.
-    """
-    trace = weak_regularity(
-        ck.kernel, eps / 2.0, oracle=oracle, cap=cap, restarts=restarts, seed=seed
-    )
-    labels = _pair_labels(trace.labels, ck.layers.structural_labels())
-    vals, _, inverse = _project_grouping(
-        ck.kernel.coeffs, ck.kernel.partition.measures, labels
-    )
-    fine = StepKernel(ck.kernel.partition, np.clip(vals[np.ix_(inverse, inverse)], -1, 1))
-    measured = None
-    measured_exact = False
-    if measure_exact:
-        w, measured_exact = difference_cut_norm(
-            ck.kernel.partition, ck.kernel.coeffs - fine.coeffs, "auto", cap, restarts, seed
-        )
-        measured = w.value
-    return LayerRegularityResult(
-        labels, fine, trace, trace.bound, 2.0 * trace.bound, measured, measured_exact
-    )
-
-
-@dataclass
-class EquitizeResult:
-    partition: Partition
-    composition: list
-    refinement_mask: np.ndarray
-    h: int
-
-    @property
-    def refinement_parts(self):
-        return [c for c, r in zip(self.composition, self.refinement_mask) if r]
-
-    @property
-    def remainder_parts(self):
-        return [c for c, r in zip(self.composition, self.refinement_mask) if not r]
-
-
-def equitize(partition, m):
-    """Rebalance a partition into m equal-measure parts.
-
-    Each part, in order, gives as many whole units of measure 1/m (times
-    the total) as fit; the leftovers are pooled in the same order into the
-    last h < size(partition) units, which may span several parts. Amounts
-    of at most 1e-12 are dropped, so exact multiples leave no remainder.
-    """
-    if m <= partition.size:
-        raise ParameterError(
-            f"target count {m} must exceed the current {partition.size} parts"
-        )
-    unit = float(partition.measures.sum()) / m
-    amounts, h = _slot_weights(partition.measures, np.arange(partition.size), unit)
-    parts = [
-        [(int(k), float(row[k])) for k in np.flatnonzero(row > 1e-12)]
-        for row in amounts
-    ]
-    eq = Partition(np.full(m, unit))
-    return EquitizeResult(eq, parts, np.arange(m) < m - h, h)
-
-
-@dataclass
 class CompressionReport:
     d_original: int
     d_compressed: int
@@ -506,12 +381,15 @@ def compress_network(
         stages.append({"name": "refinement", "status": fk_status,
                        "detail": f"{len(trace.iterations)} iterations"})
     else:
-        res = layer_respecting_regularity(
-            ck, epsilon, oracle=oracle, cap=cap, restarts=restarts, seed=seed,
-            measure_exact=False,
+        # the loop runs at eps/2, then its groups are split by the layered
+        # structure; that refinement at most doubles the residual cut norm
+        # (on any union of refined parts the residual integrates as against
+        # the coarse projection), so 2 * bound is the structured residual's
+        # bound, certified only when every oracle call was exact
+        trace = weak_regularity(
+            ck.kernel, epsilon / 2.0, oracle=oracle, cap=cap, restarts=restarts, seed=seed
         )
-        trace = res.trace
-        labels = res.labels
+        labels = _pair_labels(trace.labels, ls.structural_labels())
         # a layer of k groups fits k slots only if its groups are equal
         need = 0
         for ell in list(range(1, ls.L)) + ["bias"]:
@@ -519,8 +397,9 @@ def compress_network(
             need = max(need, sizes.size + int(np.ptp(sizes) != 0))
         d_new = ls.M * -(-need // ls.M)
         fk_status = trace.status
+        kind = "certified bound" if trace.oracle_exact else "bound estimate"
         stages.append({"name": "regularity", "status": fk_status,
-                       "detail": f"certified bound {res.certified_bound:.4g}"})
+                       "detail": f"{kind} {2.0 * trace.bound:.4g}"})
 
     counts = _layer_group_counts(labels, ls)
     # slot weights in ticks: d_new per fine part, d per slot, so every

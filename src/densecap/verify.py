@@ -25,7 +25,7 @@ from .kernels import StepKernel, StepSignal, extract_network, induce_kernel
 from .networks import forward, param_count, random_network, random_small_network
 from .partitions import Partition, equipartition
 from .propagation import check_equivalence
-from .regularity import equitize, project, weak_regularity
+from .regularity import weak_regularity
 
 
 class CheckFailed(Exception):
@@ -135,24 +135,6 @@ def run_verification(quick=False, seed=0):
             _require(0.5 * l1 - 1e-12 <= v <= l1 + 1e-12, f"{v} vs L1 {l1}")
         return "0.5*L1 <= cut <= L1 held"
 
-    def projection():
-        for _ in range(10 * k):
-            n = int(rng.integers(3, 10))
-            kern = StepKernel(
-                Partition(rng.dirichlet(np.ones(n))), rng.uniform(-1, 1, (n, n))
-            )
-            _require(
-                project(kern, kern.partition) is kern,
-                "projection onto the kernel's own partition returned a copy",
-            )
-            coarse = equipartition(int(rng.integers(1, n)))
-            kp = project(kern, coarse)
-            m, mp = kern.partition.measures, coarse.measures
-            ints = (kern.coeffs * np.outer(m, m)).sum()
-            intp = (kp.coeffs * np.outer(mp, mp)).sum()
-            _require(abs(ints - intp) <= 1e-12, f"integral {ints!r} became {intp!r}")
-        return "idempotence and integral preservation"
-
     def fk_trace():
         for _ in range(3 * k):
             base = rng.uniform(-1, 1, (5, 5))
@@ -165,19 +147,6 @@ def run_verification(quick=False, seed=0):
             _require(len(tr.iterations) <= cap, f"{len(tr.iterations)} iterations, cap {cap}")
             _require(tr.status in ("certified", "cap_reached"), f"status {tr.status!r}")
         return "energy monotone, iteration cap held"
-
-    def equitize_h():
-        for _ in range(20 * k):
-            n = int(rng.integers(2, 8))
-            part = Partition(rng.dirichlet(np.ones(n)))
-            m = n + int(rng.integers(1, 12))
-            res = equitize(part, m)
-            _require(res.h <= n, f"h={res.h} exceeds {n}")
-            _require(
-                len(res.composition) == m,
-                f"{len(res.composition)} parts in the composition, expected {m}",
-            )
-        return "h <= part count on all instances"
 
     def bounds_spot():
         for name, got, want in (
@@ -204,9 +173,7 @@ def run_verification(quick=False, seed=0):
     check("induce/extract round trip", roundtrip)
     check("kernel cut norm vs enumeration", cut_exact)
     check("signal cut-norm sandwich", sandwich)
-    check("projection properties", projection)
     check("refinement trace properties", fk_trace)
-    check("equitize remainder bound", equitize_h)
     check("bound calculator spot values", bounds_spot)
     check("backprop vs finite differences", gradients)
     return results

@@ -65,6 +65,30 @@ def test_bounds_missing_flag_is_one_line_error(args, flag):
     assert r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    ("lipschitz", "--B", "x", "--L", "2"),
+    ("lipschitz", "--B", "1/0", "--L", "2"),
+    ("vc-lower", "--eps", "abc", "--d0", "2"),
+])
+def test_bounds_bad_number_is_one_line_error(args):
+    r = run_cli("bounds", *args)
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: cannot interpret {args[2]!r}")
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+
+
+def test_validate_nan_bound_is_one_line_error(net_file, tmp_path):
+    kern = tmp_path / "kern.txt"
+    assert run_cli("induce", net_file, "--out", str(kern)).returncode == 0
+    lines = kern.read_text().splitlines()
+    lines[1] = lines[1].rsplit(" ", 1)[0] + " nan"
+    kern.write_text("\n".join(lines) + "\n")
+    r = run_cli("validate", str(kern))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: B=nan") and r.stderr.count("\n") == 1
+    assert r.stdout == ""
+
+
 def test_induce_bad_weight_is_one_line_error(net_file, tmp_path):
     lines = open(net_file).read().splitlines()
     assert lines[2] == "W 1"

@@ -18,7 +18,6 @@ from densecap.cutnorm import (
     kernel_cut_norm_exact,
     kernel_cut_norm_lower,
     l1_norm,
-    l2_norm,
     restrict_to_layer,
     signal_cut_norm,
 )
@@ -136,10 +135,9 @@ def test_heuristic_finds_constant_kernel_exactly():
     assert abs(lo.value - 0.42) <= 1e-12
 
 
-def test_l1_l2_constant_kernel():
+def test_l1_constant_kernel():
     kern = StepKernel(equipartition(3), np.full((3, 3), -0.6))
     assert abs(l1_norm(kern) - 0.6) <= 1e-12
-    assert abs(l2_norm(kern) - 0.6) <= 1e-12
 
 
 def test_l1_signal_half_split():
@@ -179,9 +177,8 @@ def test_comp_distance_modes_nested():
         if abs(a.B - b.B) > 1e-12:
             b = type(b)(b.kernel, b.layers, a.B)
         ident = comp_cut_distance_upper(a, b, mode="identity").value
-        greedy = comp_cut_distance_upper(a, b, mode="greedy").value
         exh = comp_cut_distance_upper(a, b, mode="exhaustive").value
-        assert exh <= greedy + 1e-12 <= ident + 2e-12
+        assert exh <= ident + 1e-12
 
 
 def lifted_distance(ck, cj, **kw):
@@ -232,7 +229,7 @@ def test_comp_distance_nested_widths_bitwise(d, e):
     )
 
 
-@pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
+@pytest.mark.parametrize("mode", ["exhaustive"])
 def test_comp_distance_matching_modes_need_equal_widths(mode):
     rng = np.random.default_rng(13)
     ck = induce_kernel(random_network(2, 1, 1, 3, 6.0, rng))

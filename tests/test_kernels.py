@@ -13,7 +13,6 @@ from densecap.kernels import (
     StepKernel,
     deserialize_kernel,
     extract_network,
-    graph_to_kernel,
     induce_graph,
     induce_input_signal,
     induce_kernel,
@@ -147,8 +146,8 @@ def test_graph_kernel_commuting_square_exact():
     for _ in range(20):
         net = random_layered_net(rng)
         ck = induce_kernel(net)
-        via_graph = graph_to_kernel(induce_graph(net), net.B)
-        assert np.array_equal(ck.kernel.coeffs, via_graph.coeffs)
+        via_graph = induce_graph(net).adjacency / net.B
+        assert np.array_equal(ck.kernel.coeffs, via_graph)
 
 
 def test_zero_net_graph_has_only_bias_edges():
@@ -255,16 +254,14 @@ def test_layer_structure_rejects_bad_divisibility():
         LayerStructure(2, 2, 1, 3)
 
 
-def test_signal_serialization_round_trip():
-    from densecap.kernels import deserialize_signal, serialize_signal
 
-    ls = LayerStructure(2, 2, 1, 4)
-    sig = induce_input_signal(np.array([0.125, -0.7]), ls)
-    back = deserialize_signal(serialize_signal(sig, ls, 4.0))
-    assert np.array_equal(back.values, sig.values)
-    with pytest.raises(ParseError):
-        deserialize_signal("wrong header\n")
-    for head, vals, line in [("", "0.5", 2), ("1.5 2 1 1 4", "0.5", 2), ("1", "half", 3)]:
-        with pytest.raises(ParseError) as exc:
-            deserialize_signal(f"densecap-signal v1\n{head}\n{vals}\n")
-        assert exc.value.line == line
+
+def test_nan_bound_is_refused():
+    text = serialize_kernel(induce_kernel(zero_net(B=4.0))).splitlines()
+    text[1] = text[1].rsplit(" ", 1)[0] + " nan"
+    with pytest.raises(InvalidBoundError, match="B=nan"):
+        deserialize_kernel("\n".join(text))
+    net = zero_net(B=4.0)
+    object.__setattr__(net, "B", float("nan"))  # bypass the constructor check
+    with pytest.raises(InvalidBoundError):
+        induce_kernel(net)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,6 +220,18 @@ def test_deserialize_rejects_out_of_bound_weight():
     with pytest.raises((InvalidNetworkError, ParseError)) as exc:
         deserialize_network("\n".join(lines))
     assert "W[1]" in str(exc.value)
+
+
+def test_deserialize_checks_layers_before_allocating():
+    # a 38-byte file whose header claims ten million layers
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="truncated record"):
+            deserialize_network("densecap-net v1\n10000000 1 1 1 5.0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_deserialize_bad_header():

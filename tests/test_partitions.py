@@ -6,8 +6,6 @@ from densecap.partitions import (
     Partition,
     common_refinement,
     equipartition,
-    is_refinement,
-    overlap_matrix,
 )
 
 
@@ -23,13 +21,6 @@ def test_zero_measure_parts_forbidden():
         Partition(np.array([0.5, 0.5, 0.0]))
     with pytest.raises(ParameterError):
         Partition(np.array([0.4, 0.4]))  # does not cover the domain
-
-
-def test_refinement_relation_interval_equipartitions():
-    assert is_refinement(equipartition(4), equipartition(2))
-    assert not is_refinement(equipartition(2), equipartition(4))
-    assert is_refinement(equipartition(6), equipartition(3))
-    assert not is_refinement(equipartition(4), equipartition(3))
 
 
 def test_common_refinement_idempotent():
@@ -61,13 +52,3 @@ def test_measures_survive_refinement_chains():
         p, _, _ = common_refinement(p, q)
         assert abs(p.measures.sum() - 1.0) <= 1e-12
         assert np.all(p.measures > 0)
-
-
-def test_overlap_matrix_partitions_mass():
-    rng = np.random.default_rng(1)
-    p = Partition(rng.dirichlet(np.ones(4)))
-    q = Partition(rng.dirichlet(np.ones(6)))
-    ov = overlap_matrix(p, q)
-    assert np.allclose(ov.sum(axis=1), p.measures, atol=1e-12)
-    assert np.allclose(ov.sum(axis=0), q.measures, atol=1e-12)
-

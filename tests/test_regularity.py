@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densecap import cutnorm, regularity
-from densecap.cutnorm import kernel_cut_norm_exact, l2_norm
+from densecap import regularity
+from densecap.cutnorm import kernel_cut_norm_exact
 from densecap.errors import ParameterError
 from densecap.kernels import (
     ComputationalKernel,
@@ -20,13 +20,7 @@ from densecap.kernels import (
 )
 from densecap.networks import forward, random_network
 from densecap.partitions import Partition, equipartition
-from densecap.regularity import (
-    compress_network,
-    equitize,
-    layer_respecting_regularity,
-    project,
-    weak_regularity,
-)
+from densecap.regularity import compress_network, weak_regularity
 
 from conftest import random_layered_net
 
@@ -36,15 +30,29 @@ def residual_cut_norm_exact(kern, proj):
     return 2.0 * kernel_cut_norm_exact(half).value
 
 
+def group_average(kern, labels):
+    """The blockwise average ``_refine`` takes: (group kernel, fine kernel)."""
+    vals, gm, inverse = regularity._project_grouping(
+        kern.coeffs, kern.partition.measures, labels
+    )
+    return (
+        StepKernel(Partition(gm), np.clip(vals, -1, 1)),
+        StepKernel(kern.partition, np.clip(vals[np.ix_(inverse, inverse)], -1, 1)),
+    )
+
+
 def test_project_own_partition_is_identity():
     rng = np.random.default_rng(0)
     kern = StepKernel(Partition(rng.dirichlet(np.ones(6))), rng.uniform(-1, 1, (6, 6)))
-    assert project(kern, kern.partition) is kern
+    coarse, fine = group_average(kern, np.arange(6))
+    assert coarse.partition == kern.partition
+    assert np.array_equal(coarse.coeffs, kern.coeffs)
+    assert np.array_equal(fine.coeffs, kern.coeffs)
 
 
 def test_project_symmetric_cancellation():
     kern = StepKernel(equipartition(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    out = project(kern, equipartition(1))
+    out, _ = group_average(kern, np.zeros(2, dtype=np.int64))
     assert out.coeffs.shape == (1, 1)
     assert abs(out.coeffs[0, 0]) <= 1e-15
 
@@ -56,9 +64,8 @@ def test_project_preserves_block_integrals():
         kern = StepKernel(
             Partition(rng.dirichlet(np.ones(n))), rng.uniform(-1, 1, (n, n))
         )
-        coarse = Partition(rng.dirichlet(np.ones(int(rng.integers(1, 5)))))
-        kp = project(kern, coarse)
-        m, mp = kern.partition.measures, coarse.measures
+        kp, _ = group_average(kern, rng.integers(0, int(rng.integers(1, 5)), n))
+        m, mp = kern.partition.measures, kp.partition.measures
         assert abs(
             (kern.coeffs * np.outer(m, m)).sum()
             - (kp.coeffs * np.outer(mp, mp)).sum()
@@ -68,10 +75,10 @@ def test_project_preserves_block_integrals():
 def test_project_idempotent_through_coarse_partition():
     rng = np.random.default_rng(2)
     kern = StepKernel(equipartition(12), rng.uniform(-1, 1, (12, 12)))
-    coarse = equipartition(3)
-    once = project(kern, coarse)
-    twice = project(once, coarse)
-    assert once is twice
+    labels = np.repeat(np.arange(3), 4)
+    once, fine = group_average(kern, labels)
+    twice, _ = group_average(fine, labels)
+    assert np.allclose(once.coeffs, twice.coeffs, rtol=0, atol=1e-15)
 
 
 def test_weak_regularity_constant_kernel_immediate():
@@ -118,7 +125,8 @@ def test_weak_regularity_energy_bounded_by_kernel_energy():
     rng = np.random.default_rng(5)
     kern = StepKernel(equipartition(9), rng.uniform(-1, 1, (9, 9)))
     tr = weak_regularity(kern, 0.1, oracle="exact")
-    total = l2_norm(kern) ** 2
+    m = kern.partition.measures
+    total = float(np.sum(kern.coeffs**2 * np.outer(m, m)))
     assert all(r.energy <= total + 1e-12 for r in tr.iterations)
 
 
@@ -132,59 +140,34 @@ def test_weak_regularity_rejects_bad_eps():
         weak_regularity(kern, 0.5, max_iter=-1)
 
 
-def test_layer_respecting_trivial_on_induced_kernel_large_eps():
-    rng = np.random.default_rng(6)
-    net = random_layered_net(rng, L=2, max_d=6)
-    ck = induce_kernel(net)
-    res = layer_respecting_regularity(ck, 1.9, oracle="exact")
-    # structure inherited: constant on input-cell columns, output-cell rows
-    rep = validate_computational(
-        type(ck)(
-            StepKernel(ck.kernel.partition, np.clip(res.projected_fine.coeffs, -1, 1)),
-            ck.layers,
-            ck.B,
-        ),
-        atol=1e-9,
-    )
-    # conditions 2 and 3 hold for the projected kernel; 4 can average away
-    assert rep.conditions["2 (cell constancy)"].passed
-    assert rep.conditions["3 (zero pattern)"].passed
+def epsilon_mode_run(net, epsilon, **kw):
+    """Epsilon-mode compression with its regularity trace and final labels."""
+    seen = {}
+    weak, pair = regularity.weak_regularity, regularity._pair_labels
+
+    def recording_weak(*args, **kwargs):
+        seen["trace"] = weak(*args, **kwargs)
+        return seen["trace"]
+
+    def recording_pair(*args):
+        seen["labels"] = pair(*args)
+        return seen["labels"]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularity, "weak_regularity", recording_weak)
+        mp.setattr(regularity, "_pair_labels", recording_pair)
+        _, rep = compress_network(net, epsilon=epsilon, **kw)
+    return seen["trace"], seen["labels"], rep
 
 
 def test_layer_respecting_partition_refines_structure():
-    rng = np.random.default_rng(7)
-    net = random_network(3, 2, 2, 120, 5.0, rng)
-    ck = induce_kernel(net)
-    res = layer_respecting_regularity(ck, 0.8, oracle="heuristic")
-    labels = res.labels
-    struct = ck.layers.structural_labels()
+    net = random_network(3, 2, 2, 120, 5.0, np.random.default_rng(7))
+    _, labels, rep = epsilon_mode_run(net, 0.8, oracle="heuristic", samples=10)
+    struct = induce_kernel(net).layers.structural_labels()
     # every final group must sit inside one structural group
     for lab in np.unique(labels):
-        members = np.flatnonzero(labels == lab)
-        assert len({struct[i] for i in members}) == 1
-
-
-def test_layer_respecting_measurement_errors_propagate(monkeypatch):
-    # the loop runs with oracle="exact"; only the final measurement is "auto"
-    original = cutnorm.kernel_cut_norm
-
-    def failing(kern, oracle, **kw):
-        if oracle == "auto":
-            raise RuntimeError("measurement failed")
-        return original(kern, oracle=oracle, **kw)
-
-    monkeypatch.setattr(cutnorm, "kernel_cut_norm", failing)
-    ck = induce_kernel(random_layered_net(np.random.default_rng(6), L=2, max_d=6))
-    with pytest.raises(RuntimeError, match="measurement failed"):
-        layer_respecting_regularity(ck, 1.9, oracle="exact")
-
-
-def test_project_rejects_target_parts_left_empty(monkeypatch):
-    # claim a refinement that does not hold: two parts cannot fill four
-    monkeypatch.setattr(regularity, "is_refinement", lambda own, target: True)
-    kern = StepKernel(equipartition(2), np.eye(2))
-    with pytest.raises(ParameterError, match="2 of 4 target parts"):
-        project(kern, equipartition(4))
+        assert np.unique(struct[labels == lab]).size == 1
+    assert rep.stages[0]["detail"].startswith("bound estimate ")
 
 
 def _slice_stream_reference(groups, unit, tol=1e-12):
@@ -265,53 +248,23 @@ def test_layer_refinement_does_not_increase_distance_small_instances():
     rng = np.random.default_rng(8)
     for _ in range(8):
         net = random_layered_net(rng, L=2, max_d=4)
-        ck = induce_kernel(net)
-        tr = weak_regularity(ck.kernel, 0.3, oracle="exact")
-        before = residual_cut_norm_exact(ck.kernel, tr.projected_fine)
-        res = layer_respecting_regularity(ck, 0.6, oracle="exact")
-        after = residual_cut_norm_exact(ck.kernel, res.projected_fine)
+        trace, labels, rep = epsilon_mode_run(net, 0.6, oracle="exact", samples=10)
+        kern = induce_kernel(net).kernel
+        before = residual_cut_norm_exact(kern, trace.projected_fine)
+        after = residual_cut_norm_exact(kern, group_average(kern, labels)[1])
         assert after <= before + 1e-12
-        assert res.certified_bound >= after - 1e-12
+        # with an exact oracle the reported bound is certified and covers it
+        assert 2.0 * trace.bound >= after - 1e-12
+        assert rep.stages[0]["detail"] == f"certified bound {2.0 * trace.bound:.4g}"
 
 
-def test_equitize_hand_example():
-    part = Partition(np.array([0.35, 0.65]))
-    res = equitize(part, 10)
-    assert res.h == 1
-    assert res.refinement_mask.sum() == 9
-    origins = [c[0][0] for c in res.refinement_parts]
-    assert origins.count(0) == 3 and origins.count(1) == 6
-    for comp in res.refinement_parts:
-        assert len(comp) == 1 and abs(comp[0][1] - 0.1) <= 1e-12
-    rem = res.remainder_parts[0]
-    assert {k for k, _ in rem} == {0, 1}
-    assert abs(sum(m for _, m in rem) - 0.1) <= 1e-12
-
-
-def test_equitize_divisible_equipartition_no_remainder():
-    part = equipartition(3)
-    res = equitize(part, 9)
-    assert res.h == 0
-    assert res.refinement_mask.all()
-
-
-def test_equitize_h_bounded_by_part_count():
-    rng = np.random.default_rng(9)
-    for _ in range(40):
-        k = int(rng.integers(2, 9))
-        part = Partition(rng.dirichlet(np.ones(k)))
-        m = k + int(rng.integers(1, 15))
-        res = equitize(part, m)
-        assert res.h <= k
-        # total measure per part is the unit
-        for comp in res.composition:
-            assert abs(sum(mm for _, mm in comp) - 1.0 / m) <= 1e-9
-
-
-def test_equitize_rejects_small_target():
-    part = equipartition(4)
-    with pytest.raises(ParameterError):
-        equitize(part, 4)
+def test_compress_epsilon_stage_label_names_estimates():
+    # the loop ends on a heuristic witness, so its bound is no certificate
+    net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42))
+    _, rep = compress_network(net, epsilon=0.03, seed=5, samples=100)
+    stage = rep.stages[0]
+    assert stage["status"] == "heuristic_termination"
+    assert stage["detail"] == "bound estimate 0.02907"
 
 
 def test_compress_identity_width():
