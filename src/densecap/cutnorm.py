@@ -21,6 +21,18 @@ come from a table made by doubling, ``low[2^b : 2^(b+1)] = low[:2^b] +
 row b``, sized by a number of entries rather than of rows. Each value of
 the high rows adds its one row sum to the whole table, so every column sum
 costs a single addition, and subsets are still visited in index order.
+
+The heuristic oracle advances all its starts together, two matrix products
+per round: ``G = S @ weighted`` gives every moving start's column sums, and
+``T @ weighted.T`` the row sums against its chosen columns. A start whose
+rows come back unchanged is frozen and leaves the batch. The pick is the
+per-start loop's: the first start with the largest exact block sum
+``weighted[np.ix_(s, t)].sum()``, taken only for the starts whose cheap
+screen (summed from ``G``) is within a rounding bound of the best. The
+products sum in another order than that loop did, so on kernels with ties
+(a column sum that should be 0, or equal positive and negative mass) a
+start may round to another fixed point; the witness stays a valid lower
+bound, and on continuous entries it is the loop's.
 """
 
 import itertools
@@ -172,16 +184,18 @@ def _best_subset_enumeration(weighted, n_enum, *, block=1 << 16):
     n_lo = min(n_enum, max(1, block // max(n_cols, 1)).bit_length() - 1)
     # the buffers start on a 64-byte boundary: malloc promises only 16, and
     # on an AVX-512 Xeon loads straddling cache lines made the loop a third
-    # slower whenever the heap happened to place them so
-    size = 3 * n_cols << n_lo
+    # slower whenever the heap happened to place them so; the three sum rows
+    # share the aligned block, since placed apart they cost a tenth
+    size = 3 * (n_cols + 1) << n_lo
     raw = np.empty(size + 8)
     start = -raw.ctypes.data % 64 // 8
-    low, sums, part = raw[start : start + size].reshape(3, n_cols, 1 << n_lo)
+    buf = raw[start : start + size].reshape(3 * (n_cols + 1), 1 << n_lo)
+    low, sums, part = buf[: 3 * n_cols].reshape(3, n_cols, 1 << n_lo)
+    pos, neg, cand = buf[3 * n_cols :]
     low[:, 0] = 0.0
     for b in range(n_lo):
         np.add(low[:, : 1 << b], weighted[b][:, None], out=low[:, 1 << b : 2 << b])
     high = weighted[n_lo:n_enum]
-    pos, neg, cand = np.empty((3, 1 << n_lo))
     best_val, best_idx, best_side = 0.0, 0, 1
     for hi in range(1 << (n_enum - n_lo)):
         shift = high[[b for b in range(len(high)) if (hi >> b) & 1]].sum(axis=0)
@@ -247,10 +261,21 @@ def kernel_cut_norm_exact(kern, cap=EXACT_CAP_DEFAULT, *, reduction=None):
 def kernel_cut_norm_lower(kern, restarts=32, seed=0, *, reduction=None):
     """Alternating-maximization lower bound; deterministic under the seed.
 
-    Each restart alternates the closed-form update on one side against the
-    current other side until a fixed point. The returned value is the
-    bilinear mass of an explicit witness, hence always a valid lower bound.
-    ``reduction`` is ``_reduce(kern)`` when the caller has already computed it.
+    Each of the ``restarts + 2`` starts alternates the closed-form update on
+    one side against the current other side until a fixed point or
+    ``LOWER_MAX_ROUNDS``. All starts run as one batch: a round takes the
+    column sums ``G`` of every start still moving in one product, picks each
+    start's sign class and columns T, and gets its new rows from
+    ``T @ weighted.T``; a start whose rows do not change is frozen. A start
+    cut off by the round cap keeps its last sign, with t recomputed from its
+    final s. ``_best_start`` then picks, as a loop over the starts would, the
+    first one with the largest exact block sum, after screening out the
+    starts whose ``G``-based sum lies more than a rounding bound below the
+    best. Where column sums tie at 0 or the sign classes tie, the batched
+    sums may round a start to another fixed point than a one-start loop.
+    The returned value is the bilinear mass of an explicit witness, hence
+    always a valid lower bound. ``reduction`` is ``_reduce(kern)`` when the
+    caller has already computed it.
     """
     if isinstance(kern, ComputationalKernel):
         kern = kern.kernel
@@ -260,34 +285,53 @@ def kernel_cut_norm_lower(kern, restarts=32, seed=0, *, reduction=None):
     if c.size == 0:
         return CutWitness(0.0, (), ())
     weighted = c * rmeas[:, None] * cmeas[None, :]
-    nr = weighted.shape[0]
+    nr, nc = weighted.shape
     rng = np.random.default_rng(seed)
     starts = [np.ones(nr, dtype=bool), weighted.sum(axis=1) > 0]
     starts += [rng.random(nr) < 0.5 for _ in range(restarts)]
-    best = (0.0, np.zeros(nr, dtype=bool), np.zeros(weighted.shape[1], dtype=bool))
-    for s in starts:
-        sign = 1
-        for _ in range(LOWER_MAX_ROUNDS):
-            g = weighted[s].sum(axis=0) if s.any() else np.zeros(weighted.shape[1])
-            pos, neg = g[g > 0].sum(), -g[g < 0].sum()
-            sign = 1 if pos >= neg else -1
-            t = g > 0 if sign > 0 else g < 0
-            h = (
-                weighted[:, t].sum(axis=1) * sign
-                if t.any()
-                else np.zeros(nr)
-            )
-            s_new = h > 0
-            if np.array_equal(s_new, s):
-                s = s_new
-                break
-            s = s_new
-        g = weighted[s].sum(axis=0) if s.any() else np.zeros(weighted.shape[1])
-        t = g > 0 if sign > 0 else g < 0
+    S = np.array(starts)
+    sign = np.ones((len(S), 1))
+    active = np.arange(len(S))
+    for _ in range(LOWER_MAX_ROUNDS):
+        G = S[active] @ weighted
+        sg = np.where(
+            np.maximum(G, 0.0).sum(axis=1) >= -np.minimum(G, 0.0).sum(axis=1), 1.0, -1.0
+        )[:, None]
+        sign[active] = sg
+        S_new = ((G * sg > 0) @ weighted.T) * sg > 0
+        moved = np.any(S_new != S[active], axis=1)
+        S[active] = S_new
+        active = active[moved]
+        if not active.size:
+            break
+    # a start cut off by the round cap keeps its last sign, t follows its final s
+    G = S @ weighted
+    return _witness(kern, rmap, cmap, *_best_start(weighted, S, G * sign > 0, G))
+
+
+def _best_start(weighted, S, T, G):
+    """Masks (s, t) of the first start whose block sum is largest in absolute value.
+
+    Starts are visited in order and one replaces the best only with a
+    strictly greater ``|weighted[np.ix_(s, t)].sum()|``; if none is above 0
+    the masks are empty. That exact sum is taken only for the starts that
+    pass a screen, ``|sum of G[i] over T[i]|`` with ``G = S @ weighted``.
+    The screen sums a dot product of at most nr terms and then at most nc
+    terms; numpy's pairwise block sum has a summation depth under
+    7 * (nr + nc). Each is within (depth * eps / 2) * sum|weighted| of the
+    true block sum, up to second order, so tol bounds the gap between the
+    two, and every start the exact sums could pick survives the screen.
+    """
+    nr, nc = weighted.shape
+    screen = np.abs((G * T).sum(axis=1))
+    tol = 4 * (nr + nc) * np.finfo(float).eps * np.abs(weighted).sum()
+    best = (0.0, np.zeros(nr, dtype=bool), np.zeros(nc, dtype=bool))
+    for i in np.flatnonzero(screen >= screen.max() - 2 * tol):
+        s, t = S[i], T[i]
         val = abs(float(weighted[np.ix_(s, t)].sum())) if (s.any() and t.any()) else 0.0
         if val > best[0]:
             best = (val, s, t)
-    return _witness(kern, rmap, cmap, best[1], best[2])
+    return best[1], best[2]
 
 
 def kernel_cut_norm(kern, oracle="auto", cap=EXACT_CAP_DEFAULT, restarts=32, seed=0):

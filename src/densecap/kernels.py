@@ -108,7 +108,7 @@ class StepKernel:
         n = self.partition.size
         if c.shape != (n, n):
             raise DimensionMismatchError("kernel coefficients", (n, n), c.shape)
-        top = np.max(np.abs(c), initial=0.0)
+        top = max(c.max(initial=0.0), -c.min(initial=0.0))  # no |c| copy
         if not top <= 1.0 + 1e-9:  # also refuses NaN
             raise ParameterError(f"coefficient magnitude {top} exceeds 1")
 
@@ -422,34 +422,53 @@ def serialize_kernel(ck):
     return out.getvalue()
 
 
+def _lines(text):
+    """The newline-separated lines of ``text``, one at a time."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        yield text[start:end]
+        start = end + 1
+
+
 def deserialize_kernel(text):
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != MAGIC_KERNEL:
+    """Parse a kernel file, checking its header before reading any row.
+
+    The rows fill a preallocated (n x n) array one line at a time, so the
+    peak memory stays near the array's size on top of the text.
+    """
+    lines = _lines(text)
+    if next(lines, "").strip() != MAGIC_KERNEL:
         raise ParseError(f"bad header, expected {MAGIC_KERNEL!r}", line=1)
-    if len(lines) < 2:
+    head = next(lines, None)
+    if head is None:
         raise ParseError("truncated record: missing dimensions line", line=2)
-    head = lines[1].split()
+    head = head.split()
     if len(head) != 5:
         raise ParseError("dimensions line needs 'n L d0 dL B'", line=2)
     n, L, d0, dL = _numbers(head[:4], int, 2, "dimensions 'n L d0 dL'")
     (B,) = _numbers(head[4:], float, 2, "bound B")
-    if len(lines) < 2 + n:
-        raise ParseError(
-            f"truncated record: expected {n} coefficient rows, found {len(lines) - 2}",
-            line=len(lines) + 1,
-        )
-    rows = []
-    for r in range(n):
-        vals = lines[2 + r].split()
-        if len(vals) != n:
-            raise ParseError(f"row {r} has {len(vals)} entries, expected {n}", line=3 + r)
-        rows.append(_numbers(vals, float, 3 + r, f"row {r}"))
     if L < 2:
         raise ParseError(f"depth L={L} must be at least 2", line=2)
     if n % (L + 2):
         raise ParseError(f"size {n} not divisible by L+2={L + 2}", line=2)
     ls = LayerStructure(L, d0, dL, n // (L + 2))
-    return ComputationalKernel(StepKernel(ls.fine_partition(), np.array(rows)), ls, B)
+    found = text.count("\n") + (not text.endswith("\n")) - 2
+    if found < n:
+        raise ParseError(
+            f"truncated record: expected {n} coefficient rows, found {found}",
+            line=found + 3,
+        )
+    # n rows of n numbers take at least 2n^2 - 1 characters; a shorter text
+    # has a short row, so it fills one scratch row until that row raises
+    coeffs = np.empty((n if len(text) >= 2 * n * n - 1 else 1, n))
+    for r in range(n):
+        vals = next(lines).split()
+        if len(vals) != n:
+            raise ParseError(f"row {r} has {len(vals)} entries, expected {n}", line=3 + r)
+        coeffs[r % len(coeffs)] = _numbers(vals, float, 3 + r, f"row {r}")
+    return ComputationalKernel(StepKernel(ls.fine_partition(), coeffs), ls, B)
 
 
 def save_kernel(ck, path):

@@ -60,10 +60,15 @@ def _project_grouping(coeffs, measures, labels):
 
 @dataclass
 class IterationRecord:
+    """One refinement round: ``exact`` is the oracle route its cut norm took,
+    ``elapsed_s`` the wall time of its projection and oracle call."""
+
     iteration: int
     partition_size: int
     energy: float
     witness_value: float
+    exact: bool
+    elapsed_s: float
 
 
 @dataclass
@@ -112,6 +117,7 @@ def _refine(kernel, labels, split, stop, max_iter, oracle, cap, restarts, seed):
     records = []
     exact_used = True
     for it in range(max_iter + 1):
+        t0 = time.monotonic()
         vals, gm, inverse = _project_grouping(coeffs, meas, labels)
         proj = vals[np.ix_(inverse, inverse)]
         energy = float(np.sum(vals * vals * np.outer(gm, gm)))
@@ -119,7 +125,9 @@ def _refine(kernel, labels, split, stop, max_iter, oracle, cap, restarts, seed):
             kernel.partition, coeffs - proj, oracle, cap, restarts, seed
         )
         exact_used = exact_used and was_exact
-        records.append(IterationRecord(it, int(gm.size), energy, witness.value))
+        records.append(IterationRecord(
+            it, int(gm.size), energy, witness.value, was_exact, time.monotonic() - t0
+        ))
         if witness.value < stop:
             status = "certified" if was_exact else "heuristic_termination"
             break
@@ -244,6 +252,11 @@ def _slot_weights(sizes, groups, unit):
 
 @dataclass
 class CompressionReport:
+    """What ``compress_network`` measured. Each ``stages`` entry has a name,
+    status, detail and ``elapsed_s``, the wall time from the end of the
+    previous stage (the first from the induced kernel) to its own end, so
+    the stage times sum to at most ``elapsed_s``."""
+
     d_original: int
     d_compressed: int
     delta_hat: float
@@ -359,6 +372,14 @@ def compress_network(
     ck = induce_kernel(net)
     ls = ck.layers
     stages = []
+    mark = time.monotonic()
+
+    def stage(name, status, detail=""):
+        nonlocal mark
+        now = time.monotonic()
+        stages.append({"name": name, "status": status, "detail": detail,
+                       "elapsed_s": now - mark})
+        mark = now
 
     if target_d is not None:
         if target_d % ls.M:
@@ -378,8 +399,7 @@ def compress_network(
         labels = trace.labels
         d_new = int(target_d)
         fk_status = trace.status
-        stages.append({"name": "refinement", "status": fk_status,
-                       "detail": f"{len(trace.iterations)} iterations"})
+        stage("refinement", fk_status, f"{len(trace.iterations)} iterations")
     else:
         # the loop runs at eps/2, then its groups are split by the layered
         # structure; that refinement at most doubles the residual cut norm
@@ -398,8 +418,7 @@ def compress_network(
         d_new = ls.M * -(-need // ls.M)
         fk_status = trace.status
         kind = "certified bound" if trace.oracle_exact else "bound estimate"
-        stages.append({"name": "regularity", "status": fk_status,
-                       "detail": f"{kind} {2.0 * trace.bound:.4g}"})
+        stage("regularity", fk_status, f"{kind} {2.0 * trace.bound:.4g}")
 
     counts = _layer_group_counts(labels, ls)
     # slot weights in ticks: d_new per fine part, d per slot, so every
@@ -408,8 +427,7 @@ def compress_network(
         _slot_weights(np.full(ls.d, d_new), labels[ls.layer_slice(k + 1)], ls.d)[0] / ls.d
         for k in range(ls.L - 1)
     ]
-    stages.append({"name": "equitize", "status": "ok",
-                   "detail": f"width {d_new}"})
+    stage("equitize", "ok", f"width {d_new}")
 
     W, b = net.weights, net.biases
     weights = [P[0] @ W[0]]
@@ -428,7 +446,7 @@ def compress_network(
         raise ValidationFailedError(
             f"compressed kernel failed validation: {report.first_failure()}"
         )
-    stages.append({"name": "validate", "status": "ok", "detail": ""})
+    stage("validate", "ok")
 
     dist = comp_cut_distance_upper(
         ck,
@@ -439,16 +457,14 @@ def compress_network(
         restarts=restarts,
         seed=seed,
     )
-    stages.append({"name": "distance", "status": "exact" if dist.exact else "heuristic",
-                   "detail": f"delta_hat {dist.value:.6g}"})
+    stage("distance", "exact" if dist.exact else "heuristic", f"delta_hat {dist.value:.6g}")
 
     amplifier = (2.0 * ck.B) ** ls.L
     output_factor = (ls.L + 2) * ls.dL
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, 1.0, size=(samples, ls.d0))
     gap = float(np.max(np.abs(forward(net, xs) - forward(net_new, xs))))
-    stages.append({"name": "empirical", "status": "ok",
-                   "detail": f"max gap {gap:.6g} over {samples} samples"})
+    stage("empirical", "ok", f"max gap {gap:.6g} over {samples} samples")
 
     rep = CompressionReport(
         d_original=net.d,

@@ -23,6 +23,7 @@ from densecap.cutnorm import (
 )
 from densecap.errors import CapacityError, ParameterError
 from densecap.kernels import (
+    ComputationalKernel,
     LayerStructure,
     StepKernel,
     StepSignal,
@@ -33,6 +34,7 @@ from densecap.kernels import (
 from densecap.networks import random_network
 from densecap.partitions import Partition, equipartition
 from densecap.propagation import mpnn_forward
+from densecap.regularity import compress_network
 from densecap.verify import brute_force_cut_norm
 
 from conftest import random_layered_net
@@ -418,6 +420,8 @@ def test_all_zero_kernel_reduces_to_nothing():
     for oracle in ("auto", "exact", "heuristic"):
         w, _ = kernel_cut_norm(kern, oracle=oracle)
         assert (w.value, w.row_set, w.col_set) == (0.0, (), ())
+    w = kernel_cut_norm_lower(kern, restarts=0)
+    assert (w.value, w.row_set, w.col_set) == (0.0, (), ())
 
 
 @settings(max_examples=200, deadline=None)
@@ -535,3 +539,160 @@ def test_subset_enumeration_memory_is_bounded_by_entries_not_subsets():
         tracemalloc.stop()
     assert value > 0.0
     assert peak < 64 << 20
+
+
+def reference_best_start(weighted, S, T):
+    """The loop's pick: exact block sums of every start, first strict maximum."""
+    best = (0.0, np.zeros(S.shape[1], dtype=bool), np.zeros(T.shape[1], dtype=bool))
+    for s, t in zip(S, T):
+        val = abs(float(weighted[np.ix_(s, t)].sum())) if (s.any() and t.any()) else 0.0
+        if val > best[0]:
+            best = (val, s, t)
+    return best[1], best[2]
+
+
+def reference_lower(kern, restarts=32, seed=0, *, reduction=None):
+    """The heuristic oracle as a loop over its starts, one start at a time.
+
+    Same starts, same rounds and the same pick as ``kernel_cut_norm_lower``,
+    which runs all starts together; only the order of its sums differs.
+    """
+    kern = kern.kernel if isinstance(kern, ComputationalKernel) else kern
+    c, rmeas, cmeas, rmap, cmap = reduction or _reduce(kern)
+    if c.size == 0:
+        return CutWitness(0.0, (), ())
+    weighted = c * rmeas[:, None] * cmeas[None, :]
+    nr = weighted.shape[0]
+    rng = np.random.default_rng(seed)
+    starts = [np.ones(nr, dtype=bool), weighted.sum(axis=1) > 0]
+    starts += [rng.random(nr) < 0.5 for _ in range(restarts)]
+    finals = []
+    for s in starts:
+        sign = 1
+        for _ in range(cutnorm.LOWER_MAX_ROUNDS):
+            g = weighted[s].sum(axis=0) if s.any() else np.zeros(weighted.shape[1])
+            pos, neg = g[g > 0].sum(), -g[g < 0].sum()
+            sign = 1 if pos >= neg else -1
+            t = g > 0 if sign > 0 else g < 0
+            h = weighted[:, t].sum(axis=1) * sign if t.any() else np.zeros(nr)
+            s_new = h > 0
+            if np.array_equal(s_new, s):
+                s = s_new
+                break
+            s = s_new
+        g = weighted[s].sum(axis=0) if s.any() else np.zeros(weighted.shape[1])
+        finals.append((s, g > 0 if sign > 0 else g < 0))
+    S, T = (np.array(masks) for masks in zip(*finals))
+    return cutnorm._witness(kern, rmap, cmap, *reference_best_start(weighted, S, T))
+
+
+def same_witness(a, b):
+    return (a.value, a.row_set, a.col_set) == (b.value, b.row_set, b.col_set)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    restarts=st.integers(0, 8),
+    oracle_seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_lower_matches_the_start_loop(seed, n, restarts, oracle_seed):
+    # continuous entries leave no column sum at a rounding distance from 0
+    kern = random_kernel(np.random.default_rng(seed), n)
+    got = kernel_cut_norm_lower(kern, restarts=restarts, seed=oracle_seed)
+    assert same_witness(got, reference_lower(kern, restarts=restarts, seed=oracle_seed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 16),
+    restarts=st.integers(0, 8),
+    oracle_seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_lower_on_ties_is_a_valid_lower_bound(seed, n, restarts, oracle_seed):
+    # with entries in {-1, 0, 1} and equal measures, column sums sit exactly
+    # at 0 and pos == neg ties occur, where the two summation orders may
+    # round apart, so the witness may differ from the loop's
+    rng = np.random.default_rng(seed)
+    kern = StepKernel(equipartition(n), rng.integers(-1, 2, (n, n)).astype(float))
+    w = kernel_cut_norm_lower(kern, restarts=restarts, seed=oracle_seed)
+    assert w.value == evaluate_witness(kern, w)
+    assert w.value <= kernel_cut_norm_exact(kern).value + 1e-12
+
+
+@pytest.mark.parametrize("coeffs", [
+    np.outer(np.ones(6), np.linspace(-0.9, 0.8, 6)),  # one reduced row
+    np.outer(np.linspace(-0.7, 0.9, 6), np.ones(6)),  # one reduced column
+    np.full((6, 6), -0.5),  # one of each
+])
+def test_batched_lower_on_a_single_reduced_row_or_column(coeffs):
+    kern = StepKernel(Partition(np.random.default_rng(3).dirichlet(np.ones(6))), coeffs)
+    assert 1 in _reduce(kern)[0].shape
+    for restarts in (0, 3):
+        got = kernel_cut_norm_lower(kern, restarts=restarts, seed=2)
+        assert same_witness(got, reference_lower(kern, restarts=restarts, seed=2))
+        assert got.value > 0.0
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+def test_batched_lower_cut_off_by_the_round_cap_matches_the_loop(monkeypatch, rounds):
+    # a random start on 30 continuous parts moves in its first rounds, so
+    # these caps stop starts that have not converged
+    monkeypatch.setattr(cutnorm, "LOWER_MAX_ROUNDS", rounds)
+    for seed in range(5):
+        kern = random_kernel(np.random.default_rng(seed), 30)
+        got = kernel_cut_norm_lower(kern, restarts=8, seed=seed)
+        assert same_witness(got, reference_lower(kern, restarts=8, seed=seed))
+
+
+def test_batched_lower_keeps_the_last_sign_of_a_start_cut_off(monkeypatch):
+    # after its one round, the positive-row-sum start holds more negative than
+    # positive column mass; it keeps its last round's sign (+), and so loses
+    # to the all-ones start instead of winning on its negative class
+    monkeypatch.setattr(cutnorm, "LOWER_MAX_ROUNDS", 1)
+    kern = StepKernel(
+        Partition(np.array([0.413, 0.024, 0.563])),
+        np.array([[-0.43, -0.5, 0.26], [0.68, 0.0, -0.42], [0.18, -0.5, -0.5]]),
+    )
+    got = kernel_cut_norm_lower(kern, restarts=0)
+    assert same_witness(got, reference_lower(kern, restarts=0))
+    assert (got.row_set, got.col_set) == ((0, 2), (0, 1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nr=st.integers(1, 30),
+    nc=st.integers(1, 30),
+    k=st.integers(1, 12),
+)
+def test_screened_pick_is_the_first_largest_block(seed, nr, nc, k):
+    # entries in {-1, 0, 1} over equal masses and repeated starts: distinct
+    # blocks tie or round apart, where the screen alone would pick wrongly
+    rng = np.random.default_rng(seed)
+    weighted = rng.integers(-1, 2, (nr, nc)) / (nr * nc)
+    S = (rng.random((k, nr)) < 0.5)[rng.integers(0, k, k)]
+    G = S @ weighted
+    T = G * rng.choice([-1.0, 1.0], (k, 1)) > 0
+    got = cutnorm._best_start(weighted, S, T, G)
+    want = reference_best_start(weighted, S, T)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+def test_compression_is_unchanged_under_the_start_loop(monkeypatch):
+    # guards compress_network's outputs against drift in the heuristic oracle
+    net = random_network(3, 2, 2, 120, 5.0, np.random.default_rng(42))
+    new, rep = compress_network(net, target_d=12, seed=5)
+    calls = []
+    monkeypatch.setattr(
+        cutnorm,
+        "kernel_cut_norm_lower",
+        lambda *a, **kw: calls.append(1) or reference_lower(*a, **kw),
+    )
+    old, old_rep = compress_network(net, target_d=12, seed=5)
+    assert calls  # the heuristic route was taken
+    for a, b in zip(new.weights + new.biases, old.weights + old.biases):
+        assert a.tobytes() == b.tobytes()
+    assert (rep.delta_hat, rep.iterations) == (old_rep.delta_hat, old_rep.iterations)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -265,3 +267,45 @@ def test_nan_bound_is_refused():
     object.__setattr__(net, "B", float("nan"))  # bypass the constructor check
     with pytest.raises(InvalidBoundError):
         induce_kernel(net)
+
+
+def test_deserialize_kernel_peak_is_near_the_array():
+    ck = induce_kernel(random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42)))
+    text = serialize_kernel(ck)
+    tracemalloc.start()
+    try:
+        back = deserialize_kernel(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.kernel.coeffs.tobytes() == ck.kernel.coeffs.tobytes()
+    assert peak <= 2 * ck.kernel.coeffs.nbytes
+
+
+def test_deserialize_kernel_checks_the_header_before_the_rows():
+    # L = 1 is refused on the dimensions line although row 0 is malformed
+    text = "\n".join(["densecap-kernel v1", "1200 1 2 2 5.0", "not a row"] + ["0"] * 1199)
+    with pytest.raises(ParseError, match="depth L=1") as exc:
+        deserialize_kernel(text)
+    assert exc.value.line == 2
+
+
+def test_deserialize_kernel_short_row_names_its_line():
+    text = "\n".join(["densecap-kernel v1", "4 2 1 1 5"] + ["0 0 0 0"] * 3 + ["0 0 0"])
+    with pytest.raises(ParseError, match="row 3 has 3 entries, expected 4") as exc:
+        deserialize_kernel(text)
+    assert exc.value.line == 6
+
+
+def test_deserialize_kernel_too_short_for_its_rows_allocates_no_array():
+    # 40,000 empty rows cannot hold a 40,000-wide kernel (12.8 GB as an array)
+    text = "densecap-kernel v1\n40000 2 1 1 5\n" + "\n" * 40_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="row 0 has 0 entries") as exc:
+            deserialize_kernel(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.line == 3
+    assert peak < 1 << 20

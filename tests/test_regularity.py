@@ -267,6 +267,32 @@ def test_compress_epsilon_stage_label_names_estimates():
     assert stage["detail"] == "bound estimate 0.02907"
 
 
+def test_compress_records_oracle_routes_and_stage_times(monkeypatch):
+    # every 240->24 oracle call is heuristic; the stage times partition the run
+    traces = []
+    refine = regularity._refine
+    monkeypatch.setattr(
+        regularity, "_refine", lambda *a: traces.append(refine(*a)) or traces[-1]
+    )
+    net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42))
+    _, rep = compress_network(net, target_d=24, seed=5, samples=100)
+    (trace,) = traces
+    assert len(trace.iterations) == rep.iterations
+    assert all(r.exact is False and r.elapsed_s > 0.0 for r in trace.iterations)
+    assert [st["name"] for st in rep.stages] == [
+        "refinement", "equitize", "validate", "distance", "empirical"
+    ]
+    assert all(st["elapsed_s"] >= 0.0 for st in rep.stages)
+    assert sum(st["elapsed_s"] for st in rep.stages) <= rep.elapsed_s
+    assert sum(r.elapsed_s for r in trace.iterations) <= rep.stages[0]["elapsed_s"]
+
+
+def test_iteration_records_name_the_exact_route():
+    kern = StepKernel(equipartition(6), np.random.default_rng(4).uniform(-1, 1, (6, 6)))
+    trace = weak_regularity(kern, 0.05, oracle="auto")
+    assert trace.oracle_exact and all(r.exact for r in trace.iterations)
+
+
 def test_compress_identity_width():
     # slot weights are exact tick ratios, so the own width is reproduced bitwise
     for net, seed in (
