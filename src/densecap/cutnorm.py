@@ -363,9 +363,11 @@ def difference_cut_norm(partition, diff, oracle, cap, restarts, seed):
     is a step kernel (the clip only removes the last-bit overshoot of
     averaged kernels). Halving and doubling are exact in floating point,
     so the doubled witness value is the mass of ``diff`` on the witness
-    sets. Returns (witness, exact) as ``kernel_cut_norm`` does.
+    sets. Returns (witness, exact) as ``kernel_cut_norm`` does. Consumes
+    ``diff``: it is halved and clipped in place and left read-only.
     """
-    half = StepKernel(partition, np.clip(diff / 2.0, -1.0, 1.0))
+    diff /= 2.0
+    half = StepKernel(partition, np.clip(diff, -1.0, 1.0, out=diff))
     w, exact = kernel_cut_norm(half, oracle=oracle, cap=cap, restarts=restarts, seed=seed)
     return CutWitness(w.value * 2.0, w.row_set, w.col_set), exact
 

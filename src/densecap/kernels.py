@@ -1,13 +1,14 @@
 """Step kernels and the layered kernels/graphs that encode dense networks.
 
 A network with depth L and hidden width d is encoded on the unit interval
-split into L+2 regions of measure 1/(L+2): layers 0..L followed by a bias
-region. Each region is cut into d equal cells, so the full fine partition
-has n = (L+2)*d intervals. Layer 0 is additionally grouped into d0 input
-cells and layer L into dL output cells; weights live on blocks between
-consecutive layers (scaled by 1/B), biases in the bias column, and the
-bias diagonal block holds (L+2)/B so a unit bias signal is preserved by
-message passing.
+split into L+2 regions of measure 1/(L+2), layers 0..L and a bias region,
+each cut into d equal parts: n = (L+2)*d. Region k holds its layer's units
+in order, each on d/width_k consecutive parts (d0 input, d hidden and dL
+output units; the bias region is one unit). Only the blocks
+``LayerStructure.blocks()`` lists may be nonzero, each constant on every
+(unit, unit) pair: weights/B from layer k-1 to layer k, biases/B in the
+bias column, and (L+2)/B on the bias diagonal block so a unit bias signal
+is preserved by message passing.
 """
 
 import io
@@ -24,7 +25,7 @@ from .errors import (
     ParseError,
     ValidationFailedError,
 )
-from .networks import DenseNetwork, _numbers
+from .networks import DenseNetwork, _lines, _numbers, _row_buffer
 from .partitions import Partition, equipartition
 
 
@@ -92,6 +93,29 @@ class LayerStructure:
     def region_of(self, idx):
         ell = idx // self.d
         return ("bias",) if ell == self.L + 1 else ("layer", ell)
+
+    def width(self, k):
+        """Number of units in region k (0..L, or 'bias')."""
+        return {0: self.d0, self.L: self.dL, "bias": 1}.get(k, self.d)
+
+    def units(self, a, rows, cols):
+        """Block (rows, cols) of an n x n array as a (units, parts, units, parts) view.
+
+        The reshape only splits axes, so it never copies: writes go through.
+        """
+        r, c = self.width(rows), self.width(cols)
+        block = a[self.layer_slice(rows), self.layer_slice(cols)]
+        return block.reshape(r, self.d // r, c, self.d // c)
+
+    def blocks(self):
+        """The (rows, cols) region pairs a layered kernel may fill, once each.
+
+        In the order of the network's parameters: layer k-1 to layer k (W_k)
+        and the bias column of layer k (b_k) for k = 1..L, then the bias
+        diagonal block. Every other block must vanish.
+        """
+        out = [b for k in range(1, self.L + 1) for b in ((k, k - 1), (k, "bias"))]
+        return out + [("bias", "bias")]
 
 
 @dataclass(frozen=True)
@@ -173,10 +197,9 @@ class ComputationalGraph:
         n = self.layers.n
         if a.shape != (n, n):
             raise DimensionMismatchError("adjacency", (n, n), a.shape)
-        if np.max(np.abs(a), initial=0.0) > self.B + 1e-9:
-            raise ParameterError(
-                f"edge weight magnitude {np.max(np.abs(a))} exceeds B={self.B}"
-            )
+        top = max(a.max(initial=0.0), -a.min(initial=0.0))  # no |a| copy
+        if not top <= self.B + 1e-9:  # also refuses NaN
+            raise ParameterError(f"edge weight magnitude {top} exceeds B={self.B}")
 
     @property
     def n(self):
@@ -186,37 +209,18 @@ class ComputationalGraph:
 def _fill_blocks(net, divisor):
     """Common block layout for induced kernels (divisor=B) and graphs (1)."""
     ls = LayerStructure(net.L, net.d0, net.dL, net.d)
-    n = ls.n
-    a = np.zeros((n, n))
-    w1 = net.weights[0] / divisor
-    for j in range(net.d0):
-        cols = ls.in_cell_slice(j)
-        a[ls.layer_slice(1), cols] = w1[:, j : j + 1]
-    for ell in range(2, net.L):
-        a[ls.layer_slice(ell), ls.layer_slice(ell - 1)] = net.weights[ell - 1] / divisor
-    wl = net.weights[net.L - 1] / divisor
-    for i in range(net.dL):
-        a[ls.out_cell_slice(i), ls.layer_slice(net.L - 1)] = wl[i : i + 1, :]
-    bias = ls.bias_slice
-    for ell in range(1, net.L):
-        a[ls.layer_slice(ell), bias] = (net.biases[ell - 1] / divisor)[:, None]
-    bl = net.biases[net.L - 1] / divisor
-    for i in range(net.dL):
-        a[ls.out_cell_slice(i), bias] = bl[i]
-    a[bias, bias] = (net.L + 2) / divisor
+    a = np.zeros((ls.n, ls.n))
+    params = [p for wb in zip(net.weights, net.biases) for p in wb] + [net.L + 2.0]
+    for (rows, cols), p in zip(ls.blocks(), params):
+        u = ls.units(a, rows, cols)
+        u[...] = np.reshape(p / divisor, (u.shape[0], 1, u.shape[2], 1))
     return ls, a
 
 
 def induce_kernel(net):
     """Computational kernel of a network: weights/B on the layered blocks."""
-    if not net.B >= net.L + 2:  # also refuses NaN
-        raise InvalidBoundError(
-            f"B={net.B} below L+2={net.L + 2}: bias block would exceed 1"
-        )
     ls, coeffs = _fill_blocks(net, float(net.B))
-    return ComputationalKernel(
-        StepKernel(ls.fine_partition(), coeffs), ls, float(net.B)
-    )
+    return ComputationalKernel(StepKernel(ls.fine_partition(), coeffs), ls, float(net.B))
 
 
 def induce_graph(net):
@@ -226,13 +230,12 @@ def induce_graph(net):
 
 
 def induce_input_signal(x, layers):
-    """Step signal carrying x on the input cells, 1 on the bias, 0 elsewhere."""
+    """Step signal carrying x on the input units, 1 on the bias, 0 elsewhere."""
     x = np.asarray(x, dtype=float)
     if x.shape != (layers.d0,):
         raise DimensionMismatchError("input vector", (layers.d0,), x.shape)
     vals = np.zeros(layers.n)
-    for j in range(layers.d0):
-        vals[layers.in_cell_slice(j)] = x[j]
+    vals[layers.layer_slice(0)] = np.repeat(x, layers.d // layers.d0)
     vals[layers.bias_slice] = 1.0
     return StepSignal(layers.fine_partition(), vals)
 
@@ -271,22 +274,14 @@ class ValidationReport:
 
 
 def _allowed_support(ls):
-    """Boolean mask of blocks that may be nonzero.
+    """Boolean mask of the blocks that may be nonzero, ``ls.blocks()``.
 
-    Nonzero entries are allowed only from each layer to its successor, in
-    the bias column for rows of layers 1..L, and on the bias diagonal
-    block. Everything else (including columns under the output layer and
-    all rows of layer 0) must vanish; this is what makes every such kernel
-    realizable by a network.
+    Everything else (columns under the output layer, all rows of layer 0)
+    must vanish; that makes every such kernel realizable by a network.
     """
-    n = ls.n
-    mask = np.zeros((n, n), dtype=bool)
-    for ell in range(ls.L):
-        mask[ls.layer_slice(ell + 1), ls.layer_slice(ell)] = True
-    bias = ls.bias_slice
-    for ell in range(1, ls.L + 1):
-        mask[ls.layer_slice(ell), bias] = True
-    mask[bias, bias] = True
+    mask = np.zeros((ls.n, ls.n), dtype=bool)
+    for rows, cols in ls.blocks():
+        mask[ls.layer_slice(rows), ls.layer_slice(cols)] = True
     return mask
 
 
@@ -300,51 +295,30 @@ def validate_computational(ck, atol=1e-12):
     c = kernel.coeffs
     out = {}
 
-    # condition 1: equipartition of the right, divisible size
-    n_ok = kernel.n == ls.n and ls.d % ls.M == 0
-    eq_ok = np.allclose(
-        kernel.partition.measures, 1.0 / ls.n, rtol=0, atol=1e-12
-    )
-    detail = ""
-    if not n_ok:
-        detail = f"size {kernel.n} not equal to (L+2)*d={ls.n} with d divisible by M={ls.M}"
-    elif not eq_ok:
-        detail = "partition is not the equipartition"
-    out["1 (size and equipartition)"] = ConditionCheck(n_ok and eq_ok, detail)
-    if not (n_ok and eq_ok):
-        out["2 (cell constancy)"] = ConditionCheck(False, "skipped: bad partition")
-        out["3 (zero pattern)"] = ConditionCheck(False, "skipped: bad partition")
-        out["4 (bias block)"] = ConditionCheck(False, "skipped: bad partition")
+    # condition 1: the types already fix n = (L+2)*d with d0 and dL dividing d
+    if not np.allclose(kernel.partition.measures, 1.0 / ls.n, rtol=0, atol=1e-12):
+        out["1 (size and equipartition)"] = ConditionCheck(
+            False, "partition is not the equipartition"
+        )
+        for name in ("2 (cell constancy)", "3 (zero pattern)", "4 (bias block)"):
+            out[name] = ConditionCheck(False, "skipped: bad partition")
         return ValidationReport(out)
+    out["1 (size and equipartition)"] = ConditionCheck(True)
 
-    # condition 2: constancy along input-cell columns, output-cell rows,
-    # and bias columns
-    ok, detail = True, ""
-    for j in range(ls.d0):
-        cols = c[:, ls.in_cell_slice(j)]
-        dev = np.abs(cols - cols[:, :1]).max(initial=0.0)
+    # condition 2: each allowed block constant along the parts of each unit
+    out["2 (cell constancy)"] = ConditionCheck(True)
+    for rows, cols in ls.blocks():
+        u = ls.units(c, rows, cols)
+        dev = max(np.abs(u - u[:, :1]).max(), np.abs(u - u[..., :1]).max())
         if dev > atol:
-            ok, detail = False, f"input cell {j} columns vary by {dev:.3g}"
+            out["2 (cell constancy)"] = ConditionCheck(
+                False, f"block {rows} x {cols} varies within a unit by {dev:.3g}"
+            )
             break
-    if ok:
-        for i in range(ls.dL):
-            rows = c[ls.out_cell_slice(i), :]
-            dev = np.abs(rows - rows[:1, :]).max(initial=0.0)
-            if dev > atol:
-                ok, detail = False, f"output cell {i} rows vary by {dev:.3g}"
-                break
-    if ok:
-        bias = c[:, ls.bias_slice]
-        dev = np.abs(bias - bias[:, :1]).max(initial=0.0)
-        if dev > atol:
-            ok, detail = False, f"bias columns vary by {dev:.3g}"
-    out["2 (cell constancy)"] = ConditionCheck(ok, detail)
 
-    # condition 3: zero outside the allowed support
-    mask = _allowed_support(ls)
-    off = np.abs(np.where(mask, 0.0, c))
-    worst = off.max(initial=0.0)
-    if worst > atol:
+    # condition 3: zero outside the allowed blocks
+    off = np.abs(np.where(_allowed_support(ls), 0.0, c))
+    if off.max() > atol:
         i, j = np.unravel_index(int(np.argmax(off)), off.shape)
         out["3 (zero pattern)"] = ConditionCheck(
             False, f"{_block_name(ls, i, j)} = {c[i, j]:.3g}, expected 0"
@@ -371,28 +345,10 @@ def extract_network(ck):
             f"kernel failed validation: {report.first_failure()}"
         )
     ls, c, B = ck.layers, ck.kernel.coeffs, ck.B
-    weights, biases = [], []
-    w1 = np.empty((ls.d, ls.d0))
-    for j in range(ls.d0):
-        w1[:, j] = B * c[ls.layer_slice(1), ls.in_cell_slice(j).start]
-    weights.append(w1)
-    for ell in range(2, ls.L):
-        weights.append(B * c[ls.layer_slice(ell), ls.layer_slice(ell - 1)])
-    wl = np.empty((ls.dL, ls.d))
-    for i in range(ls.dL):
-        wl[i, :] = B * c[ls.out_cell_slice(i).start, ls.layer_slice(ls.L - 1)]
-    weights.append(wl)
-    bias_col = ls.bias_slice.start
-    for ell in range(1, ls.L):
-        biases.append(B * c[ls.layer_slice(ell), bias_col])
-    bl = np.empty(ls.dL)
-    for i in range(ls.dL):
-        bl[i] = B * c[ls.out_cell_slice(i).start, bias_col]
-    biases.append(bl)
+    params = [B * ls.units(c, *block)[:, 0, :, 0] for block in ls.blocks()[:-1]]
+    weights, biases = params[0::2], [b[:, 0] for b in params[1::2]]
     try:
-        return DenseNetwork(
-            ls.L, ls.d0, ls.dL, ls.d, float(B), tuple(weights), tuple(biases)
-        )
+        return DenseNetwork(ls.L, ls.d0, ls.dL, ls.d, float(B), weights, biases)
     except InvalidNetworkError as exc:
         raise ValidationFailedError(f"extracted parameters invalid: {exc}") from None
 
@@ -420,16 +376,6 @@ def serialize_kernel(ck):
     for row in ck.kernel.coeffs:
         out.write(" ".join(repr(float(v)) for v in row) + "\n")
     return out.getvalue()
-
-
-def _lines(text):
-    """The newline-separated lines of ``text``, one at a time."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end
-        yield text[start:end]
-        start = end + 1
 
 
 def deserialize_kernel(text):
@@ -460,9 +406,7 @@ def deserialize_kernel(text):
             f"truncated record: expected {n} coefficient rows, found {found}",
             line=found + 3,
         )
-    # n rows of n numbers take at least 2n^2 - 1 characters; a shorter text
-    # has a short row, so it fills one scratch row until that row raises
-    coeffs = np.empty((n if len(text) >= 2 * n * n - 1 else 1, n))
+    coeffs = _row_buffer(text, n, n)
     for r in range(n):
         vals = next(lines).split()
         if len(vals) != n:

@@ -145,6 +145,16 @@ def serialize_network(net):
     return out.getvalue()
 
 
+def _lines(text):
+    """The newline-separated lines of ``text``, one at a time."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        yield text[start:end]
+        start = end + 1
+
+
 def _numbers(fields, kind, line, what):
     """Convert text fields with ``kind`` (int or float); ParseError if one fails."""
     try:
@@ -156,16 +166,28 @@ def _numbers(fields, kind, line, what):
         ) from None
 
 
+def _row_buffer(text, rows, cols):
+    """Array for ``rows`` parsed rows of ``cols`` numbers; row r goes to r % len.
+
+    A text shorter than such rows (rows*(2*cols - 1) characters) has a short
+    or missing row, which raises before it is stored: one scratch row will do.
+    """
+    fits = rows * (2 * cols - 1) <= len(text)
+    return np.empty((rows, cols) if fits else (1, min(cols, len(text))))
+
+
 def deserialize_network(text):
-    lines = text.splitlines()
+    """Parse a network file; each layer fills a preallocated array line by line."""
+    lines = _lines(text)
     pos = 0
 
     def take(what):
         nonlocal pos
-        if pos >= len(lines):
-            raise ParseError(f"truncated record: missing {what}", line=pos + 1)
         pos += 1
-        return lines[pos - 1]
+        line = next(lines, None)
+        if line is None:
+            raise ParseError(f"truncated record: missing {what}", line=pos)
+        return line
 
     if take("header").strip() != MAGIC_NET:
         raise ParseError(f"bad header, expected {MAGIC_NET!r}", line=1)
@@ -174,17 +196,22 @@ def deserialize_network(text):
         raise ParseError("dimensions line needs 'L d0 dL d B'", line=2)
     L, d0, dL, d = _numbers(head[:4], int, 2, "dimensions 'L d0 dL d'")
     (B,) = _numbers(head[4:], float, 2, "bound B")
+    if min(d0, dL, d) < 1:
+        raise ParseError("widths d0, dL and d must be positive", line=2)
 
     def width(k):
         # per layer, so a header's L allocates nothing before its layers
         return d0 if k == 0 else dL if k == L else d
 
+    def marker(name):
+        tag = take(f"{name} marker").split()
+        if tag != name.split():
+            raise ParseError(f"expected '{name}' marker, got {' '.join(tag)!r}", line=pos)
+
     weights, biases = [], []
     for ell in range(1, L + 1):
-        tag = take(f"W {ell} marker").split()
-        if tag != ["W", str(ell)]:
-            raise ParseError(f"expected 'W {ell}' marker, got {' '.join(tag)!r}", line=pos)
-        rows = []
+        marker(f"W {ell}")
+        w = _row_buffer(text, width(ell), width(ell - 1))
         for r in range(width(ell)):
             vals = take(f"W {ell} row {r}").split()
             if len(vals) != width(ell - 1):
@@ -192,16 +219,14 @@ def deserialize_network(text):
                     f"W {ell} row {r} has {len(vals)} entries, expected {width(ell - 1)}",
                     line=pos,
                 )
-            rows.append(_numbers(vals, float, pos, f"W {ell} row {r}"))
-        tag = take(f"b {ell} marker").split()
-        if tag != ["b", str(ell)]:
-            raise ParseError(f"expected 'b {ell}' marker, got {' '.join(tag)!r}", line=pos)
+            w[r % len(w)] = _numbers(vals, float, pos, f"W {ell} row {r}")
+        marker(f"b {ell}")
         vals = take(f"b {ell} values").split()
         if len(vals) != width(ell):
             raise ParseError(
                 f"b {ell} has {len(vals)} entries, expected {width(ell)}", line=pos
             )
-        weights.append(np.array(rows))
+        weights.append(w)
         biases.append(np.array(_numbers(vals, float, pos, f"b {ell} values")))
     return DenseNetwork(L, d0, dL, d, B, tuple(weights), tuple(biases))
 

@@ -76,6 +76,8 @@ def readout(signal, layers, tol=1e-10):
 
 def sr_mpnn_forward(graph, features, L, return_hidden=False):
     """L rounds of sum-ReLU message passing on a weighted graph."""
+    if L < 1:
+        raise ParameterError(f"need at least one round, got L={L}")
     features = np.asarray(features, dtype=float)
     n = graph.n
     if features.shape != (n,):
@@ -94,17 +96,15 @@ def sr_mpnn_forward(graph, features, L, return_hidden=False):
 
 
 def graph_readout(features, layers, tol=1e-10):
-    """Per-output-cell value of node features (constancy enforced)."""
-    out = np.empty(layers.dL)
-    for i in range(layers.dL):
-        vals = features[layers.out_cell_slice(i)]
-        dev = float(np.ptp(vals))
-        if dev > tol:
-            raise EquivalenceViolationError(
-                f"output cell {i} not constant: spread {dev:.3g} exceeds {tol:.1g}"
-            )
-        out[i] = vals[0]
-    return out
+    """Per-output-unit value of node features (constancy enforced)."""
+    cells = np.asarray(features)[layers.layer_slice(layers.L)].reshape(layers.dL, -1)
+    spread = np.ptp(cells, axis=1)
+    if np.any(spread > tol):
+        i = int(np.argmax(spread > tol))  # the first varying cell
+        raise EquivalenceViolationError(
+            f"output cell {i} not constant: spread {spread[i]:.3g} exceeds {tol:.1g}"
+        )
+    return cells[:, 0].copy()
 
 
 @dataclass

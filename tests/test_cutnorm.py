@@ -445,7 +445,7 @@ def test_difference_cut_norm_doubles_the_halved_kernel(oracle):
     rng = np.random.default_rng(31)
     part = Partition(rng.dirichlet(np.ones(9)))
     diff = rng.uniform(-1, 1, (9, 9)) - rng.uniform(-1, 1, (9, 9))
-    w, exact = difference_cut_norm(part, diff, oracle, 24, 8, 3)
+    w, exact = difference_cut_norm(part, diff.copy(), oracle, 24, 8, 3)
     half, half_exact = kernel_cut_norm(
         StepKernel(part, diff / 2.0), oracle=oracle, restarts=8, seed=3
     )

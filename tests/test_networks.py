@@ -234,6 +234,28 @@ def test_deserialize_checks_layers_before_allocating():
     assert peak < 1 << 20
 
 
+def test_deserialize_network_peak_is_near_the_arrays():
+    net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42))
+    text = serialize_network(net)
+    tracemalloc.start()
+    try:
+        back = deserialize_network(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for a, b in zip(net.weights + net.biases, back.weights + back.biases):
+        assert a.tobytes() == b.tobytes()
+    # the arrays plus the network check's |W| of the widest layer
+    assert peak <= 2.5 * sum(a.nbytes for a in net.weights + net.biases)
+
+
+@pytest.mark.parametrize("header", ["2 0 1 4 4.0", "2 1 -1 4 4.0", "2 1 1 -4 4.0"])
+def test_deserialize_refuses_non_positive_widths_on_their_line(header):
+    with pytest.raises(ParseError, match="must be positive") as exc:
+        deserialize_network(f"densecap-net v1\n{header}\nW 1\n")
+    assert exc.value.line == 2
+
+
 def test_deserialize_bad_header():
     with pytest.raises(ParseError):
         deserialize_network("not-a-net v9\n2 1 1 4 4.0\n")

@@ -185,6 +185,17 @@ def test_graph_readout_rejects_non_constant():
         graph_readout(vals, ls)
 
 
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_both_schemes_need_a_round(rounds):
+    net = random_layered_net(np.random.default_rng(8), max_d=4)
+    ck, g = induce_kernel(net), induce_graph(net)
+    sig = induce_input_signal(np.zeros(net.d0), ck.layers)
+    with pytest.raises(ParameterError, match="at least one round"):
+        mpnn_forward(ck.kernel, sig, ck.B, rounds)
+    with pytest.raises(ParameterError, match="at least one round"):
+        sr_mpnn_forward(g, sig.values, rounds)
+
+
 def test_mpnn_aligns_mismatched_partitions():
     rng = np.random.default_rng(7)
     kern = StepKernel(equipartition(4), rng.uniform(-1, 1, (4, 4)))
