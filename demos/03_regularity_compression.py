@@ -1,13 +1,15 @@
 """Compress a wide dense network by regularizing its kernel.
 
-The pipeline: encode the network as a step kernel, refine a coarse
-partition along cut-norm witnesses (each refinement is forced to respect
-the layer structure and a per-layer part budget), cut every hidden layer
-into equal slots of its parts, and build the smaller network from the
-per-layer slot averages: W'_l = P_l W_l P_{l-1}^T and b'_l = P_l b_l,
-with P_l the slot matrix of hidden layer l. The report bounds
-the worst output gap by (L+2) * dL * (2B)^L times the measured kernel
-distance; the empirical gap is typically orders of magnitude below that.
+The pipeline: encode the network as a step kernel on its units (each
+unit's twin parts merged into one, the kernel's unit quotient), refine a
+coarse partition along cut-norm witnesses (each refinement is forced to
+respect the layer structure and a per-layer group budget), cut every
+hidden layer into equal slots of its units, and build the smaller
+network from the per-layer slot averages: W'_l = P_l W_l P_{l-1}^T and
+b'_l = P_l b_l, with P_l the slot matrix of hidden layer l. The report
+bounds the worst output gap by (L+2) * dL * (2B)^L times the measured
+kernel distance; the empirical gap is typically orders of magnitude
+below that.
 """
 
 import numpy as np

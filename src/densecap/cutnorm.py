@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .kernels import ComputationalKernel, StepKernel, StepSignal
+from .kernels import ComputationalKernel, StepKernel, StepSignal, unit_quotient
 from .partitions import Partition
 
 EXACT_CAP_DEFAULT = 24
@@ -385,12 +385,12 @@ def restrict_to_layer(signal, layers, ell):
 
 
 def _hidden_permutation_index(layers, perms):
-    """Full index map over the fine partition from per-hidden-layer perms."""
-    idx = np.arange(layers.n)
+    """Index map over the layout's units from per-hidden-layer unit perms."""
+    idx = np.arange(layers.n_units)
     for ell, perm in zip(range(1, layers.L), perms):
         if perm is None:
             continue
-        sl = layers.layer_slice(ell)
+        sl = layers.unit_slice(ell)
         idx[sl] = sl.start + np.asarray(perm, dtype=int)
     return idx
 
@@ -402,8 +402,9 @@ class CompDistanceResult:
     The minimum runs over an explored set of per-hidden-layer part
     permutations, each a valid layer-preserving relabeling, so the value
     always upper-bounds the true infimum. ``exact`` records whether the
-    inner cut norms were computed exactly; the witness sets index parts of
-    the common refinement the kernels were compared on.
+    inner cut norms were computed exactly. The witness sets index parts of
+    the common refinement of the two kernels' unit quotients, the
+    partition the kernels were compared on.
     """
 
     value: float
@@ -422,13 +423,16 @@ def comp_cut_distance_upper(
     restarts=32,
     seed=0,
 ):
-    """Cut norm of the difference, minimized over hidden-part relabelings.
+    """Cut norm of the difference, minimized over hidden-unit relabelings.
 
     Modes: 'identity' compares as laid out; 'exhaustive' tries every
-    per-layer permutation (hidden width at most 8). Kernels must share
-    (L, d0, dL, B). Both are measured on the common refinement of their
-    two equipartitions, whose cuts are integer multiples of 1/lcm(n, n');
-    the cut norm of a step kernel does not change under refinement. Only
+    per-layer permutation of the hidden units (hidden width at most 8).
+    Kernels must share (L, d0, dL, B), and both must be layered (as
+    ``induce_kernel`` makes them): each is read as its ``unit_quotient``,
+    which ignores anything outside the layered blocks. The two quotients
+    are measured on the common refinement of their unit cuts, integer
+    ticks over lcm(n, n'); only the hidden layers' cuts can differ. Neither
+    twin merging nor refinement changes a step kernel's cut norm. Only
     'identity' accepts different hidden widths.
     """
     a, b = ck.layers, cj.layers
@@ -456,15 +460,19 @@ def comp_cut_distance_upper(
         layer_perms = list(itertools.permutations(range(a.d)))
         candidates = itertools.product(layer_perms, repeat=a.L - 1)
     N = math.lcm(a.n, b.n)
-    cuts = np.union1d(np.arange(0, N + 1, N // a.n), np.arange(0, N + 1, N // b.n))
+    ta = np.cumsum(np.r_[0, a.unit_parts()]) * (N // a.n)
+    tb = np.cumsum(np.r_[0, b.unit_parts()]) * (N // b.n)
+    cuts = np.union1d(ta, tb)
     refined = Partition(np.diff(cuts) / N)
-    ri, rj = cuts[:-1] // (N // a.n), cuts[:-1] // (N // b.n)
-    kc = ck.kernel.coeffs[np.ix_(ri, ri)]
+    ri = np.searchsorted(ta, cuts[:-1], side="right") - 1
+    rj = np.searchsorted(tb, cuts[:-1], side="right") - 1
+    qc = unit_quotient(ck).coeffs[np.ix_(ri, ri)]
+    qj = unit_quotient(cj).coeffs
     best, best_perms, ex_all = None, None, True
     for perms in candidates:
         idx = _hidden_permutation_index(b, perms)[rj]
         w, is_exact = difference_cut_norm(
-            refined, kc - cj.kernel.coeffs[np.ix_(idx, idx)], oracle, cap, restarts, seed
+            refined, qc - qj[np.ix_(idx, idx)], oracle, cap, restarts, seed
         )
         ex_all = ex_all and is_exact
         if best is None or w.value < best.value:

@@ -9,6 +9,10 @@ output units; the bias region is one unit). Only the blocks
 (unit, unit) pair: weights/B from layer k-1 to layer k, biases/B in the
 bias column, and (L+2)/B on the bias diagonal block so a unit bias signal
 is preserved by message passing.
+
+The parts of one unit are twins, with equal rows and columns, so
+``unit_quotient`` merges them: the same kernel on (L-1)*d + d0 + dL + 1
+unequal parts, which compression and the kernel distance work on.
 """
 
 import io
@@ -75,19 +79,36 @@ class LayerStructure:
     def fine_partition(self):
         return equipartition(self.n)
 
+    @property
+    def n_units(self):
+        """Units in the layout, (L-1)*d + d0 + dL + 1: the unit quotient's size."""
+        return (self.L - 1) * self.d + self.d0 + self.dL + 1
+
+    def unit_slice(self, ell):
+        """Range of region ell's units (0..L, or 'bias') in layout order."""
+        k = self.L + 1 if ell == "bias" else ell
+        start = sum(map(self.width, range(k)))
+        return slice(start, start + self.width(ell))
+
+    def unit_parts(self):
+        """Parts per unit in layout order: d // width(k) for a unit of region k."""
+        regions = list(range(self.L + 1)) + ["bias"]
+        return np.concatenate(
+            [np.full(self.width(k), self.d // self.width(k)) for k in regions]
+        )
+
     def structural_labels(self):
-        """Per fine interval: input cell / hidden layer / output cell / bias.
+        """Per unit: input unit / hidden layer / output unit / bias.
 
         This is the coarsest structure a compressed kernel must respect:
-        d0 + (L-1) + dL + 1 groups, numbered in layout order.
+        d0 + (L-1) + dL + 1 groups, numbered in layout order. Only a hidden
+        layer's group holds more than one unit.
         """
-        d, d0, L = self.d, self.d0, self.L
-        cells = np.arange(d)
+        d0, L, dL = self.d0, self.L, self.dL
         return np.concatenate([
-            cells // (d // d0),
-            np.repeat(np.arange(d0, d0 + L - 1), d),
-            d0 + L - 1 + cells // (d // self.dL),
-            np.full(d, d0 + L - 1 + self.dL),
+            np.arange(d0),
+            np.repeat(np.arange(d0, d0 + L - 1), self.d),
+            np.arange(d0 + L - 1, d0 + L + dL),
         ]).astype(np.int64)
 
     def region_of(self, idx):
@@ -227,6 +248,24 @@ def induce_graph(net):
     """Weighted-graph encoding of a network (raw weights, bias block L+2)."""
     ls, adj = _fill_blocks(net, 1.0)
     return ComputationalGraph(adj, ls, float(net.B))
+
+
+def unit_quotient(ck):
+    """A layered kernel on its units: one part per unit, of the unit's measure.
+
+    The parts of a unit are twins, with equal rows and equal columns, so
+    merging them changes no cut norm and no projection onto groups of
+    units (Lovasz, Large Networks and Graph Limits, 2012). Part i of the
+    quotient is unit i in layout order, of measure ``unit_parts()[i] / n``,
+    and its coefficients are each block's ``units(c, rows, cols)[:, 0, :, 0]``.
+    ``ck`` must be layered (conditions 2 and 3 of ``validate_computational``):
+    variation inside a unit and entries outside ``blocks()`` are not read.
+    """
+    ls, c = ck.layers, ck.kernel.coeffs
+    q = np.zeros((ls.n_units, ls.n_units))
+    for rows, cols in ls.blocks():
+        q[ls.unit_slice(rows), ls.unit_slice(cols)] = ls.units(c, rows, cols)[:, 0, :, 0]
+    return StepKernel(Partition(ls.unit_parts() / ls.n), q)
 
 
 def induce_input_signal(x, layers):

@@ -69,13 +69,14 @@ class DenseNetwork:
             if b.shape != (dims[ell],):
                 raise DimensionMismatchError(f"b[{ell}]", (dims[ell],), b.shape)
             for name, arr in (("W", w), ("b", b)):
-                bad = np.argwhere(~(np.abs(arr) <= self.B))  # also finds NaN
-                if bad.size:
-                    idx = tuple(int(k) for k in bad[0])
-                    raise InvalidNetworkError(
-                        f"{name}[{ell}] entry {idx} = {float(arr[idx])!r} "
-                        f"outside [-{self.B}, {self.B}]"
-                    )
+                top = max(arr.max(initial=0.0), -arr.min(initial=0.0))  # no |arr| copy
+                if top <= self.B:  # fails on NaN too
+                    continue
+                idx = tuple(int(k) for k in np.argwhere(~(np.abs(arr) <= self.B))[0])
+                raise InvalidNetworkError(
+                    f"{name}[{ell}] entry {idx} = {float(arr[idx])!r} "
+                    f"outside [-{self.B}, {self.B}]"
+                )
 
     @property
     def layer_dims(self):
@@ -101,8 +102,10 @@ def forward(net, x):
     for ell in range(1, net.L + 1):
         w, b = net.weights[ell - 1], net.biases[ell - 1]
         d_prev = dims[ell - 1]
-        pre = (h @ w.T + d_prev * b) / (d_prev * (net.L + 2))
-        h = pre if ell == net.L else np.maximum(pre, 0.0)
+        pre = h @ w.T
+        pre += d_prev * b
+        pre /= d_prev * (net.L + 2)
+        h = pre if ell == net.L else np.maximum(pre, 0.0, out=pre)
     return h
 
 

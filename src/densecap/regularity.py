@@ -6,11 +6,15 @@ residual has large integral, refine the partition by that pair, repeat.
 Each completed refinement raises the squared L2 norm of the projection by at least the
 witness value squared, which caps the iteration count.
 
-Compression restricts the final partition to respect the layered
-structure and averages each hidden layer's neurons over equal slots of
-its parts: with ``P_l`` the (d' x d) slot matrix of hidden layer l, the
-smaller network has ``W'_l = P_l W_l P_{l-1}^T`` and ``b'_l = P_l b_l``
-(the first layer keeps its inputs, the last its outputs). Its kernel is
+Compression runs the loop on the network's unit quotient
+(``kernels.unit_quotient``): the layered kernel with each unit's twin
+parts merged into one part of their summed measure, (L-1)*d + d0 + dL + 1
+parts instead of (L+2)*d, with the same cut norms and projections. The
+final partition respects the layered structure, and each hidden layer's
+units are averaged over equal slots: with ``P_l`` the (d' x d) slot
+matrix of hidden layer l, the smaller network has
+``W'_l = P_l W_l P_{l-1}^T`` and ``b'_l = P_l b_l`` (the first layer
+keeps its inputs, the last its outputs). Its kernel is
 induced, validated and measured against the original. One slicer,
 ``_slot_weights``, does every rebalancing: it cuts grouped pieces into
 equal units and returns the amount of each piece in each unit as an
@@ -36,6 +40,7 @@ from .kernels import (
     extract_network,  # noqa: F401 - bench/tracing.py wraps this name here
     induce_kernel,
     lift_computational,  # noqa: F401 - bench/tracing.py wraps this name here
+    unit_quotient,
     validate_computational,
 )
 from .networks import DenseNetwork, forward
@@ -279,54 +284,45 @@ class CompressionReport:
 
 
 def _layer_group_counts(labels, ls):
-    counts = {}
-    for ell in list(range(1, ls.L)) + ["bias"]:
-        sl = ls.layer_slice(ell)
-        counts[ell] = int(np.unique(labels[sl]).size)
-    return counts
+    return {
+        ell: int(np.unique(labels[ls.unit_slice(ell)]).size)
+        for ell in list(range(1, ls.L)) + ["bias"]
+    }
 
 
-def _budgeted_fk(ck, budget, oracle, cap, restarts, seed):
-    """Cut refinement that keeps every hidden/bias layer within a part budget.
+def _budgeted_fk(ls, quotient, budget, oracle, cap, restarts, seed):
+    """Cut refinement of a unit quotient within a group budget per hidden layer.
 
-    Splits are applied per region; a layer is left untouched whenever the
-    full split (and its one-sided fallbacks) would push it past the budget,
-    unless a split lands exactly on the budget with equal-size groups.
-    Layers 0 and L carry no budget since their cells are coarsened back.
-    The run ends once no region can be refined.
+    Splits are applied per hidden layer; a layer is left untouched whenever
+    the full split (and its one-sided fallbacks) would push it past the
+    budget, unless a split lands exactly on the budget with equal-size
+    groups. Every other unit is its own structural group from the start,
+    so only hidden layers can split. The run ends once none can.
     """
-    ls = ck.layers
     struct = ls.structural_labels()
-    regions = [("free", np.r_[np.arange(ls.d), np.arange(ls.L * ls.d, (ls.L + 1) * ls.d)])]
-    for ell in list(range(1, ls.L)) + ["bias"]:
-        sl = ls.layer_slice(ell)
-        regions.append((ell, np.arange(sl.start, sl.stop)))
+    hidden = [ls.unit_slice(ell) for ell in range(1, ls.L)]
 
     def split(labels, s, t):
         new_labels = labels.copy()
         changed = False
-        for ell, region in regions:
-            before = int(np.unique(labels[region]).size)
+        for sl in hidden:
+            before = int(np.unique(labels[sl]).size)
             for raw in (
-                labels[region] * 4 + 2 * s[region] + t[region],
-                labels[region] * 2 + s[region],
-                labels[region] * 2 + t[region],
+                labels[sl] * 4 + 2 * s[sl] + t[sl],
+                labels[sl] * 2 + s[sl],
+                labels[sl] * 2 + t[sl],
             ):
                 cand = _relabel(raw)
                 count = int(cand.max()) + 1
-                if ell != "free":
-                    if count > budget:
-                        continue
-                    if count == budget and np.ptp(np.bincount(cand)) != 0:
-                        continue
-                if count > before:
-                    changed = True
-                new_labels[region] = cand
+                if count > budget or (count == budget and np.ptp(np.bincount(cand))):
+                    continue
+                changed = changed or count > before
+                new_labels[sl] = cand
                 break
-        # regions re-separated by pairing with the structural label
+        # layers re-separated by pairing with the structural label
         return _pair_labels(new_labels, struct) if changed else None
 
-    return _refine(ck.kernel, struct, split, 1e-9, 200, oracle, cap, restarts, seed)
+    return _refine(quotient, struct, split, 1e-9, 200, oracle, cap, restarts, seed)
 
 
 def compress_network(
@@ -349,13 +345,17 @@ def compress_network(
     implies, and the empirical maximum output gap over uniformly sampled
     inputs. ``delta_hat`` is the cut distance between the kernels of the
     input and the returned network as laid out, measured on the common
-    refinement of their partitions (at most n + n' parts), so any two
-    widths can be compared without lifting either kernel.
+    refinement of their unit quotients, so any two widths can be compared
+    without lifting either kernel.
 
-    Each hidden layer is cut into slots by ``_slot_weights`` in integer
-    ticks, d_new per fine part and d per slot, grouped by the refined
-    labels; a slot's weights are its tick counts over d, exact ratios that
-    sum to one. The slot matrices P average the layer's neurons:
+    Every refinement (``target_d``, the network's own width, or
+    ``epsilon``) runs on the unit quotient of the network's kernel, one
+    part per unit, so group counts and budgets count units and a hidden
+    unit is never split. Each hidden layer is cut into slots by
+    ``_slot_weights`` in integer ticks, d_new per unit and d per slot,
+    grouped by the refined labels; a slot's weights are its tick counts
+    over d, exact ratios that sum to one. The slot matrices P average the
+    layer's neurons:
     W'_1 = P_1 W_1, W'_l = P_l W_l P_{l-1}^T, W'_L = W_L P_{L-1}^T,
     b'_l = P_l b_l and b'_L = b_L, clipped to [-B, B]. The new network's
     kernel is induced, validated once and measured. Compressing to the
@@ -371,6 +371,7 @@ def compress_network(
         raise ParameterError(f"target width {target_d} exceeds the network width {net.d}")
     ck = induce_kernel(net)
     ls = ck.layers
+    quotient = unit_quotient(ck)
     stages = []
     mark = time.monotonic()
 
@@ -391,11 +392,11 @@ def compress_network(
         if target_d == net.d:
             # projection onto the network's own structure, nothing to search
             trace = weak_regularity(
-                ck.kernel, 2.0, oracle=oracle, cap=cap, restarts=restarts,
-                seed=seed, initial_labels=np.arange(ls.n),
+                quotient, 2.0, oracle=oracle, cap=cap, restarts=restarts,
+                seed=seed, initial_labels=np.arange(ls.n_units),
             )
         else:
-            trace = _budgeted_fk(ck, target_d, oracle, cap, restarts, seed)
+            trace = _budgeted_fk(ls, quotient, target_d, oracle, cap, restarts, seed)
         labels = trace.labels
         d_new = int(target_d)
         fk_status = trace.status
@@ -407,13 +408,13 @@ def compress_network(
         # the coarse projection), so 2 * bound is the structured residual's
         # bound, certified only when every oracle call was exact
         trace = weak_regularity(
-            ck.kernel, epsilon / 2.0, oracle=oracle, cap=cap, restarts=restarts, seed=seed
+            quotient, epsilon / 2.0, oracle=oracle, cap=cap, restarts=restarts, seed=seed
         )
         labels = _pair_labels(trace.labels, ls.structural_labels())
         # a layer of k groups fits k slots only if its groups are equal
         need = 0
-        for ell in list(range(1, ls.L)) + ["bias"]:
-            _, sizes = np.unique(labels[ls.layer_slice(ell)], return_counts=True)
+        for ell in range(1, ls.L):
+            _, sizes = np.unique(labels[ls.unit_slice(ell)], return_counts=True)
             need = max(need, sizes.size + int(np.ptp(sizes) != 0))
         d_new = ls.M * -(-need // ls.M)
         fk_status = trace.status
@@ -421,10 +422,10 @@ def compress_network(
         stage("regularity", fk_status, f"{kind} {2.0 * trace.bound:.4g}")
 
     counts = _layer_group_counts(labels, ls)
-    # slot weights in ticks: d_new per fine part, d per slot, so every
-    # amount is an exact ratio and every row of a slot matrix sums to one
+    # slot weights in ticks: d_new per unit, d per slot, so every amount
+    # is an exact ratio and every row of a slot matrix sums to one
     P = [
-        _slot_weights(np.full(ls.d, d_new), labels[ls.layer_slice(k + 1)], ls.d)[0] / ls.d
+        _slot_weights(np.full(ls.d, d_new), labels[ls.unit_slice(k + 1)], ls.d)[0] / ls.d
         for k in range(ls.L - 1)
     ]
     stage("equitize", "ok", f"width {d_new}")

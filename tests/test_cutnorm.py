@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from densecap import cutnorm
 from densecap.cutnorm import (
     CutWitness,
-    _hidden_permutation_index,
     _merge_axis,
     _reduce,
     comp_cut_distance_upper,
@@ -30,6 +31,7 @@ from densecap.kernels import (
     induce_input_signal,
     induce_kernel,
     lift_computational,
+    unit_quotient,
 )
 from densecap.networks import random_network
 from densecap.partitions import Partition, equipartition
@@ -159,7 +161,9 @@ def test_comp_distance_swap_recovered_by_exhaustive():
     rng = np.random.default_rng(7)
     net = random_layered_net(rng, L=2, max_d=4, d0=1, dL=1)
     ck = induce_kernel(net)
-    idx = _hidden_permutation_index(ck.layers, [[1, 0] + list(range(2, net.d))])
+    idx = np.arange(ck.n)  # the first two hidden parts trade places
+    first = ck.layers.layer_slice(1).start
+    idx[[first, first + 1]] = [first + 1, first]
     swapped = ck.kernel.coeffs[np.ix_(idx, idx)]
     cj = type(ck)(StepKernel(ck.layers.fine_partition(), swapped), ck.layers, ck.B)
     ident = comp_cut_distance_upper(ck, cj, mode="identity")
@@ -696,3 +700,73 @@ def test_compression_is_unchanged_under_the_start_loop(monkeypatch):
     for a, b in zip(new.weights + new.biases, old.weights + old.biases):
         assert a.tobytes() == b.tobytes()
     assert (rep.delta_hat, rep.iterations) == (old_rep.delta_hat, old_rep.iterations)
+
+
+def fine_permutation_index(layers, perms):
+    """Index map over the fine partition from per-hidden-layer perms."""
+    idx = np.arange(layers.n)
+    for ell, perm in zip(range(1, layers.L), perms):
+        if perm is None:
+            continue
+        sl = layers.layer_slice(ell)
+        idx[sl] = sl.start + np.asarray(perm, dtype=int)
+    return idx
+
+
+def full_kernel_distance_reference(ck, cj, mode, oracle="exact"):
+    """The distance as measured before the unit quotient: on the full kernels.
+
+    Both (L+2)*d layouts are compared on the common refinement of their
+    equipartitions, n + n' parts at most, minimized over hidden-part
+    permutations in 'exhaustive' mode.
+    """
+    a, b = ck.layers, cj.layers
+    candidates = [(None,) * (a.L - 1)]
+    if mode == "exhaustive":
+        layer_perms = list(itertools.permutations(range(a.d)))
+        candidates = itertools.product(layer_perms, repeat=a.L - 1)
+    N = math.lcm(a.n, b.n)
+    cuts = np.union1d(np.arange(0, N + 1, N // a.n), np.arange(0, N + 1, N // b.n))
+    refined = Partition(np.diff(cuts) / N)
+    ri, rj = cuts[:-1] // (N // a.n), cuts[:-1] // (N // b.n)
+    kc = ck.kernel.coeffs[np.ix_(ri, ri)]
+    best = None
+    for perms in candidates:
+        idx = fine_permutation_index(b, perms)[rj]
+        w, _ = difference_cut_norm(
+            refined, kc - cj.kernel.coeffs[np.ix_(idx, idx)], oracle, 24, 32, 0
+        )
+        best = w.value if best is None else min(best, w.value)
+    return best
+
+
+@st.composite
+def small_layered_pair(draw):
+    """Two networks on one (L, d0, dL, B), exactly enumerable when compared."""
+    L = draw(st.integers(2, 3))
+    d0, dL = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    M = math.lcm(d0, dL)
+    top = (8 if L == 2 else 4) // M
+    d, e = (M * draw(st.integers(1, top)) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return tuple(
+        induce_kernel(random_network(L, d0, dL, w, L + 3.0, rng)) for w in (d, e)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=small_layered_pair())
+def test_unit_quotient_keeps_the_exact_cut_norm(pair):
+    for ck in pair:
+        full = kernel_cut_norm_exact(ck.kernel).value
+        assert abs(kernel_cut_norm_exact(unit_quotient(ck)).value - full) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=small_layered_pair(), exhaustive=st.booleans())
+def test_comp_distance_on_quotients_matches_the_full_kernels(pair, exhaustive):
+    ck, cj = pair
+    mode = "exhaustive" if exhaustive and ck.d == cj.d <= 3 else "identity"
+    got = comp_cut_distance_upper(ck, cj, mode=mode, oracle="exact")
+    assert got.exact
+    assert abs(got.value - full_kernel_distance_reference(ck, cj, mode)) <= 1e-12

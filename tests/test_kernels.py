@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from densecap.kernels import (
     induce_kernel,
     lift_computational,
     serialize_kernel,
+    unit_quotient,
     validate_computational,
 )
 from densecap.networks import DenseNetwork, random_network
@@ -468,3 +470,31 @@ def test_validation_matches_the_per_cell_reference(seed, hits, log_size):
     assert all(got) == all(want)
     if want[2]:
         assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.integers(2, 4), d0=st.integers(1, 3), dL=st.integers(1, 3),
+    mult=st.integers(1, 4), seed=st.integers(0, 2**16),
+)
+@example(L=2, d0=1, dL=1, mult=1, seed=0)
+@example(L=3, d0=2, dL=3, mult=1, seed=1)
+def test_unit_quotient_is_the_kernel_on_its_units(L, d0, dL, mult, seed):
+    d = math.lcm(d0, dL) * mult
+    ck = induce_kernel(random_network(L, d0, dL, d, L + 3.0, np.random.default_rng(seed)))
+    ls = ck.layers
+    parts = ls.unit_parts()
+    assert parts.size == ls.n_units and parts.sum() == ls.n
+    # the regions' unit ranges tile 0..n_units in layout order
+    starts = 0
+    for k in list(range(L + 1)) + ["bias"]:
+        sl = ls.unit_slice(k)
+        assert (sl.start, sl.stop) == (starts, starts + ls.width(k))
+        assert np.all(parts[sl] == d // ls.width(k))
+        starts = sl.stop
+    assert starts == ls.n_units
+    q = unit_quotient(ck)
+    assert np.array_equal(q.partition.measures, parts / ls.n)
+    # spreading each unit back over its parts gives the kernel bitwise
+    fine = np.repeat(np.repeat(q.coeffs, parts, axis=0), parts, axis=1)
+    assert np.array_equal(fine, ck.kernel.coeffs)

@@ -16,6 +16,7 @@ from densecap.kernels import (
     _allowed_support,
     extract_network,
     induce_kernel,
+    unit_quotient,
     validate_computational,
 )
 from densecap.networks import forward, random_network
@@ -249,7 +250,7 @@ def test_layer_refinement_does_not_increase_distance_small_instances():
     for _ in range(8):
         net = random_layered_net(rng, L=2, max_d=4)
         trace, labels, rep = epsilon_mode_run(net, 0.6, oracle="exact", samples=10)
-        kern = induce_kernel(net).kernel
+        kern = unit_quotient(induce_kernel(net))  # the kernel the run refined
         before = residual_cut_norm_exact(kern, trace.projected_fine)
         after = residual_cut_norm_exact(kern, group_average(kern, labels)[1])
         assert after <= before + 1e-12
@@ -362,7 +363,8 @@ def sandwich_reference(net, labels, d_new):
     ck = induce_kernel(net)
     ls = ck.layers
     ls_new = LayerStructure(ls.L, ls.d0, ls.dL, d_new)
-    struct = ls.structural_labels()
+    struct = np.asarray(structural_labels_reference(ls))
+    labels = np.repeat(labels, ls.unit_parts())  # from units to fine parts
     weights = np.zeros((ls_new.n, ls.n))
     for ell in list(range(ls.L + 1)) + ["bias"]:
         sl = ls.layer_slice(ell)
@@ -494,15 +496,16 @@ def structural_labels_reference(ls):
 def test_structural_labels_are_layout_ordered_ids(L, d0, dL, d):
     ls = LayerStructure(L, d0, dL, d)
     ids = ls.structural_labels()
-    assert ids.dtype == np.int64 and ids.shape == (ls.n,)
-    assert ids.tolist() == structural_labels_reference(ls)
+    assert ids.dtype == np.int64 and ids.shape == (ls.n_units,)
+    # each unit's label, repeated over its parts, is the per-part reference
+    assert np.repeat(ids, ls.unit_parts()).tolist() == structural_labels_reference(ls)
     assert np.array_equal(np.unique(ids), np.arange(d0 + (L - 1) + dL + 1))
     assert np.all(np.diff(ids) >= 0)
     for ell in range(1, L):
-        assert np.unique(ids[ls.layer_slice(ell)]).size == 1
-    assert np.unique(ids[ls.bias_slice]).size == 1
-    assert np.unique(ids[ls.layer_slice(0)]).size == d0
-    assert np.unique(ids[ls.layer_slice(L)]).size == dL
+        assert np.unique(ids[ls.unit_slice(ell)]).size == 1
+    assert np.unique(ids[ls.unit_slice("bias")]).size == 1
+    assert np.unique(ids[ls.unit_slice(0)]).size == d0
+    assert np.unique(ids[ls.unit_slice(L)]).size == dL
 
 
 @pytest.mark.parametrize(
@@ -511,13 +514,28 @@ def test_structural_labels_are_layout_ordered_ids(L, d0, dL, d):
 )
 def test_budgeted_refinement_respects_budget_and_structure(L, d0, dL, d, budget, seed):
     ck = induce_kernel(random_network(L, d0, dL, d, 6.0, np.random.default_rng(seed)))
-    tr = regularity._budgeted_fk(ck, budget, "auto", 24, 8, seed)
     ls = ck.layers
+    tr = regularity._budgeted_fk(ls, unit_quotient(ck), budget, "auto", 24, 8, seed)
     for ell in list(range(1, L)) + ["bias"]:
-        assert np.unique(tr.labels[ls.layer_slice(ell)]).size <= budget
+        assert np.unique(tr.labels[ls.unit_slice(ell)]).size <= budget
     struct = ls.structural_labels()
     for lab in np.unique(tr.labels):
         assert np.unique(struct[tr.labels == lab]).size == 1
     en = tr.energies
     assert all(b >= a - 1e-12 for a, b in zip(en, en[1:]))
     assert tr.status in ("certified", "heuristic_termination", "budget_exhausted", "cap_reached")
+
+
+def test_compress_peak_stays_below_three_full_kernels():
+    # the refinement and the distance run on 485 units, not 1,200 parts;
+    # what is left is mostly the one induced 1,200 x 1,200 kernel
+    net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42))
+    full_kernel = (net.size**2) * 8
+    tracemalloc.start()
+    try:
+        _, rep = compress_network(net, target_d=24, seed=5, samples=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.d_compressed == 24 and rep.validation_ok
+    assert peak < 3 * full_kernel
