@@ -8,12 +8,12 @@ Before enumerating, rows/columns that are entrywise identical are merged
 the maximum because identical rows enter or leave an optimal subset
 together. Layered kernels collapse dramatically under this reduction,
 which is what keeps exact values reachable well past the nominal cap.
-The merge groups rows exactly by their bytes (with -0.0 folded into 0.0),
-through a hash whose groups are checked member by member, and orders the
-distinct rows lexicographically; ``kernel_cut_norm`` runs it once per call
-and hands the result to the oracle it picks. The merge returns an index
-map from each part to its reduced row or column (-1 if dropped), and both
-oracles read their witness sets on the original parts through it.
+The merge maps each row's floats (-0.0 folded into 0.0) to bytes that
+compare in the same order, so one stable sort groups equal rows and
+orders the distinct ones lexicographically. ``kernel_cut_norm`` runs it
+once per call and hands the result to the oracle it picks; its index
+map, from each part to its reduced row or column (-1 if dropped), takes
+both oracles' witness sets back to the original parts.
 
 The enumeration does not rebuild each subset's column sums from its rows.
 It splits the rows into low and high ones. All subset sums of the low rows
@@ -41,8 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
-from .kernels import ComputationalKernel, StepKernel, StepSignal, unit_quotient
+from .errors import CapacityError, ParameterError, ValidationFailedError
+from .kernels import ComputationalKernel, StepKernel, StepSignal, layered_conditions
+from .kernels import unit_quotient
 from .partitions import Partition
 
 EXACT_CAP_DEFAULT = 24
@@ -104,46 +105,38 @@ def l1_norm(obj):
     return float(np.sum(np.abs(kern.coeffs) * np.outer(m, m)))
 
 
-def _group_rows(rows):
-    """Group equal rows exactly: (group of each row, first row of each group).
-
-    Groups are numbered by first appearance. Rows are keyed by the hash of
-    their bytes, which keeps no bytes copy of every row alive; only if some
-    row differs from the first row of its group, i.e. two hashes collided,
-    are they keyed by the bytes themselves.
-    """
-    for key in (lambda row: hash(row.tobytes()), lambda row: row.tobytes()):
-        ids = {}
-        inverse = np.fromiter(
-            (ids.setdefault(key(row), len(ids)) for row in rows),
-            dtype=np.intp,
-            count=len(rows),
-        )
-        first = np.unique(inverse, return_index=True)[1]
-        if np.array_equal(rows, rows[first[inverse]]):
-            break
-    return inverse, first
-
-
 def _merge_axis(coeffs, meas, axis):
     """Merge identical rows (axis=0) or columns (axis=1), summing measures.
 
-    Rows are grouped by their values after ``+ 0.0``, which turns -0.0 into
-    0.0, so two rows share a group exactly when they are equal as floats.
-    All-zero groups are dropped; the rest come in lexicographic order of
-    their rows, each represented by its first member, as
-    ``np.unique(axis=0)`` orders them. The heuristic oracle's random starts
-    are indexed in that order. The third value maps each row to its merged
+    Rows are compared after ``+ 0.0``, which turns -0.0 into 0.0, so two
+    rows share a group exactly when they are equal as floats. The copy's
+    bits become order-preserving keys in place: a negative float has all
+    its bits flipped, any other its sign bit, and the 8-byte words are made
+    big-endian, so comparing two rows' bytes compares them as floats, first
+    column first. One stable sort of the keys then gives both the groups
+    (runs of equal keys, each represented by its first row) and their
+    lexicographic order, the order ``np.unique(axis=0)`` gives them; the
+    heuristic oracle's random starts are indexed in that order. The
+    all-zero group is dropped. The third value maps each row to its merged
     row, or to -1 if the row was dropped.
     """
     mat = coeffs if axis == 0 else coeffs.T
     folded = np.add(mat, 0.0, order="C")
-    inverse, first = _group_rows(folded)
+    nonzero = folded.any(axis=1)
+    bits = folded.view(np.int64)
+    bits ^= (bits >> 63) & 0x7FFF_FFFF_FFFF_FFFF
+    bits ^= np.iinfo(np.int64).min
+    if np.little_endian:
+        bits.byteswap(inplace=True)
+    keys = list(map(np.ndarray.tobytes, bits))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = [keys[i] != keys[j] for i, j in zip(order, order[1:])]
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    first = np.asarray(order, dtype=np.intp)[starts]
+    keep = np.flatnonzero(nonzero[first])
     merged_meas = np.bincount(inverse, weights=meas, minlength=first.size)
-    reps = folded[first]
-    keep = np.flatnonzero(np.any(reps != 0.0, axis=1))
-    if keep.size:  # rows of length 0 keep nothing, and lexsort needs keys
-        keep = keep[np.lexsort(reps[keep].T[::-1])]
     reduced = np.full(first.size, -1, dtype=np.intp)  # group -> reduced row
     reduced[keep] = np.arange(keep.size)
     red = mat[first[keep]]
@@ -429,7 +422,9 @@ def comp_cut_distance_upper(
     per-layer permutation of the hidden units (hidden width at most 8).
     Kernels must share (L, d0, dL, B), and both must be layered (as
     ``induce_kernel`` makes them): each is read as its ``unit_quotient``,
-    which ignores anything outside the layered blocks. The two quotients
+    which ignores anything outside the layered blocks, so a kernel failing
+    condition 2 or 3 of ``validate_computational`` raises
+    ValidationFailedError. The two quotients
     are measured on the common refinement of their unit cuts, integer
     ticks over lcm(n, n'); only the hidden layers' cuts can differ. Neither
     twin merging nor refinement changes a step kernel's cut norm. Only
@@ -444,6 +439,9 @@ def comp_cut_distance_upper(
         raise ParameterError(f"kernels disagree on B: {ck.B} vs {cj.B}")
     if mode not in ("identity", "exhaustive"):
         raise ParameterError(f"unknown mode {mode!r}")
+    for which, k in (("first", ck), ("second", cj)):
+        if failure := layered_conditions(k).first_failure():
+            raise ValidationFailedError(f"{which} kernel is not layered: {failure}")
     if a.d != b.d and mode != "identity":
         raise ParameterError(f"mode {mode!r} needs equal hidden dims, got {a.d} vs {b.d}")
     candidates = [(None,) * (a.L - 1)]

@@ -22,7 +22,7 @@ from densecap.cutnorm import (
     restrict_to_layer,
     signal_cut_norm,
 )
-from densecap.errors import CapacityError, ParameterError
+from densecap.errors import CapacityError, ParameterError, ValidationFailedError
 from densecap.kernels import (
     ComputationalKernel,
     LayerStructure,
@@ -170,6 +170,26 @@ def test_comp_distance_swap_recovered_by_exhaustive():
     exh = comp_cut_distance_upper(ck, cj, mode="exhaustive")
     assert exh.value <= 1e-12
     assert ident.value >= exh.value
+
+
+def test_comp_distance_refuses_kernels_that_are_not_layered():
+    # a layer-0 row must vanish; the unit quotient would not read it and so
+    # measure 0.0, where the full kernels are 0.05625 apart
+    ck = induce_kernel(random_network(2, 1, 1, 4, 6.0, np.random.default_rng(0)))
+    c = ck.kernel.coeffs.copy()
+    c[0] = 0.9
+    cj = ComputationalKernel(StepKernel(ck.kernel.partition, c), ck.layers, ck.B)
+    half = StepKernel(ck.kernel.partition, (c - ck.kernel.coeffs) / 2)
+    assert 2 * kernel_cut_norm_exact(half).value == pytest.approx(0.05625, abs=1e-12)
+    for pair, which in (((ck, cj), "second"), ((cj, ck), "first")):
+        with pytest.raises(ValidationFailedError, match=f"{which} kernel .*3 \\(zero"):
+            comp_cut_distance_upper(*pair)
+    # variation inside a unit is not read either
+    c = ck.kernel.coeffs.copy()
+    c[ck.layers.layer_slice(1).start, ck.layers.layer_slice(0).start] += 0.01
+    cj = ComputationalKernel(StepKernel(ck.kernel.partition, c), ck.layers, ck.B)
+    with pytest.raises(ValidationFailedError, match="2 \\(cell constancy"):
+        comp_cut_distance_upper(ck, cj)
 
 
 def test_comp_distance_modes_nested():
@@ -384,14 +404,53 @@ def test_reduce_matches_unique_reference(kern):
     assert_same_reduction(reduce_groups(_reduce(kern)), reference_reduce(kern))
 
 
+@st.composite
+def matrices_with_repeats(draw):
+    """Arbitrary non-NaN floats, with rows repeated and some entries negated or zeroed."""
+    nr, nc = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    values = st.floats(allow_nan=False) | st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf]
+    )
+    base = np.array(draw(st.lists(st.lists(values, min_size=nc, max_size=nc), min_size=1)))
+    mat = base[draw(st.lists(st.integers(0, len(base) - 1), min_size=nr, max_size=nr))]
+    edits = st.tuples(st.integers(0, nr - 1), st.integers(0, nc - 1), st.booleans())
+    for i, j, negate in draw(st.lists(edits, max_size=3)):
+        mat[i, j] = -mat[i, j] if negate else 0.0
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(mat=matrices_with_repeats(), seed=st.integers(0, 2**32 - 1))
+def test_merge_orders_arbitrary_floats_as_the_reference(mat, seed):
+    # the key map must order subnormals, signed zeros, infinities and mixed
+    # magnitudes as floats, on rows and on columns
+    meas = np.random.default_rng(seed).dirichlet(np.ones(max(mat.shape)))
+    for axis in (0, 1):
+        m = meas[: mat.shape[axis]]
+        assert_same_reduction(
+            merge_groups(_merge_axis(mat, m, axis)), reference_merge(mat, m, axis)
+        )
+
+
 @settings(max_examples=100, deadline=None)
-@given(kern=duplicated_kernels())
-def test_reduce_resolves_hash_collisions_exactly(kern):
-    # every row hashes alike, so distinct rows must be told apart by their bytes
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cutnorm, "hash", lambda key: 0, raising=False)
-        got = _reduce(kern)
-    assert_same_reduction(reduce_groups(got), reference_reduce(kern))
+@given(
+    head=st.lists(st.floats(-1.0, 1.0), max_size=5),
+    last=st.floats(-1.0, 1.0).flatmap(
+        lambda x: st.sampled_from([(x, np.nextafter(x, 2.0)), (x, np.nextafter(x, -2.0))])
+    ) | st.sampled_from([(5e-324, -5e-324), (-1e-310, 1e-310), (2e-323, -2e-323)]),
+    rows=st.lists(st.booleans(), min_size=2, max_size=8),
+)
+def test_reduce_separates_rows_differing_only_in_the_last_entry(head, last, rows):
+    # rows alike in every byte but the last entry's, by one ulp or by the sign
+    # of a subnormal, stay two groups in the reference's order (the leading
+    # 1.0 keeps both rows from being dropped as zero)
+    rows = [False, True] + rows
+    mat = np.array([[1.0] + head + [last[r]] for r in rows])
+    meas = np.full(len(rows), 1.0 / len(rows))
+    for axis, m in ((0, mat), (1, mat.T)):
+        got = merge_groups(_merge_axis(m, meas, axis))
+        assert len(got[2]) == 2
+        assert_same_reduction(got, reference_merge(m, meas, axis))
 
 
 @settings(max_examples=100, deadline=None)
@@ -700,6 +759,30 @@ def test_compression_is_unchanged_under_the_start_loop(monkeypatch):
     for a, b in zip(new.weights + new.biases, old.weights + old.biases):
         assert a.tobytes() == b.tobytes()
     assert (rep.delta_hat, rep.iterations) == (old_rep.delta_hat, old_rep.iterations)
+
+
+def unique_reduce(kern):
+    """``_reduce`` through ``np.unique(axis=0)``, its groups turned into index maps."""
+    c, rmeas, cmeas, rgroups, cgroups = reference_reduce(kern)
+    maps = [np.full(kern.n, -1, dtype=np.intp) for _ in range(2)]
+    for mapping, groups in zip(maps, (rgroups, cgroups)):
+        for g, members in enumerate(groups):
+            mapping[members] = g
+    return c, rmeas, cmeas, *maps
+
+
+def test_compression_is_unchanged_under_the_unique_reduction(monkeypatch):
+    # guards compress_network's outputs against drift in the merge
+    net = random_network(3, 2, 2, 120, 5.0, np.random.default_rng(42))
+    new, rep = compress_network(net, target_d=12, seed=5)
+    calls = []
+    monkeypatch.setattr(cutnorm, "_reduce", lambda k: calls.append(1) or unique_reduce(k))
+    old, old_rep = compress_network(net, target_d=12, seed=5)
+    assert calls
+    for a, b in zip(new.weights + new.biases, old.weights + old.biases):
+        assert a.tobytes() == b.tobytes()
+    fields = ("delta_hat", "empirical_max", "iterations", "fk_status")
+    assert [getattr(rep, f) for f in fields] == [getattr(old_rep, f) for f in fields]
 
 
 def fine_permutation_index(layers, perms):

@@ -13,7 +13,6 @@ from densecap.kernels import (
     ComputationalKernel,
     LayerStructure,
     StepKernel,
-    _allowed_support,
     extract_network,
     induce_kernel,
     unit_quotient,
@@ -371,8 +370,11 @@ def sandwich_reference(net, labels, d_new):
         groups = struct[sl] if ell in (0, ls.L) else labels[sl]
         ticks, _ = regularity._slot_weights(np.full(ls.d, d_new), groups, ls.d)
         weights[ls_new.layer_slice(ell), sl] = ticks / ls.d
-    coeffs = weights @ ck.kernel.coeffs @ weights.T
-    coeffs[~_allowed_support(ls_new)] = 0.0
+    full = weights @ ck.kernel.coeffs @ weights.T
+    coeffs = np.zeros_like(full)  # every block outside blocks() is zeroed
+    for rows, cols in ls_new.blocks():
+        sl = np.s_[ls_new.layer_slice(rows), ls_new.layer_slice(cols)]
+        coeffs[sl] = full[sl]
     coeffs[ls_new.bias_slice, ls_new.bias_slice] = (ls.L + 2) / ck.B
     coeffs = np.clip(coeffs, -1.0, 1.0)
     return extract_network(
