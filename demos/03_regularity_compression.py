@@ -1,7 +1,8 @@
 """Compress a wide dense network by regularizing its kernel.
 
-The pipeline: encode the network as a step kernel on its units (each
-unit's twin parts merged into one, the kernel's unit quotient), refine a
+The pipeline: read the network's step kernel on its units straight off
+the weights (each unit's twin parts merged into one, the kernel's unit
+quotient; the full (L+2)*d-part kernel is never built), refine a
 coarse partition along cut-norm witnesses (each refinement is forced to
 respect the layer structure and a per-layer group budget), cut every
 hidden layer into equal slots of its units, and build the smaller

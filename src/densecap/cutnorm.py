@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError, ValidationFailedError
 from .kernels import ComputationalKernel, StepKernel, StepSignal, layered_conditions
-from .kernels import unit_quotient
+from .kernels import layers_of, unit_quotient
 from .partitions import Partition
 
 EXACT_CAP_DEFAULT = 24
@@ -420,17 +420,19 @@ def comp_cut_distance_upper(
 
     Modes: 'identity' compares as laid out; 'exhaustive' tries every
     per-layer permutation of the hidden units (hidden width at most 8).
-    Kernels must share (L, d0, dL, B), and both must be layered (as
-    ``induce_kernel`` makes them): each is read as its ``unit_quotient``,
-    which ignores anything outside the layered blocks, so a kernel failing
-    condition 2 or 3 of ``validate_computational`` raises
-    ValidationFailedError. The two quotients
+    Each argument is a network or a computational kernel; a network stands
+    for its induced kernel, whose n x n array is never built. Both must
+    share (L, d0, dL, B). Each is read as its ``unit_quotient``, which
+    ignores anything outside the layered blocks, so a kernel must be
+    layered (as ``induce_kernel`` makes them): one failing condition 2 or
+    3 of ``validate_computational`` raises ValidationFailedError. A network
+    is layered by construction and is not checked. The two quotients
     are measured on the common refinement of their unit cuts, integer
     ticks over lcm(n, n'); only the hidden layers' cuts can differ. Neither
     twin merging nor refinement changes a step kernel's cut norm. Only
     'identity' accepts different hidden widths.
     """
-    a, b = ck.layers, cj.layers
+    a, b = layers_of(ck), layers_of(cj)
     if (a.L, a.d0, a.dL) != (b.L, b.d0, b.dL):
         raise ParameterError(
             f"kernels disagree on (L, d0, dL): {(a.L, a.d0, a.dL)} vs {(b.L, b.d0, b.dL)}"
@@ -440,6 +442,8 @@ def comp_cut_distance_upper(
     if mode not in ("identity", "exhaustive"):
         raise ParameterError(f"unknown mode {mode!r}")
     for which, k in (("first", ck), ("second", cj)):
+        if not isinstance(k, ComputationalKernel):
+            continue
         if failure := layered_conditions(k).first_failure():
             raise ValidationFailedError(f"{which} kernel is not layered: {failure}")
     if a.d != b.d and mode != "identity":

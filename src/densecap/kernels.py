@@ -12,7 +12,9 @@ is preserved by message passing.
 
 The parts of one unit are twins, with equal rows and columns, so
 ``unit_quotient`` merges them: the same kernel on (L-1)*d + d0 + dL + 1
-unequal parts, which compression and the kernel distance work on.
+unequal parts, which compression and the kernel distance work on. It reads
+those blocks off an induced kernel, or straight off a network's weights
+without building the n x n kernel.
 """
 
 import io
@@ -251,21 +253,42 @@ def induce_graph(net):
     return ComputationalGraph(adj, ls, float(net.B))
 
 
-def unit_quotient(ck):
+def layers_of(obj):
+    """Layout of a computational kernel, or of the kernel a network induces."""
+    if isinstance(obj, DenseNetwork):
+        return LayerStructure(obj.L, obj.d0, obj.dL, obj.d)
+    return obj.layers
+
+
+def unit_quotient(obj):
     """A layered kernel on its units: one part per unit, of the unit's measure.
 
     The parts of a unit are twins, with equal rows and equal columns, so
     merging them changes no cut norm and no projection onto groups of
     units (Lovasz, Large Networks and Graph Limits, 2012). Part i of the
-    quotient is unit i in layout order, of measure ``unit_parts()[i] / n``,
-    and its coefficients are each block's ``units(c, rows, cols)[:, 0, :, 0]``.
-    ``ck`` must be layered (conditions 2 and 3 of ``validate_computational``):
-    variation inside a unit and entries outside ``blocks()`` are not read.
+    quotient is unit i in layout order, of measure ``unit_parts()[i] / n``.
+    ``obj`` is a network or a computational kernel. A network's blocks are
+    its parameters over B, the values ``induce_kernel`` spreads over the
+    parts, so ``unit_quotient(net)`` equals ``unit_quotient(induce_kernel(net))``
+    bitwise and never builds the n x n kernel. A kernel's blocks are read
+    as ``units(c, rows, cols)[:, 0, :, 0]``; it must be layered (conditions
+    2 and 3 of ``validate_computational``): variation inside a unit and
+    entries outside ``blocks()`` are not read.
     """
-    ls, c = ck.layers, ck.kernel.coeffs
+    ls = layers_of(obj)
+    if isinstance(obj, DenseNetwork):
+        B = float(obj.B)
+        params = [p for wb in zip(obj.weights, obj.biases) for p in wb] + [obj.L + 2.0]
+        blocks = [
+            np.reshape(p / B, (ls.width(rows), ls.width(cols)))
+            for (rows, cols), p in zip(ls.blocks(), params)
+        ]
+    else:
+        c = obj.kernel.coeffs
+        blocks = [ls.units(c, rows, cols)[:, 0, :, 0] for rows, cols in ls.blocks()]
     q = np.zeros((ls.n_units, ls.n_units))
-    for rows, cols in ls.blocks():
-        q[ls.unit_slice(rows), ls.unit_slice(cols)] = ls.units(c, rows, cols)[:, 0, :, 0]
+    for (rows, cols), block in zip(ls.blocks(), blocks):
+        q[ls.unit_slice(rows), ls.unit_slice(cols)] = block
     return StepKernel(Partition(ls.unit_parts() / ls.n), q)
 
 

@@ -14,8 +14,10 @@ final partition respects the layered structure, and each hidden layer's
 units are averaged over equal slots: with ``P_l`` the (d' x d) slot
 matrix of hidden layer l, the smaller network has
 ``W'_l = P_l W_l P_{l-1}^T`` and ``b'_l = P_l b_l`` (the first layer
-keeps its inputs, the last its outputs). Its kernel is
-induced, validated and measured against the original. One slicer,
+keeps its inputs, the last its outputs). The input's n x n kernel is
+never built: the quotient is read off the weights, the distance measured
+between the two networks' quotients, and only the smaller network's
+kernel is induced, to be validated. One slicer,
 ``_slot_weights``, does every rebalancing: it cuts grouped pieces into
 equal units and returns the amount of each piece in each unit as an
 array. Compression runs it on integer ticks, so every slot weight is an
@@ -39,12 +41,15 @@ from .kernels import (
     StepKernel,
     extract_network,  # noqa: F401 - bench/tracing.py wraps this name here
     induce_kernel,
+    layers_of,
     lift_computational,  # noqa: F401 - bench/tracing.py wraps this name here
     unit_quotient,
     validate_computational,
 )
 from .networks import DenseNetwork, forward
 from .partitions import Partition
+
+GAP_CHUNK = 1024  # sampled inputs per forward pass of the output gap
 
 
 def _project_grouping(coeffs, measures, labels):
@@ -259,7 +264,7 @@ def _slot_weights(sizes, groups, unit):
 class CompressionReport:
     """What ``compress_network`` measured. Each ``stages`` entry has a name,
     status, detail and ``elapsed_s``, the wall time from the end of the
-    previous stage (the first from the induced kernel) to its own end, so
+    previous stage (the first from the unit quotient) to its own end, so
     the stage times sum to at most ``elapsed_s``."""
 
     d_original: int
@@ -349,18 +354,28 @@ def compress_network(
     without lifting either kernel.
 
     Every refinement (``target_d``, the network's own width, or
-    ``epsilon``) runs on the unit quotient of the network's kernel, one
-    part per unit, so group counts and budgets count units and a hidden
-    unit is never split. Each hidden layer is cut into slots by
+    ``epsilon``) runs on the unit quotient read off the weights, one part
+    per unit, so group counts and budgets count units and a hidden unit
+    is never split. Each hidden layer is cut into slots by
     ``_slot_weights`` in integer ticks, d_new per unit and d per slot,
     grouped by the refined labels; a slot's weights are its tick counts
     over d, exact ratios that sum to one. The slot matrices P average the
     layer's neurons:
     W'_1 = P_1 W_1, W'_l = P_l W_l P_{l-1}^T, W'_L = W_L P_{L-1}^T,
-    b'_l = P_l b_l and b'_L = b_L, clipped to [-B, B]. The new network's
-    kernel is induced, validated once and measured. Compressing to the
-    network's own width returns its weights and biases unchanged, with
-    delta_hat and the output gap 0.
+    b'_l = P_l b_l and b'_L = b_L, clipped to [-B, B]. Only the new
+    network's kernel, small at d_new, is induced, to be validated once;
+    the distance is taken between the two networks' quotients and the
+    output gap in chunks of ``GAP_CHUNK`` samples, so the input's n x n
+    kernel is never built and no array grows as samples * d. Compressing
+    to the network's own width returns its weights and biases unchanged,
+    with delta_hat and the output gap 0.
+
+    Outputs are reproducible bit for bit only at a fixed BLAS thread
+    count. The slot averages, the projections and the heuristic oracle
+    sum through BLAS matrix products, whose summation order depends on
+    the thread count, so runs at different counts can differ in the last
+    bits and then in the oracle's choices (``delta_hat`` at 960->48 reads
+    0.0366834 on one thread and 0.0366598 on two).
     """
     t0 = time.monotonic()
     if (epsilon is None) == (target_d is None):
@@ -369,9 +384,8 @@ def compress_network(
         raise ParameterError(f"samples must be at least 1, got {samples}")
     if target_d is not None and target_d > net.d:
         raise ParameterError(f"target width {target_d} exceeds the network width {net.d}")
-    ck = induce_kernel(net)
-    ls = ck.layers
-    quotient = unit_quotient(ck)
+    ls, B = layers_of(net), float(net.B)
+    quotient = unit_quotient(net)
     stages = []
     mark = time.monotonic()
 
@@ -437,12 +451,11 @@ def compress_network(
     biases = [p @ c for p, c in zip(P, b)] + [b[-1]]
     # a convex average can overshoot the bound by an ulp
     net_new = DenseNetwork(
-        ls.L, ls.d0, ls.dL, d_new, ck.B,
-        tuple(np.clip(a, -ck.B, ck.B) for a in weights),
-        tuple(np.clip(a, -ck.B, ck.B) for a in biases),
+        ls.L, ls.d0, ls.dL, d_new, B,
+        tuple(np.clip(a, -B, B) for a in weights),
+        tuple(np.clip(a, -B, B) for a in biases),
     )
-    ck_new = induce_kernel(net_new)
-    report = validate_computational(ck_new)
+    report = validate_computational(induce_kernel(net_new))
     if not report.ok:
         raise ValidationFailedError(
             f"compressed kernel failed validation: {report.first_failure()}"
@@ -450,8 +463,8 @@ def compress_network(
     stage("validate", "ok")
 
     dist = comp_cut_distance_upper(
-        ck,
-        ck_new,
+        net,
+        net_new,
         mode="identity",
         oracle=oracle,
         cap=cap,
@@ -460,11 +473,14 @@ def compress_network(
     )
     stage("distance", "exact" if dist.exact else "heuristic", f"delta_hat {dist.value:.6g}")
 
-    amplifier = (2.0 * ck.B) ** ls.L
+    amplifier = (2.0 * B) ** ls.L
     output_factor = (ls.L + 2) * ls.dL
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, 1.0, size=(samples, ls.d0))
-    gap = float(np.max(np.abs(forward(net, xs) - forward(net_new, xs))))
+    gap = max(
+        float(np.max(np.abs(forward(net, x) - forward(net_new, x))))
+        for x in np.split(xs, range(GAP_CHUNK, samples, GAP_CHUNK))
+    )
     stage("empirical", "ok", f"max gap {gap:.6g} over {samples} samples")
 
     rep = CompressionReport(

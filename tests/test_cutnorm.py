@@ -824,7 +824,7 @@ def full_kernel_distance_reference(ck, cj, mode, oracle="exact"):
 
 
 @st.composite
-def small_layered_pair(draw):
+def small_network_pair(draw):
     """Two networks on one (L, d0, dL, B), exactly enumerable when compared."""
     L = draw(st.integers(2, 3))
     d0, dL = draw(st.integers(1, 2)), draw(st.integers(1, 2))
@@ -832,9 +832,12 @@ def small_layered_pair(draw):
     top = (8 if L == 2 else 4) // M
     d, e = (M * draw(st.integers(1, top)) for _ in range(2))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    return tuple(
-        induce_kernel(random_network(L, d0, dL, w, L + 3.0, rng)) for w in (d, e)
-    )
+    return tuple(random_network(L, d0, dL, w, L + 3.0, rng) for w in (d, e))
+
+
+def small_layered_pair():
+    """The kernels ``small_network_pair``'s networks induce."""
+    return small_network_pair().map(lambda pair: tuple(map(induce_kernel, pair)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -853,3 +856,49 @@ def test_comp_distance_on_quotients_matches_the_full_kernels(pair, exhaustive):
     got = comp_cut_distance_upper(ck, cj, mode=mode, oracle="exact")
     assert got.exact
     assert abs(got.value - full_kernel_distance_reference(ck, cj, mode)) <= 1e-12
+
+
+def same_distance(got, want):
+    """Two distance results agree bit for bit, witness sets included."""
+    return (
+        got.value.hex() == want.value.hex()
+        and (got.exact, got.mode, got.permutations) == (want.exact, want.mode, want.permutations)
+        and (got.witness.row_set, got.witness.col_set)
+        == (want.witness.row_set, want.witness.col_set)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=small_network_pair(), exhaustive=st.booleans())
+def test_comp_distance_of_networks_is_that_of_their_kernels(pair, exhaustive):
+    net_a, net_b = pair
+    mode = "exhaustive" if exhaustive and net_a.d == net_b.d <= 3 else "identity"
+    ck, cj = induce_kernel(net_a), induce_kernel(net_b)
+    want = comp_cut_distance_upper(ck, cj, mode=mode)
+    assert same_distance(comp_cut_distance_upper(net_a, net_b, mode=mode), want)
+    assert same_distance(comp_cut_distance_upper(net_a, cj, mode=mode), want)
+    assert same_distance(comp_cut_distance_upper(ck, net_b, mode=mode), want)
+
+
+@pytest.mark.parametrize("d, e", [(36, 24), (24, 12), (12, 12)])
+def test_comp_distance_of_networks_on_the_heuristic_route(d, e):
+    rng = np.random.default_rng(17)
+    net_a = random_network(3, 2, 2, d, 5.0, rng)
+    net_b = random_network(3, 2, 2, e, 5.0, rng)
+    got = comp_cut_distance_upper(net_a, net_b, restarts=8, seed=3)
+    want = comp_cut_distance_upper(
+        induce_kernel(net_a), induce_kernel(net_b), restarts=8, seed=3
+    )
+    assert not got.exact
+    assert same_distance(got, want)
+
+
+def test_comp_distance_checks_networks_like_kernels():
+    rng = np.random.default_rng(18)
+    net = random_network(2, 1, 1, 4, 6.0, rng)
+    with pytest.raises(ParameterError, match="\\(L, d0, dL\\)"):
+        comp_cut_distance_upper(net, random_network(3, 1, 1, 4, 6.0, rng))
+    with pytest.raises(ParameterError, match="disagree on B"):
+        comp_cut_distance_upper(net, random_network(2, 1, 1, 4, 7.0, rng))
+    with pytest.raises(ParameterError, match="equal hidden dims"):
+        comp_cut_distance_upper(net, random_network(2, 1, 1, 2, 6.0, rng), mode="exhaustive")

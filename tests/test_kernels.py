@@ -23,6 +23,7 @@ from densecap.kernels import (
     induce_graph,
     induce_input_signal,
     induce_kernel,
+    layers_of,
     lift_computational,
     serialize_kernel,
     unit_quotient,
@@ -481,8 +482,10 @@ def test_validation_matches_the_per_cell_reference(seed, hits, log_size):
 @example(L=3, d0=2, dL=3, mult=1, seed=1)
 def test_unit_quotient_is_the_kernel_on_its_units(L, d0, dL, mult, seed):
     d = math.lcm(d0, dL) * mult
-    ck = induce_kernel(random_network(L, d0, dL, d, L + 3.0, np.random.default_rng(seed)))
+    net = random_network(L, d0, dL, d, L + 3.0, np.random.default_rng(seed))
+    ck = induce_kernel(net)
     ls = ck.layers
+    assert layers_of(net) == ls
     parts = ls.unit_parts()
     assert parts.size == ls.n_units and parts.sum() == ls.n
     # the regions' unit ranges tile 0..n_units in layout order
@@ -498,3 +501,7 @@ def test_unit_quotient_is_the_kernel_on_its_units(L, d0, dL, mult, seed):
     # spreading each unit back over its parts gives the kernel bitwise
     fine = np.repeat(np.repeat(q.coeffs, parts, axis=0), parts, axis=1)
     assert np.array_equal(fine, ck.kernel.coeffs)
+    # read straight off the weights, the quotient is the same bits
+    qn = unit_quotient(net)
+    assert same_bits(qn.coeffs, q.coeffs)
+    assert same_bits(qn.partition.measures, q.partition.measures)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,7 +24,7 @@ from densecap.networks import forward, random_network
 from densecap.partitions import Partition, equipartition
 from densecap.regularity import compress_network, weak_regularity
 
-from conftest import random_layered_net
+from conftest import package_env, random_layered_net
 
 
 def residual_cut_norm_exact(kern, proj):
@@ -528,16 +530,74 @@ def test_budgeted_refinement_respects_budget_and_structure(L, d0, dL, d, budget,
     assert tr.status in ("certified", "heuristic_termination", "budget_exhausted", "cap_reached")
 
 
-def test_compress_peak_stays_below_three_full_kernels():
-    # the refinement and the distance run on 485 units, not 1,200 parts;
-    # what is left is mostly the one induced 1,200 x 1,200 kernel
+def test_compress_peak_stays_below_two_full_kernels():
+    # the quotient is read off the weights and the gap is sampled in chunks,
+    # so no array scales as the 1,200 x 1,200 kernel or as samples x d; what
+    # is left is the refinement on 485 units and the small new kernel
     net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42))
     full_kernel = (net.size**2) * 8
     tracemalloc.start()
     try:
-        _, rep = compress_network(net, target_d=24, seed=5, samples=100)
+        _, rep = compress_network(net, target_d=24, seed=5, samples=10_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rep.d_compressed == 24 and rep.validation_ok
-    assert peak < 3 * full_kernel
+    assert peak < 2 * full_kernel
+
+
+@pytest.mark.parametrize("samples", [1, 1023, 1024, 1025, 10_000])
+def test_chunked_gap_is_the_one_shot_gap(samples, monkeypatch):
+    net = random_network(3, 2, 2, 24, 5.0, np.random.default_rng(19))
+    rows = []
+    real_forward = regularity.forward
+
+    def recording(n, x):
+        rows.append(len(x))
+        return real_forward(n, x)
+
+    monkeypatch.setattr(regularity, "forward", recording)
+    new, rep = compress_network(net, target_d=12, seed=4, samples=samples)
+    monkeypatch.undo()
+    assert sum(rows) == 2 * samples and max(rows) <= regularity.GAP_CHUNK
+    xs = np.random.default_rng(4).uniform(0.0, 1.0, size=(samples, net.d0))
+    one_shot = float(np.max(np.abs(forward(net, xs) - forward(new, xs))))
+    assert rep.empirical_max.hex() == one_shot.hex()
+
+
+PINNED_RUN = """
+import hashlib
+import numpy as np
+from densecap.networks import random_network
+from densecap.regularity import compress_network
+for d, t in ((240, 24), (120, 12)):
+    net = random_network(3, 2, 2, d, 5.0, np.random.default_rng(42))
+    new, rep = compress_network(net, target_d=t, seed=5)
+    h = hashlib.sha256(b"".join(a.tobytes() for a in new.weights + new.biases))
+    print(h.hexdigest(), rep.delta_hat.hex(), rep.empirical_max.hex(),
+          rep.iterations, rep.fk_status)
+"""
+
+
+def test_compress_outputs_are_pinned_at_one_blas_thread():
+    """240->24 and 120->12 as computed before the quotient was read off the
+    weights, when compression still induced the n x n kernel: a sha256 of
+    the weights and biases, then delta_hat, empirical_max, iterations and
+    the refinement status. Bitwise equality holds only at a fixed BLAS
+    thread count (see ``compress_network``), so the run gets one thread.
+    The pins are numpy 2.4's bundled OpenBLAS on x86-64; another BLAS
+    build may round the matrix products differently.
+    """
+    env = package_env()
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    out = subprocess.run(
+        [sys.executable, "-c", PINNED_RUN], capture_output=True, text=True,
+        timeout=600, env=env, check=True,
+    ).stdout.splitlines()
+    assert out == [
+        "4a353273b08837163df4b5e13b744a2a606ece9cd4d7c1eea81ff1fd9e57c22b "
+        "0x1.1bdd58a354c48p-5 0x1.2058c4cc3ddc0p-8 3 budget_exhausted",
+        "591b802019ace3bd3bca3a32ffaa92fa813037c1ade7eb08f1722ca985d2fc27 "
+        "0x1.24ff673a40d8ap-5 0x1.0c7afb53805f0p-6 3 budget_exhausted",
+    ]
