@@ -434,6 +434,10 @@ def compress_network(
         fk_status = trace.status
         kind = "certified bound" if trace.oracle_exact else "bound estimate"
         stage("regularity", fk_status, f"{kind} {2.0 * trace.bound:.4g}")
+    iterations = len(trace.iterations)
+    # the distance builds its own quotients; the refinement's quotient-sized
+    # arrays would only raise its peak
+    del quotient, trace
 
     counts = _layer_group_counts(labels, ls)
     # slot weights in ticks: d_new per unit, d per slot, so every amount
@@ -494,7 +498,7 @@ def compress_network(
         empirical_max=gap,
         samples=samples,
         seed=seed,
-        iterations=len(trace.iterations),
+        iterations=iterations,
         layer_counts=counts,
         validation_ok=report.ok,
         fk_status=fk_status,

@@ -1,6 +1,7 @@
 import gzip
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,11 @@ from densecap.experiments import (
 from densecap.experiments.data import read_idx_images, read_idx_labels
 from densecap.experiments.training import (
     Adam,
+    _accuracy,
     _clamp,
     _init_params,
+    _mse,
+    _softmax_ce,
     loss_and_grads,
     max_scaled_weight,
     sweep_summary,
@@ -225,3 +229,101 @@ def test_config_refuses_subset_below_one():
 def test_spike_dataset_string_names_bad_field(spec, field):
     with pytest.raises(ParameterError, match=field):
         train(TrainConfig(dataset=spec, width=4, epochs=1))
+
+
+def reference_loss_and_grads(params, x, y, kind):
+    """The step written plainly, with fresh arrays and a boolean-index mask."""
+    pre = x @ params["W1"] + params["b1"]
+    hid = np.maximum(pre, 0.0)
+    out = hid @ params["W2"] + params["b2"]
+    loss, dout = _softmax_ce(out, y) if kind == "classification" else _mse(out, y)
+    grads = {"W2": hid.T @ dout, "b2": dout.sum(axis=0)}
+    dhid = dout @ params["W2"].T
+    dhid[pre <= 0] = 0.0
+    grads["W1"] = x.T @ dhid
+    grads["b1"] = dhid.sum(axis=0)
+    return float(loss), grads, out
+
+
+def step_inputs(kind, rows=23, d_in=5, width=37, seed=0):
+    rng = np.random.default_rng(seed)
+    d_out = 10 if kind == "classification" else 1
+    params = _init_params(rng, d_in, width, d_out)
+    params["b1"] = rng.choice([-0.5, 0.0, 0.5], size=width)
+    params["b2"] = rng.uniform(-1, 1, size=d_out)
+    x = rng.uniform(0, 1, size=(rows, d_in))
+    x[0] = 0.0  # pre is exactly 0 wherever b1 is: the ReLU's boundary
+    y = rng.integers(0, 10, rows) if kind == "classification" else rng.uniform(0, 1, rows)
+    return params, x, y
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["classification", "regression"])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_step_is_bitwise_the_plain_formula(kind, buffered):
+    params, x, y = step_inputs(kind)
+    want_loss, want, _ = reference_loss_and_grads(params, x, y, kind)
+    # a stale, larger buffer, as train() passes for the last, short batch
+    hid = np.full((x.shape[0] + 9, params["b1"].size), np.nan)[: x.shape[0]]
+    loss, grads = loss_and_grads(params, x, y, kind, hid if buffered else None)
+    assert same_bits(loss, want_loss)
+    assert grads.keys() == want.keys()
+    for k in want:
+        assert same_bits(grads[k], want[k]), k
+
+
+def test_adam_step_is_bitwise_the_plain_formula():
+    params, x, y = step_inputs("classification")
+    mine = {k: v.copy() for k, v in params.items()}
+    opt = Adam(mine, 1e-2, 0.9, 0.999, 1e-8)
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(a) for k, a in params.items()}
+    for t in range(1, 6):
+        _, grads = loss_and_grads(mine, x, y, "classification")
+        opt.step(mine, grads)
+        for k, g in grads.items():
+            m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
+            mhat = m[k] / (1.0 - 0.9**t)
+            vhat = v[k] / (1.0 - 0.999**t)
+            params[k] -= 1e-2 * mhat / (np.sqrt(vhat) + 1e-8)
+        for k in params:
+            assert same_bits(mine[k], params[k]), (t, k)
+
+
+@pytest.mark.parametrize("kind", ["classification", "regression"])
+def test_accuracy_does_not_depend_on_the_chunk(kind):
+    rows = 1100
+    params, x, _ = step_inputs(kind, rows=rows, width=64, seed=3)
+    _, _, out = reference_loss_and_grads(params, x, np.zeros(rows, dtype=int), kind)
+    rng = np.random.default_rng(4)
+    meta = {"N": 4}
+    if kind == "classification":
+        # half the labels are the reference prediction, half random
+        y = np.where(rng.random(rows) < 0.5, out.argmax(axis=1), rng.integers(0, 10, rows))
+        hits = out.argmax(axis=1) == y
+    else:
+        # targets on both sides of the hit tolerance 1 / (4N)
+        y = out[:, 0] + rng.uniform(-2, 2, rows) / (4.0 * meta["N"])
+        hits = np.abs(out[:, 0] - y) < 1.0 / (4.0 * meta["N"])
+    want = 100.0 * int(hits.sum()) / rows
+    assert 0.0 < want < 100.0
+    for chunk in (1, 7, 512, rows):
+        assert _accuracy(params, x, y, kind, meta, chunk=chunk) == want, chunk
+
+
+def test_training_epoch_peak_is_independent_of_samples():
+    # the parent kept 8,192 x 512 temporaries (96 MiB); every trainer array
+    # is now batch x width or chunk x width
+    data = make_spike_dataset(2, 4, 0, 20000)
+    tracemalloc.start()
+    try:
+        train(TrainConfig(width=512, epochs=1), data=data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
