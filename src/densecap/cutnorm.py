@@ -349,19 +349,20 @@ def kernel_cut_norm(kern, oracle="auto", cap=EXACT_CAP_DEFAULT, restarts=32, see
     return kernel_cut_norm_lower(k, restarts=restarts, seed=seed, reduction=red), False
 
 
-def difference_cut_norm(partition, diff, oracle, cap, restarts, seed):
+def difference_cut_norm(partition, diff, oracle, seed):
     """Cut norm of ``diff``, a difference of two kernels on ``partition``.
 
     Kernel entries lie in [-1, 1], so ``diff`` lies in [-2, 2] and its half
     is a step kernel (the clip only removes the last-bit overshoot of
     averaged kernels). Halving and doubling are exact in floating point,
     so the doubled witness value is the mass of ``diff`` on the witness
-    sets. Returns (witness, exact) as ``kernel_cut_norm`` does. Consumes
-    ``diff``: it is halved and clipped in place and left read-only.
+    sets. Returns (witness, exact) as ``kernel_cut_norm`` does, at its
+    default cap and restarts. Consumes ``diff``: it is halved and clipped
+    in place and left read-only.
     """
     diff /= 2.0
     half = StepKernel(partition, np.clip(diff, -1.0, 1.0, out=diff))
-    w, exact = kernel_cut_norm(half, oracle=oracle, cap=cap, restarts=restarts, seed=seed)
+    w, exact = kernel_cut_norm(half, oracle=oracle, seed=seed)
     return CutWitness(w.value * 2.0, w.row_set, w.col_set), exact
 
 
@@ -407,15 +408,7 @@ class CompDistanceResult:
     witness: CutWitness = None
 
 
-def comp_cut_distance_upper(
-    ck,
-    cj,
-    mode="identity",
-    oracle="auto",
-    cap=EXACT_CAP_DEFAULT,
-    restarts=32,
-    seed=0,
-):
+def comp_cut_distance_upper(ck, cj, mode="identity", oracle="auto", seed=0):
     """Cut norm of the difference, minimized over hidden-unit relabelings.
 
     Modes: 'identity' compares as laid out; 'exhaustive' tries every
@@ -473,9 +466,7 @@ def comp_cut_distance_upper(
     best, best_perms, ex_all = None, None, True
     for perms in candidates:
         idx = _hidden_permutation_index(b, perms)[rj]
-        w, is_exact = difference_cut_norm(
-            refined, qc - qj[np.ix_(idx, idx)], oracle, cap, restarts, seed
-        )
+        w, is_exact = difference_cut_norm(refined, qc - qj[np.ix_(idx, idx)], oracle, seed)
         ex_all = ex_all and is_exact
         if best is None or w.value < best.value:
             best, best_perms = w, perms

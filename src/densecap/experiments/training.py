@@ -5,8 +5,10 @@ directly to the pre-activation). In "dense" mode every weight matrix is
 clamped after each optimizer step to [-numerator/d_in, numerator/d_in],
 where d_in is the layer's input width, which caps how much any single
 connection can contribute; biases are not clamped. Runs are bit-for-bit
-deterministic given the config: one generator seeds initialization and
-another the shuffling stream.
+deterministic given the config and the BLAS thread count: one generator
+seeds initialization and another the shuffling stream, but the matrix
+products sum in an order that depends on the thread count, so a 784->96
+run on one thread and on two differ in the last bits.
 """
 
 import re
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import IngestionError, ParameterError
 from .data import load_mnist, make_spike_dataset, take_subset
 
 
@@ -181,6 +183,8 @@ def _resolve_dataset(config, data, data_dir):
     elif name == "mnist":
         ds = load_mnist(data_dir)
     elif name == "mnist-subset":
+        if not re.fullmatch(r"[0-9]+", args) or int(args) < 1:
+            raise ParameterError(f"mnist-subset size must be an integer >= 1, got {args!r}")
         ds = load_mnist(data_dir)
         subset = subset or int(args)
     elif name == "spike":
@@ -221,6 +225,10 @@ def train(config, data=None, data_dir=None):
     width (in ``_accuracy``); none grows with the number of samples.
     """
     ds = _resolve_dataset(config, data, data_dir)
+    if not (ds.train_x.shape[0] and ds.test_x.shape[0]):
+        raise IngestionError(
+            f"empty split: {ds.train_x.shape[0]} training and {ds.test_x.shape[0]} test rows"
+        )
     t0 = time.monotonic()
     d_in = ds.train_x.shape[1]
     d_out = 10 if ds.kind == "classification" else 1

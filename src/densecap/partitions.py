@@ -27,9 +27,10 @@ class Partition:
         object.__setattr__(self, "measures", meas)
         if meas.ndim != 1 or meas.size == 0:
             raise ParameterError("partition needs a nonempty 1-d measure vector")
-        if np.any(meas <= 0):
-            raise ParameterError("zero- or negative-measure parts are forbidden")
-        if abs(float(meas.sum()) - 1.0) > MEASURE_TOL:
+        # written so that a NaN measure fails both checks
+        if not np.all(meas > 0):
+            raise ParameterError("zero-, negative- or NaN-measure parts are forbidden")
+        if not abs(float(meas.sum()) - 1.0) <= MEASURE_TOL:
             raise ParameterError(f"measures sum to {meas.sum()!r}, expected 1.0")
 
     @property

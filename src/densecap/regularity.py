@@ -31,7 +31,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .cutnorm import (
-    EXACT_CAP_DEFAULT,
     comp_cut_distance_upper,
     difference_cut_norm,
     kernel_cut_norm,  # noqa: F401 - bench/tracing.py wraps this name here
@@ -112,7 +111,7 @@ class RegularityTrace:
         return [r.energy for r in self.iterations]
 
 
-def _refine(kernel, labels, split, stop, max_iter, oracle, cap, restarts, seed):
+def _refine(kernel, labels, split, stop, max_iter, oracle, seed):
     """The energy-increment loop shared by every refinement in this module.
 
     Each round projects the kernel onto the label groups, records the
@@ -120,7 +119,9 @@ def _refine(kernel, labels, split, stop, max_iter, oracle, cap, restarts, seed):
     witness drops below ``stop`` or after ``max_iter`` splits. Otherwise
     ``split(labels, s, t)`` refines the labels by the witness indicator
     vectors s (rows) and t (columns); it returns None when it refuses to
-    refine, which ends the run as "budget_exhausted".
+    refine, which ends the run as "budget_exhausted". ``split`` may itself
+    be None when the first round is sure to stop, as for labels that are
+    the kernel's own parts: their residual, and so their witness, is zero.
     """
     coeffs = kernel.coeffs
     meas = kernel.partition.measures
@@ -131,9 +132,7 @@ def _refine(kernel, labels, split, stop, max_iter, oracle, cap, restarts, seed):
         vals, gm, inverse = _project_grouping(coeffs, meas, labels)
         proj = vals[np.ix_(inverse, inverse)]
         energy = float(np.sum(vals * vals * np.outer(gm, gm)))
-        witness, was_exact = difference_cut_norm(
-            kernel.partition, coeffs - proj, oracle, cap, restarts, seed
-        )
+        witness, was_exact = difference_cut_norm(kernel.partition, coeffs - proj, oracle, seed)
         exact_used = exact_used and was_exact
         records.append(IterationRecord(
             it, int(gm.size), energy, witness.value, was_exact, time.monotonic() - t0
@@ -160,43 +159,23 @@ def _refine(kernel, labels, split, stop, max_iter, oracle, cap, restarts, seed):
     )
 
 
-def weak_regularity(
-    kernel,
-    eps,
-    oracle="exact",
-    cap=EXACT_CAP_DEFAULT,
-    restarts=32,
-    seed=0,
-    max_iter=None,
-    initial_labels=None,
-):
+def weak_regularity(kernel, eps, oracle="exact", seed=0):
     """Approximate a step kernel in cut norm by iterative cut refinement.
 
-    Stops as soon as the residual's cut witness drops below ``eps`` or the
-    iteration cap ceil(4/eps^2) is hit; the cap is generous because every
-    completed refinement raises the projection energy by at least eps^2
-    and the energy never exceeds 1. Starting labels may be supplied (e.g.
-    the kernel's own partition, which terminates immediately with zero
-    residual).
+    Starts from the one-part partition and stops as soon as the residual's
+    cut witness drops below ``eps`` or the iteration cap ceil(4/eps^2) is
+    hit; the cap is generous because every completed refinement raises the
+    projection energy by at least eps^2 and the energy never exceeds 1.
     """
     if not 0 < eps <= 2:
         raise ParameterError(f"eps must lie in (0, 2], got {eps}")
-    if max_iter is not None and max_iter < 0:
-        raise ParameterError(f"max_iter must be non-negative, got {max_iter}")
-    labels = (
-        np.zeros(kernel.n, dtype=np.int64)
-        if initial_labels is None
-        else np.asarray(initial_labels).copy()
-    )
     return _refine(
         kernel,
-        labels,
+        np.zeros(kernel.n, dtype=np.int64),
         lambda labels, s, t: _relabel(labels * 4 + 2 * s + t),
         eps,
-        math.ceil(4.0 / (eps * eps)) if max_iter is None else max_iter,
+        math.ceil(4.0 / (eps * eps)),
         oracle,
-        cap,
-        restarts,
         seed,
     )
 
@@ -295,7 +274,7 @@ def _layer_group_counts(labels, ls):
     }
 
 
-def _budgeted_fk(ls, quotient, budget, oracle, cap, restarts, seed):
+def _budgeted_fk(ls, quotient, budget, oracle, seed):
     """Cut refinement of a unit quotient within a group budget per hidden layer.
 
     Splits are applied per hidden layer; a layer is left untouched whenever
@@ -327,19 +306,10 @@ def _budgeted_fk(ls, quotient, budget, oracle, cap, restarts, seed):
         # layers re-separated by pairing with the structural label
         return _pair_labels(new_labels, struct) if changed else None
 
-    return _refine(quotient, struct, split, 1e-9, 200, oracle, cap, restarts, seed)
+    return _refine(quotient, struct, split, 1e-9, 200, oracle, seed)
 
 
-def compress_network(
-    net,
-    epsilon=None,
-    target_d=None,
-    oracle="auto",
-    cap=EXACT_CAP_DEFAULT,
-    restarts=32,
-    seed=0,
-    samples=10_000,
-):
+def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, samples=10_000):
     """Compress a dense network to a smaller hidden width.
 
     Either ``epsilon`` (regularity accuracy; the width follows from the
@@ -404,13 +374,10 @@ def compress_network(
         if target_d < ls.M:
             raise ParameterError(f"target width must be at least {ls.M}")
         if target_d == net.d:
-            # projection onto the network's own structure, nothing to search
-            trace = weak_regularity(
-                quotient, 2.0, oracle=oracle, cap=cap, restarts=restarts,
-                seed=seed, initial_labels=np.arange(ls.n_units),
-            )
+            # one round on the network's own units: the residual is zero
+            trace = _refine(quotient, np.arange(ls.n_units), None, 2.0, 1, oracle, seed)
         else:
-            trace = _budgeted_fk(ls, quotient, target_d, oracle, cap, restarts, seed)
+            trace = _budgeted_fk(ls, quotient, target_d, oracle, seed)
         labels = trace.labels
         d_new = int(target_d)
         fk_status = trace.status
@@ -421,9 +388,7 @@ def compress_network(
         # (on any union of refined parts the residual integrates as against
         # the coarse projection), so 2 * bound is the structured residual's
         # bound, certified only when every oracle call was exact
-        trace = weak_regularity(
-            quotient, epsilon / 2.0, oracle=oracle, cap=cap, restarts=restarts, seed=seed
-        )
+        trace = weak_regularity(quotient, epsilon / 2.0, oracle=oracle, seed=seed)
         labels = _pair_labels(trace.labels, ls.structural_labels())
         # a layer of k groups fits k slots only if its groups are equal
         need = 0
@@ -466,15 +431,7 @@ def compress_network(
         )
     stage("validate", "ok")
 
-    dist = comp_cut_distance_upper(
-        net,
-        net_new,
-        mode="identity",
-        oracle=oracle,
-        cap=cap,
-        restarts=restarts,
-        seed=seed,
-    )
+    dist = comp_cut_distance_upper(net, net_new, mode="identity", oracle=oracle, seed=seed)
     stage("distance", "exact" if dist.exact else "heuristic", f"delta_hat {dist.value:.6g}")
 
     amplifier = (2.0 * B) ** ls.L

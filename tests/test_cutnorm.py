@@ -508,10 +508,8 @@ def test_difference_cut_norm_doubles_the_halved_kernel(oracle):
     rng = np.random.default_rng(31)
     part = Partition(rng.dirichlet(np.ones(9)))
     diff = rng.uniform(-1, 1, (9, 9)) - rng.uniform(-1, 1, (9, 9))
-    w, exact = difference_cut_norm(part, diff.copy(), oracle, 24, 8, 3)
-    half, half_exact = kernel_cut_norm(
-        StepKernel(part, diff / 2.0), oracle=oracle, restarts=8, seed=3
-    )
+    w, exact = difference_cut_norm(part, diff.copy(), oracle, 3)
+    half, half_exact = kernel_cut_norm(StepKernel(part, diff / 2.0), oracle=oracle, seed=3)
     assert w.value == 2.0 * half.value and exact is half_exact
     assert (w.row_set, w.col_set) == (half.row_set, half.col_set)
 
@@ -816,9 +814,7 @@ def full_kernel_distance_reference(ck, cj, mode, oracle="exact"):
     best = None
     for perms in candidates:
         idx = fine_permutation_index(b, perms)[rj]
-        w, _ = difference_cut_norm(
-            refined, kc - cj.kernel.coeffs[np.ix_(idx, idx)], oracle, 24, 32, 0
-        )
+        w, _ = difference_cut_norm(refined, kc - cj.kernel.coeffs[np.ix_(idx, idx)], oracle, 0)
         best = w.value if best is None else min(best, w.value)
     return best
 
@@ -885,10 +881,8 @@ def test_comp_distance_of_networks_on_the_heuristic_route(d, e):
     rng = np.random.default_rng(17)
     net_a = random_network(3, 2, 2, d, 5.0, rng)
     net_b = random_network(3, 2, 2, e, 5.0, rng)
-    got = comp_cut_distance_upper(net_a, net_b, restarts=8, seed=3)
-    want = comp_cut_distance_upper(
-        induce_kernel(net_a), induce_kernel(net_b), restarts=8, seed=3
-    )
+    got = comp_cut_distance_upper(net_a, net_b, seed=3)
+    want = comp_cut_distance_upper(induce_kernel(net_a), induce_kernel(net_b), seed=3)
     assert not got.exact
     assert same_distance(got, want)
 

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from densecap.errors import IngestionError, ParameterError
+from densecap.cli import main
+from densecap.errors import DensecapError, IngestionError, ParameterError
 from densecap.experiments import (
     TrainConfig,
     load_mnist,
@@ -17,13 +18,22 @@ from densecap.experiments import (
     take_subset,
     train,
 )
-from densecap.experiments.data import read_idx_images, read_idx_labels
+from densecap.experiments.data import (
+    TEST_IMAGES,
+    TEST_LABELS,
+    TRAIN_IMAGES,
+    TRAIN_LABELS,
+    Dataset,
+    read_idx_images,
+    read_idx_labels,
+)
 from densecap.experiments.training import (
     Adam,
     _accuracy,
     _clamp,
     _init_params,
     _mse,
+    _resolve_dataset,
     _softmax_ce,
     loss_and_grads,
     max_scaled_weight,
@@ -83,6 +93,59 @@ def test_missing_directory_is_ingestion_error(tmp_path, monkeypatch):
         load_mnist(None)
     with pytest.raises(IngestionError):
         load_mnist(str(tmp_path))
+
+
+def write_mnist_dir(path, n_train, n_test):
+    """The four IDX files of a tiny 2 x 2-pixel MNIST stand-in under ``path``."""
+    rng = np.random.default_rng(0)
+    for images, labels, n in ((TRAIN_IMAGES, TRAIN_LABELS, n_train),
+                              (TEST_IMAGES, TEST_LABELS, n_test)):
+        pixels = rng.integers(0, 256, 4 * n, np.uint8)
+        write_idx(path / images, 2051, (n, 2, 2), pixels.tobytes())
+        write_idx(path / labels, 2049, (n,), rng.integers(0, 10, n, np.uint8).tobytes())
+    return str(path)
+
+
+@pytest.mark.parametrize("size", ["x", "-5", "0", ""])
+def test_mnist_subset_size_is_checked_before_loading(tmp_path, size):
+    # "-5" used to train on all but 5 rows and "0" on all of them
+    config = TrainConfig(dataset=f"mnist-subset({size})", width=4, epochs=1)
+    for data_dir in (write_mnist_dir(tmp_path, 20, 5), str(tmp_path / "missing")):
+        with pytest.raises(ParameterError, match="mnist-subset size"):
+            train(config, data_dir=data_dir)
+
+
+def test_mnist_subset_takes_that_many_rows(tmp_path):
+    config = TrainConfig(dataset="mnist-subset(5)")
+    ds = _resolve_dataset(config, None, write_mnist_dir(tmp_path, 20, 5))
+    assert (ds.train_x.shape, ds.test_x.shape) == ((5, 4), (5, 4))
+
+
+def train_cli(capsys, *args):
+    code = main(["train", "--width", "4", "--epochs", "1", *args])
+    return code, capsys.readouterr().err
+
+
+def test_cli_refuses_a_bad_mnist_subset(tmp_path, capsys):
+    data_dir = write_mnist_dir(tmp_path, 20, 5)
+    code, err = train_cli(capsys, "--dataset", "mnist-subset(x)", "--data-dir", data_dir)
+    assert code == 1
+    assert err.startswith("error: mnist-subset size") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rows", [(0, 5), (20, 0)])
+def test_train_refuses_an_empty_split(rows):
+    rng = np.random.default_rng(0)
+    (tx, ty), (vx, vy) = ((rng.random((n, 3)), rng.integers(0, 10, n)) for n in rows)
+    with pytest.raises(DensecapError, match="empty split"):
+        train(TrainConfig(width=4, epochs=1), data=Dataset(tx, ty, vx, vy))
+
+
+def test_cli_refuses_an_empty_training_file(tmp_path, capsys):
+    data_dir = write_mnist_dir(tmp_path, 0, 5)
+    code, err = train_cli(capsys, "--dataset", "mnist", "--data-dir", data_dir)
+    assert code == 1
+    assert err.startswith("error: empty split") and err.count("\n") == 1
 
 
 @needs_mnist

@@ -23,6 +23,12 @@ def test_zero_measure_parts_forbidden():
         Partition(np.array([0.4, 0.4]))  # does not cover the domain
 
 
+@pytest.mark.parametrize("meas", [[np.nan], [0.5, np.nan]])
+def test_nan_measures_forbidden(meas):
+    with pytest.raises(ParameterError):
+        Partition(np.array(meas))
+
+
 def test_common_refinement_idempotent():
     p = Partition(np.array([0.3, 0.2, 0.5]))
     r, _, _ = common_refinement(p, p)

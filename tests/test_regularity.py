@@ -95,7 +95,7 @@ def test_weak_regularity_constant_kernel_immediate():
 def test_weak_regularity_own_partition_start_terminates_at_zero():
     rng = np.random.default_rng(3)
     kern = StepKernel(equipartition(10), rng.uniform(-1, 1, (10, 10)))
-    tr = weak_regularity(kern, 0.4, initial_labels=np.arange(10))
+    tr = regularity._refine(kern, np.arange(10), None, 2.0, 1, "exact", 0)
     assert tr.status == "certified"
     assert tr.bound == 0.0
     assert np.array_equal(tr.projected_fine.coeffs, kern.coeffs)
@@ -138,8 +138,6 @@ def test_weak_regularity_rejects_bad_eps():
         weak_regularity(kern, 0.0)
     with pytest.raises(ParameterError):
         weak_regularity(kern, 2.5)
-    with pytest.raises(ParameterError):
-        weak_regularity(kern, 0.5, max_iter=-1)
 
 
 def epsilon_mode_run(net, epsilon, **kw):
@@ -304,6 +302,11 @@ def test_compress_identity_width():
         net2, rep = compress_network(net, target_d=net.d, seed=seed, samples=500)
         assert rep.delta_hat == 0.0
         assert rep.empirical_max == 0.0
+        assert rep.iterations == 1
+        assert rep.fk_status == "certified"
+        assert [st["name"] for st in rep.stages] == [
+            "refinement", "equitize", "validate", "distance", "empirical"
+        ]
         for a, b in zip(net.weights + net.biases, net2.weights + net2.biases):
             assert np.array_equal(a, b)
 
@@ -404,7 +407,7 @@ def test_compress_matches_kernel_sandwich(L, d0, dL, d, seed, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regularity, "_refine", recording)
         got, _ = compress_network(
-            net, target_d=target, oracle="heuristic", restarts=4, seed=seed, samples=1
+            net, target_d=target, oracle="heuristic", seed=seed, samples=1
         )
     assert len(traces) == 1
     ref = sandwich_reference(net, traces[0].labels, target)
@@ -519,7 +522,7 @@ def test_structural_labels_are_layout_ordered_ids(L, d0, dL, d):
 def test_budgeted_refinement_respects_budget_and_structure(L, d0, dL, d, budget, seed):
     ck = induce_kernel(random_network(L, d0, dL, d, 6.0, np.random.default_rng(seed)))
     ls = ck.layers
-    tr = regularity._budgeted_fk(ls, unit_quotient(ck), budget, "auto", 24, 8, seed)
+    tr = regularity._budgeted_fk(ls, unit_quotient(ck), budget, "auto", seed)
     for ell in list(range(1, L)) + ["bias"]:
         assert np.unique(tr.labels[ls.unit_slice(ell)]).size <= budget
     struct = ls.structural_labels()
