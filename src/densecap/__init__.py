@@ -18,7 +18,6 @@ from .networks import (
 )
 from .partitions import (
     Partition,
-    common_refinement,
     equipartition,
 )
 from .kernels import (

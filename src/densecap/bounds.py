@@ -293,7 +293,3 @@ class SpikeTarget:
         idx = np.ravel_multi_index(cells.T, (self.N,) * self.d0)
         out = self.labels[idx] * phi
         return float(out[0]) if squeeze else out
-
-
-def spike_target(d0, N, labels):
-    return SpikeTarget(d0, N, labels)

@@ -48,7 +48,7 @@ def _add_common(p):
     # abbreviations would read "--conf" as --config after the config pre-parse
     p.allow_abbrev = False
     p.add_argument("--config", help="JSON file supplying default values for flags")
-    p.add_argument("--seed", type=int, default=0, help="seed for anything random")
+    p.add_argument("--seed", type=_count, default=0, help="seed for anything random")
 
 
 def build_parser():
@@ -110,9 +110,6 @@ def build_parser():
     p.add_argument("--dataset", default="mnist")
     p.add_argument("--subset", type=int)
     p.add_argument("--data-dir", help="defaults to $DENSECAP_DATA")
-    p.add_argument("--beta1", type=float, default=0.9)
-    p.add_argument("--beta2", type=float, default=0.999)
-    p.add_argument("--adam-eps", type=float, default=1e-8)
     _add_common(p)
 
     p = sub.add_parser("sweep", help="grid of training runs -> CSV")
@@ -249,7 +246,6 @@ def cmd_train(args):
         width=args.width, mode=args.mode, epochs=args.epochs, lr=args.lr,
         batch=args.batch, seed=args.seed, dataset=args.dataset,
         subset=args.subset, clamp_numerator=args.clamp_numerator,
-        beta1=args.beta1, beta2=args.beta2, adam_eps=args.adam_eps,
     )
     m = train(cfg, data_dir=args.data_dir)
     print(f"width {cfg.width} mode {cfg.mode} seed {cfg.seed}: "

@@ -73,13 +73,12 @@ def evaluate_witness(obj, witness):
         return float(
             np.abs(np.sum(obj.values[idx] * obj.partition.measures[idx]))
         )
-    kern = obj.kernel if isinstance(obj, ComputationalKernel) else obj
     rows = np.asarray(witness.row_set, dtype=int)
     cols = np.asarray(witness.col_set, dtype=int)
     if rows.size == 0 or cols.size == 0:
         return 0.0
-    meas = kern.partition.measures
-    block = kern.coeffs[np.ix_(rows, cols)] * np.outer(meas[rows], meas[cols])
+    meas = obj.partition.measures
+    block = obj.coeffs[np.ix_(rows, cols)] * np.outer(meas[rows], meas[cols])
     return float(abs(block.sum()))
 
 
@@ -100,9 +99,8 @@ def signal_cut_norm(signal):
 def l1_norm(obj):
     if isinstance(obj, StepSignal):
         return float(np.sum(np.abs(obj.values) * obj.partition.measures))
-    kern = obj.kernel if isinstance(obj, ComputationalKernel) else obj
-    m = kern.partition.measures
-    return float(np.sum(np.abs(kern.coeffs) * np.outer(m, m)))
+    m = obj.partition.measures
+    return float(np.sum(np.abs(obj.coeffs) * np.outer(m, m)))
 
 
 def _merge_axis(coeffs, meas, axis):
@@ -228,8 +226,6 @@ def kernel_cut_norm_exact(kern, cap=EXACT_CAP_DEFAULT, *, reduction=None):
     cap; use kernel_cut_norm_lower then. ``reduction`` is ``_reduce(kern)``
     when the caller has already computed it.
     """
-    if isinstance(kern, ComputationalKernel):
-        kern = kern.kernel
     c, rmeas, cmeas, rmap, cmap = reduction or _reduce(kern)
     if c.size == 0:
         return CutWitness(0.0, (), ())
@@ -270,8 +266,6 @@ def kernel_cut_norm_lower(kern, restarts=32, seed=0, *, reduction=None):
     always a valid lower bound. ``reduction`` is ``_reduce(kern)`` when the
     caller has already computed it.
     """
-    if isinstance(kern, ComputationalKernel):
-        kern = kern.kernel
     if restarts < 0:
         raise ParameterError(f"restarts must be non-negative, got {restarts}")
     c, rmeas, cmeas, rmap, cmap = reduction or _reduce(kern)
@@ -342,11 +336,10 @@ def kernel_cut_norm(kern, oracle="auto", cap=EXACT_CAP_DEFAULT, restarts=32, see
         return kernel_cut_norm_lower(kern, restarts=restarts, seed=seed), False
     if oracle != "auto":
         raise ParameterError(f"unknown oracle {oracle!r}")
-    k = kern.kernel if isinstance(kern, ComputationalKernel) else kern
-    red = _reduce(k)
+    red = _reduce(kern)
     if min(red[0].shape) <= cap:
-        return kernel_cut_norm_exact(k, cap=cap, reduction=red), True
-    return kernel_cut_norm_lower(k, restarts=restarts, seed=seed, reduction=red), False
+        return kernel_cut_norm_exact(kern, cap=cap, reduction=red), True
+    return kernel_cut_norm_lower(kern, restarts=restarts, seed=seed, reduction=red), False
 
 
 def difference_cut_norm(partition, diff, oracle, seed):

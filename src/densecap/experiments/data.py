@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bounds import spike_target
+from ..bounds import SpikeTarget
 from ..errors import IngestionError, ParameterError
 
 IMAGE_MAGIC = 2051
@@ -127,7 +127,7 @@ def make_spike_dataset(d0, N, seed, samples, test_samples=None):
         raise ParameterError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     z = rng.integers(0, 2, size=N**d0)
-    target = spike_target(d0, N, z / (2.0 * N))
+    target = SpikeTarget(d0, N, z / (2.0 * N))
     test_samples = test_samples or max(1, samples // 5)
     tx = rng.uniform(0.0, 1.0, size=(samples, d0))
     vx = rng.uniform(0.0, 1.0, size=(test_samples, d0))

@@ -32,17 +32,17 @@ class TrainConfig:
     seed: int = 0
     dataset: str = "mnist"
     subset: int = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.mode not in ("standard", "dense"):
             raise ParameterError(f"mode must be standard|dense, got {self.mode!r}")
         if min(self.width, self.batch) < 1 or self.epochs < 0:
             raise ParameterError("width and batch must be positive, epochs >= 0")
-        if self.lr <= 0 or self.clamp_numerator <= 0:
+        # written so that a NaN learning rate or numerator fails the check
+        if not (self.lr > 0 and self.clamp_numerator > 0):
             raise ParameterError("learning rate and clamp numerator must be positive")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if self.subset is not None and self.subset < 1:
             raise ParameterError(f"subset must be at least 1, got {self.subset}")
 
@@ -126,8 +126,10 @@ def loss_and_grads(params, x, y, kind, hid=None):
 
 
 class Adam:
-    def __init__(self, params, lr, beta1, beta2, eps):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
+        self.lr = lr
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -176,17 +178,11 @@ def _accuracy(params, x, y, kind, meta=None, chunk=256):
 
 
 def _resolve_dataset(config, data, data_dir):
-    subset = config.subset
-    name, args = _split_dataset_string(config.dataset)
+    name, _, args = config.dataset.partition(":")
     if data is not None:
         ds = data
     elif name == "mnist":
         ds = load_mnist(data_dir)
-    elif name == "mnist-subset":
-        if not re.fullmatch(r"[0-9]+", args) or int(args) < 1:
-            raise ParameterError(f"mnist-subset size must be an integer >= 1, got {args!r}")
-        ds = load_mnist(data_dir)
-        subset = subset or int(args)
     elif name == "spike":
         kv = {"d0": 2, "N": 4, "seed": config.seed, "samples": 20000}
         for field in args.split(",") if args else ():
@@ -199,20 +195,9 @@ def _resolve_dataset(config, data, data_dir):
         ds = make_spike_dataset(**kv)
     else:
         raise ParameterError(f"unknown dataset {config.dataset!r}")
-    if subset:
-        ds = take_subset(ds, subset, seed=config.seed + 104729)
+    if config.subset:
+        ds = take_subset(ds, config.subset, seed=config.seed + 104729)
     return ds
-
-
-def _split_dataset_string(spec):
-    """'mnist', 'mnist-subset(20000)', 'spike:d0=2,N=4' -> (name, args)."""
-    if "(" in spec and spec.endswith(")"):
-        name, args = spec.split("(", 1)
-        return name, args[:-1]
-    if ":" in spec:
-        name, args = spec.split(":", 1)
-        return name, args
-    return spec, ""
 
 
 def train(config, data=None, data_dir=None):
@@ -235,7 +220,7 @@ def train(config, data=None, data_dir=None):
     init_rng = np.random.default_rng(config.seed)
     shuffle_rng = np.random.default_rng(config.seed + 7919)
     params = _init_params(init_rng, d_in, config.width, d_out)
-    opt = Adam(params, config.lr, config.beta1, config.beta2, config.adam_eps)
+    opt = Adam(params, config.lr)
     if config.mode == "dense":
         _clamp(params, config.clamp_numerator, d_in, config.width)
 

@@ -59,23 +59,3 @@ def equipartition(n):
         raise ParameterError("need at least one part")
     return Partition(np.full(n, 1.0 / n))
 
-
-def common_refinement(p, q):
-    """Coarsest partition refining both arguments (nonempty overlaps only).
-
-    Returns ``(partition, pi, qi)``: per refined part, the index of its
-    parent part in ``p`` and in ``q``.
-    """
-    bp, bq = p.boundaries(), q.boundaries()
-    merged = np.union1d(bp, bq)
-    # collapse boundary pairs closer than the measure tolerance
-    keep = [merged[0]]
-    for x in merged[1:]:
-        if x - keep[-1] > MEASURE_TOL:
-            keep.append(x)
-    keep[-1] = 1.0
-    merged = np.asarray(keep)
-    mid = (merged[:-1] + merged[1:]) / 2
-    pi = np.clip(np.searchsorted(bp, mid) - 1, 0, p.size - 1)
-    qi = np.clip(np.searchsorted(bq, mid) - 1, 0, q.size - 1)
-    return Partition(np.diff(merged)), pi, qi

@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import EquivalenceViolationError, ParameterError
 from .kernels import (
-    StepKernel,
     StepSignal,
     graph_features,
     induce_graph,
@@ -21,31 +20,21 @@ from .kernels import (
     induce_kernel,
 )
 from .networks import forward
-from .partitions import common_refinement
-
-
-def _align(kernel, signal):
-    """Put a kernel and signal on one partition via common refinement."""
-    pk, ps = kernel.partition, signal.partition
-    if pk.size == ps.size and np.allclose(
-        pk.boundaries(), ps.boundaries(), rtol=0, atol=1e-12
-    ):
-        return kernel, signal
-    ref, ki, si = common_refinement(pk, ps)
-    c = kernel.coeffs[np.ix_(ki, ki)]
-    v = signal.values[si]
-    return StepKernel(ref, c), StepSignal(ref, v)
 
 
 def mpnn_forward(kernel, signal, B, L, return_hidden=False):
     """Run L rounds of amplified integral-ReLU message passing.
 
-    Returns the output StepSignal; with ``return_hidden=True`` also the
-    list of signals after rounds 0..L.
+    The signal must lie on the kernel's own partition. Returns the output
+    StepSignal; with ``return_hidden=True`` also the list of signals after
+    rounds 0..L.
     """
     if L < 1:
         raise ParameterError(f"need at least one round, got L={L}")
-    kernel, signal = _align(kernel, signal)
+    if signal.partition != kernel.partition:
+        raise ParameterError(
+            f"message passing needs the kernel's {kernel.partition.size}-part partition"
+        )
     weighted = kernel.coeffs * kernel.partition.measures[None, :]
     g = signal.values
     hidden = [StepSignal(kernel.partition, g)]

@@ -6,11 +6,11 @@ import pytest
 
 from densecap.bounds import (
     BoundValue,
+    SpikeTarget,
     compression_hidden_dim,
     d0_threshold,
     lipschitz_constant,
     non_universality_check,
-    spike_target,
     vc_lower_bound,
     wrl_hidden_dim,
 )
@@ -132,27 +132,27 @@ def test_spike_target_interpolates_grid():
     rng = np.random.default_rng(0)
     for d0, N in ((1, 4), (2, 3), (3, 2)):
         y = rng.uniform(-1, 1, N**d0) / (2 * N)
-        f = spike_target(d0, N, y)
+        f = SpikeTarget(d0, N, y)
         pts = f.grid_points()
         assert np.allclose(f(pts), y, atol=0)
 
 
 def test_spike_target_zero_labels():
-    f = spike_target(2, 4, np.zeros(16))
+    f = SpikeTarget(2, 4, np.zeros(16))
     x = np.random.default_rng(1).uniform(0, 1, (500, 2))
     assert np.all(f(x) == 0.0)
 
 
 def test_spike_target_rejects_bad_label_count():
     with pytest.raises(ParameterError):
-        spike_target(2, 3, np.zeros(8))
+        SpikeTarget(2, 3, np.zeros(8))
 
 
 def test_spike_target_empirical_lipschitz():
     rng = np.random.default_rng(2)
     d0, N = 2, 5
     y = rng.integers(0, 2, N**d0) / (2 * N)
-    f = spike_target(d0, N, y)
+    f = SpikeTarget(d0, N, y)
     a = rng.uniform(0, 1, (100_000, d0))
     b = rng.uniform(0, 1, (100_000, d0))
     num = np.abs(f(a) - f(b))
@@ -164,7 +164,7 @@ def test_spike_target_empirical_lipschitz():
 def test_spike_target_bounded_by_max_label():
     rng = np.random.default_rng(3)
     y = rng.uniform(0, 0.1, 9)
-    f = spike_target(2, 3, y)
+    f = SpikeTarget(2, 3, y)
     x = rng.uniform(0, 1, (20_000, 2))
     assert f(x).max() <= y.max() + 1e-12
     assert f(x).min() >= 0.0

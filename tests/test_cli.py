@@ -1,13 +1,16 @@
 """End-to-end checks that invoke the installed command-line binary."""
 
 import json
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from densecap.cli import build_parser
 from densecap.networks import random_network, save_network
 
 from conftest import package_env
@@ -198,6 +201,43 @@ def test_bad_counts_and_lists_are_usage_errors(args):
     assert r.returncode == 2
     assert "usage" in r.stderr.lower() and "Traceback" not in r.stderr
     assert args[1] in r.stderr
+
+
+SPIKE_TRAIN = ("train", "--dataset", "spike:samples=100", "--width", "4", "--epochs", "1")
+
+
+@pytest.mark.parametrize("command", [
+    (*SPIKE_TRAIN, "--seed", "-1"),
+    ("equiv-check", "--random", "1", "--seed", "-1"),
+    ("compress", "NET", "--target-d", "2", "--out", "OUT", "--seed", "-1"),
+    ("verify", "--quick", "--seed", "-1"),
+    ("sweep", "--dataset", "spike:samples=100", "--widths", "4", "--modes", "standard",
+     "--seeds", "0,-1", "--epochs", "1"),
+    (*SPIKE_TRAIN, "--config", "CFG"),
+])
+def test_negative_seed_is_refused_before_any_work(command, net_file, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    swap = {"NET": net_file, "OUT": str(tmp_path / "out.txt"), "CFG": str(cfg)}
+    r = run_cli(*(swap.get(a, a) for a in command))
+    if command[0] == "sweep":
+        # --seeds is a list; TrainConfig refuses the seed before any cell runs
+        assert_one_line_error(r, "seed must be non-negative")
+        assert r.stdout == ""
+    else:
+        assert r.returncode == 2
+        assert "usage" in r.stderr.lower() and "--seed" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
+def test_readme_command_examples_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["densecap"]]
+    assert len(commands) >= 9
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_train_bad_spike_field_is_one_line_error():

@@ -618,7 +618,6 @@ def reference_lower(kern, restarts=32, seed=0, *, reduction=None):
     Same starts, same rounds and the same pick as ``kernel_cut_norm_lower``,
     which runs all starts together; only the order of its sums differs.
     """
-    kern = kern.kernel if isinstance(kern, ComputationalKernel) else kern
     c, rmeas, cmeas, rmap, cmap = reduction or _reduce(kern)
     if c.size == 0:
         return CutWitness(0.0, (), ())

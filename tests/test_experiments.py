@@ -106,17 +106,18 @@ def write_mnist_dir(path, n_train, n_test):
     return str(path)
 
 
-@pytest.mark.parametrize("size", ["x", "-5", "0", ""])
+@pytest.mark.parametrize("size", ["x", "-5", "0", "", "5"])
 def test_mnist_subset_size_is_checked_before_loading(tmp_path, size):
-    # "-5" used to train on all but 5 rows and "0" on all of them
+    # a subset is asked for with TrainConfig.subset (--subset) alone, so every
+    # mnist-subset(size) string, well-formed or not, is an unknown dataset
     config = TrainConfig(dataset=f"mnist-subset({size})", width=4, epochs=1)
     for data_dir in (write_mnist_dir(tmp_path, 20, 5), str(tmp_path / "missing")):
-        with pytest.raises(ParameterError, match="mnist-subset size"):
+        with pytest.raises(ParameterError, match="unknown dataset 'mnist-subset"):
             train(config, data_dir=data_dir)
 
 
 def test_mnist_subset_takes_that_many_rows(tmp_path):
-    config = TrainConfig(dataset="mnist-subset(5)")
+    config = TrainConfig(subset=5)
     ds = _resolve_dataset(config, None, write_mnist_dir(tmp_path, 20, 5))
     assert (ds.train_x.shape, ds.test_x.shape) == ((5, 4), (5, 4))
 
@@ -128,9 +129,15 @@ def train_cli(capsys, *args):
 
 def test_cli_refuses_a_bad_mnist_subset(tmp_path, capsys):
     data_dir = write_mnist_dir(tmp_path, 20, 5)
-    code, err = train_cli(capsys, "--dataset", "mnist-subset(x)", "--data-dir", data_dir)
+    code, err = train_cli(capsys, "--dataset", "mnist-subset(5)", "--data-dir", data_dir)
     assert code == 1
-    assert err.startswith("error: mnist-subset size") and err.count("\n") == 1
+    assert err.startswith("error: unknown dataset") and err.count("\n") == 1
+
+
+def test_cli_refuses_a_nan_learning_rate(capsys):
+    code, err = train_cli(capsys, "--dataset", "spike:samples=100", "--lr", "nan")
+    assert code == 1
+    assert err.startswith("error: learning rate") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("rows", [(0, 5), (20, 0)])
@@ -194,7 +201,7 @@ def test_dense_clamp_invariant_after_every_step():
     rng = np.random.default_rng(1)
     d_in, width, numerator = 20, 16, 10.0
     params = _init_params(rng, d_in, width, 10)
-    opt = Adam(params, 1e-2, 0.9, 0.999, 1e-8)
+    opt = Adam(params, 1e-2)
     _clamp(params, numerator, d_in, width)
     x = rng.uniform(0, 1, (32, d_in))
     y = rng.integers(0, 10, 32)
@@ -229,6 +236,11 @@ def test_config_validation():
         TrainConfig(width=0)
     with pytest.raises(ParameterError):
         TrainConfig(lr=0.0)
+    for field in ("lr", "clamp_numerator"):
+        with pytest.raises(ParameterError, match="must be positive"):
+            TrainConfig(**{field: float("nan")})
+    with pytest.raises(ParameterError, match="seed must be non-negative"):
+        TrainConfig(seed=-1)
 
 
 def test_sweep_cardinality_order_and_csv():
@@ -342,7 +354,7 @@ def test_step_is_bitwise_the_plain_formula(kind, buffered):
 def test_adam_step_is_bitwise_the_plain_formula():
     params, x, y = step_inputs("classification")
     mine = {k: v.copy() for k, v in params.items()}
-    opt = Adam(mine, 1e-2, 0.9, 0.999, 1e-8)
+    opt = Adam(mine, 1e-2)
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v = {k: np.zeros_like(a) for k, a in params.items()}
     for t in range(1, 6):

@@ -196,11 +196,9 @@ def test_both_schemes_need_a_round(rounds):
         sr_mpnn_forward(g, sig.values, rounds)
 
 
-def test_mpnn_aligns_mismatched_partitions():
+def test_mpnn_refuses_a_signal_off_the_kernel_partition():
     rng = np.random.default_rng(7)
     kern = StepKernel(equipartition(4), rng.uniform(-1, 1, (4, 4)))
     sig_coarse = StepSignal(equipartition(2), np.array([1.0, -1.0]))
-    sig_fine = StepSignal(equipartition(4), np.array([1.0, 1.0, -1.0, -1.0]))
-    out_a = mpnn_forward(kern, sig_coarse, B=3.0, L=2)
-    out_b = mpnn_forward(kern, sig_fine, B=3.0, L=2)
-    assert np.allclose(out_a.values, out_b.values, atol=1e-12)
+    with pytest.raises(ParameterError, match="4-part partition"):
+        mpnn_forward(kern, sig_coarse, B=3.0, L=2)
