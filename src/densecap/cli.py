@@ -28,6 +28,13 @@ def _count(text):
     return value
 
 
+def _positive(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"count must be positive, got {value}")
+    return value
+
+
 def _int_list(text):
     # argparse turns the ValueError of a bad item into a usage error
     return [int(v) for v in text.split(",")]
@@ -121,7 +128,7 @@ def build_parser():
     p.add_argument("--dataset", default="mnist")
     p.add_argument("--data-dir")
     p.add_argument("--out", help="CSV path (default: stdout)")
-    p.add_argument("--jobs", type=int, default=1, help="worker cap for parallel runs")
+    p.add_argument("--jobs", type=_positive, default=1, help="worker cap for parallel runs")
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the module invariant suites")
@@ -287,11 +294,9 @@ def cmd_verify(args):
 
     results = run_verification(quick=args.quick, seed=args.seed)
     width = max(len(name) for name, _, _ in results)
-    ok = True
     for name, passed, detail in results:
-        ok = ok and passed
-        mark = "PASS" if passed else "FAIL"
-        print(f"{name:<{width}}  {mark}  {detail}")
+        print(f"{name:<{width}}  {'PASS' if passed else 'FAIL'}  {detail}")
+    ok = all(passed for _, passed, _ in results)
     print(f"verify: {'all checks passed' if ok else 'FAILURES present'}")
     return 0 if ok else 1
 
@@ -316,10 +321,7 @@ def main(argv=None):
         _apply_config(ap, argv)
         args = ap.parse_args(argv)
         return COMMANDS[args.command](args)
-    except DensecapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DensecapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

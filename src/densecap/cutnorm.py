@@ -15,12 +15,14 @@ once per call and hands the result to the oracle it picks; its index
 map, from each part to its reduced row or column (-1 if dropped), takes
 both oracles' witness sets back to the original parts.
 
-The enumeration does not rebuild each subset's column sums from its rows.
-It splits the rows into low and high ones. All subset sums of the low rows
-come from a table made by doubling, ``low[2^b : 2^(b+1)] = low[:2^b] +
-row b``, sized by a number of entries rather than of rows. Each value of
-the high rows adds its one row sum to the whole table, so every column sum
-costs a single addition, and subsets are still visited in index order.
+The enumeration scores a row subset by one l1 sum: with column sums x, its
+heavier sign class is (sum |x_j| + |sum x_j|) / 2, and sum x_j is the sum
+of an appended column of row totals (Alon-Naor's augmentation). All subset
+sums of the low rows of ``[weighted, totals]`` come from a table made by
+doubling, ``low[2^b : 2^(b+1)] = low[:2^b] + row b``, sized by a number of
+entries; each value of the high rows adds its one row sum to the whole
+table, then an absolute value, a sum down the columns and an argmax score
+every subset, still in index order.
 
 The heuristic oracle advances all its starts together, two matrix products
 per round: ``G = S @ weighted`` gives every moving start's column sums, and
@@ -87,10 +89,7 @@ def signal_cut_norm(signal):
     masses = signal.values * signal.partition.measures
     pos = float(masses[masses > 0].sum())
     neg = float(-masses[masses < 0].sum())
-    if pos >= neg:
-        rows = tuple(int(i) for i in np.flatnonzero(masses > 0))
-    else:
-        rows = tuple(int(i) for i in np.flatnonzero(masses < 0))
+    rows = tuple(np.flatnonzero(masses > 0 if pos >= neg else masses < 0).tolist())
     w = CutWitness(0.0, rows)
     w.value = evaluate_witness(signal, w)
     return w
@@ -161,48 +160,41 @@ def reduced_dims(kern):
 def _best_subset_enumeration(weighted, n_enum, *, block=1 << 16):
     """Max over row subsets of max(sum of positive, -sum of negative) column sums.
 
-    Returns (value, subset_index, side) with side +1 for the positive class;
-    bit b of the index selects row b, and the index is the first one, in
-    index order, that attains the value. The doubling table (see the module
-    docstring) covers the low ``n_lo`` rows, as many as keep their 2^n_lo
-    subset sums within ``block`` entries (possibly none); it is stored
-    column by column, so the positive and negative sums over the columns
-    are elementwise additions of its rows. Memory stays near
-    max(block, columns) entries; the default keeps the table and its two
-    work buffers (1.5 MB) in a core's cache.
+    Returns (value, subset_index, side): bit b of the index selects row b,
+    the index is the first in index order that attains the value, and side
+    (+1 for the positive class) is the sign of the row-total column there.
+    The table (see the module docstring) holds the low ``n_lo`` rows' 2^n_lo
+    subset sums, column by column, within ``block`` entries; with its
+    absolute-valued copy and one score row it takes 2 * (columns + 1) + 1
+    rows of 2^n_lo entries: 1 MB at the default block, within a core's cache.
     """
-    n_cols = weighted.shape[1]
-    n_lo = min(n_enum, max(1, block // max(n_cols, 1)).bit_length() - 1)
+    n_cols = weighted.shape[1] + 1
+    aug = np.column_stack([weighted[:n_enum], weighted[:n_enum].sum(axis=1)])
+    n_lo = min(n_enum, max(1, block // n_cols).bit_length() - 1)
     # the buffers start on a 64-byte boundary: malloc promises only 16, and
     # on an AVX-512 Xeon loads straddling cache lines made the loop a third
-    # slower whenever the heap happened to place them so; the three sum rows
-    # share the aligned block, since placed apart they cost a tenth
-    size = 3 * (n_cols + 1) << n_lo
+    # slower whenever the heap happened to place them so
+    size = (2 * n_cols + 1) << n_lo
     raw = np.empty(size + 8)
     start = -raw.ctypes.data % 64 // 8
-    buf = raw[start : start + size].reshape(3 * (n_cols + 1), 1 << n_lo)
-    low, sums, part = buf[: 3 * n_cols].reshape(3, n_cols, 1 << n_lo)
-    pos, neg, cand = buf[3 * n_cols :]
+    buf = raw[start : start + size].reshape(2 * n_cols + 1, 1 << n_lo)
+    low, sums, cand = buf[:n_cols], buf[n_cols:-1], buf[-1]
     low[:, 0] = 0.0
     for b in range(n_lo):
-        np.add(low[:, : 1 << b], weighted[b][:, None], out=low[:, 1 << b : 2 << b])
-    high = weighted[n_lo:n_enum]
+        np.add(low[:, : 1 << b], aug[b][:, None], out=low[:, 1 << b : 2 << b])
+    high = aug[n_lo:]
     best_val, best_idx, best_side = 0.0, 0, 1
     for hi in range(1 << (n_enum - n_lo)):
         shift = high[[b for b in range(len(high)) if (hi >> b) & 1]].sum(axis=0)
         np.add(low, shift[:, None], out=sums)
-        np.maximum(sums, 0.0, out=part)
-        part.sum(axis=0, out=pos)
-        np.minimum(sums, 0.0, out=part)
-        part.sum(axis=0, out=neg)
-        np.negative(neg, out=neg)
-        np.maximum(pos, neg, out=cand)
+        np.abs(sums, out=sums)
+        sums.sum(axis=0, out=cand)
         k = int(np.argmax(cand))
         if cand[k] > best_val:
             best_val = float(cand[k])
             best_idx = (hi << n_lo) + k
-            best_side = 1 if pos[k] >= neg[k] else -1
-    return best_val, best_idx, best_side
+            best_side = 1 if low[-1, k] + shift[-1] >= 0.0 else -1
+    return best_val / 2, best_idx, best_side
 
 
 def _witness(kern, rmap, cmap, s, t):

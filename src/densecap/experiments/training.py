@@ -178,10 +178,12 @@ def _accuracy(params, x, y, kind, meta=None, chunk=256):
 
 
 def _resolve_dataset(config, data, data_dir):
-    name, _, args = config.dataset.partition(":")
+    name, sep, args = config.dataset.partition(":")
     if data is not None:
         ds = data
     elif name == "mnist":
+        if sep:
+            raise ParameterError(f"mnist takes no arguments, got {config.dataset!r}")
         ds = load_mnist(data_dir)
     elif name == "spike":
         kv = {"d0": 2, "N": 4, "seed": config.seed, "samples": 20000}
@@ -297,7 +299,9 @@ def _run_cell(args):
 
 
 def sweep(widths, modes, seeds, base_config=None, data=None, data_dir=None, jobs=1):
-    """Train every (width, mode, seed) cell; row order is fixed by sorting."""
+    """Train every (width, mode, seed) cell on min(jobs, cells) workers; rows come sorted."""
+    if jobs < 1:
+        raise ParameterError(f"jobs must be at least 1, got {jobs}")
     base = base_config or TrainConfig()
     cells = [
         (replace(base, width=w, mode=m, seed=s), data, data_dir)
@@ -305,10 +309,11 @@ def sweep(widths, modes, seeds, base_config=None, data=None, data_dir=None, jobs
         for m in sorted(modes)
         for s in sorted(seeds)
     ]
-    if jobs > 1:
+    workers = min(jobs, len(cells))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, cells))
     else:
         rows = [_run_cell(c) for c in cells]

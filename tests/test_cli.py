@@ -203,6 +203,17 @@ def test_bad_counts_and_lists_are_usage_errors(args):
     assert args[1] in r.stderr
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_is_a_usage_error(jobs):
+    r = run_cli(
+        "sweep", "--dataset", "spike:samples=100", "--widths", "4",
+        "--modes", "standard", "--seeds", "0", "--epochs", "1", "--jobs", jobs,
+    )
+    assert r.returncode == 2 and r.stdout == ""
+    assert "--jobs" in r.stderr and "count must be positive" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 SPIKE_TRAIN = ("train", "--dataset", "spike:samples=100", "--width", "4", "--epochs", "1")
 
 

@@ -589,6 +589,42 @@ def test_subset_enumeration_matches_bit_matrix_reference(inst):
         assert (idx, side) == want[1:]
 
 
+@st.composite
+def cancelling_kernels(draw):
+    """Kernels on which the row-total column sums to 0 for some row subsets.
+
+    Columns come in +/- pairs (every row total is 0), rows come in +/-
+    pairs (a pair's column sums cancel), or every row is centred to sum to
+    0. Measures are equal and, on the grid, entries are quarters, so with
+    n a power of two many of these totals cancel exactly, not only up to
+    rounding.
+    """
+    h = draw(st.sampled_from([1, 2, 4]))
+    kind = draw(st.sampled_from(["column_pairs", "row_pairs", "centred_rows"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        base = rng.integers(-4, 5, (2 * h, h)) / 4.0
+    else:
+        base = rng.uniform(-1.0, 1.0, (2 * h, h))
+    if kind == "column_pairs":
+        coeffs = np.hstack([base, -base])
+    elif kind == "row_pairs":
+        coeffs = np.vstack([base.T, -base.T])
+    else:
+        coeffs = np.hstack([base, base[::-1]])
+        coeffs -= coeffs.mean(axis=1, keepdims=True)
+        coeffs /= max(1.0, np.abs(coeffs).max())
+    return StepKernel(equipartition(2 * h), coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kern=cancelling_kernels())
+def test_exact_witness_on_cancelling_row_totals_matches_double_enumeration(kern):
+    w = kernel_cut_norm_exact(kern)
+    assert abs(w.value - brute_force_cut_norm(kern)) <= 1e-12
+    assert w.check(kern)
+
+
 def test_subset_enumeration_memory_is_bounded_by_entries_not_subsets():
     # column sums of all 2^12 subsets at once would take 655 MB
     weighted = np.random.default_rng(13).uniform(-1.0, 1.0, (12, 20_000))

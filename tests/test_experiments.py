@@ -116,6 +116,16 @@ def test_mnist_subset_size_is_checked_before_loading(tmp_path, size):
             train(config, data_dir=data_dir)
 
 
+@pytest.mark.parametrize("dataset", ["mnist:subset=5", "mnist:5", "mnist:"])
+def test_mnist_arguments_are_refused_before_loading(tmp_path, monkeypatch, dataset):
+    # mnist takes no arguments, so none may be dropped on the way to a full split
+    monkeypatch.delenv("DENSECAP_DATA", raising=False)
+    config = TrainConfig(dataset=dataset, width=4, epochs=1)
+    for data_dir in (write_mnist_dir(tmp_path, 20, 5), str(tmp_path / "missing"), None):
+        with pytest.raises(ParameterError, match="mnist takes no arguments"):
+            train(config, data_dir=data_dir)
+
+
 def test_mnist_subset_takes_that_many_rows(tmp_path):
     config = TrainConfig(subset=5)
     ds = _resolve_dataset(config, None, write_mnist_dir(tmp_path, 20, 5))
@@ -132,6 +142,13 @@ def test_cli_refuses_a_bad_mnist_subset(tmp_path, capsys):
     code, err = train_cli(capsys, "--dataset", "mnist-subset(5)", "--data-dir", data_dir)
     assert code == 1
     assert err.startswith("error: unknown dataset") and err.count("\n") == 1
+
+
+def test_cli_refuses_mnist_arguments(tmp_path, capsys):
+    data_dir = write_mnist_dir(tmp_path, 20, 5)
+    code, err = train_cli(capsys, "--dataset", "mnist:subset=5", "--data-dir", data_dir)
+    assert code == 1
+    assert err.startswith("error: mnist takes no arguments") and err.count("\n") == 1
 
 
 def test_cli_refuses_a_nan_learning_rate(capsys):
@@ -256,6 +273,40 @@ def test_sweep_cardinality_order_and_csv():
     assert len(lines) == 9
     summary = sweep_summary(rows)
     assert summary[(4, "dense")]["runs"] == 2
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_refuses_fewer_than_one_job(jobs):
+    ds = make_spike_dataset(1, 2, seed=0, samples=40)
+    with pytest.raises(ParameterError, match="jobs must be at least 1"):
+        sweep([4], ["standard"], [0], TrainConfig(epochs=1), data=ds, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs, seeds, workers", [(8, 2, 2), (2, 3, 2), (8, 1, None)])
+def test_sweep_starts_no_more_workers_than_cells(monkeypatch, jobs, seeds, workers):
+    # a stand-in pool records its size and runs the cells in this process
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    ds = make_spike_dataset(1, 2, seed=0, samples=40)
+    rows = sweep([4], ["standard"], range(seeds), TrainConfig(epochs=1), data=ds, jobs=jobs)
+    assert len(rows) == seeds and not any(r.error for r in rows)
+    assert started == ([] if workers is None else [workers])
 
 
 def test_sweep_rerun_identical():
