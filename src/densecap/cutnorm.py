@@ -3,40 +3,56 @@
 For step objects the cut norm is attained on unions of parts, so the
 kernel cut norm is a finite maximization: enumerate subsets on one side,
 pick the other side in closed form from the signs of the induced sums.
-Before enumerating, rows/columns that are entrywise identical are merged
-(summing their measures) and all-zero ones dropped; this is lossless for
-the maximum because identical rows enter or leave an optimal subset
-together. Layered kernels collapse dramatically under this reduction,
-which is what keeps exact values reachable well past the nominal cap.
-The merge maps each row's floats (-0.0 folded into 0.0) to bytes that
-compare in the same order, so one stable sort groups equal rows and
-orders the distinct ones lexicographically. ``kernel_cut_norm`` runs it
-once per call and hands the result to the oracle it picks; its index
+Kernels come as StepKernels or as BlockKernels, which vanish outside a few
+blocks of consecutive parts; a StepKernel is the one-block case.
+
+Both oracles first drop all-zero rows and columns. The exact route also
+merges rows/columns that are entrywise identical (summing their
+measures); this is lossless for the maximum because identical rows enter
+or leave an optimal subset together, and layered kernels collapse under
+it, which keeps exact values reachable well past the nominal cap. The
+merge maps each row's floats (-0.0 folded into 0.0) to bytes that compare
+in the same order, so one stable sort groups equal rows and orders the
+distinct ones lexicographically; it works on one dense array of the
+nonzero rows and columns. Before any merge, ``kernel_cut_norm`` probes
+the kernel block by block: it hashes each nonzero row and column by a
+fixed-order sum against one fixed random vector, where equal rows hash
+equal, so the count of distinct hashes never exceeds the count of
+distinct rows. When that count exceeds the cap on both axes, no exact
+route exists: the heuristic runs on the kernel's own blocks, cut down to
+their nonzero rows and columns in layout order, and an axis is merged only
+if its hashes show a duplicate. The merge groups only bitwise-equal rows,
+so rounding can decide it; skipping it keeps that off the heuristic
+route. Otherwise the kernel is merged once and
+the merge handed to the oracle the merged size allows. Each route's index
 map, from each part to its reduced row or column (-1 if dropped), takes
-both oracles' witness sets back to the original parts.
+the witness sets back to the original parts.
 
 The enumeration scores a row subset by one l1 sum: with column sums x, its
 heavier sign class is (sum |x_j| + |sum x_j|) / 2, and sum x_j is the sum
 of an appended column of row totals (Alon-Naor's augmentation). All subset
 sums of the low rows of ``[weighted, totals]`` come from a table made by
 doubling, ``low[2^b : 2^(b+1)] = low[:2^b] + row b``, sized by a number of
-entries; each value of the high rows adds its one row sum to the whole
-table, then an absolute value, a sum down the columns and an argmax score
-every subset, still in index order.
+entries; the high rows' sums come from a second doubling table of the same
+size (and, past it, from adding the remaining rows in increasing order).
+Each value of the high rows adds its sum to the whole low table, then an
+absolute value, a sum down the columns and an argmax score every subset,
+still in index order.
 
-The heuristic oracle advances all its starts together, two matrix products
+The heuristic oracle advances all its starts together, two block products
 per round: ``G = S @ weighted`` gives every moving start's column sums, and
-``T @ weighted.T`` the row sums against its chosen columns. A start whose
-rows come back unchanged is frozen and leaves the batch. The pick is the
-per-start loop's: the first start with the largest exact block sum
-``weighted[np.ix_(s, t)].sum()``, taken only for the starts whose cheap
-screen (summed from ``G``) is within a rounding bound of the best. The
-products sum in another order than that loop did, so on kernels with ties
-(a column sum that should be 0, or equal positive and negative mass) a
-start may round to another fixed point; the witness stays a valid lower
-bound, and on continuous entries it is the loop's.
+``T @ weighted.T`` the row sums against its chosen columns, each summed
+over the blocks. A start whose rows come back unchanged is frozen and
+leaves the batch. The pick is the per-start loop's: the first start with
+the largest exact block sum ``weighted[np.ix_(s, t)].sum()``, taken only
+for the starts whose cheap screen (summed from ``G``) is within a rounding
+bound of the best. The products sum in another order than that loop did,
+so on kernels with ties (a column sum that should be 0, or equal positive
+and negative mass) a start may round to another fixed point; the witness
+stays a valid lower bound, and on continuous entries it is the loop's.
 """
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,8 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError, ValidationFailedError
-from .kernels import ComputationalKernel, StepKernel, StepSignal, layered_conditions
-from .kernels import layers_of, unit_quotient
+from .kernels import BlockKernel, ComputationalKernel, StepSignal, layered_conditions
+from .kernels import layers_of, unit_blocks
 from .partitions import Partition
 
 EXACT_CAP_DEFAULT = 24
@@ -55,11 +71,18 @@ LOWER_MAX_ROUNDS = 200  # alternating updates per heuristic restart
 
 @dataclass
 class CutWitness:
-    """A cut value together with the part sets attaining it."""
+    """A cut value together with the part sets attaining it.
+
+    ``kernel_cut_norm`` also records the route: ``dims``, the (rows, cols)
+    of the reduced kernel its oracle ran on, and ``merged``, whether that
+    reduction ran the sort-merge of duplicate rows or columns.
+    """
 
     value: float
     row_set: tuple
     col_set: tuple = None
+    dims: tuple = None
+    merged: bool = None
 
     def check(self, obj, tol=1e-12):
         """Re-evaluate the witness on its object; True if it reproduces value."""
@@ -80,8 +103,20 @@ def evaluate_witness(obj, witness):
     if rows.size == 0 or cols.size == 0:
         return 0.0
     meas = obj.partition.measures
-    block = obj.coeffs[np.ix_(rows, cols)] * np.outer(meas[rows], meas[cols])
+    block = _gather(BlockKernel.of(obj), rows, cols)
+    block *= np.outer(meas[rows], meas[cols])
     return float(abs(block.sum()))
+
+
+def _gather(bk, rows, cols):
+    """``coeffs[np.ix_(rows, cols)]`` of a block kernel: zero off its blocks."""
+    out = np.zeros((rows.size, cols.size))
+    for rs, cs, a in bk.blocks:
+        r = (rows >= rs.start) & (rows < rs.stop)
+        c = (cols >= cs.start) & (cols < cs.stop)
+        if r.any() and c.any():
+            out[np.ix_(r, c)] = a[np.ix_(rows[r] - rs.start, cols[c] - cs.start)]
+    return out
 
 
 def signal_cut_norm(signal):
@@ -112,10 +147,12 @@ def _merge_axis(coeffs, meas, axis):
     big-endian, so comparing two rows' bytes compares them as floats, first
     column first. One stable sort of the keys then gives both the groups
     (runs of equal keys, each represented by its first row) and their
-    lexicographic order, the order ``np.unique(axis=0)`` gives them; the
-    heuristic oracle's random starts are indexed in that order. The
+    lexicographic order, the order ``np.unique(axis=0)`` gives them. The
     all-zero group is dropped. The third value maps each row to its merged
-    row, or to -1 if the row was dropped.
+    row, or to -1 if the row was dropped. Grouping only bitwise-equal rows
+    lets rounding decide a merge; the heuristic route meets that only on
+    an axis whose hashes repeat, and otherwise indexes its random starts
+    by the rows in layout order.
     """
     mat = coeffs if axis == 0 else coeffs.T
     folded = np.add(mat, 0.0, order="C")
@@ -140,20 +177,89 @@ def _merge_axis(coeffs, meas, axis):
     return (red if axis == 0 else red.T), merged_meas[keep], reduced[inverse]
 
 
-def _reduce(kern):
-    """Lossless shrink: drop zero rows/cols, merge duplicates with measures.
+def _probe(bk):
+    """Per axis, rows then columns: (nonzero indices, distinct hashes among them).
 
-    Returns (coeffs, row measures, col measures, row map, col map); a map
-    sends each part to its reduced row or column, or to -1 if it was dropped.
+    A row's hash sums ``row * v`` for one fixed random v, one block at a
+    time in the blocks' row-major order: each block's part is numpy's
+    pairwise sum over the block's width, which two rows share wherever they
+    can be equal. A column's parts are running sums down the block (the
+    order of ``np.sum(axis=0)`` on a wide block, but not on a one-column
+    one). Equal rows or columns (-0.0 read as 0.0) so hash equal, and the
+    count never exceeds the number of distinct nonzero ones.
     """
-    meas = kern.partition.measures
-    c, rmeas, rmap = _merge_axis(kern.coeffs, meas, axis=0)
-    c, cmeas, cmap = _merge_axis(c, meas, axis=1)
+    v = np.random.default_rng(0).random(bk.n)
+    nonzero = np.zeros((2, bk.n), dtype=bool)
+    hashes = np.zeros((2, bk.n))
+    for rs, cs, a in bk.blocks:
+        nonzero[0, rs] |= a.any(axis=1)
+        nonzero[1, cs] |= a.any(axis=0)
+        hashes[0, rs] += (a * v[cs]).sum(axis=1)
+        hashes[1, cs] += np.cumsum(a * v[rs, None], axis=0)[-1]
+    return [
+        (np.flatnonzero(nz), np.unique(h[nz]).size) for nz, h in zip(nonzero, hashes)
+    ]
+
+
+def _dense_reduction(bk, keep, merge):
+    """(coeffs, row measures, col measures, row map, col map) on one dense array.
+
+    The array holds the rows and columns ``keep`` lists; each axis that
+    ``merge`` marks is then merged by ``_merge_axis``, rows first. A map
+    sends each part to its reduced row or column, or to -1 if dropped.
+    """
+    meas = bk.partition.measures
+    c, out = _gather(bk, *keep), []
+    for axis, (k, m) in enumerate(zip(keep, merge)):
+        mapping = np.full(bk.n, -1, dtype=np.intp)
+        c, sizes, mapping[k] = _merge_axis(c, meas[k], axis) if m else (c, meas[k], range(k.size))
+        out.append((sizes, mapping))
+    (rmeas, rmap), (cmeas, cmap) = out
     return c, rmeas, cmeas, rmap, cmap
 
 
+def _reduce(kern):
+    """Lossless shrink for the exact route: drop zero rows/cols, merge duplicates.
+
+    Returns (coeffs, row measures, col measures, row map, col map), the
+    coefficients one dense array of the merged rows and columns.
+    """
+    bk = BlockKernel.of(kern)
+    return _dense_reduction(bk, [k for k, _ in _probe(bk)], (True, True))
+
+
+def _shrink(kern, probe=None):
+    """The heuristic oracle's reduction: (blocks, row measures, col measures, row map, col map).
+
+    Zero rows and columns are dropped. An axis whose nonzero rows all hash
+    apart (see ``_probe``) has no duplicates and is not merged; if neither
+    axis is, the kernel's blocks are cut down to their nonzero rows and
+    columns and keep their layout order. An axis with a repeated hash is
+    merged as in ``_reduce``, on one dense block.
+    """
+    bk = BlockKernel.of(kern)
+    probe = probe or _probe(bk)
+    keep = [k for k, _ in probe]
+    merge = [count < k.size for k, count in probe]
+    if any(merge):
+        c, *rest = _dense_reduction(bk, keep, merge)
+        return ([(slice(0, c.shape[0]), slice(0, c.shape[1]), c)] if c.size else []), *rest
+    meas = bk.partition.measures
+    maps = [np.full(bk.n, -1, dtype=np.intp) for _ in keep]
+    blocks = []
+    for k, mapping in zip(keep, maps):
+        mapping[k] = range(k.size)
+    for rs, cs, a in bk.blocks:
+        r, c = maps[0][rs], maps[1][cs]
+        kr, kc = r[r >= 0], c[c >= 0]
+        if kr.size and kc.size:
+            a = a if kr.size == r.size and kc.size == c.size else a[np.ix_(r >= 0, c >= 0)]
+            blocks.append((slice(int(kr[0]), int(kr[-1]) + 1), slice(int(kc[0]), int(kc[-1]) + 1), a))
+    return blocks, meas[keep[0]], meas[keep[1]], maps[0], maps[1]
+
+
 def reduced_dims(kern):
-    """(rows, cols) after the lossless reduction; cheap feasibility probe."""
+    """(rows, cols) after the exact route's lossless reduction."""
     return _reduce(kern)[0].shape
 
 
@@ -167,6 +273,10 @@ def _best_subset_enumeration(weighted, n_enum, *, block=1 << 16):
     subset sums, column by column, within ``block`` entries; with its
     absolute-valued copy and one score row it takes 2 * (columns + 1) + 1
     rows of 2^n_lo entries: 1 MB at the default block, within a core's cache.
+    The sums of the next ``n_mid <= n_lo`` rows come from a second doubling
+    table, each extended by any rows past those in increasing order, so a
+    high sum adds its rows one at a time in increasing order, as the sum of
+    the selected rows does.
     """
     n_cols = weighted.shape[1] + 1
     aug = np.column_stack([weighted[:n_enum], weighted[:n_enum].sum(axis=1)])
@@ -179,22 +289,38 @@ def _best_subset_enumeration(weighted, n_enum, *, block=1 << 16):
     start = -raw.ctypes.data % 64 // 8
     buf = raw[start : start + size].reshape(2 * n_cols + 1, 1 << n_lo)
     low, sums, cand = buf[:n_cols], buf[n_cols:-1], buf[-1]
-    low[:, 0] = 0.0
-    for b in range(n_lo):
-        np.add(low[:, : 1 << b], aug[b][:, None], out=low[:, 1 << b : 2 << b])
+    _subset_sums(aug[:n_lo], low.T)
     high = aug[n_lo:]
+    n_mid = min(len(high), n_lo)
+    mid = _subset_sums(high[:n_mid], np.empty((1 << n_mid, n_cols)))
     best_val, best_idx, best_side = 0.0, 0, 1
-    for hi in range(1 << (n_enum - n_lo)):
-        shift = high[[b for b in range(len(high)) if (hi >> b) & 1]].sum(axis=0)
-        np.add(low, shift[:, None], out=sums)
-        np.abs(sums, out=sums)
-        sums.sum(axis=0, out=cand)
-        k = int(np.argmax(cand))
-        if cand[k] > best_val:
-            best_val = float(cand[k])
-            best_idx = (hi << n_lo) + k
-            best_side = 1 if low[-1, k] + shift[-1] >= 0.0 else -1
+    for top in range(1 << (len(high) - n_mid)):
+        shifts = mid.copy() if top else mid
+        for b, row in enumerate(high[n_mid:]):
+            if (top >> b) & 1:
+                shifts += row
+        for hi, shift in enumerate(shifts, top << n_mid):
+            np.add(low, shift[:, None], out=sums)
+            np.abs(sums, out=sums)
+            sums.sum(axis=0, out=cand)
+            k = int(np.argmax(cand))
+            if cand[k] > best_val:
+                best_val = float(cand[k])
+                best_idx = (hi << n_lo) + k
+                best_side = 1 if low[-1, k] + shift[-1] >= 0.0 else -1
     return best_val / 2, best_idx, best_side
+
+
+def _subset_sums(rows, out):
+    """Fill ``out[i]`` with the sum of ``rows[b]`` over the bits b of i; returns out.
+
+    Made by doubling, ``out[2^b : 2^(b+1)] = out[:2^b] + rows[b]``, so each
+    sum adds its rows one at a time in increasing order, starting from 0.0.
+    """
+    out[0] = 0.0
+    for b, row in enumerate(rows):
+        np.add(out[: 1 << b], row, out=out[1 << b : 2 << b])
+    return out
 
 
 def _witness(kern, rmap, cmap, s, t):
@@ -242,72 +368,91 @@ def kernel_cut_norm_exact(kern, cap=EXACT_CAP_DEFAULT, *, reduction=None):
 def kernel_cut_norm_lower(kern, restarts=32, seed=0, *, reduction=None):
     """Alternating-maximization lower bound; deterministic under the seed.
 
-    Each of the ``restarts + 2`` starts alternates the closed-form update on
-    one side against the current other side until a fixed point or
+    Runs on ``_shrink(kern)``: the kernel's blocks without their zero rows
+    and columns, merged only on an axis with duplicates. Each of the
+    ``restarts + 2`` starts alternates the closed-form update on one side
+    against the current other side until a fixed point or
     ``LOWER_MAX_ROUNDS``. All starts run as one batch: a round takes the
-    column sums ``G`` of every start still moving in one product, picks each
-    start's sign class and columns T, and gets its new rows from
-    ``T @ weighted.T``; a start whose rows do not change is frozen. A start
-    cut off by the round cap keeps its last sign, with t recomputed from its
-    final s. ``_best_start`` then picks, as a loop over the starts would, the
-    first one with the largest exact block sum, after screening out the
-    starts whose ``G``-based sum lies more than a rounding bound below the
-    best. Where column sums tie at 0 or the sign classes tie, the batched
-    sums may round a start to another fixed point than a one-start loop.
-    The returned value is the bilinear mass of an explicit witness, hence
-    always a valid lower bound. ``reduction`` is ``_reduce(kern)`` when the
-    caller has already computed it.
+    column sums ``G`` of every start still moving in one product per block,
+    picks each start's sign class and columns T, and gets its new rows from
+    ``T @ weighted.T``, again block by block; a start whose rows do not
+    change is frozen. A start cut off by the round cap keeps its last sign,
+    with t recomputed from its final s. ``_best_start`` then picks, as a
+    loop over the starts would, the first one with the largest exact block
+    sum, after screening out the starts whose ``G``-based sum lies more than
+    a rounding bound below the best. Where column sums tie at 0 or the sign
+    classes tie, the batched sums may round a start to another fixed point
+    than a one-start loop. The returned value is the bilinear mass of an
+    explicit witness, hence always a valid lower bound. ``reduction`` is
+    ``_shrink(kern)`` when the caller has already computed it.
     """
     if restarts < 0:
         raise ParameterError(f"restarts must be non-negative, got {restarts}")
-    c, rmeas, cmeas, rmap, cmap = reduction or _reduce(kern)
-    if c.size == 0:
+    blocks, rmeas, cmeas, rmap, cmap = reduction or _shrink(kern)
+    if not blocks:
         return CutWitness(0.0, (), ())
-    weighted = c * rmeas[:, None] * cmeas[None, :]
-    nr, nc = weighted.shape
+    weighted = [(rs, cs, a * rmeas[rs, None] * cmeas[None, cs]) for rs, cs, a in blocks]
+    nr, nc = rmeas.size, cmeas.size
     rng = np.random.default_rng(seed)
-    starts = [np.ones(nr, dtype=bool), weighted.sum(axis=1) > 0]
+    row_sums = np.zeros(nr)
+    for rs, _, w in weighted:
+        row_sums[rs] += w.sum(axis=1)
+    starts = [np.ones(nr, dtype=bool), row_sums > 0]
     starts += [rng.random(nr) < 0.5 for _ in range(restarts)]
     S = np.array(starts)
     sign = np.ones((len(S), 1))
     active = np.arange(len(S))
     for _ in range(LOWER_MAX_ROUNDS):
-        G = S[active] @ weighted
+        G = _block_product(S[active], weighted, nc)
         sg = np.where(
             np.maximum(G, 0.0).sum(axis=1) >= -np.minimum(G, 0.0).sum(axis=1), 1.0, -1.0
         )[:, None]
         sign[active] = sg
-        S_new = ((G * sg > 0) @ weighted.T) * sg > 0
+        S_new = _block_product(G * sg > 0, weighted, nr, True) * sg > 0
         moved = np.any(S_new != S[active], axis=1)
         S[active] = S_new
         active = active[moved]
         if not active.size:
             break
     # a start cut off by the round cap keeps its last sign, t follows its final s
-    G = S @ weighted
+    G = _block_product(S, weighted, nc)
     return _witness(kern, rmap, cmap, *_best_start(weighted, S, G * sign > 0, G))
+
+
+def _block_product(X, weighted, width, transpose=False):
+    """``X @ weighted`` (or ``X @ weighted.T``) summed block by block."""
+    out = np.zeros((len(X), width))
+    for rs, cs, w in weighted:
+        if transpose:
+            rs, cs, w = cs, rs, w.T
+        out[:, cs] += X[:, rs] @ w
+    return out
 
 
 def _best_start(weighted, S, T, G):
     """Masks (s, t) of the first start whose block sum is largest in absolute value.
 
     Starts are visited in order and one replaces the best only with a
-    strictly greater ``|weighted[np.ix_(s, t)].sum()|``; if none is above 0
-    the masks are empty. That exact sum is taken only for the starts that
-    pass a screen, ``|sum of G[i] over T[i]|`` with ``G = S @ weighted``.
-    The screen sums a dot product of at most nr terms and then at most nc
-    terms; numpy's pairwise block sum has a summation depth under
-    7 * (nr + nc). Each is within (depth * eps / 2) * sum|weighted| of the
-    true block sum, up to second order, so tol bounds the gap between the
-    two, and every start the exact sums could pick survives the screen.
+    strictly greater ``|weighted[np.ix_(s, t)].sum()|``, summed block by
+    block; if none is above 0 the masks are empty. That exact sum is taken
+    only for the starts that pass a screen, ``|sum of G[i] over T[i]|`` with
+    ``G = S @ weighted``. The screen sums a dot product of at most nr terms
+    and then at most nc terms; numpy's pairwise block sum has a summation
+    depth under 7 * (nr + nc), and the blocks add one term each. Each is
+    within (depth * eps / 2) * sum|weighted| of the true block sum, up to
+    second order, so tol bounds the gap between the two, and every start the
+    exact sums could pick survives the screen.
     """
-    nr, nc = weighted.shape
+    nr, nc = S.shape[1], T.shape[1]
     screen = np.abs((G * T).sum(axis=1))
-    tol = 4 * (nr + nc) * np.finfo(float).eps * np.abs(weighted).sum()
+    mass = sum(np.abs(w).sum() for _, _, w in weighted)
+    tol = 4 * (nr + nc) * np.finfo(float).eps * mass
     best = (0.0, np.zeros(nr, dtype=bool), np.zeros(nc, dtype=bool))
     for i in np.flatnonzero(screen >= screen.max() - 2 * tol):
         s, t = S[i], T[i]
-        val = abs(float(weighted[np.ix_(s, t)].sum())) if (s.any() and t.any()) else 0.0
+        val = 0.0
+        if s.any() and t.any():
+            val = abs(sum(float(w[np.ix_(s[rs], t[cs])].sum()) for rs, cs, w in weighted))
         if val > best[0]:
             best = (val, s, t)
     return best[1], best[2]
@@ -316,39 +461,49 @@ def _best_start(weighted, S, T, G):
 def kernel_cut_norm(kern, oracle="auto", cap=EXACT_CAP_DEFAULT, restarts=32, seed=0):
     """Dispatch to the exact or heuristic cut norm.
 
-    Returns (witness, exact_flag). With oracle='auto' the exact route is
-    used whenever the reduced instance fits under the cap; the kernel is
-    reduced once and that reduction is handed to the chosen oracle.
+    Returns (witness, exact_flag), the witness carrying the reduced
+    ``dims`` its oracle ran on and whether the sort-merge ran (``merged``).
+    With oracle='auto', ``_probe`` first counts distinct row and column
+    hashes, which never exceed the distinct rows and columns. If both
+    counts exceed the cap, no exact route exists and the heuristic runs on
+    ``_shrink``. Otherwise the kernel is merged once by ``_reduce``, and the
+    exact route is taken whenever the merged instance fits under the cap.
     """
     if restarts < 0:
         raise ParameterError(f"restarts must be non-negative, got {restarts}")
-    if oracle == "exact":
-        return kernel_cut_norm_exact(kern, cap=cap), True
-    if oracle == "heuristic":
-        return kernel_cut_norm_lower(kern, restarts=restarts, seed=seed), False
-    if oracle != "auto":
+    if oracle not in ("auto", "exact", "heuristic"):
         raise ParameterError(f"unknown oracle {oracle!r}")
-    red = _reduce(kern)
-    if min(red[0].shape) <= cap:
-        return kernel_cut_norm_exact(kern, cap=cap, reduction=red), True
-    return kernel_cut_norm_lower(kern, restarts=restarts, seed=seed, reduction=red), False
+    bk = BlockKernel.of(kern)
+    probe = None if oracle == "exact" else _probe(bk)
+    if oracle == "exact" or (oracle == "auto" and min(count for _, count in probe) <= cap):
+        red = _reduce(bk)
+        if oracle == "exact" or min(red[0].shape) <= cap:
+            w = kernel_cut_norm_exact(kern, cap=cap, reduction=red)
+            return dataclasses.replace(w, dims=red[0].shape, merged=True), True
+    red = _shrink(bk, probe)
+    w = kernel_cut_norm_lower(kern, restarts=restarts, seed=seed, reduction=red)
+    merged = any(count < k.size for k, count in probe)
+    return dataclasses.replace(w, dims=(red[1].size, red[2].size), merged=merged), False
 
 
 def difference_cut_norm(partition, diff, oracle, seed):
-    """Cut norm of ``diff``, a difference of two kernels on ``partition``.
+    """Cut norm of a difference of two kernels on ``partition``.
 
-    Kernel entries lie in [-1, 1], so ``diff`` lies in [-2, 2] and its half
-    is a step kernel (the clip only removes the last-bit overshoot of
-    averaged kernels). Halving and doubling are exact in floating point,
-    so the doubled witness value is the mass of ``diff`` on the witness
+    ``diff`` lists the difference's (rows, cols, array) blocks, as a
+    BlockKernel holds them; it vanishes elsewhere. Kernel entries lie in
+    [-1, 1], so the difference lies in [-2, 2] and its half is a step
+    kernel (the clip only removes the last-bit overshoot of averaged
+    kernels). Halving and doubling are exact in floating point, so the
+    doubled witness value is the mass of the difference on the witness
     sets. Returns (witness, exact) as ``kernel_cut_norm`` does, at its
-    default cap and restarts. Consumes ``diff``: it is halved and clipped
-    in place and left read-only.
+    default cap and restarts. Consumes the arrays: they are halved and
+    clipped in place and left read-only.
     """
-    diff /= 2.0
-    half = StepKernel(partition, np.clip(diff, -1.0, 1.0, out=diff))
-    w, exact = kernel_cut_norm(half, oracle=oracle, seed=seed)
-    return CutWitness(w.value * 2.0, w.row_set, w.col_set), exact
+    for _, _, a in diff:
+        a /= 2.0
+        np.clip(a, -1.0, 1.0, out=a)
+    w, exact = kernel_cut_norm(BlockKernel(partition, tuple(diff)), oracle=oracle, seed=seed)
+    return dataclasses.replace(w, value=w.value * 2.0), exact
 
 
 def restrict_to_layer(signal, layers, ell):
@@ -400,15 +555,17 @@ def comp_cut_distance_upper(ck, cj, mode="identity", oracle="auto", seed=0):
     per-layer permutation of the hidden units (hidden width at most 8).
     Each argument is a network or a computational kernel; a network stands
     for its induced kernel, whose n x n array is never built. Both must
-    share (L, d0, dL, B). Each is read as its ``unit_quotient``, which
+    share (L, d0, dL, B). Each is read as its ``unit_blocks``, which
     ignores anything outside the layered blocks, so a kernel must be
     layered (as ``induce_kernel`` makes them): one failing condition 2 or
     3 of ``validate_computational`` raises ValidationFailedError. A network
     is layered by construction and is not checked. The two quotients
     are measured on the common refinement of their unit cuts, integer
     ticks over lcm(n, n'); only the hidden layers' cuts can differ. Neither
-    twin merging nor refinement changes a step kernel's cut norm. Only
-    'identity' accepts different hidden widths.
+    twin merging nor refinement changes a step kernel's cut norm. The
+    difference is taken block by block and measured as a BlockKernel, so
+    no n_units x n_units array is built unless the exact route needs its
+    merge. Only 'identity' accepts different hidden widths.
     """
     a, b = layers_of(ck), layers_of(cj)
     if (a.L, a.d0, a.dL) != (b.L, b.d0, b.dL):
@@ -446,13 +603,31 @@ def comp_cut_distance_upper(ck, cj, mode="identity", oracle="auto", seed=0):
     refined = Partition(np.diff(cuts) / N)
     ri = np.searchsorted(ta, cuts[:-1], side="right") - 1
     rj = np.searchsorted(tb, cuts[:-1], side="right") - 1
-    qc = unit_quotient(ck).coeffs[np.ix_(ri, ri)]
-    qj = unit_quotient(cj).coeffs
+    qc = _on_refinement(unit_blocks(ck), ri, ri)
+    qj = unit_blocks(cj)
     best, best_perms, ex_all = None, None, True
     for perms in candidates:
         idx = _hidden_permutation_index(b, perms)[rj]
-        w, is_exact = difference_cut_norm(refined, qc - qj[np.ix_(idx, idx)], oracle, seed)
+        diff = [
+            (rs, cs, np.subtract(x, y, out=y))
+            for (rs, cs, x), (_, _, y) in zip(qc, _on_refinement(qj, rj, idx))
+        ]
+        w, is_exact = difference_cut_norm(refined, diff, oracle, seed)
         ex_all = ex_all and is_exact
         if best is None or w.value < best.value:
             best, best_perms = w, perms
     return CompDistanceResult(best.value, best_perms, ex_all, mode, best)
+
+
+def _on_refinement(q, units, read):
+    """The blocks of a unit quotient ``q`` on the refined parts, as new arrays.
+
+    ``units[i]`` is refined part i's unit, nondecreasing, and ``read[i]`` the
+    unit whose row and column it takes: ``units`` itself, or a relabeling of
+    it within each hidden layer. Every region keeps its own range of parts.
+    """
+    out = []
+    for rs, cs, a in q.blocks:
+        r, c = (slice(*map(int, np.searchsorted(units, (s.start, s.stop)))) for s in (rs, cs))
+        out.append((r, c, a[np.ix_(read[r] - rs.start, read[c] - cs.start)]))
+    return out

@@ -11,10 +11,11 @@ bias column, and (L+2)/B on the bias diagonal block so a unit bias signal
 is preserved by message passing.
 
 The parts of one unit are twins, with equal rows and columns, so
-``unit_quotient`` merges them: the same kernel on (L-1)*d + d0 + dL + 1
-unequal parts, which compression and the kernel distance work on. It reads
-those blocks off an induced kernel, or straight off a network's weights
-without building the n x n kernel.
+``unit_blocks`` merges them: the same kernel on (L-1)*d + d0 + dL + 1
+unequal parts, held as a BlockKernel of one array per entry of
+``blocks()``, which compression and the kernel distance work on. It
+reads those blocks off an induced kernel, or straight off a network's
+weights without building the n x n kernel.
 """
 
 import io
@@ -166,6 +167,57 @@ class StepKernel:
 
 
 @dataclass(frozen=True)
+class BlockKernel:
+    """A step kernel that vanishes outside a few blocks of consecutive parts.
+
+    ``blocks`` holds disjoint (rows, cols, array) triples, rows and cols
+    slices of the parts with explicit bounds; every entry outside them is 0.
+    They are kept in row-major order of their corners, which sets the order
+    in which a part's row or column is summed across blocks. A StepKernel is
+    the one-block case (``BlockKernel.of``); a layered kernel's unit quotient
+    has one block per entry of ``LayerStructure.blocks()`` (``unit_blocks``).
+    """
+
+    partition: Partition
+    blocks: tuple
+
+    def __post_init__(self):
+        n, out = self.partition.size, []
+        for rows, cols, a in self.blocks:
+            a = np.ascontiguousarray(a, dtype=float)
+            a.setflags(write=False)
+            want = (len(range(n)[rows]), len(range(n)[cols]))
+            if a.shape != want:
+                raise DimensionMismatchError(f"block {rows} x {cols}", want, a.shape)
+            top = max(a.max(initial=0.0), -a.min(initial=0.0))
+            if not top <= 1.0 + 1e-9:  # also refuses NaN
+                raise ParameterError(f"coefficient magnitude {top} exceeds 1")
+            if a.size:
+                out.append((rows, cols, a))
+        out.sort(key=lambda b: (b[0].start, b[1].start))
+        object.__setattr__(self, "blocks", tuple(out))
+
+    @classmethod
+    def of(cls, kern):
+        """The kernel itself if it is a BlockKernel, else its one block."""
+        if isinstance(kern, BlockKernel):
+            return kern
+        whole = slice(0, kern.n)
+        return cls(kern.partition, ((whole, whole, kern.coeffs),))
+
+    @property
+    def n(self):
+        return self.partition.size
+
+    def dense(self):
+        """The same kernel as a StepKernel on its n x n array."""
+        c = np.zeros((self.n, self.n))
+        for rows, cols, a in self.blocks:
+            c[rows, cols] = a
+        return StepKernel(self.partition, c)
+
+
+@dataclass(frozen=True)
 class StepSignal:
     partition: Partition
     values: np.ndarray
@@ -260,8 +312,8 @@ def layers_of(obj):
     return obj.layers
 
 
-def unit_quotient(obj):
-    """A layered kernel on its units: one part per unit, of the unit's measure.
+def unit_blocks(obj):
+    """A layered kernel on its units, held as its ``blocks()``: a BlockKernel.
 
     The parts of a unit are twins, with equal rows and equal columns, so
     merging them changes no cut norm and no projection onto groups of
@@ -269,7 +321,7 @@ def unit_quotient(obj):
     quotient is unit i in layout order, of measure ``unit_parts()[i] / n``.
     ``obj`` is a network or a computational kernel. A network's blocks are
     its parameters over B, the values ``induce_kernel`` spreads over the
-    parts, so ``unit_quotient(net)`` equals ``unit_quotient(induce_kernel(net))``
+    parts, so ``unit_blocks(net)`` equals ``unit_blocks(induce_kernel(net))``
     bitwise and never builds the n x n kernel. A kernel's blocks are read
     as ``units(c, rows, cols)[:, 0, :, 0]``; it must be layered (conditions
     2 and 3 of ``validate_computational``): variation inside a unit and
@@ -286,10 +338,11 @@ def unit_quotient(obj):
     else:
         c = obj.kernel.coeffs
         blocks = [ls.units(c, rows, cols)[:, 0, :, 0] for rows, cols in ls.blocks()]
-    q = np.zeros((ls.n_units, ls.n_units))
-    for (rows, cols), block in zip(ls.blocks(), blocks):
-        q[ls.unit_slice(rows), ls.unit_slice(cols)] = block
-    return StepKernel(Partition(ls.unit_parts() / ls.n), q)
+    return BlockKernel(Partition(ls.unit_parts() / ls.n), tuple(
+        (ls.unit_slice(rows), ls.unit_slice(cols), block)
+        for (rows, cols), block in zip(ls.blocks(), blocks)
+    ))
+
 
 
 def induce_input_signal(x, layers):

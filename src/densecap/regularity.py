@@ -6,10 +6,16 @@ residual has large integral, refine the partition by that pair, repeat.
 Each completed refinement raises the squared L2 norm of the projection by at least the
 witness value squared, which caps the iteration count.
 
-Compression runs the loop on the network's unit quotient
-(``kernels.unit_quotient``): the layered kernel with each unit's twin
-parts merged into one part of their summed measure, (L-1)*d + d0 + dL + 1
-parts instead of (L+2)*d, with the same cut norms and projections. The
+Compression runs the loop on the network's unit quotient: the layered
+kernel with each unit's twin parts merged into one part of their summed
+measure, (L-1)*d + d0 + dL + 1 parts instead of (L+2)*d, with the same cut
+norms and projections. The loop takes a StepKernel or a BlockKernel, a
+StepKernel being the one-block case; the budgeted refinement gets the
+quotient as its layer blocks (``kernels.unit_blocks``). Its groups never
+mix layers, so the projection and the residual vanish off those blocks
+too: each round computes them, and the oracle's products, block by block,
+and no n_units x n_units array is built. The epsilon loop starts from one
+group spanning every layer, so it runs on the dense quotient. The
 final partition respects the layered structure, and each hidden layer's
 units are averaged over equal slots: with ``P_l`` the (d' x d) slot
 matrix of hidden layer l, the smaller network has
@@ -37,12 +43,13 @@ from .cutnorm import (
 )
 from .errors import ParameterError, ValidationFailedError
 from .kernels import (
+    BlockKernel,
     StepKernel,
     extract_network,  # noqa: F401 - bench/tracing.py wraps this name here
     induce_kernel,
     layers_of,
     lift_computational,  # noqa: F401 - bench/tracing.py wraps this name here
-    unit_quotient,
+    unit_blocks,
     validate_computational,
 )
 from .networks import DenseNetwork, forward
@@ -51,32 +58,51 @@ from .partitions import Partition
 GAP_CHUNK = 1024  # sampled inputs per forward pass of the output gap
 
 
-def _project_grouping(coeffs, measures, labels):
+def _project_grouping(kernel, labels):
     """Blockwise average over label groups; exact measure weighting.
 
-    Returns (group values, group measures, sorted group label array).
+    ``kernel`` is a StepKernel or a BlockKernel. Each block gets the
+    averages of the groups it meets, from one product per side, so on a
+    StepKernel this is the one product ``W @ coeffs @ W.T``. A group must
+    lie within one region of the parts the blocks' bounds cut out, so that
+    the average vanishes off the blocks, as the kernel does; labels that
+    mix regions raise ParameterError. Returns (group values, group
+    measures, group index of each part).
     """
+    bk = BlockKernel.of(kernel)
+    measures = bk.partition.measures
     uniq, inverse = np.unique(labels, return_inverse=True)
     k = uniq.size
     n = measures.size
+    bounds = [x for rs, cs, _ in bk.blocks for x in (rs.start, rs.stop, cs.start, cs.stop)]
+    region = np.searchsorted(np.unique(bounds), np.arange(n), side="right")
+    if np.unique(inverse * (len(bounds) + 1) + region).size != k:
+        raise ParameterError("label groups mix regions of the kernel's blocks")
     wg = np.zeros((k, n))
     wg[inverse, np.arange(n)] = measures
     gm = wg.sum(axis=1)
     wg /= gm[:, None]
-    vals = wg @ coeffs @ wg.T
+    vals = np.zeros((k, k))
+    for rs, cs, a in bk.blocks:
+        gr, gc = np.unique(inverse[rs]), np.unique(inverse[cs])
+        vals[np.ix_(gr, gc)] = wg[gr, rs] @ a @ wg[gc, cs].T
     return vals, gm, inverse
 
 
 @dataclass
 class IterationRecord:
     """One refinement round: ``exact`` is the oracle route its cut norm took,
-    ``elapsed_s`` the wall time of its projection and oracle call."""
+    ``oracle_dims`` the reduced (rows, cols) that oracle ran on, ``merged``
+    whether their reduction ran the sort-merge, and ``elapsed_s`` the wall
+    time of the round's projection and oracle call."""
 
     iteration: int
     partition_size: int
     energy: float
     witness_value: float
     exact: bool
+    oracle_dims: tuple
+    merged: bool
     elapsed_s: float
 
 
@@ -86,17 +112,23 @@ class RegularityTrace:
 
     ``bound`` is the last witness value: with an exact oracle it equals the
     cut norm of the final residual, so termination-by-witness certifies
-    the approximation. ``labels`` groups the input kernel's parts into the
-    final partition.
+    the approximation. ``labels`` groups the input kernel's parts, of
+    ``partition``, into the final partition.
     """
 
     iterations: list
     labels: np.ndarray
     step_kernel: StepKernel
-    projected_fine: StepKernel
+    partition: Partition
     bound: float
     status: str
     oracle_exact: bool
+
+    @property
+    def projected_fine(self):
+        """The projection on the input kernel's parts, as an n x n StepKernel."""
+        _, inverse = np.unique(self.labels, return_inverse=True)
+        return StepKernel(self.partition, self.step_kernel.coeffs[np.ix_(inverse, inverse)])
 
     @property
     def certified(self):
@@ -123,19 +155,22 @@ def _refine(kernel, labels, split, stop, max_iter, oracle, seed):
     be None when the first round is sure to stop, as for labels that are
     the kernel's own parts: their residual, and so their witness, is zero.
     """
-    coeffs = kernel.coeffs
-    meas = kernel.partition.measures
+    bk = BlockKernel.of(kernel)
     records = []
     exact_used = True
     for it in range(max_iter + 1):
         t0 = time.monotonic()
-        vals, gm, inverse = _project_grouping(coeffs, meas, labels)
-        proj = vals[np.ix_(inverse, inverse)]
+        vals, gm, inverse = _project_grouping(bk, labels)
         energy = float(np.sum(vals * vals * np.outer(gm, gm)))
-        witness, was_exact = difference_cut_norm(kernel.partition, coeffs - proj, oracle, seed)
+        residual = []
+        for rs, cs, a in bk.blocks:
+            proj = vals[np.ix_(inverse[rs], inverse[cs])]
+            residual.append((rs, cs, np.subtract(a, proj, out=proj)))
+        witness, was_exact = difference_cut_norm(bk.partition, residual, oracle, seed)
         exact_used = exact_used and was_exact
         records.append(IterationRecord(
-            it, int(gm.size), energy, witness.value, was_exact, time.monotonic() - t0
+            it, int(gm.size), energy, witness.value, was_exact, witness.dims,
+            witness.merged, time.monotonic() - t0,
         ))
         if witness.value < stop:
             status = "certified" if was_exact else "heuristic_termination"
@@ -143,8 +178,8 @@ def _refine(kernel, labels, split, stop, max_iter, oracle, seed):
         if it == max_iter:
             status = "cap_reached"
             break
-        s = np.zeros(meas.size, dtype=np.int64)
-        t = np.zeros(meas.size, dtype=np.int64)
+        s = np.zeros(bk.n, dtype=np.int64)
+        t = np.zeros(bk.n, dtype=np.int64)
         s[list(witness.row_set)] = 1
         t[list(witness.col_set)] = 1
         refined = split(labels, s, t)
@@ -152,10 +187,9 @@ def _refine(kernel, labels, split, stop, max_iter, oracle, seed):
             status = "budget_exhausted"
             break
         labels = refined
-    fine = StepKernel(kernel.partition, np.clip(proj, -1, 1))
     coarse = StepKernel(Partition(gm), np.clip(vals, -1, 1))
     return RegularityTrace(
-        records, labels, coarse, fine, witness.value, status, exact_used
+        records, labels, coarse, bk.partition, witness.value, status, exact_used
     )
 
 
@@ -326,7 +360,9 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
     Every refinement (``target_d``, the network's own width, or
     ``epsilon``) runs on the unit quotient read off the weights, one part
     per unit, so group counts and budgets count units and a hidden unit
-    is never split. Each hidden layer is cut into slots by
+    is never split; the ``target_d`` runs keep it as its layer blocks,
+    and the stage log's distance detail names the reduced size its oracle
+    ran on and whether it merged rows. Each hidden layer is cut into slots by
     ``_slot_weights`` in integer ticks, d_new per unit and d per slot,
     grouped by the refined labels; a slot's weights are its tick counts
     over d, exact ratios that sum to one. The slot matrices P average the
@@ -344,8 +380,9 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
     count. The slot averages, the projections and the heuristic oracle
     sum through BLAS matrix products, whose summation order depends on
     the thread count, so runs at different counts can differ in the last
-    bits and then in the oracle's choices (``delta_hat`` at 960->48 reads
-    0.0366834 on one thread and 0.0366598 on two).
+    bits and then in the oracle's choices (with the dense quotient,
+    ``delta_hat`` at 960->48 read 0.0366834 on one thread and 0.0366598
+    on two).
     """
     t0 = time.monotonic()
     if (epsilon is None) == (target_d is None):
@@ -355,7 +392,7 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
     if target_d is not None and target_d > net.d:
         raise ParameterError(f"target width {target_d} exceeds the network width {net.d}")
     ls, B = layers_of(net), float(net.B)
-    quotient = unit_quotient(net)
+    quotient = unit_blocks(net)
     stages = []
     mark = time.monotonic()
 
@@ -388,7 +425,8 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
         # (on any union of refined parts the residual integrates as against
         # the coarse projection), so 2 * bound is the structured residual's
         # bound, certified only when every oracle call was exact
-        trace = weak_regularity(quotient, epsilon / 2.0, oracle=oracle, seed=seed)
+        # its groups mix layers, so it runs on the dense quotient
+        trace = weak_regularity(quotient.dense(), epsilon / 2.0, oracle=oracle, seed=seed)
         labels = _pair_labels(trace.labels, ls.structural_labels())
         # a layer of k groups fits k slots only if its groups are equal
         need = 0
@@ -432,7 +470,10 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
     stage("validate", "ok")
 
     dist = comp_cut_distance_upper(net, net_new, mode="identity", oracle=oracle, seed=seed)
-    stage("distance", "exact" if dist.exact else "heuristic", f"delta_hat {dist.value:.6g}")
+    rows, cols = dist.witness.dims
+    merge = "merged" if dist.witness.merged else "no merge"
+    stage("distance", "exact" if dist.exact else "heuristic",
+          f"delta_hat {dist.value:.6g}; oracle on {rows} x {cols}, {merge}")
 
     amplifier = (2.0 * B) ** ls.L
     output_factor = (ls.L + 2) * ls.dL

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densecap import cutnorm
+from densecap import cutnorm, regularity
 from densecap.cutnorm import (
     CutWitness,
     _merge_axis,
@@ -24,6 +24,7 @@ from densecap.cutnorm import (
 )
 from densecap.errors import CapacityError, ParameterError, ValidationFailedError
 from densecap.kernels import (
+    BlockKernel,
     ComputationalKernel,
     LayerStructure,
     StepKernel,
@@ -31,7 +32,7 @@ from densecap.kernels import (
     induce_input_signal,
     induce_kernel,
     lift_computational,
-    unit_quotient,
+    unit_blocks,
 )
 from densecap.networks import random_network
 from densecap.partitions import Partition, equipartition
@@ -233,13 +234,40 @@ def test_comp_distance_on_refinement_matches_lcm_lift(L, dims, seed):
 
 
 def test_comp_distance_non_nested_widths_heuristic():
+    # the heuristic runs on the 48 refined parts of each hidden layer in
+    # layout order, and on the lcm lift on 72 cells merged back to 48 in the
+    # merge's order, so the two witnesses differ; each reported value is
+    # still the mass of its witness on the lifted kernels' difference
     rng = np.random.default_rng(11)
     ck = induce_kernel(random_network(3, 2, 2, 36, 5.0, rng))
     cj = induce_kernel(random_network(3, 2, 2, 24, 5.0, rng))
-    got = comp_cut_distance_upper(ck, cj)
-    want = lifted_distance(ck, cj)
-    assert not got.exact
-    assert abs(got.value - want.value) <= 1e-12
+    lifted = [lift_computational(k, 72 // k.d) for k in (ck, cj)]
+    quotients = [unit_blocks(k).dense() for k in lifted]
+    diff = quotients[0].coeffs - quotients[1].coeffs
+    cells = quotients[0].partition
+    for got, parts in (
+        (comp_cut_distance_upper(ck, cj), refined_parts(ck, cj)),
+        (lifted_distance(ck, cj), cells),
+    ):
+        assert not got.exact
+        # each lifted cell lies in one part of the partition the oracle ran on
+        owner = np.searchsorted(parts.boundaries(), cells.boundaries()[:-1] + 1e-12) - 1
+        w = got.witness
+        on_cells = CutWitness(
+            0.0, np.flatnonzero(np.isin(owner, w.row_set)), np.flatnonzero(np.isin(owner, w.col_set))
+        )
+        assert abs(2.0 * evaluate_witness(StepKernel(cells, diff / 2.0), on_cells) - got.value) <= 1e-12
+
+
+def refined_parts(ck, cj):
+    """The common refinement of two layouts' unit cuts, as comp_cut_distance_upper makes it."""
+    a, b = ck.layers, cj.layers
+    N = math.lcm(a.n, b.n)
+    cuts = np.union1d(
+        np.cumsum(np.r_[0, a.unit_parts()]) * (N // a.n),
+        np.cumsum(np.r_[0, b.unit_parts()]) * (N // b.n),
+    )
+    return Partition(np.diff(cuts) / N)
 
 
 @pytest.mark.parametrize("d, e", [(24, 12), (12, 36), (30, 6)])
@@ -508,7 +536,7 @@ def test_difference_cut_norm_doubles_the_halved_kernel(oracle):
     rng = np.random.default_rng(31)
     part = Partition(rng.dirichlet(np.ones(9)))
     diff = rng.uniform(-1, 1, (9, 9)) - rng.uniform(-1, 1, (9, 9))
-    w, exact = difference_cut_norm(part, diff.copy(), oracle, 3)
+    w, exact = difference_cut_norm(part, [(slice(0, 9), slice(0, 9), diff.copy())], oracle, 3)
     half, half_exact = kernel_cut_norm(StepKernel(part, diff / 2.0), oracle=oracle, seed=3)
     assert w.value == 2.0 * half.value and exact is half_exact
     assert (w.row_set, w.col_set) == (half.row_set, half.col_set)
@@ -532,12 +560,126 @@ def test_auto_oracle_reduces_once(monkeypatch, cap, exact):
         if exact
         else kernel_cut_norm_lower(kern, restarts=32, seed=0)
     )
+    # one reduction: the exact route's merge, or the heuristic's shrink
     calls = []
-    original = cutnorm._reduce
-    monkeypatch.setattr(cutnorm, "_reduce", lambda k: calls.append(k) or original(k))
+    for name in ("_reduce", "_shrink"):
+        original = getattr(cutnorm, name)
+        monkeypatch.setattr(
+            cutnorm, name, lambda *a, f=original: calls.append(a) or f(*a)
+        )
     w, was_exact = kernel_cut_norm(kern, oracle="auto", cap=cap)
     assert len(calls) == 1 and was_exact is exact
     assert (w.value, w.row_set, w.col_set) == (alone.value, alone.row_set, alone.col_set)
+
+
+@st.composite
+def block_kernels(draw):
+    """BlockKernels of continuous entries on random region cuts and block sets.
+
+    Regions may hold no block in a row or a column, which leaves zero rows
+    and columns for the reduction to drop.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 30))
+    cuts = [0, *sorted(rng.choice(np.arange(1, n), draw(st.integers(0, min(4, n - 1))), False)), n]
+    regions = [slice(int(a), int(b)) for a, b in zip(cuts, cuts[1:])]
+    pairs = [(r, c) for r in regions for c in regions if rng.random() < 0.6] or [(regions[0],) * 2]
+    blocks = tuple(
+        (r, c, rng.uniform(-1.0, 1.0, (r.stop - r.start, c.stop - c.start))) for r, c in pairs
+    )
+    return BlockKernel(Partition(rng.dirichlet(np.ones(n))), blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bk=block_kernels(), restarts=st.integers(0, 8), seed=st.integers(0, 2**16))
+def test_block_heuristic_matches_the_one_block_run(bk, restarts, seed):
+    # the same nonzero rows and columns in layout order, summed per block or
+    # on one dense array: on continuous entries the witness is the same
+    dense = bk.dense()
+    blocks, rmeas, _, rmap, _ = cutnorm._shrink(bk)
+    one, _, _, rmap_one, _ = cutnorm._shrink(dense)
+    assert len(one) == 1 and np.array_equal(rmap, rmap_one)
+    kept = rmap[rmap >= 0]
+    assert np.array_equal(kept, np.arange(rmeas.size))  # layout order, no merge
+    got = kernel_cut_norm_lower(bk, restarts=restarts, seed=seed)
+    assert same_witness(got, kernel_cut_norm_lower(dense, restarts=restarts, seed=seed))
+    assert got.value == evaluate_witness(dense, got)
+
+
+@st.composite
+def duplicated_continuous_kernels(draw):
+    """(kernel, blocks) with at most 8 distinct row and column patterns.
+
+    Continuous entries, repeated rows and columns, some zeroed rows and
+    columns and signed zeros; ``blocks`` is the same kernel cut along
+    random region bounds into the blocks that hold a nonzero entry.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    base = rng.uniform(-1.0, 1.0, (rows, cols))
+    coeffs = base[np.ix_(rng.integers(0, rows, n), rng.integers(0, cols, n))]
+    coeffs[rng.random(n) < 0.2] = 0.0
+    coeffs[:, rng.random(n) < 0.2] = -0.0
+    kern = StepKernel(Partition(rng.dirichlet(np.ones(n))), coeffs)
+    cuts = [0, *sorted(rng.choice(np.arange(1, n), min(3, n - 1), False)), n]
+    regions = [slice(int(a), int(b)) for a, b in zip(cuts, cuts[1:])]
+    blocks = tuple((r, c, coeffs[r, c]) for r in regions for c in regions if coeffs[r, c].any())
+    return kern, BlockKernel(kern.partition, blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=duplicated_continuous_kernels())
+def test_probe_never_hides_the_exact_route(pair):
+    # at most 8 distinct rows reduce under the cap, so auto must go exact,
+    # and its witness is the standalone exact oracle's, bit for bit
+    kern, bk = pair
+    want = kernel_cut_norm_exact(kern)
+    dims = _reduce(kern)[0].shape
+    for k in (kern, bk):
+        counts = [count for _, count in cutnorm._probe(BlockKernel.of(k))]
+        assert counts[0] <= dims[0] and counts[1] <= dims[1]
+        w, exact = kernel_cut_norm(k, oracle="auto")
+        assert exact and (w.dims, w.merged) == (dims, True)
+        assert (w.value.hex(), w.row_set, w.col_set) == (
+            want.value.hex(), want.row_set, want.col_set
+        )
+
+
+def test_oracle_peaks_stay_within_three_quotients():
+    # refinement and distance hold the quotient as its layer blocks; the
+    # parent's dense route peaked at 6.0 quotient-sized arrays in each
+    net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42))
+    new, _ = compress_network(net, target_d=24, seed=5, samples=10)
+    ls, quotient = LayerStructure(3, 2, 2, 240), unit_blocks(net)
+    limit = 3 * ls.n_units**2 * 8
+    for call in (
+        lambda: regularity._budgeted_fk(ls, quotient, 24, "auto", 5),
+        lambda: comp_cut_distance_upper(net, new),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_rows=st.integers(0, 10), n_cols=st.integers(2, 6), seed=st.integers(0, 2**32 - 1)
+)
+def test_doubling_subset_sums_match_the_selected_rows_sum(n_rows, n_cols, seed):
+    # the enumeration's tables must add a subset's rows as the old per-value
+    # sum did, so that exact witnesses stay bitwise the same; its rows have
+    # two columns at least (the row totals), where that sum adds them one at
+    # a time (a single column is summed pairwise)
+    rows = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_rows, n_cols))
+    sums = cutnorm._subset_sums(rows, np.empty((1 << n_rows, n_cols)))
+    for i in range(1 << n_rows):
+        want = rows[[b for b in range(n_rows) if (i >> b) & 1]].sum(axis=0)
+        assert sums[i].tobytes() == (want + 0.0).tobytes()
 
 
 def reference_enumeration(weighted, n_enum):
@@ -651,12 +793,16 @@ def reference_best_start(weighted, S, T):
 def reference_lower(kern, restarts=32, seed=0, *, reduction=None):
     """The heuristic oracle as a loop over its starts, one start at a time.
 
-    Same starts, same rounds and the same pick as ``kernel_cut_norm_lower``,
-    which runs all starts together; only the order of its sums differs.
+    Same reduction, starts, rounds and pick as ``kernel_cut_norm_lower``,
+    which runs all starts together and sums block by block; only the order
+    of its sums differs. The reduced blocks are put into one dense array.
     """
-    c, rmeas, cmeas, rmap, cmap = reduction or _reduce(kern)
-    if c.size == 0:
+    blocks, rmeas, cmeas, rmap, cmap = reduction or cutnorm._shrink(kern)
+    if not blocks:
         return CutWitness(0.0, (), ())
+    c = np.zeros((rmeas.size, cmeas.size))
+    for rs, cs, a in blocks:
+        c[rs, cs] = a
     weighted = c * rmeas[:, None] * cmeas[None, :]
     nr = weighted.shape[0]
     rng = np.random.default_rng(seed)
@@ -772,7 +918,7 @@ def test_screened_pick_is_the_first_largest_block(seed, nr, nc, k):
     S = (rng.random((k, nr)) < 0.5)[rng.integers(0, k, k)]
     G = S @ weighted
     T = G * rng.choice([-1.0, 1.0], (k, 1)) > 0
-    got = cutnorm._best_start(weighted, S, T, G)
+    got = cutnorm._best_start([(slice(0, nr), slice(0, nc), weighted)], S, T, G)
     want = reference_best_start(weighted, S, T)
     assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
@@ -794,28 +940,27 @@ def test_compression_is_unchanged_under_the_start_loop(monkeypatch):
     assert (rep.delta_hat, rep.iterations) == (old_rep.delta_hat, old_rep.iterations)
 
 
-def unique_reduce(kern):
-    """``_reduce`` through ``np.unique(axis=0)``, its groups turned into index maps."""
-    c, rmeas, cmeas, rgroups, cgroups = reference_reduce(kern)
-    maps = [np.full(kern.n, -1, dtype=np.intp) for _ in range(2)]
-    for mapping, groups in zip(maps, (rgroups, cgroups)):
-        for g, members in enumerate(groups):
-            mapping[members] = g
-    return c, rmeas, cmeas, *maps
+def test_compression_runs_no_merge(monkeypatch):
+    # on random weights no residual or difference has duplicate rows, so the
+    # probe keeps every oracle call off the merge and off any dense array
+    # of the quotient, and the records say so
+    def refuse(*args):
+        raise AssertionError("the heuristic route merged")
 
-
-def test_compression_is_unchanged_under_the_unique_reduction(monkeypatch):
-    # guards compress_network's outputs against drift in the merge
+    for name in ("_merge_axis", "_dense_reduction"):
+        monkeypatch.setattr(cutnorm, name, refuse)
     net = random_network(3, 2, 2, 120, 5.0, np.random.default_rng(42))
-    new, rep = compress_network(net, target_d=12, seed=5)
-    calls = []
-    monkeypatch.setattr(cutnorm, "_reduce", lambda k: calls.append(1) or unique_reduce(k))
-    old, old_rep = compress_network(net, target_d=12, seed=5)
-    assert calls
-    for a, b in zip(new.weights + new.biases, old.weights + old.biases):
-        assert a.tobytes() == b.tobytes()
-    fields = ("delta_hat", "empirical_max", "iterations", "fk_status")
-    assert [getattr(rep, f) for f in fields] == [getattr(old_rep, f) for f in fields]
+    traces = []
+    refine = regularity._refine
+    monkeypatch.setattr(
+        regularity, "_refine", lambda *a: traces.append(refine(*a)) or traces[-1]
+    )
+    _, rep = compress_network(net, target_d=12, seed=5)
+    # 245 units: the 2 input rows, the 2 output columns and the bias row
+    # (its own group, so its residual vanishes) are dropped
+    for r in traces[0].iterations:
+        assert (r.exact, r.oracle_dims, r.merged) == (False, (242, 243), False)
+    assert rep.stages[3]["detail"].endswith("; oracle on 242 x 243, no merge")
 
 
 def fine_permutation_index(layers, perms):
@@ -849,7 +994,9 @@ def full_kernel_distance_reference(ck, cj, mode, oracle="exact"):
     best = None
     for perms in candidates:
         idx = fine_permutation_index(b, perms)[rj]
-        w, _ = difference_cut_norm(refined, kc - cj.kernel.coeffs[np.ix_(idx, idx)], oracle, 0)
+        diff = kc - cj.kernel.coeffs[np.ix_(idx, idx)]
+        whole = slice(0, refined.size)
+        w, _ = difference_cut_norm(refined, [(whole, whole, diff)], oracle, 0)
         best = w.value if best is None else min(best, w.value)
     return best
 
@@ -876,7 +1023,7 @@ def small_layered_pair():
 def test_unit_quotient_keeps_the_exact_cut_norm(pair):
     for ck in pair:
         full = kernel_cut_norm_exact(ck.kernel).value
-        assert abs(kernel_cut_norm_exact(unit_quotient(ck)).value - full) <= 1e-12
+        assert abs(kernel_cut_norm_exact(unit_blocks(ck)).value - full) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)

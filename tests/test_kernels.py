@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densecap.errors import (
+    DimensionMismatchError,
     InvalidBoundError,
     InvalidNetworkError,
     ParameterError,
@@ -14,6 +15,7 @@ from densecap.errors import (
     ValidationFailedError,
 )
 from densecap.kernels import (
+    BlockKernel,
     ComputationalGraph,
     ComputationalKernel,
     LayerStructure,
@@ -26,7 +28,7 @@ from densecap.kernels import (
     layers_of,
     lift_computational,
     serialize_kernel,
-    unit_quotient,
+    unit_blocks,
     validate_computational,
 )
 from densecap.networks import DenseNetwork, random_network
@@ -496,12 +498,28 @@ def test_unit_quotient_is_the_kernel_on_its_units(L, d0, dL, mult, seed):
         assert np.all(parts[sl] == d // ls.width(k))
         starts = sl.stop
     assert starts == ls.n_units
-    q = unit_quotient(ck)
+    q = unit_blocks(ck).dense()
     assert np.array_equal(q.partition.measures, parts / ls.n)
     # spreading each unit back over its parts gives the kernel bitwise
     fine = np.repeat(np.repeat(q.coeffs, parts, axis=0), parts, axis=1)
     assert np.array_equal(fine, ck.kernel.coeffs)
     # read straight off the weights, the quotient is the same bits
-    qn = unit_quotient(net)
+    qn = unit_blocks(net).dense()
     assert same_bits(qn.coeffs, q.coeffs)
     assert same_bits(qn.partition.measures, q.partition.measures)
+    # its blocks are the nonzero blocks of the dense quotient, row-major
+    bk = unit_blocks(net)
+    assert [(r.start, c.start) for r, c, _ in bk.blocks] == sorted(
+        (ls.unit_slice(r).start, ls.unit_slice(c).start) for r, c in ls.blocks()
+    )
+    assert all(same_bits(a, q.coeffs[r, c]) for r, c, a in bk.blocks)
+
+
+@pytest.mark.parametrize("block, error", [
+    (np.zeros((2, 3)), DimensionMismatchError),
+    (np.full((2, 2), 1.5), ParameterError),
+    (np.full((2, 2), np.nan), ParameterError),
+])
+def test_block_kernel_refuses_bad_blocks(block, error):
+    with pytest.raises(error):
+        BlockKernel(equipartition(4), ((slice(0, 2), slice(2, 4), block),))

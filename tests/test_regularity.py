@@ -17,7 +17,8 @@ from densecap.kernels import (
     StepKernel,
     extract_network,
     induce_kernel,
-    unit_quotient,
+    layers_of,
+    unit_blocks,
     validate_computational,
 )
 from densecap.networks import forward, random_network
@@ -34,9 +35,7 @@ def residual_cut_norm_exact(kern, proj):
 
 def group_average(kern, labels):
     """The blockwise average ``_refine`` takes: (group kernel, fine kernel)."""
-    vals, gm, inverse = regularity._project_grouping(
-        kern.coeffs, kern.partition.measures, labels
-    )
+    vals, gm, inverse = regularity._project_grouping(kern, labels)
     return (
         StepKernel(Partition(gm), np.clip(vals, -1, 1)),
         StepKernel(kern.partition, np.clip(vals[np.ix_(inverse, inverse)], -1, 1)),
@@ -81,6 +80,28 @@ def test_project_idempotent_through_coarse_partition():
     once, fine = group_average(kern, labels)
     twice, _ = group_average(fine, labels)
     assert np.allclose(once.coeffs, twice.coeffs, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.integers(2, 4), d=st.integers(1, 12), groups=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_block_projection_matches_the_dense_one(L, d, groups, seed):
+    # groups within the layers: the blocks give the dense averages up to the
+    # order of their sums, and vanish where the dense ones are exactly 0
+    net = random_network(L, 1, 1, d, L + 3.0, np.random.default_rng(seed))
+    ls, bk = layers_of(net), unit_blocks(net)
+    raw = np.random.default_rng(seed).integers(0, groups, ls.n_units)
+    labels = regularity._pair_labels(raw, ls.structural_labels())
+    vals, gm, inverse = regularity._project_grouping(bk, labels)
+    want, want_gm, want_inverse = regularity._project_grouping(bk.dense(), labels)
+    assert np.array_equal(gm, want_gm) and np.array_equal(inverse, want_inverse)
+    assert np.abs(vals - want).max() <= 4 * ls.n_units * np.finfo(float).eps
+    assert np.array_equal(vals == 0.0, want == 0.0)
+    # one group across every layer would average over blocks that vanish
+    with pytest.raises(ParameterError, match="mix regions"):
+        regularity._project_grouping(bk, np.zeros(ls.n_units, dtype=np.int64))
 
 
 def test_weak_regularity_constant_kernel_immediate():
@@ -249,7 +270,7 @@ def test_layer_refinement_does_not_increase_distance_small_instances():
     for _ in range(8):
         net = random_layered_net(rng, L=2, max_d=4)
         trace, labels, rep = epsilon_mode_run(net, 0.6, oracle="exact", samples=10)
-        kern = unit_quotient(induce_kernel(net))  # the kernel the run refined
+        kern = unit_blocks(induce_kernel(net)).dense()  # the kernel the run refined
         before = residual_cut_norm_exact(kern, trace.projected_fine)
         after = residual_cut_norm_exact(kern, group_average(kern, labels)[1])
         assert after <= before + 1e-12
@@ -291,6 +312,8 @@ def test_iteration_records_name_the_exact_route():
     kern = StepKernel(equipartition(6), np.random.default_rng(4).uniform(-1, 1, (6, 6)))
     trace = weak_regularity(kern, 0.05, oracle="auto")
     assert trace.oracle_exact and all(r.exact for r in trace.iterations)
+    # the exact route always merges; 6 parts reduce to at most 6 x 6
+    assert all(r.merged and max(r.oracle_dims) <= 6 for r in trace.iterations)
 
 
 def test_compress_identity_width():
@@ -522,7 +545,7 @@ def test_structural_labels_are_layout_ordered_ids(L, d0, dL, d):
 def test_budgeted_refinement_respects_budget_and_structure(L, d0, dL, d, budget, seed):
     ck = induce_kernel(random_network(L, d0, dL, d, 6.0, np.random.default_rng(seed)))
     ls = ck.layers
-    tr = regularity._budgeted_fk(ls, unit_quotient(ck), budget, "auto", seed)
+    tr = regularity._budgeted_fk(ls, unit_blocks(ck), budget, "auto", seed)
     for ell in list(range(1, L)) + ["bias"]:
         assert np.unique(tr.labels[ls.unit_slice(ell)]).size <= budget
     struct = ls.structural_labels()
@@ -583,13 +606,12 @@ for d, t in ((240, 24), (120, 12)):
 
 
 def test_compress_outputs_are_pinned_at_one_blas_thread():
-    """240->24 and 120->12 as computed before the quotient was read off the
-    weights, when compression still induced the n x n kernel: a sha256 of
-    the weights and biases, then delta_hat, empirical_max, iterations and
-    the refinement status. Bitwise equality holds only at a fixed BLAS
-    thread count (see ``compress_network``), so the run gets one thread.
-    The pins are numpy 2.4's bundled OpenBLAS on x86-64; another BLAS
-    build may round the matrix products differently.
+    """240->24 and 120->12 as computed on the quotient's layer blocks: a
+    sha256 of the weights and biases, then delta_hat, empirical_max,
+    iterations and the refinement status. Bitwise equality holds only at a
+    fixed BLAS thread count (see ``compress_network``), so the run gets one
+    thread. The pins are numpy 2.4's bundled OpenBLAS on x86-64; another
+    BLAS build may round the matrix products differently.
     """
     env = package_env()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -599,8 +621,8 @@ def test_compress_outputs_are_pinned_at_one_blas_thread():
         timeout=600, env=env, check=True,
     ).stdout.splitlines()
     assert out == [
-        "4a353273b08837163df4b5e13b744a2a606ece9cd4d7c1eea81ff1fd9e57c22b "
-        "0x1.1bdd58a354c48p-5 0x1.2058c4cc3ddc0p-8 3 budget_exhausted",
+        "ed20c8276e62508fda4628bf77ddbdf003eb7c5ddbe3cf0272b4b55106006b7f "
+        "0x1.2e51926a65632p-5 0x1.fd9d14e344240p-9 3 budget_exhausted",
         "591b802019ace3bd3bca3a32ffaa92fa813037c1ade7eb08f1722ca985d2fc27 "
-        "0x1.24ff673a40d8ap-5 0x1.0c7afb53805f0p-6 3 budget_exhausted",
+        "0x1.2501041bb51bap-5 0x1.0c7afb53805f0p-6 3 budget_exhausted",
     ]
