@@ -20,10 +20,9 @@ fixed-order sum against one fixed random vector, where equal rows hash
 equal, so the count of distinct hashes never exceeds the count of
 distinct rows. When that count exceeds the cap on both axes, no exact
 route exists: the heuristic runs on the kernel's own blocks, cut down to
-their nonzero rows and columns in layout order, and an axis is merged only
-if its hashes show a duplicate. The merge groups only bitwise-equal rows,
-so rounding can decide it; skipping it keeps that off the heuristic
-route. Otherwise the kernel is merged once and
+their nonzero rows and columns in layout order, and merges nothing. The
+merge groups only bitwise-equal rows, so rounding can decide it; the
+heuristic route never meets that. Otherwise the kernel is merged once and
 the merge handed to the oracle the merged size allows. Each route's index
 map, from each part to its reduced row or column (-1 if dropped), takes
 the witness sets back to the original parts.
@@ -46,10 +45,13 @@ over the blocks. A start whose rows come back unchanged is frozen and
 leaves the batch. The pick is the per-start loop's: the first start with
 the largest exact block sum ``weighted[np.ix_(s, t)].sum()``, taken only
 for the starts whose cheap screen (summed from ``G``) is within a rounding
-bound of the best. The products sum in another order than that loop did,
-so on kernels with ties (a column sum that should be 0, or equal positive
-and negative mass) a start may round to another fixed point; the witness
-stays a valid lower bound, and on continuous entries it is the loop's.
+bound of the best. Every sign test reads a sum within that rounding bound
+as 0: a row or column joins a start's sets only above it, and the
+positive class wins unless it is lighter by more. A projection residual
+integrates to 0 over every group block, so its all-ones start ties its
+sign classes exactly, and a singleton group's sums are exactly 0; with the
+bound, such ties are settled as exact arithmetic would, not by the order of
+the sums, and the witness does not hinge on it.
 """
 
 import dataclasses
@@ -150,9 +152,8 @@ def _merge_axis(coeffs, meas, axis):
     lexicographic order, the order ``np.unique(axis=0)`` gives them. The
     all-zero group is dropped. The third value maps each row to its merged
     row, or to -1 if the row was dropped. Grouping only bitwise-equal rows
-    lets rounding decide a merge; the heuristic route meets that only on
-    an axis whose hashes repeat, and otherwise indexes its random starts
-    by the rows in layout order.
+    lets rounding decide a merge; only the exact route merges, and the
+    heuristic indexes its random starts by the rows in layout order.
     """
     mat = coeffs if axis == 0 else coeffs.T
     folded = np.add(mat, 0.0, order="C")
@@ -177,8 +178,17 @@ def _merge_axis(coeffs, meas, axis):
     return (red if axis == 0 else red.T), merged_meas[keep], reduced[inverse]
 
 
-def _probe(bk):
-    """Per axis, rows then columns: (nonzero indices, distinct hashes among them).
+def _nonzero(bk):
+    """Per axis, rows then columns: the indices of the nonzero ones."""
+    nonzero = np.zeros((2, bk.n), dtype=bool)
+    for rs, cs, a in bk.blocks:
+        nonzero[0, rs] |= a.any(axis=1)
+        nonzero[1, cs] |= a.any(axis=0)
+    return [np.flatnonzero(nz) for nz in nonzero]
+
+
+def _hash_counts(bk, keep):
+    """Per axis, the number of distinct hashes among the rows, then columns, ``keep`` lists.
 
     A row's hash sums ``row * v`` for one fixed random v, one block at a
     time in the blocks' row-major order: each block's part is numpy's
@@ -186,64 +196,52 @@ def _probe(bk):
     can be equal. A column's parts are running sums down the block (the
     order of ``np.sum(axis=0)`` on a wide block, but not on a one-column
     one). Equal rows or columns (-0.0 read as 0.0) so hash equal, and the
-    count never exceeds the number of distinct nonzero ones.
+    count never exceeds the number of distinct ones.
     """
     v = np.random.default_rng(0).random(bk.n)
-    nonzero = np.zeros((2, bk.n), dtype=bool)
     hashes = np.zeros((2, bk.n))
     for rs, cs, a in bk.blocks:
-        nonzero[0, rs] |= a.any(axis=1)
-        nonzero[1, cs] |= a.any(axis=0)
         hashes[0, rs] += (a * v[cs]).sum(axis=1)
         hashes[1, cs] += np.cumsum(a * v[rs, None], axis=0)[-1]
-    return [
-        (np.flatnonzero(nz), np.unique(h[nz]).size) for nz, h in zip(nonzero, hashes)
-    ]
+    return [np.unique(h[k]).size for h, k in zip(hashes, keep)]
 
 
-def _dense_reduction(bk, keep, merge):
-    """(coeffs, row measures, col measures, row map, col map) on one dense array.
+def _one_block(c, *rest):
+    """A ``_reduce`` result as the heuristic takes it: its array as one block."""
+    return ([(slice(0, c.shape[0]), slice(0, c.shape[1]), c)] if c.size else []), *rest
 
-    The array holds the rows and columns ``keep`` lists; each axis that
-    ``merge`` marks is then merged by ``_merge_axis``, rows first. A map
-    sends each part to its reduced row or column, or to -1 if dropped.
+
+def _reduce(kern, keep=None):
+    """Lossless shrink for the exact route: drop zero rows/cols, merge duplicates.
+
+    Returns (coeffs, row measures, col measures, row map, col map). The
+    coefficients are one dense array of the nonzero rows and columns
+    (``keep``, which is ``_nonzero`` of the kernel when the caller has it),
+    merged by ``_merge_axis``, rows first. A map sends each part to its
+    reduced row or column, or to -1 if dropped.
     """
+    bk = BlockKernel.of(kern)
+    keep = _nonzero(bk) if keep is None else keep
     meas = bk.partition.measures
     c, out = _gather(bk, *keep), []
-    for axis, (k, m) in enumerate(zip(keep, merge)):
+    for axis, k in enumerate(keep):
         mapping = np.full(bk.n, -1, dtype=np.intp)
-        c, sizes, mapping[k] = _merge_axis(c, meas[k], axis) if m else (c, meas[k], range(k.size))
+        c, sizes, mapping[k] = _merge_axis(c, meas[k], axis)
         out.append((sizes, mapping))
     (rmeas, rmap), (cmeas, cmap) = out
     return c, rmeas, cmeas, rmap, cmap
 
 
-def _reduce(kern):
-    """Lossless shrink for the exact route: drop zero rows/cols, merge duplicates.
-
-    Returns (coeffs, row measures, col measures, row map, col map), the
-    coefficients one dense array of the merged rows and columns.
-    """
-    bk = BlockKernel.of(kern)
-    return _dense_reduction(bk, [k for k, _ in _probe(bk)], (True, True))
-
-
-def _shrink(kern, probe=None):
+def _shrink(kern, keep=None):
     """The heuristic oracle's reduction: (blocks, row measures, col measures, row map, col map).
 
-    Zero rows and columns are dropped. An axis whose nonzero rows all hash
-    apart (see ``_probe``) has no duplicates and is not merged; if neither
-    axis is, the kernel's blocks are cut down to their nonzero rows and
-    columns and keep their layout order. An axis with a repeated hash is
-    merged as in ``_reduce``, on one dense block.
+    The kernel's blocks cut down to their nonzero rows and columns (``keep``,
+    as in ``_reduce``), which keep their layout order; nothing is merged:
+    on 1,200-part induced kernels with 52 to 484 distinct rows, the
+    sort-merge cost the heuristic more than its smaller products saved.
     """
     bk = BlockKernel.of(kern)
-    probe = probe or _probe(bk)
-    keep = [k for k, _ in probe]
-    merge = [count < k.size for k, count in probe]
-    if any(merge):
-        c, *rest = _dense_reduction(bk, keep, merge)
-        return ([(slice(0, c.shape[0]), slice(0, c.shape[1]), c)] if c.size else []), *rest
+    keep = _nonzero(bk) if keep is None else keep
     meas = bk.partition.measures
     maps = [np.full(bk.n, -1, dtype=np.intp) for _ in keep]
     blocks = []
@@ -369,7 +367,7 @@ def kernel_cut_norm_lower(kern, restarts=32, seed=0, *, reduction=None):
     """Alternating-maximization lower bound; deterministic under the seed.
 
     Runs on ``_shrink(kern)``: the kernel's blocks without their zero rows
-    and columns, merged only on an axis with duplicates. Each of the
+    and columns, in layout order. Each of the
     ``restarts + 2`` starts alternates the closed-form update on one side
     against the current other side until a fixed point or
     ``LOWER_MAX_ROUNDS``. All starts run as one batch: a round takes the
@@ -380,9 +378,9 @@ def kernel_cut_norm_lower(kern, restarts=32, seed=0, *, reduction=None):
     with t recomputed from its final s. ``_best_start`` then picks, as a
     loop over the starts would, the first one with the largest exact block
     sum, after screening out the starts whose ``G``-based sum lies more than
-    a rounding bound below the best. Where column sums tie at 0 or the sign
-    classes tie, the batched sums may round a start to another fixed point
-    than a one-start loop. The returned value is the bilinear mass of an
+    a rounding bound below the best. Sums within that bound count as 0 in
+    every sign test (see the module docstring), so exact ties do not turn on
+    the order of the sums. The returned value is the bilinear mass of an
     explicit witness, hence always a valid lower bound. ``reduction`` is
     ``_shrink(kern)`` when the caller has already computed it.
     """
@@ -394,10 +392,13 @@ def kernel_cut_norm_lower(kern, restarts=32, seed=0, *, reduction=None):
     weighted = [(rs, cs, a * rmeas[rs, None] * cmeas[None, cs]) for rs, cs, a in blocks]
     nr, nc = rmeas.size, cmeas.size
     rng = np.random.default_rng(seed)
+    # rounding bound on every sum below (see _best_start): a sum within it
+    # of 0 counts as 0, so exact ties in a residual are not left to rounding
+    tol = 4 * (nr + nc) * np.finfo(float).eps * sum(np.abs(w).sum() for _, _, w in weighted)
     row_sums = np.zeros(nr)
     for rs, _, w in weighted:
         row_sums[rs] += w.sum(axis=1)
-    starts = [np.ones(nr, dtype=bool), row_sums > 0]
+    starts = [np.ones(nr, dtype=bool), row_sums > tol]
     starts += [rng.random(nr) < 0.5 for _ in range(restarts)]
     S = np.array(starts)
     sign = np.ones((len(S), 1))
@@ -405,10 +406,10 @@ def kernel_cut_norm_lower(kern, restarts=32, seed=0, *, reduction=None):
     for _ in range(LOWER_MAX_ROUNDS):
         G = _block_product(S[active], weighted, nc)
         sg = np.where(
-            np.maximum(G, 0.0).sum(axis=1) >= -np.minimum(G, 0.0).sum(axis=1), 1.0, -1.0
+            np.maximum(G, 0.0).sum(axis=1) >= -np.minimum(G, 0.0).sum(axis=1) - tol, 1.0, -1.0
         )[:, None]
         sign[active] = sg
-        S_new = _block_product(G * sg > 0, weighted, nr, True) * sg > 0
+        S_new = _block_product(G * sg > tol, weighted, nr, True) * sg > tol
         moved = np.any(S_new != S[active], axis=1)
         S[active] = S_new
         active = active[moved]
@@ -416,7 +417,7 @@ def kernel_cut_norm_lower(kern, restarts=32, seed=0, *, reduction=None):
             break
     # a start cut off by the round cap keeps its last sign, t follows its final s
     G = _block_product(S, weighted, nc)
-    return _witness(kern, rmap, cmap, *_best_start(weighted, S, G * sign > 0, G))
+    return _witness(kern, rmap, cmap, *_best_start(weighted, S, G * sign > tol, G, tol))
 
 
 def _block_product(X, weighted, width, transpose=False):
@@ -429,7 +430,7 @@ def _block_product(X, weighted, width, transpose=False):
     return out
 
 
-def _best_start(weighted, S, T, G):
+def _best_start(weighted, S, T, G, tol):
     """Masks (s, t) of the first start whose block sum is largest in absolute value.
 
     Starts are visited in order and one replaces the best only with a
@@ -440,13 +441,12 @@ def _best_start(weighted, S, T, G):
     and then at most nc terms; numpy's pairwise block sum has a summation
     depth under 7 * (nr + nc), and the blocks add one term each. Each is
     within (depth * eps / 2) * sum|weighted| of the true block sum, up to
-    second order, so tol bounds the gap between the two, and every start the
-    exact sums could pick survives the screen.
+    second order, so ``tol = 4 * (nr + nc) * eps * sum|weighted|`` bounds
+    the gap between the two, and every start the exact sums could pick
+    survives the screen.
     """
     nr, nc = S.shape[1], T.shape[1]
     screen = np.abs((G * T).sum(axis=1))
-    mass = sum(np.abs(w).sum() for _, _, w in weighted)
-    tol = 4 * (nr + nc) * np.finfo(float).eps * mass
     best = (0.0, np.zeros(nr, dtype=bool), np.zeros(nc, dtype=bool))
     for i in np.flatnonzero(screen >= screen.max() - 2 * tol):
         s, t = S[i], T[i]
@@ -463,26 +463,30 @@ def kernel_cut_norm(kern, oracle="auto", cap=EXACT_CAP_DEFAULT, restarts=32, see
 
     Returns (witness, exact_flag), the witness carrying the reduced
     ``dims`` its oracle ran on and whether the sort-merge ran (``merged``).
-    With oracle='auto', ``_probe`` first counts distinct row and column
-    hashes, which never exceed the distinct rows and columns. If both
+    With oracle='auto', ``_hash_counts`` first counts distinct row and
+    column hashes, which never exceed the distinct rows and columns. If both
     counts exceed the cap, no exact route exists and the heuristic runs on
     ``_shrink``. Otherwise the kernel is merged once by ``_reduce``, and the
-    exact route is taken whenever the merged instance fits under the cap.
+    exact route is taken whenever the merged instance fits under the cap;
+    if a hash collision undercounted and it does not, the heuristic runs on
+    that merge as one block. Either way the kernel is reduced once.
     """
     if restarts < 0:
         raise ParameterError(f"restarts must be non-negative, got {restarts}")
     if oracle not in ("auto", "exact", "heuristic"):
         raise ParameterError(f"unknown oracle {oracle!r}")
     bk = BlockKernel.of(kern)
-    probe = None if oracle == "exact" else _probe(bk)
-    if oracle == "exact" or (oracle == "auto" and min(count for _, count in probe) <= cap):
-        red = _reduce(bk)
+    keep = _nonzero(bk)
+    if oracle == "exact" or (oracle == "auto" and min(_hash_counts(bk, keep)) <= cap):
+        red = _reduce(bk, keep)
         if oracle == "exact" or min(red[0].shape) <= cap:
             w = kernel_cut_norm_exact(kern, cap=cap, reduction=red)
             return dataclasses.replace(w, dims=red[0].shape, merged=True), True
-    red = _shrink(bk, probe)
+        # a hash collision undercounted: the heuristic takes the merge as is
+        red, merged = _one_block(*red), True
+    else:
+        red, merged = _shrink(bk, keep), False
     w = kernel_cut_norm_lower(kern, restarts=restarts, seed=seed, reduction=red)
-    merged = any(count < k.size for k, count in probe)
     return dataclasses.replace(w, dims=(red[1].size, red[2].size), merged=merged), False
 
 

@@ -184,6 +184,11 @@ class BlockKernel:
     def __post_init__(self):
         n, out = self.partition.size, []
         for rows, cols, a in self.blocks:
+            for s in (rows, cols):
+                ok = isinstance(s, slice) and s.step in (None, 1)
+                if not (ok and all(isinstance(b, (int, np.integer)) for b in (s.start, s.stop))
+                        and 0 <= s.start <= s.stop <= n):
+                    raise ParameterError(f"block bounds {s} are not a slice of 0..{n}")
             a = np.ascontiguousarray(a, dtype=float)
             a.setflags(write=False)
             want = (len(range(n)[rows]), len(range(n)[cols]))
@@ -195,6 +200,9 @@ class BlockKernel:
             if a.size:
                 out.append((rows, cols, a))
         out.sort(key=lambda b: (b[0].start, b[1].start))
+        for (r, c, _), (r2, c2, _) in itertools.combinations(out, 2):
+            if r2.start < r.stop and r.start < r2.stop and c2.start < c.stop and c.start < c2.stop:
+                raise ParameterError(f"blocks {r} x {c} and {r2} x {c2} overlap")
         object.__setattr__(self, "blocks", tuple(out))
 
     @classmethod

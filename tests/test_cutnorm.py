@@ -234,29 +234,25 @@ def test_comp_distance_on_refinement_matches_lcm_lift(L, dims, seed):
 
 
 def test_comp_distance_non_nested_widths_heuristic():
-    # the heuristic runs on the 48 refined parts of each hidden layer in
-    # layout order, and on the lcm lift on 72 cells merged back to 48 in the
-    # merge's order, so the two witnesses differ; each reported value is
-    # still the mass of its witness on the lifted kernels' difference
+    # the lcm lift's 72 cells per hidden layer, folded back onto the 48
+    # refined parts (twin cells hold equal entries), give the difference the
+    # refined route measures: the heuristic on it as one dense block, in
+    # layout order, returns the refined route's value
     rng = np.random.default_rng(11)
     ck = induce_kernel(random_network(3, 2, 2, 36, 5.0, rng))
     cj = induce_kernel(random_network(3, 2, 2, 24, 5.0, rng))
-    lifted = [lift_computational(k, 72 // k.d) for k in (ck, cj)]
-    quotients = [unit_blocks(k).dense() for k in lifted]
+    got = comp_cut_distance_upper(ck, cj)
+    assert not got.exact
+    quotients = [unit_blocks(lift_computational(k, 72 // k.d)).dense() for k in (ck, cj)]
     diff = quotients[0].coeffs - quotients[1].coeffs
-    cells = quotients[0].partition
-    for got, parts in (
-        (comp_cut_distance_upper(ck, cj), refined_parts(ck, cj)),
-        (lifted_distance(ck, cj), cells),
-    ):
-        assert not got.exact
-        # each lifted cell lies in one part of the partition the oracle ran on
-        owner = np.searchsorted(parts.boundaries(), cells.boundaries()[:-1] + 1e-12) - 1
-        w = got.witness
-        on_cells = CutWitness(
-            0.0, np.flatnonzero(np.isin(owner, w.row_set)), np.flatnonzero(np.isin(owner, w.col_set))
-        )
-        assert abs(2.0 * evaluate_witness(StepKernel(cells, diff / 2.0), on_cells) - got.value) <= 1e-12
+    cells, parts = quotients[0].partition, refined_parts(ck, cj)
+    owner = np.searchsorted(parts.boundaries(), cells.boundaries()[:-1] + 1e-12) - 1
+    folded = diff[np.ix_(*[np.searchsorted(owner, np.arange(parts.size))] * 2)]
+    assert np.array_equal(folded[np.ix_(owner, owner)], diff)
+    whole = slice(0, parts.size)
+    want, exact = difference_cut_norm(parts, [(whole, whole, folded)], "heuristic", 0)
+    assert not exact
+    assert abs(got.value - want.value) <= 1e-12
 
 
 def refined_parts(ck, cj):
@@ -572,6 +568,23 @@ def test_auto_oracle_reduces_once(monkeypatch, cap, exact):
     assert (w.value, w.row_set, w.col_set) == (alone.value, alone.row_set, alone.col_set)
 
 
+def test_an_undercounting_probe_reduces_once(monkeypatch):
+    # were distinct rows to collide in their hashes, the counts could fit
+    # under the cap when the merge does not: the heuristic then runs on that
+    # merge as one block instead of reducing the kernel again
+    kern = random_kernel(np.random.default_rng(12), 6)
+    monkeypatch.setattr(cutnorm, "_hash_counts", lambda bk, keep: [1, 1])
+    calls = []
+    for name in ("_reduce", "_shrink"):
+        original = getattr(cutnorm, name)
+        monkeypatch.setattr(cutnorm, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
+    w, was_exact = kernel_cut_norm(kern, oracle="auto", cap=2)
+    assert calls == ["_reduce"] and not was_exact
+    assert (w.dims, w.merged) == ((6, 6), True)
+    alone = kernel_cut_norm_lower(kern, reduction=cutnorm._one_block(*_reduce(kern)))
+    assert (w.value, w.row_set, w.col_set) == (alone.value, alone.row_set, alone.col_set)
+
+
 @st.composite
 def block_kernels(draw):
     """BlockKernels of continuous entries on random region cuts and block sets.
@@ -637,7 +650,8 @@ def test_probe_never_hides_the_exact_route(pair):
     want = kernel_cut_norm_exact(kern)
     dims = _reduce(kern)[0].shape
     for k in (kern, bk):
-        counts = [count for _, count in cutnorm._probe(BlockKernel.of(k))]
+        b = BlockKernel.of(k)
+        counts = cutnorm._hash_counts(b, cutnorm._nonzero(b))
         assert counts[0] <= dims[0] and counts[1] <= dims[1]
         w, exact = kernel_cut_norm(k, oracle="auto")
         assert exact and (w.dims, w.merged) == (dims, True)
@@ -793,9 +807,10 @@ def reference_best_start(weighted, S, T):
 def reference_lower(kern, restarts=32, seed=0, *, reduction=None):
     """The heuristic oracle as a loop over its starts, one start at a time.
 
-    Same reduction, starts, rounds and pick as ``kernel_cut_norm_lower``,
-    which runs all starts together and sums block by block; only the order
-    of its sums differs. The reduced blocks are put into one dense array.
+    Same reduction, starts, rounds, tie tolerance and pick as
+    ``kernel_cut_norm_lower``, which runs all starts together and sums block
+    by block; only the order of its sums differs. The reduced blocks are put
+    into one dense array.
     """
     blocks, rmeas, cmeas, rmap, cmap = reduction or cutnorm._shrink(kern)
     if not blocks:
@@ -804,9 +819,10 @@ def reference_lower(kern, restarts=32, seed=0, *, reduction=None):
     for rs, cs, a in blocks:
         c[rs, cs] = a
     weighted = c * rmeas[:, None] * cmeas[None, :]
-    nr = weighted.shape[0]
+    nr, nc = weighted.shape
+    tol = 4 * (nr + nc) * np.finfo(float).eps * np.abs(weighted).sum()
     rng = np.random.default_rng(seed)
-    starts = [np.ones(nr, dtype=bool), weighted.sum(axis=1) > 0]
+    starts = [np.ones(nr, dtype=bool), weighted.sum(axis=1) > tol]
     starts += [rng.random(nr) < 0.5 for _ in range(restarts)]
     finals = []
     for s in starts:
@@ -814,16 +830,16 @@ def reference_lower(kern, restarts=32, seed=0, *, reduction=None):
         for _ in range(cutnorm.LOWER_MAX_ROUNDS):
             g = weighted[s].sum(axis=0) if s.any() else np.zeros(weighted.shape[1])
             pos, neg = g[g > 0].sum(), -g[g < 0].sum()
-            sign = 1 if pos >= neg else -1
-            t = g > 0 if sign > 0 else g < 0
+            sign = 1 if pos >= neg - tol else -1
+            t = g * sign > tol
             h = weighted[:, t].sum(axis=1) * sign if t.any() else np.zeros(nr)
-            s_new = h > 0
+            s_new = h > tol
             if np.array_equal(s_new, s):
                 s = s_new
                 break
             s = s_new
         g = weighted[s].sum(axis=0) if s.any() else np.zeros(weighted.shape[1])
-        finals.append((s, g > 0 if sign > 0 else g < 0))
+        finals.append((s, g * sign > tol))
     S, T = (np.array(masks) for masks in zip(*finals))
     return cutnorm._witness(kern, rmap, cmap, *reference_best_start(weighted, S, T))
 
@@ -918,7 +934,8 @@ def test_screened_pick_is_the_first_largest_block(seed, nr, nc, k):
     S = (rng.random((k, nr)) < 0.5)[rng.integers(0, k, k)]
     G = S @ weighted
     T = G * rng.choice([-1.0, 1.0], (k, 1)) > 0
-    got = cutnorm._best_start([(slice(0, nr), slice(0, nc), weighted)], S, T, G)
+    tol = 4 * (nr + nc) * np.finfo(float).eps * np.abs(weighted).sum()
+    got = cutnorm._best_start([(slice(0, nr), slice(0, nc), weighted)], S, T, G, tol)
     want = reference_best_start(weighted, S, T)
     assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
@@ -941,13 +958,12 @@ def test_compression_is_unchanged_under_the_start_loop(monkeypatch):
 
 
 def test_compression_runs_no_merge(monkeypatch):
-    # on random weights no residual or difference has duplicate rows, so the
-    # probe keeps every oracle call off the merge and off any dense array
-    # of the quotient, and the records say so
+    # the heuristic route merges nothing and builds no dense array of the
+    # quotient, and the records say so
     def refuse(*args):
         raise AssertionError("the heuristic route merged")
 
-    for name in ("_merge_axis", "_dense_reduction"):
+    for name in ("_merge_axis", "_reduce"):
         monkeypatch.setattr(cutnorm, name, refuse)
     net = random_network(3, 2, 2, 120, 5.0, np.random.default_rng(42))
     traces = []

@@ -515,11 +515,24 @@ def test_unit_quotient_is_the_kernel_on_its_units(L, d0, dL, mult, seed):
     assert all(same_bits(a, q.coeffs[r, c]) for r, c, a in bk.blocks)
 
 
-@pytest.mark.parametrize("block, error", [
-    (np.zeros((2, 3)), DimensionMismatchError),
-    (np.full((2, 2), 1.5), ParameterError),
-    (np.full((2, 2), np.nan), ParameterError),
+def _top_right(a):
+    return ((slice(0, 2), slice(2, 4), a),)
+
+
+@pytest.mark.parametrize("blocks, error", [
+    (_top_right(np.zeros((2, 3))), DimensionMismatchError),
+    (_top_right(np.full((2, 2), 1.5)), ParameterError),
+    (_top_right(np.full((2, 2), np.nan)), ParameterError),
+    # bounds must be explicit, within the 4 parts, with unit step
+    (((slice(None), slice(0, 4), np.zeros((4, 4))),), ParameterError),
+    (((slice(-2, 4), slice(0, 2), np.zeros((2, 2))),), ParameterError),
+    (((slice(2, 6), slice(0, 2), np.zeros((2, 2))),), ParameterError),
+    (((slice(0, 4, 2), slice(0, 2), np.zeros((2, 2))),), ParameterError),
+    (((0, slice(0, 2), np.zeros((1, 2))),), ParameterError),
+    # and blocks must not overlap, in whatever order they come
+    (((slice(1, 3), slice(1, 3), np.ones((2, 2))), (slice(0, 2), slice(0, 2), np.ones((2, 2)))),
+     ParameterError),
 ])
-def test_block_kernel_refuses_bad_blocks(block, error):
+def test_block_kernel_refuses_bad_blocks(blocks, error):
     with pytest.raises(error):
-        BlockKernel(equipartition(4), ((slice(0, 2), slice(2, 4), block),))
+        BlockKernel(equipartition(4), blocks)

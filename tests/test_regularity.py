@@ -591,6 +591,21 @@ def test_chunked_gap_is_the_one_shot_gap(samples, monkeypatch):
     assert rep.empirical_max.hex() == one_shot.hex()
 
 
+def test_refinement_does_not_hinge_on_summation_order():
+    # a residual integrates to 0 over every group block, so the all-ones
+    # start's sign classes tie exactly, and a singleton group's row and
+    # column sums are exactly 0; the heuristic reads sums within its
+    # rounding bound as 0, so the blocks and the dense quotient, which sum
+    # in other orders, refine 240 -> 24 alike (they did not when a 1-ulp
+    # rounding picked the sign)
+    net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42))
+    ls, q = layers_of(net), unit_blocks(net)
+    blocks, dense = (regularity._budgeted_fk(ls, k, 24, "auto", 5) for k in (q, q.dense()))
+    assert np.array_equal(blocks.labels, dense.labels)
+    for a, b in zip(blocks.iterations, dense.iterations, strict=True):
+        assert abs(a.witness_value - b.witness_value) <= 1e-15
+
+
 PINNED_RUN = """
 import hashlib
 import numpy as np
