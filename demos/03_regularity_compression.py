@@ -9,8 +9,9 @@ hidden layer into equal slots of its units, and build the smaller
 network from the per-layer slot averages: W'_l = P_l W_l P_{l-1}^T and
 b'_l = P_l b_l, with P_l the slot matrix of hidden layer l. The report
 bounds the worst output gap by (L+2) * dL * (2B)^L times the measured
-kernel distance; the empirical gap is typically orders of magnitude
-below that.
+kernel distance, a bound certified only when that distance is exact and
+labelled an estimate otherwise; the empirical gap is typically orders of
+magnitude below it.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ small, rep = compress_network(net, target_d=24, seed=3)
 print(f"compressed width: {small.d} ({sum(w.size for w in small.weights)} weights)")
 print(f"kernel distance delta_hat = {rep.delta_hat:.5f} "
       f"({'exact' if rep.delta_exact else 'heuristic lower bound'})")
-print(f"output bound  (L+2)*dL*(2B)^L*delta = {rep.theoretical_bound:.2f}")
+print(f"{rep.bound_label}  (L+2)*dL*(2B)^L*delta = {rep.theoretical_bound:.2f}")
 print(f"empirical max gap over {rep.samples} inputs = {rep.empirical_max:.5f}")
 
 xs = rng.uniform(0, 1, (5, 2))

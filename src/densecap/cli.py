@@ -232,7 +232,7 @@ def cmd_compress(args):
             json.dump(rep.to_dict(), fh, indent=2)
     print(f"width {rep.d_original} -> {rep.d_compressed}; "
           f"delta_hat {rep.delta_hat:.6g} ({'exact' if rep.delta_exact else 'heuristic'})")
-    print(f"output bound {rep.theoretical_bound:.6g}, "
+    print(f"{rep.bound_label} {rep.theoretical_bound:.6g}, "
           f"empirical max {rep.empirical_max:.6g} over {rep.samples} samples")
     return 0
 

@@ -6,26 +6,24 @@ pick the other side in closed form from the signs of the induced sums.
 Kernels come as StepKernels or as BlockKernels, which vanish outside a few
 blocks of consecutive parts; a StepKernel is the one-block case.
 
-Both oracles first drop all-zero rows and columns. The exact route also
-merges rows/columns that are entrywise identical (summing their
-measures); this is lossless for the maximum because identical rows enter
-or leave an optimal subset together, and layered kernels collapse under
-it, which keeps exact values reachable well past the nominal cap. The
-merge maps each row's floats (-0.0 folded into 0.0) to bytes that compare
-in the same order, so one stable sort groups equal rows and orders the
-distinct ones lexicographically; it works on one dense array of the
-nonzero rows and columns. Before any merge, ``kernel_cut_norm`` probes
-the kernel block by block: it hashes each nonzero row and column by a
-fixed-order sum against one fixed random vector, where equal rows hash
-equal, so the count of distinct hashes never exceeds the count of
-distinct rows. When that count exceeds the cap on both axes, no exact
-route exists: the heuristic runs on the kernel's own blocks, cut down to
-their nonzero rows and columns in layout order, and merges nothing. The
-merge groups only bitwise-equal rows, so rounding can decide it; the
-heuristic route never meets that. Otherwise the kernel is merged once and
-the merge handed to the oracle the merged size allows. Each route's index
-map, from each part to its reduced row or column (-1 if dropped), takes
-the witness sets back to the original parts.
+Every call first shrinks the kernel once (``_shrink``): it drops the
+all-zero rows and columns and cuts each block down to the rest, in layout
+order. The heuristic runs on that shrink. The exact route also merges
+rows/columns that are entrywise identical (summing their measures); this
+is lossless for the maximum because identical rows enter or leave an
+optimal subset together, and layered kernels collapse under it, which
+keeps exact values reachable well past the nominal cap. ``_reduce``
+writes the shrink into one dense array and merges its rows, then its
+columns, by one stable ``np.lexsort`` each. The merge groups only
+bitwise-equal rows, so rounding can decide it; the heuristic never meets
+that. Before any merge, ``kernel_cut_norm`` hashes the shrink's rows and
+columns block by block (``_hash_counts``); the count of distinct hashes
+never exceeds the count of distinct rows. When it exceeds the cap on both
+axes, no exact route exists and nothing is merged. Otherwise the shrink
+is merged once, and the exact route runs on the merge if that fits under
+the cap; if not, the heuristic still runs on the shrink. Index maps, from
+each part to its reduced row or column (-1 if dropped), take the witness
+sets back to the original parts.
 
 The enumeration scores a row subset by one l1 sum: with column sums x, its
 heavier sign class is (sum |x_j| + |sum x_j|) / 2, and sum x_j is the sum
@@ -61,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, ValidationFailedError
+from .errors import CapacityError, ParameterError, ValidationFailedError, require_count
 from .kernels import BlockKernel, ComputationalKernel, StepSignal, layered_conditions
 from .kernels import layers_of, unit_blocks
 from .partitions import Partition
@@ -75,16 +73,15 @@ LOWER_MAX_ROUNDS = 200  # alternating updates per heuristic restart
 class CutWitness:
     """A cut value together with the part sets attaining it.
 
-    ``kernel_cut_norm`` also records the route: ``dims``, the (rows, cols)
-    of the reduced kernel its oracle ran on, and ``merged``, whether that
-    reduction ran the sort-merge of duplicate rows or columns.
+    ``kernel_cut_norm`` also records ``dims``, the (rows, cols) of the
+    reduced kernel its oracle ran on: the merge on the exact route, the
+    shrink on the heuristic one.
     """
 
     value: float
     row_set: tuple
     col_set: tuple = None
     dims: tuple = None
-    merged: bool = None
 
     def check(self, obj, tol=1e-12):
         """Re-evaluate the witness on its object; True if it reproduces value."""
@@ -139,121 +136,83 @@ def l1_norm(obj):
     return float(np.sum(np.abs(obj.coeffs) * np.outer(m, m)))
 
 
-def _merge_axis(coeffs, meas, axis):
-    """Merge identical rows (axis=0) or columns (axis=1), summing measures.
+def _merge_rows(mat, meas):
+    """Merge equal rows, summing measures: (merged rows, their measures, each row's group).
 
-    Rows are compared after ``+ 0.0``, which turns -0.0 into 0.0, so two
-    rows share a group exactly when they are equal as floats. The copy's
-    bits become order-preserving keys in place: a negative float has all
-    its bits flipped, any other its sign bit, and the 8-byte words are made
-    big-endian, so comparing two rows' bytes compares them as floats, first
-    column first. One stable sort of the keys then gives both the groups
-    (runs of equal keys, each represented by its first row) and their
-    lexicographic order, the order ``np.unique(axis=0)`` gives them. The
-    all-zero group is dropped. The third value maps each row to its merged
-    row, or to -1 if the row was dropped. Grouping only bitwise-equal rows
-    lets rounding decide a merge; only the exact route merges, and the
-    heuristic indexes its random starts by the rows in layout order.
+    One stable ``np.lexsort``, first column first, orders the rows as floats
+    (-0.0 equal to 0.0); equal neighbours form a group, represented by its
+    first row. These are ``np.unique(axis=0)``'s groups, in its order.
     """
-    mat = coeffs if axis == 0 else coeffs.T
-    folded = np.add(mat, 0.0, order="C")
-    nonzero = folded.any(axis=1)
-    bits = folded.view(np.int64)
-    bits ^= (bits >> 63) & 0x7FFF_FFFF_FFFF_FFFF
-    bits ^= np.iinfo(np.int64).min
-    if np.little_endian:
-        bits.byteswap(inplace=True)
-    keys = list(map(np.ndarray.tobytes, bits))
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = [keys[i] != keys[j] for i, j in zip(order, order[1:])]
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    first = np.asarray(order, dtype=np.intp)[starts]
-    keep = np.flatnonzero(nonzero[first])
-    merged_meas = np.bincount(inverse, weights=meas, minlength=first.size)
-    reduced = np.full(first.size, -1, dtype=np.intp)  # group -> reduced row
-    reduced[keep] = np.arange(keep.size)
-    red = mat[first[keep]]
-    return (red if axis == 0 else red.T), merged_meas[keep], reduced[inverse]
+    order = np.lexsort(mat.T[::-1]) if mat.size else np.arange(len(mat))
+    srt = mat[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    return mat[order[first]], np.bincount(group, weights=meas, minlength=first.sum()), group
 
 
-def _nonzero(bk):
-    """Per axis, rows then columns: the indices of the nonzero ones."""
+def _hash_counts(blocks, rmeas, cmeas):
+    """The number of distinct hashes among a shrink's rows, then its columns.
+
+    A row's hash sums ``row * v`` for one fixed random v over the pieces
+    that all blocks' column bounds cut: each piece by ``np.add.reduceat``,
+    then the pieces in layout order. Equal rows (-0.0 read as 0.0) so hash
+    equal whatever blocks hold them, and the count never exceeds the number
+    of distinct rows. Columns are hashed alike.
+    """
+    v = np.random.default_rng(0).random(max(rmeas.size, cmeas.size))
+    counts = []
+    for axis, n in enumerate((rmeas.size, cmeas.size)):
+        cuts = np.unique([s for b in blocks for s in (b[1 - axis].start, b[1 - axis].stop)])
+        pieces = np.zeros((n, max(cuts.size - 1, 0)))
+        for rs, cs, a in blocks:
+            own, other, a = (rs, cs, a) if axis == 0 else (cs, rs, a.T)
+            lo, hi = np.searchsorted(cuts, (other.start, other.stop))
+            pieces[own, lo:hi] = np.add.reduceat(a * v[other], cuts[lo:hi] - other.start, axis=1)
+        counts.append(np.unique(pieces.sum(axis=1)).size)
+    return counts
+
+
+def _shrink(kern):
+    """The kernel's blocks cut down to their nonzero rows and columns, in layout order.
+
+    Returns (blocks, row measures, col measures, row map, col map); a map
+    sends each part to its reduced row or column, or to -1 if dropped. The
+    heuristic runs on it unmerged: on 1,200-part induced kernels with 52 to
+    484 distinct rows, a merge cost it more than its smaller products saved.
+    """
+    bk = BlockKernel.of(kern)
     nonzero = np.zeros((2, bk.n), dtype=bool)
     for rs, cs, a in bk.blocks:
         nonzero[0, rs] |= a.any(axis=1)
         nonzero[1, cs] |= a.any(axis=0)
-    return [np.flatnonzero(nz) for nz in nonzero]
-
-
-def _hash_counts(bk, keep):
-    """Per axis, the number of distinct hashes among the rows, then columns, ``keep`` lists.
-
-    A row's hash sums ``row * v`` for one fixed random v, one block at a
-    time in the blocks' row-major order: each block's part is numpy's
-    pairwise sum over the block's width, which two rows share wherever they
-    can be equal. A column's parts are running sums down the block (the
-    order of ``np.sum(axis=0)`` on a wide block, but not on a one-column
-    one). Equal rows or columns (-0.0 read as 0.0) so hash equal, and the
-    count never exceeds the number of distinct ones.
-    """
-    v = np.random.default_rng(0).random(bk.n)
-    hashes = np.zeros((2, bk.n))
-    for rs, cs, a in bk.blocks:
-        hashes[0, rs] += (a * v[cs]).sum(axis=1)
-        hashes[1, cs] += np.cumsum(a * v[rs, None], axis=0)[-1]
-    return [np.unique(h[k]).size for h, k in zip(hashes, keep)]
-
-
-def _one_block(c, *rest):
-    """A ``_reduce`` result as the heuristic takes it: its array as one block."""
-    return ([(slice(0, c.shape[0]), slice(0, c.shape[1]), c)] if c.size else []), *rest
-
-
-def _reduce(kern, keep=None):
-    """Lossless shrink for the exact route: drop zero rows/cols, merge duplicates.
-
-    Returns (coeffs, row measures, col measures, row map, col map). The
-    coefficients are one dense array of the nonzero rows and columns
-    (``keep``, which is ``_nonzero`` of the kernel when the caller has it),
-    merged by ``_merge_axis``, rows first. A map sends each part to its
-    reduced row or column, or to -1 if dropped.
-    """
-    bk = BlockKernel.of(kern)
-    keep = _nonzero(bk) if keep is None else keep
-    meas = bk.partition.measures
-    c, out = _gather(bk, *keep), []
-    for axis, k in enumerate(keep):
-        mapping = np.full(bk.n, -1, dtype=np.intp)
-        c, sizes, mapping[k] = _merge_axis(c, meas[k], axis)
-        out.append((sizes, mapping))
-    (rmeas, rmap), (cmeas, cmap) = out
-    return c, rmeas, cmeas, rmap, cmap
-
-
-def _shrink(kern, keep=None):
-    """The heuristic oracle's reduction: (blocks, row measures, col measures, row map, col map).
-
-    The kernel's blocks cut down to their nonzero rows and columns (``keep``,
-    as in ``_reduce``), which keep their layout order; nothing is merged:
-    on 1,200-part induced kernels with 52 to 484 distinct rows, the
-    sort-merge cost the heuristic more than its smaller products saved.
-    """
-    bk = BlockKernel.of(kern)
-    keep = _nonzero(bk) if keep is None else keep
-    meas = bk.partition.measures
-    maps = [np.full(bk.n, -1, dtype=np.intp) for _ in keep]
+    maps = np.where(nonzero, np.cumsum(nonzero, axis=1) - 1, -1)
     blocks = []
-    for k, mapping in zip(keep, maps):
-        mapping[k] = range(k.size)
     for rs, cs, a in bk.blocks:
         r, c = maps[0][rs], maps[1][cs]
         kr, kc = r[r >= 0], c[c >= 0]
         if kr.size and kc.size:
             a = a if kr.size == r.size and kc.size == c.size else a[np.ix_(r >= 0, c >= 0)]
             blocks.append((slice(int(kr[0]), int(kr[-1]) + 1), slice(int(kc[0]), int(kc[-1]) + 1), a))
-    return blocks, meas[keep[0]], meas[keep[1]], maps[0], maps[1]
+    meas = bk.partition.measures
+    return blocks, meas[nonzero[0]], meas[nonzero[1]], maps[0], maps[1]
+
+
+def _reduce(kern, shrink=None):
+    """The exact route's lossless reduction: ``shrink`` (or ``_shrink(kern)``) merged.
+
+    Returns what ``_shrink`` does, for one dense array of the shrink whose
+    rows, then columns, ``_merge_rows`` has merged.
+    """
+    blocks, rmeas, cmeas, rmap, cmap = shrink or _shrink(kern)
+    c = np.zeros((rmeas.size, cmeas.size))
+    for rs, cs, a in blocks:
+        c[rs, cs] = a
+    c, rmeas, rgroup = _merge_rows(c, rmeas)
+    c, cmeas, cgroup = _merge_rows(c.T, cmeas)
+    # a dropped part's -1 picks the appended -1
+    return c.T, rmeas, cmeas, np.append(rgroup, -1)[rmap], np.append(cgroup, -1)[cmap]
 
 
 def reduced_dims(kern):
@@ -384,8 +343,8 @@ def kernel_cut_norm_lower(kern, restarts=32, seed=0, *, reduction=None):
     explicit witness, hence always a valid lower bound. ``reduction`` is
     ``_shrink(kern)`` when the caller has already computed it.
     """
-    if restarts < 0:
-        raise ParameterError(f"restarts must be non-negative, got {restarts}")
+    require_count("restarts", restarts)
+    require_count("seed", seed)
     blocks, rmeas, cmeas, rmap, cmap = reduction or _shrink(kern)
     if not blocks:
         return CutWitness(0.0, (), ())
@@ -462,32 +421,26 @@ def kernel_cut_norm(kern, oracle="auto", cap=EXACT_CAP_DEFAULT, restarts=32, see
     """Dispatch to the exact or heuristic cut norm.
 
     Returns (witness, exact_flag), the witness carrying the reduced
-    ``dims`` its oracle ran on and whether the sort-merge ran (``merged``).
-    With oracle='auto', ``_hash_counts`` first counts distinct row and
-    column hashes, which never exceed the distinct rows and columns. If both
-    counts exceed the cap, no exact route exists and the heuristic runs on
-    ``_shrink``. Otherwise the kernel is merged once by ``_reduce``, and the
-    exact route is taken whenever the merged instance fits under the cap;
-    if a hash collision undercounted and it does not, the heuristic runs on
-    that merge as one block. Either way the kernel is reduced once.
+    ``dims`` its oracle ran on. The kernel is shrunk once (``_shrink``).
+    With oracle='auto', ``_hash_counts`` then counts distinct row and
+    column hashes of the shrink, which never exceed the distinct rows and
+    columns. If a count fits under the cap, ``_reduce`` merges the shrink,
+    and the exact route is taken whenever the merge fits too. Otherwise,
+    and whenever a hash collision undercounted, the heuristic runs on the
+    shrink, as the standalone ``kernel_cut_norm_lower`` does.
     """
-    if restarts < 0:
-        raise ParameterError(f"restarts must be non-negative, got {restarts}")
+    require_count("restarts", restarts)
+    require_count("seed", seed)
     if oracle not in ("auto", "exact", "heuristic"):
         raise ParameterError(f"unknown oracle {oracle!r}")
-    bk = BlockKernel.of(kern)
-    keep = _nonzero(bk)
-    if oracle == "exact" or (oracle == "auto" and min(_hash_counts(bk, keep)) <= cap):
-        red = _reduce(bk, keep)
+    shrink = _shrink(kern)
+    if oracle == "exact" or (oracle == "auto" and min(_hash_counts(*shrink[:3])) <= cap):
+        red = _reduce(kern, shrink)
         if oracle == "exact" or min(red[0].shape) <= cap:
             w = kernel_cut_norm_exact(kern, cap=cap, reduction=red)
-            return dataclasses.replace(w, dims=red[0].shape, merged=True), True
-        # a hash collision undercounted: the heuristic takes the merge as is
-        red, merged = _one_block(*red), True
-    else:
-        red, merged = _shrink(bk, keep), False
-    w = kernel_cut_norm_lower(kern, restarts=restarts, seed=seed, reduction=red)
-    return dataclasses.replace(w, dims=(red[1].size, red[2].size), merged=merged), False
+            return dataclasses.replace(w, dims=red[0].shape), True
+    w = kernel_cut_norm_lower(kern, restarts=restarts, seed=seed, reduction=shrink)
+    return dataclasses.replace(w, dims=(shrink[1].size, shrink[2].size)), False
 
 
 def difference_cut_norm(partition, diff, oracle, seed):
@@ -568,9 +521,12 @@ def comp_cut_distance_upper(ck, cj, mode="identity", oracle="auto", seed=0):
     ticks over lcm(n, n'); only the hidden layers' cuts can differ. Neither
     twin merging nor refinement changes a step kernel's cut norm. The
     difference is taken block by block and measured as a BlockKernel, so
-    no n_units x n_units array is built unless the exact route needs its
-    merge. Only 'identity' accepts different hidden widths.
+    no n_units x n_units array is built unless the probe finds the exact
+    route within reach and the shrink is merged. Only 'identity' accepts
+    different hidden widths. The witness's ``dims`` are the merge's on the
+    exact route and the shrink's on the heuristic one.
     """
+    require_count("seed", seed)
     a, b = layers_of(ck), layers_of(cj)
     if (a.L, a.d0, a.dL) != (b.L, b.d0, b.dL):
         raise ParameterError(

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class DensecapError(ValueError):
     """Base class for all structured errors raised by this package."""
@@ -43,6 +45,15 @@ class CapacityError(DensecapError):
 
 class ParameterError(DensecapError):
     """An argument is outside the operation's stated domain."""
+
+
+def require_count(name, value, least=0):
+    """Refuse a count or seed that is not an integer of at least ``least``."""
+    if not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ParameterError(f"{name} must be {bound}, got {value}")
 
 
 class EquivalenceViolationError(DensecapError):

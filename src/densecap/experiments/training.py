@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import IngestionError, ParameterError
+from ..errors import IngestionError, ParameterError, require_count
 from .data import load_mnist, make_spike_dataset, take_subset
 
 
@@ -41,8 +41,7 @@ class TrainConfig:
         # written so that a NaN learning rate or numerator fails the check
         if not (self.lr > 0 and self.clamp_numerator > 0):
             raise ParameterError("learning rate and clamp numerator must be positive")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {self.seed}")
+        require_count("seed", self.seed)
         if self.subset is not None and self.subset < 1:
             raise ParameterError(f"subset must be at least 1, got {self.subset}")
 

@@ -41,7 +41,7 @@ from .cutnorm import (
     difference_cut_norm,
     kernel_cut_norm,  # noqa: F401 - bench/tracing.py wraps this name here
 )
-from .errors import ParameterError, ValidationFailedError
+from .errors import ParameterError, ValidationFailedError, require_count
 from .kernels import (
     BlockKernel,
     StepKernel,
@@ -92,9 +92,9 @@ def _project_grouping(kernel, labels):
 @dataclass
 class IterationRecord:
     """One refinement round: ``exact`` is the oracle route its cut norm took,
-    ``oracle_dims`` the reduced (rows, cols) that oracle ran on, ``merged``
-    whether their reduction ran the sort-merge, and ``elapsed_s`` the wall
-    time of the round's projection and oracle call."""
+    ``oracle_dims`` the reduced (rows, cols) that oracle ran on (the
+    merge on the exact route, the shrink on the heuristic one), and
+    ``elapsed_s`` the wall time of the round's projection and oracle call."""
 
     iteration: int
     partition_size: int
@@ -102,7 +102,6 @@ class IterationRecord:
     witness_value: float
     exact: bool
     oracle_dims: tuple
-    merged: bool
     elapsed_s: float
 
 
@@ -170,7 +169,7 @@ def _refine(kernel, labels, split, stop, max_iter, oracle, seed):
         exact_used = exact_used and was_exact
         records.append(IterationRecord(
             it, int(gm.size), energy, witness.value, was_exact, witness.dims,
-            witness.merged, time.monotonic() - t0,
+            time.monotonic() - t0,
         ))
         if witness.value < stop:
             status = "certified" if was_exact else "heuristic_termination"
@@ -203,6 +202,7 @@ def weak_regularity(kernel, eps, oracle="exact", seed=0):
     """
     if not 0 < eps <= 2:
         raise ParameterError(f"eps must lie in (0, 2], got {eps}")
+    require_count("seed", seed)
     return _refine(
         kernel,
         np.zeros(kernel.n, dtype=np.int64),
@@ -300,6 +300,13 @@ class CompressionReport:
     def to_dict(self):
         return asdict(self)
 
+    @property
+    def bound_label(self):
+        """How to print ``theoretical_bound``: a heuristic ``delta_hat`` certifies nothing."""
+        if self.delta_exact:
+            return "output bound"
+        return "output bound estimate (heuristic delta_hat, not certified)"
+
 
 def _layer_group_counts(labels, ls):
     return {
@@ -351,22 +358,25 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
     network's and divisible by lcm(d0, dL)) must be given. Returns the
     compressed network and a report carrying the measured kernel distance
     ``delta_hat``, the output bound (L+2) * dL * (2B)^L * delta_hat it
-    implies, and the empirical maximum output gap over uniformly sampled
-    inputs. ``delta_hat`` is the cut distance between the kernels of the
-    input and the returned network as laid out, measured on the common
-    refinement of their unit quotients, so any two widths can be compared
-    without lifting either kernel.
+    implies (certified only if ``delta_exact``; ``bound_label`` names it
+    an estimate otherwise), and the empirical maximum output gap over
+    uniformly sampled inputs. ``delta_hat`` is the cut distance between
+    the kernels of the input and the returned network as laid out,
+    measured on the common refinement of their unit quotients, so any two
+    widths can be compared without lifting either kernel.
 
     Every refinement (``target_d``, the network's own width, or
     ``epsilon``) runs on the unit quotient read off the weights, one part
     per unit, so group counts and budgets count units and a hidden unit
     is never split; the ``target_d`` runs keep it as its layer blocks,
     and the stage log's distance detail names the reduced size its oracle
-    ran on and whether it merged rows. Each hidden layer is cut into slots by
-    ``_slot_weights`` in integer ticks, d_new per unit and d per slot,
-    grouped by the refined labels; a slot's weights are its tick counts
-    over d, exact ratios that sum to one. The slot matrices P average the
-    layer's neurons:
+    ran on (the shrink of the quotients' difference on the heuristic
+    route). A ``seed`` that is not a non-negative integer, or ``samples``
+    that is not a positive one, is refused before any array is built.
+    Each hidden layer is cut into slots by ``_slot_weights`` in integer
+    ticks, d_new per unit and d per slot, grouped by the refined labels;
+    a slot's weights are its tick counts over d, exact ratios that sum to
+    one. The slot matrices P average the layer's neurons:
     W'_1 = P_1 W_1, W'_l = P_l W_l P_{l-1}^T, W'_L = W_L P_{L-1}^T,
     b'_l = P_l b_l and b'_L = b_L, clipped to [-B, B]. Only the new
     network's kernel, small at d_new, is induced, to be validated once;
@@ -387,8 +397,8 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
     t0 = time.monotonic()
     if (epsilon is None) == (target_d is None):
         raise ParameterError("give exactly one of epsilon or target_d")
-    if samples < 1:
-        raise ParameterError(f"samples must be at least 1, got {samples}")
+    require_count("samples", samples, 1)
+    require_count("seed", seed)
     if target_d is not None and target_d > net.d:
         raise ParameterError(f"target width {target_d} exceeds the network width {net.d}")
     ls, B = layers_of(net), float(net.B)
@@ -471,9 +481,8 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
 
     dist = comp_cut_distance_upper(net, net_new, mode="identity", oracle=oracle, seed=seed)
     rows, cols = dist.witness.dims
-    merge = "merged" if dist.witness.merged else "no merge"
     stage("distance", "exact" if dist.exact else "heuristic",
-          f"delta_hat {dist.value:.6g}; oracle on {rows} x {cols}, {merge}")
+          f"delta_hat {dist.value:.6g}; oracle on {rows} x {cols}")
 
     amplifier = (2.0 * B) ** ls.L
     output_factor = (ls.L + 2) * ls.dL

@@ -167,6 +167,20 @@ def test_compress_writes_outputs(net_file, tmp_path):
     assert r2.returncode == 2
 
 
+@pytest.mark.parametrize("oracle, label", [
+    ("heuristic", "output bound estimate (heuristic delta_hat, not certified) "),
+    ("exact", "output bound "),
+])
+def test_compress_labels_a_heuristic_output_bound(net_file, tmp_path, oracle, label):
+    r = run_cli(
+        "compress", net_file, "--target-d", "2", "--out", str(tmp_path / "small.txt"),
+        "--samples", "10", "--oracle", oracle,
+    )
+    assert r.returncode == 0, r.stderr
+    line = r.stdout.splitlines()[1]
+    assert line.startswith(label) and ("estimate" in line) == (oracle == "heuristic")
+
+
 def test_compress_bad_width_is_operational_error(tmp_path):
     wide = str(tmp_path / "wide.txt")
     save_network(random_network(2, 2, 3, 12, 5.0, np.random.default_rng(1)), wide)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from densecap import cutnorm, regularity
 from densecap.cutnorm import (
     CutWitness,
-    _merge_axis,
     _reduce,
     comp_cut_distance_upper,
     difference_cut_norm,
@@ -384,9 +383,14 @@ def map_to_groups(mapping, size):
     return groups
 
 
-def merge_groups(merge):
-    red, merged, mapping = merge
-    return red, merged, map_to_groups(mapping, merged.size)
+def merge_groups(mat, meas, axis):
+    """``_merge_rows`` on the nonzero rows (axis=0) or columns (axis=1), as ``_reduce`` runs it."""
+    m = mat if axis == 0 else mat.T
+    nonzero = np.flatnonzero(m.any(axis=1))
+    red, merged, group = cutnorm._merge_rows(m[nonzero], meas[nonzero])
+    mapping = np.full(len(m), -1)
+    mapping[nonzero] = group
+    return (red if axis == 0 else red.T), merged, map_to_groups(mapping, merged.size)
 
 
 def reduce_groups(reduction):
@@ -451,9 +455,7 @@ def test_merge_orders_arbitrary_floats_as_the_reference(mat, seed):
     meas = np.random.default_rng(seed).dirichlet(np.ones(max(mat.shape)))
     for axis in (0, 1):
         m = meas[: mat.shape[axis]]
-        assert_same_reduction(
-            merge_groups(_merge_axis(mat, m, axis)), reference_merge(mat, m, axis)
-        )
+        assert_same_reduction(merge_groups(mat, m, axis), reference_merge(mat, m, axis))
 
 
 @settings(max_examples=100, deadline=None)
@@ -472,7 +474,7 @@ def test_reduce_separates_rows_differing_only_in_the_last_entry(head, last, rows
     mat = np.array([[1.0] + head + [last[r]] for r in rows])
     meas = np.full(len(rows), 1.0 / len(rows))
     for axis, m in ((0, mat), (1, mat.T)):
-        got = merge_groups(_merge_axis(m, meas, axis))
+        got = merge_groups(m, meas, axis)
         assert len(got[2]) == 2
         assert_same_reduction(got, reference_merge(m, meas, axis))
 
@@ -486,7 +488,7 @@ def test_merge_matches_reference_on_single_row_or_column(kern, axis, line):
     for merge_axis in (0, 1):
         meas = kern.partition.measures if merge_axis != axis else np.ones(1)
         assert_same_reduction(
-            merge_groups(_merge_axis(part, meas, merge_axis)),
+            merge_groups(part, meas, merge_axis),
             reference_merge(part, meas, merge_axis),
         )
 
@@ -494,9 +496,8 @@ def test_merge_matches_reference_on_single_row_or_column(kern, axis, line):
 @pytest.mark.parametrize("shape", [(3, 0), (0, 4), (0, 0)])
 def test_merge_of_zero_size_matrix_is_empty(shape):
     meas = np.full(shape[0], 0.5)
-    red, merged, mapping = _merge_axis(np.zeros(shape), meas, axis=0)
-    assert red.shape == (0, shape[1]) and merged.size == 0
-    assert mapping.tolist() == [-1] * shape[0]
+    red, merged, groups = merge_groups(np.zeros(shape), meas, axis=0)
+    assert red.shape == (0, shape[1]) and merged.size == 0 and groups == []
 
 
 def test_all_zero_kernel_reduces_to_nothing():
@@ -542,9 +543,17 @@ def test_difference_cut_norm_doubles_the_halved_kernel(oracle):
     lambda k: kernel_cut_norm_lower(k, restarts=-1),
     lambda k: kernel_cut_norm(k, oracle="heuristic", restarts=-1),
     lambda k: kernel_cut_norm(k, oracle="exact", restarts=-1),
+    lambda k: kernel_cut_norm_lower(k, seed=-1),
+    lambda k: kernel_cut_norm(k, oracle="heuristic", seed=-1),
+    lambda k: kernel_cut_norm(k, oracle="exact", seed=-1),
+    lambda k: kernel_cut_norm(k, oracle="exact", restarts=2.5),
+    lambda k: compress_network(
+        random_network(3, 2, 2, 24, 5.0, np.random.default_rng(0)), target_d=12, seed=-1
+    ),
 ])
 def test_negative_restarts_are_refused(call):
-    with pytest.raises(ParameterError, match="restarts must be non-negative"):
+    # seeds and counts alike, refused before numpy sees them
+    with pytest.raises(ParameterError, match="(restarts|seed) must be (non-negative|an integer)"):
         call(random_kernel(np.random.default_rng(0), 4))
 
 
@@ -556,32 +565,32 @@ def test_auto_oracle_reduces_once(monkeypatch, cap, exact):
         if exact
         else kernel_cut_norm_lower(kern, restarts=32, seed=0)
     )
-    # one reduction: the exact route's merge, or the heuristic's shrink
+    # one shrink, and a merge of it only on the exact route
     calls = []
     for name in ("_reduce", "_shrink"):
         original = getattr(cutnorm, name)
         monkeypatch.setattr(
-            cutnorm, name, lambda *a, f=original: calls.append(a) or f(*a)
+            cutnorm, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
         )
     w, was_exact = kernel_cut_norm(kern, oracle="auto", cap=cap)
-    assert len(calls) == 1 and was_exact is exact
+    assert calls == (["_shrink", "_reduce"] if exact else ["_shrink"]) and was_exact is exact
     assert (w.value, w.row_set, w.col_set) == (alone.value, alone.row_set, alone.col_set)
 
 
 def test_an_undercounting_probe_reduces_once(monkeypatch):
     # were distinct rows to collide in their hashes, the counts could fit
-    # under the cap when the merge does not: the heuristic then runs on that
-    # merge as one block instead of reducing the kernel again
+    # under the cap when the merge does not: the heuristic then runs on the
+    # shrink the call already holds, as the standalone heuristic does
     kern = random_kernel(np.random.default_rng(12), 6)
-    monkeypatch.setattr(cutnorm, "_hash_counts", lambda bk, keep: [1, 1])
+    alone = kernel_cut_norm_lower(kern)
+    monkeypatch.setattr(cutnorm, "_hash_counts", lambda *shrink: [1, 1])
     calls = []
     for name in ("_reduce", "_shrink"):
         original = getattr(cutnorm, name)
         monkeypatch.setattr(cutnorm, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
     w, was_exact = kernel_cut_norm(kern, oracle="auto", cap=2)
-    assert calls == ["_reduce"] and not was_exact
-    assert (w.dims, w.merged) == ((6, 6), True)
-    alone = kernel_cut_norm_lower(kern, reduction=cutnorm._one_block(*_reduce(kern)))
+    assert calls == ["_shrink", "_reduce"] and not was_exact
+    assert w.dims == (6, 6)
     assert (w.value, w.row_set, w.col_set) == (alone.value, alone.row_set, alone.col_set)
 
 
@@ -650,14 +659,80 @@ def test_probe_never_hides_the_exact_route(pair):
     want = kernel_cut_norm_exact(kern)
     dims = _reduce(kern)[0].shape
     for k in (kern, bk):
-        b = BlockKernel.of(k)
-        counts = cutnorm._hash_counts(b, cutnorm._nonzero(b))
+        counts = cutnorm._hash_counts(*cutnorm._shrink(k)[:3])
         assert counts[0] <= dims[0] and counts[1] <= dims[1]
         w, exact = kernel_cut_norm(k, oracle="auto")
-        assert exact and (w.dims, w.merged) == (dims, True)
+        assert exact and w.dims == dims
         assert (w.value.hex(), w.row_set, w.col_set) == (
             want.value.hex(), want.row_set, want.col_set
         )
+
+
+@st.composite
+def unaligned_block_kernels(draw):
+    """BlockKernels of a few distinct rows whose blocks split the columns unevenly.
+
+    The rows repeat at most 4 random patterns over all-distinct columns.
+    A top band is one block and the band below it two blocks, split at
+    another column; drawn transposed, the columns repeat instead.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 60))
+    k = draw(st.integers(1, 4))
+    coeffs = rng.uniform(-1.0, 1.0, (k, n))[rng.integers(0, k, n)]
+    top, cut = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+    bounds = [(slice(0, top), slice(0, n)), (slice(top, n), slice(0, cut)), (slice(top, n), slice(cut, n))]
+    if draw(st.booleans()):
+        coeffs, bounds = coeffs.T, [(c, r) for r, c in bounds]
+    blocks = tuple((r, c, coeffs[r, c]) for r, c in bounds)
+    return BlockKernel(Partition(rng.dirichlet(np.ones(n))), blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bk=unaligned_block_kernels())
+def test_probe_counts_rows_alike_across_unaligned_blocks(bk):
+    # equal rows split at different columns in different blocks must hash
+    # equal, or the probe overcounts and hides the exact route at a tight cap
+    dims = _reduce(bk)[0].shape
+    want = kernel_cut_norm_exact(bk, cap=min(dims))
+    w, exact = kernel_cut_norm(bk, oracle="auto", cap=min(dims))
+    assert exact and w.dims == dims
+    assert (w.value.hex(), w.row_set, w.col_set) == (
+        want.value.hex(), want.row_set, want.col_set
+    )
+    counts = cutnorm._hash_counts(*cutnorm._shrink(bk)[:3])
+    assert counts[0] <= dims[0] and counts[1] <= dims[1]
+
+
+def exact_kernel(rng, parts, rows, cols):
+    """Step kernel on ``parts`` parts whose merge is rows x cols (the bench generator)."""
+    base = rng.uniform(-1.0, 1.0, (rows, cols))
+    rmap = np.repeat(np.arange(rows), rng.multinomial(parts - rows, np.ones(rows) / rows) + 1)
+    cmap = np.repeat(np.arange(cols), rng.multinomial(parts - cols, np.ones(cols) / cols) + 1)
+    rng.shuffle(rmap)
+    rng.shuffle(cmap)
+    return StepKernel(Partition(rng.dirichlet(np.ones(parts))), base[np.ix_(rmap, cmap)])
+
+
+@pytest.mark.parametrize("seed, value, rows, cols", [
+    (42, "0x1.9ef7631044aa0p-4",
+     "0-5 8-10 13-17 19-21 23 24 27-30 32 34 36-39",
+     "0-2 4 6 9 12 14 16-18 21 23 25 29 31 34 35 37"),
+    (7, "0x1.1f2e206af1407p-3",
+     "0-8 10-13 15 16 18-37 39",
+     "0 7-9 13 16 18 19 21 22 24-29 31 32 34-36 38"),
+])
+def test_exact_route_is_pinned(seed, value, rows, cols):
+    # 40 parts merged to 12 x 16 and enumerated: the merge's order decides
+    # the summation order, so the value is pinned bit for bit
+    def parts(spec):
+        ranges = (tuple(map(int, r.split("-"))) for r in spec.split())
+        return tuple(i for r in ranges for i in range(r[0], r[-1] + 1))
+
+    kern = exact_kernel(np.random.default_rng(seed), 40, 12, 16)
+    assert cutnorm.reduced_dims(kern) == (12, 16)
+    w, exact = kernel_cut_norm(kern)
+    assert exact and (w.value.hex(), w.row_set, w.col_set) == (value, parts(rows), parts(cols))
 
 
 def test_oracle_peaks_stay_within_three_quotients():
@@ -963,7 +1038,7 @@ def test_compression_runs_no_merge(monkeypatch):
     def refuse(*args):
         raise AssertionError("the heuristic route merged")
 
-    for name in ("_merge_axis", "_reduce"):
+    for name in ("_merge_rows", "_reduce"):
         monkeypatch.setattr(cutnorm, name, refuse)
     net = random_network(3, 2, 2, 120, 5.0, np.random.default_rng(42))
     traces = []
@@ -975,8 +1050,8 @@ def test_compression_runs_no_merge(monkeypatch):
     # 245 units: the 2 input rows, the 2 output columns and the bias row
     # (its own group, so its residual vanishes) are dropped
     for r in traces[0].iterations:
-        assert (r.exact, r.oracle_dims, r.merged) == (False, (242, 243), False)
-    assert rep.stages[3]["detail"].endswith("; oracle on 242 x 243, no merge")
+        assert (r.exact, r.oracle_dims) == (False, (242, 243))
+    assert rep.stages[3]["detail"].endswith("; oracle on 242 x 243")
 
 
 def fine_permutation_index(layers, perms):

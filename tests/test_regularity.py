@@ -312,8 +312,8 @@ def test_iteration_records_name_the_exact_route():
     kern = StepKernel(equipartition(6), np.random.default_rng(4).uniform(-1, 1, (6, 6)))
     trace = weak_regularity(kern, 0.05, oracle="auto")
     assert trace.oracle_exact and all(r.exact for r in trace.iterations)
-    # the exact route always merges; 6 parts reduce to at most 6 x 6
-    assert all(r.merged and max(r.oracle_dims) <= 6 for r in trace.iterations)
+    # the exact route runs on the merge; 6 parts reduce to at most 6 x 6
+    assert all(max(r.oracle_dims) <= 6 for r in trace.iterations)
 
 
 def test_compress_identity_width():
@@ -370,8 +370,13 @@ def test_compress_checks_inputs_before_inducing(monkeypatch):
         raise AssertionError("induce_kernel reached")
 
     monkeypatch.setattr(regularity, "induce_kernel", never)
+    monkeypatch.setattr(regularity, "unit_blocks", never)
     with pytest.raises(ParameterError, match="samples"):
         compress_network(net, target_d=6, samples=0)
+    with pytest.raises(ParameterError, match="samples must be an integer"):
+        compress_network(net, target_d=6, samples=2.5)
+    with pytest.raises(ParameterError, match="seed must be non-negative"):
+        compress_network(net, target_d=6, seed=-1)
     with pytest.raises(ParameterError, match="exceeds"):
         compress_network(net, target_d=24)  # would widen 12 -> 24
     monkeypatch.undo()
