@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from .cutnorm import kernel_cut_norm_exact, kernel_cut_norm_lower
+from .cutnorm import ORACLES, kernel_cut_norm
 from .errors import DensecapError
 from .kernels import load_kernel, save_kernel, induce_kernel, validate_computational
 from .networks import load_network, random_small_network, save_network
@@ -91,7 +91,7 @@ def build_parser():
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--target-d", type=int)
     g.add_argument("--epsilon", type=float)
-    p.add_argument("--oracle", choices=("exact", "heuristic", "auto"), default="auto")
+    p.add_argument("--oracle", choices=ORACLES, default="auto")
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="write the JSON report here")
     p.add_argument("--samples", type=int, default=10000)
@@ -204,13 +204,9 @@ def cmd_equiv_check(args):
 
 def cmd_cutnorm(args):
     ck = load_kernel(args.kernel)
-    if args.heuristic:
-        w = kernel_cut_norm_lower(ck.kernel, restarts=args.restarts, seed=args.seed)
-        kind = "heuristic lower bound"
-    else:
-        w = kernel_cut_norm_exact(ck.kernel, cap=args.cap)
-        kind = "exact"
-    print(f"cut norm ({kind}): {w.value!r}")
+    oracle = "heuristic" if args.heuristic else "exact"
+    w, exact = kernel_cut_norm(ck.kernel, oracle, args.cap, args.restarts, args.seed)
+    print(f"cut norm ({'exact' if exact else 'heuristic lower bound'}): {w.value!r}")
     print(f"row parts: {list(w.row_set)}")
     print(f"col parts: {list(w.col_set)}")
     return 0

@@ -67,6 +67,7 @@ from .partitions import Partition
 EXACT_CAP_DEFAULT = 24
 PERM_CAP_DEFAULT = 1_000_000
 LOWER_MAX_ROUNDS = 200  # alternating updates per heuristic restart
+ORACLES = ("auto", "exact", "heuristic")
 
 
 @dataclass
@@ -132,8 +133,9 @@ def signal_cut_norm(signal):
 def l1_norm(obj):
     if isinstance(obj, StepSignal):
         return float(np.sum(np.abs(obj.values) * obj.partition.measures))
-    m = obj.partition.measures
-    return float(np.sum(np.abs(obj.coeffs) * np.outer(m, m)))
+    bk = BlockKernel.of(obj)
+    m = bk.partition.measures
+    return float(sum(np.sum(np.abs(a) * np.outer(m[rs], m[cs])) for rs, cs, a in bk.blocks))
 
 
 def _merge_rows(mat, meas):
@@ -431,7 +433,7 @@ def kernel_cut_norm(kern, oracle="auto", cap=EXACT_CAP_DEFAULT, restarts=32, see
     """
     require_count("restarts", restarts)
     require_count("seed", seed)
-    if oracle not in ("auto", "exact", "heuristic"):
+    if oracle not in ORACLES:
         raise ParameterError(f"unknown oracle {oracle!r}")
     shrink = _shrink(kern)
     if oracle == "exact" or (oracle == "auto" and min(_hash_counts(*shrink[:3])) <= cap):

@@ -28,9 +28,8 @@ class InvalidBoundError(DensecapError):
 class ParseError(DensecapError):
     """A serialized record could not be decoded."""
 
-    def __init__(self, message, line=None, field=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.field = field
         loc = "" if line is None else f" (line {line})"
         super().__init__(f"{message}{loc}")
 

@@ -117,19 +117,19 @@ def take_subset(data, n, seed):
     )
 
 
-def make_spike_dataset(d0, N, seed, samples, test_samples=None):
+def make_spike_dataset(d0, N, seed, samples):
     """Regression data from a random spike target with labels in {0, 1/(2N)}.
 
-    Inputs are uniform on the unit cube; grid labels are Boolean picks
-    scaled to keep the target 1-Lipschitz.
+    Inputs are uniform on the unit cube, ``samples`` to train on and a fifth
+    as many (at least one) to test on; grid labels are Boolean picks scaled
+    to keep the target 1-Lipschitz.
     """
     if samples < 1:
         raise ParameterError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     z = rng.integers(0, 2, size=N**d0)
     target = SpikeTarget(d0, N, z / (2.0 * N))
-    test_samples = test_samples or max(1, samples // 5)
     tx = rng.uniform(0.0, 1.0, size=(samples, d0))
-    vx = rng.uniform(0.0, 1.0, size=(test_samples, d0))
+    vx = rng.uniform(0.0, 1.0, size=(max(1, samples // 5), d0))
     meta = {"d0": d0, "N": N, "target": target}
     return Dataset(tx, target(tx), vx, target(vx), kind="regression", meta=meta)

@@ -36,6 +36,8 @@ from .errors import (
 from .networks import DenseNetwork, _lines, _numbers, _row_buffer
 from .partitions import Partition, equipartition
 
+VALIDATION_ATOL = 1e-12  # absolute tolerance of every validation condition
+
 
 @dataclass(frozen=True)
 class LayerStructure:
@@ -397,7 +399,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def layered_conditions(ck, atol=1e-12):
+def layered_conditions(ck):
     """Conditions 2 and 3 of ``validate_computational``, one block at a time.
 
     The region pairs are visited in row-major order, which is the order of
@@ -423,24 +425,25 @@ def layered_conditions(ck, atol=1e-12):
             if (u == u[:, :1, :, :1]).all():  # exactly constant, the usual case
                 continue
             dev = max(np.abs(u - u[:, :1]).max(), np.abs(u - u[..., :1]).max())
-            if dev > atol:
+            if dev > VALIDATION_ATOL:
                 constancy = ConditionCheck(
                     False, f"block {rows} x {cols} varies within a unit by {dev:.3g}"
                 )
     v, i, j = worst[0], -worst[1], -worst[2]
     detail = f"rows {ls.region_of(i)} x cols {ls.region_of(j)} (entry {i},{j}) = {c[i, j]:.3g}"
-    zeros = ConditionCheck(v <= atol, "" if v <= atol else f"{detail}, expected 0")
+    ok = v <= VALIDATION_ATOL
+    zeros = ConditionCheck(ok, "" if ok else f"{detail}, expected 0")
     return ValidationReport({"2 (cell constancy)": constancy, "3 (zero pattern)": zeros})
 
 
-def validate_computational(ck, atol=1e-12):
+def validate_computational(ck):
     """Diagnostics for the four structural conditions; never raises."""
     ls, B, kernel = ck.layers, ck.B, ck.kernel
     c = kernel.coeffs
     out = {}
 
     # condition 1: the types already fix n = (L+2)*d with d0 and dL dividing d
-    if not np.allclose(kernel.partition.measures, 1.0 / ls.n, rtol=0, atol=1e-12):
+    if not np.allclose(kernel.partition.measures, 1.0 / ls.n, rtol=0, atol=VALIDATION_ATOL):
         out["1 (size and equipartition)"] = ConditionCheck(
             False, "partition is not the equipartition"
         )
@@ -449,15 +452,15 @@ def validate_computational(ck, atol=1e-12):
         return ValidationReport(out)
     out["1 (size and equipartition)"] = ConditionCheck(True)
 
-    out.update(layered_conditions(ck, atol).conditions)
+    out.update(layered_conditions(ck).conditions)
 
     # condition 4: bias diagonal block pinned to (L+2)/B
     want = (ls.L + 2) / B
     blk = c[ls.bias_slice, ls.bias_slice]
     dev = np.abs(blk - want).max(initial=0.0)
+    ok = dev <= VALIDATION_ATOL
     out["4 (bias block)"] = ConditionCheck(
-        dev <= atol,
-        "" if dev <= atol else f"bias block deviates from (L+2)/B={want!r} by {dev:.3g}",
+        ok, "" if ok else f"bias block deviates from (L+2)/B={want!r} by {dev:.3g}"
     )
     return ValidationReport(out)
 

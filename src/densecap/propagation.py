@@ -21,6 +21,8 @@ from .kernels import (
 )
 from .networks import forward
 
+READOUT_TOL = 1e-10  # largest spread of a signal over one output cell
+
 
 def mpnn_forward(kernel, signal, B, L, return_hidden=False):
     """Run L rounds of amplified integral-ReLU message passing.
@@ -50,17 +52,17 @@ def mpnn_forward(kernel, signal, B, L, return_hidden=False):
     return out
 
 
-def readout(signal, layers, tol=1e-10):
+def readout(signal, layers):
     """Per-output-cell value of a signal on the layout's fine partition.
 
-    The value must be constant on each output cell; variation beyond the
-    tolerance signals a structural bug rather than noise, so it raises.
+    The value must be constant on each output cell; variation beyond
+    ``READOUT_TOL`` signals a structural bug rather than noise, so it raises.
     """
     if signal.partition != layers.fine_partition():
         raise ParameterError(
             f"readout needs the {layers.n}-part fine partition of the layout"
         )
-    return graph_readout(signal.values, layers, tol)
+    return graph_readout(signal.values, layers)
 
 
 def sr_mpnn_forward(graph, features, L, return_hidden=False):
@@ -84,14 +86,14 @@ def sr_mpnn_forward(graph, features, L, return_hidden=False):
     return f
 
 
-def graph_readout(features, layers, tol=1e-10):
+def graph_readout(features, layers):
     """Per-output-unit value of node features (constancy enforced)."""
     cells = np.asarray(features)[layers.layer_slice(layers.L)].reshape(layers.dL, -1)
     spread = np.ptp(cells, axis=1)
-    if np.any(spread > tol):
-        i = int(np.argmax(spread > tol))  # the first varying cell
+    if np.any(spread > READOUT_TOL):
+        i = int(np.argmax(spread > READOUT_TOL))  # the first varying cell
         raise EquivalenceViolationError(
-            f"output cell {i} not constant: spread {spread[i]:.3g} exceeds {tol:.1g}"
+            f"output cell {i} not constant: spread {spread[i]:.3g} exceeds {READOUT_TOL:.1g}"
         )
     return cells[:, 0].copy()
 

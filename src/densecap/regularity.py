@@ -23,11 +23,9 @@ matrix of hidden layer l, the smaller network has
 keeps its inputs, the last its outputs). The input's n x n kernel is
 never built: the quotient is read off the weights, the distance measured
 between the two networks' quotients, and only the smaller network's
-kernel is induced, to be validated. One slicer,
-``_slot_weights``, does every rebalancing: it cuts grouped pieces into
-equal units and returns the amount of each piece in each unit as an
-array. Compression runs it on integer ticks, so every slot weight is an
-exact ratio and a compression to the network's own width reproduces it.
+kernel is induced, to be validated. ``_slot_weights`` cuts the slots
+from one stream of integer ticks, so every slot weight is an exact ratio
+and a compression to the network's own width reproduces it.
 """
 
 import math
@@ -37,6 +35,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .cutnorm import (
+    ORACLES,
     comp_cut_distance_upper,
     difference_cut_norm,
     kernel_cut_norm,  # noqa: F401 - bench/tracing.py wraps this name here
@@ -238,39 +237,25 @@ def _pair_labels(a, b):
 def _slot_weights(sizes, groups, unit):
     """Cut grouped pieces into equal units; returns (amounts, h).
 
-    Groups are numbered by their first piece. Each group in turn gives as
-    many whole units from its front as fit, its pieces taken in index
-    order; what is left of every group is pooled in the same order and cut
-    into the h remainder units, the last of which takes whatever remains.
-    ``amounts[k, i]`` is how much of piece i unit k holds. With integer
-    sizes and unit every amount is exact, each leftover is shorter than a
-    unit, and so h is below the number of groups.
+    The pieces form one stream of integer ticks, ``sizes[i]`` for piece i:
+    group after group, numbered by their first piece, each group's pieces
+    in index order. A group's ticks past its whole units are leftovers; a
+    stable sort moves them behind every group's front, and the stream is
+    cut every ``unit`` ticks, so the sizes must total a whole number of
+    units. ``amounts[k, i]`` counts the ticks of piece i in unit k, as
+    floats, and h, the number of units cut from leftovers, is below the
+    number of groups.
     """
     g = _first_occurrence(groups)
     order = np.argsort(g, kind="stable")
-    s, g = np.asarray(sizes, dtype=float)[order], g[order]
-    total = np.bincount(g, weights=s)
-    offset = np.cumsum(s) - s - (np.cumsum(total) - total)[g]  # within group
-    whole = np.floor(total / unit + 1e-9).astype(np.int64)
-    front = whole * unit
-    left = np.maximum(total - front, 0.0)
-    h = int(round(left.sum() / unit))
-    # the stream: every group's front block, then every leftover block
-    in_front = np.clip(front[g] - offset, 0.0, s)
-    at_front = (np.cumsum(whole) - whole)[g] * unit + offset
-    at_left = (
-        whole.sum() * unit
-        + (np.cumsum(left) - left)[g]
-        + np.maximum(offset - front[g], 0.0)
-    )
-    cuts = unit * np.arange(whole.sum() + h + 1.0)
-    cuts[-1] = np.inf
-    below = np.clip(cuts[:, None] - at_front, 0.0, in_front) + np.clip(
-        cuts[:, None] - at_left, 0.0, s - in_front
-    )
-    amounts = np.empty((cuts.size - 1, s.size))
-    amounts[:, order] = np.diff(below, axis=0)
-    return amounts, h
+    piece = np.repeat(order, sizes[order])
+    group, tick = g[piece], np.arange(piece.size)
+    count = np.bincount(group)  # group k's ticks end at cumsum(count)[k]
+    left = tick >= (np.cumsum(count) - count % unit)[group]
+    piece = piece[np.argsort(left, kind="stable")]
+    n = len(sizes)
+    ticks = np.bincount(tick // unit * n + piece, minlength=tick.size // unit * n)
+    return ticks.reshape(-1, n).astype(float), int(left.sum()) // unit
 
 
 @dataclass
@@ -371,12 +356,13 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
     is never split; the ``target_d`` runs keep it as its layer blocks,
     and the stage log's distance detail names the reduced size its oracle
     ran on (the shrink of the quotients' difference on the heuristic
-    route). A ``seed`` that is not a non-negative integer, or ``samples``
-    that is not a positive one, is refused before any array is built.
-    Each hidden layer is cut into slots by ``_slot_weights`` in integer
-    ticks, d_new per unit and d per slot, grouped by the refined labels;
-    a slot's weights are its tick counts over d, exact ratios that sum to
-    one. The slot matrices P average the layer's neurons:
+    route). Arguments are checked before any array is built: ``target_d``
+    must be a positive multiple of lcm(d0, dL), ``epsilon`` lie in (0, 4]
+    (the loop runs at epsilon/2), ``oracle`` be one of ``ORACLES``,
+    ``seed`` a non-negative integer and ``samples`` a positive one.
+    ``_slot_weights`` cuts each hidden layer's d_new ticks per unit into
+    slots of d ticks, grouped by the refined labels, so a slot's weights
+    are its tick counts over d. The slot matrices P average the neurons:
     W'_1 = P_1 W_1, W'_l = P_l W_l P_{l-1}^T, W'_L = W_L P_{L-1}^T,
     b'_l = P_l b_l and b'_L = b_L, clipped to [-B, B]. Only the new
     network's kernel, small at d_new, is induced, to be validated once;
@@ -399,9 +385,19 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
         raise ParameterError("give exactly one of epsilon or target_d")
     require_count("samples", samples, 1)
     require_count("seed", seed)
-    if target_d is not None and target_d > net.d:
-        raise ParameterError(f"target width {target_d} exceeds the network width {net.d}")
     ls, B = layers_of(net), float(net.B)
+    if target_d is not None:
+        require_count("target_d", target_d, ls.M)
+        if target_d % ls.M:
+            raise ParameterError(
+                f"target width {target_d} not divisible by lcm(d0, dL) = {ls.M}"
+            )
+        if target_d > net.d:
+            raise ParameterError(f"target width {target_d} exceeds the network width {net.d}")
+    elif not 0 < epsilon <= 4:
+        raise ParameterError(f"epsilon must lie in (0, 4], got {epsilon}")
+    if oracle not in ORACLES:
+        raise ParameterError(f"unknown oracle {oracle!r}")
     quotient = unit_blocks(net)
     stages = []
     mark = time.monotonic()
@@ -414,12 +410,6 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
         mark = now
 
     if target_d is not None:
-        if target_d % ls.M:
-            raise ParameterError(
-                f"target width {target_d} not divisible by lcm(d0, dL) = {ls.M}"
-            )
-        if target_d < ls.M:
-            raise ParameterError(f"target width must be at least {ls.M}")
         if target_d == net.d:
             # one round on the network's own units: the residual is zero
             trace = _refine(quotient, np.arange(ls.n_units), None, 2.0, 1, oracle, seed)
@@ -453,8 +443,6 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
     del quotient, trace
 
     counts = _layer_group_counts(labels, ls)
-    # slot weights in ticks: d_new per unit, d per slot, so every amount
-    # is an exact ratio and every row of a slot matrix sums to one
     P = [
         _slot_weights(np.full(ls.d, d_new), labels[ls.unit_slice(k + 1)], ls.d)[0] / ls.d
         for k in range(ls.L - 1)

@@ -628,6 +628,12 @@ def test_block_heuristic_matches_the_one_block_run(bk, restarts, seed):
     assert got.value == evaluate_witness(dense, got)
 
 
+@settings(max_examples=200, deadline=None)
+@given(bk=block_kernels())
+def test_l1_norm_sums_the_blocks(bk):
+    assert abs(l1_norm(bk) - l1_norm(bk.dense())) <= 1e-12
+
+
 @st.composite
 def duplicated_continuous_kernels(draw):
     """(kernel, blocks) with at most 8 distinct row and column patterns.

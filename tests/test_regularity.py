@@ -379,6 +379,18 @@ def test_compress_checks_inputs_before_inducing(monkeypatch):
         compress_network(net, target_d=6, seed=-1)
     with pytest.raises(ParameterError, match="exceeds"):
         compress_network(net, target_d=24)  # would widen 12 -> 24
+    with pytest.raises(ParameterError, match="divisible"):
+        compress_network(net, target_d=8)  # lcm(2, 3) = 6
+    with pytest.raises(ParameterError, match="target_d must be at least 6, got 0"):
+        compress_network(net, target_d=0)
+    with pytest.raises(ParameterError, match="target_d must be an integer"):
+        compress_network(net, target_d=6.5)
+    with pytest.raises(ParameterError, match="unknown oracle 'bogus'"):
+        compress_network(net, target_d=6, oracle="bogus")
+    with pytest.raises(ParameterError, match=r"epsilon must lie in \(0, 4\], got nan"):
+        compress_network(net, epsilon=float("nan"))
+    with pytest.raises(ParameterError, match=r"epsilon must lie in \(0, 4\], got 5.0"):
+        compress_network(net, epsilon=5.0)
     monkeypatch.undo()
     _, rep = compress_network(net, target_d=12, samples=1)
     assert rep.d_compressed == 12 and rep.delta_hat == 0.0
