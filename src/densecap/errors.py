@@ -47,8 +47,11 @@ class ParameterError(DensecapError):
 
 
 def require_count(name, value, least=0):
-    """Refuse a count or seed that is not an integer of at least ``least``."""
-    if not isinstance(value, numbers.Integral):
+    """Refuse a count or seed that is not an integer of at least ``least``.
+
+    ``bool`` is an ``Integral`` but no count: True would run as 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     if value < least:
         bound = "non-negative" if least == 0 else f"at least {least}"

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bounds import SpikeTarget
-from ..errors import IngestionError, ParameterError
+from ..errors import IngestionError, require_count
 
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
@@ -124,8 +124,8 @@ def make_spike_dataset(d0, N, seed, samples):
     as many (at least one) to test on; grid labels are Boolean picks scaled
     to keep the target 1-Lipschitz.
     """
-    if samples < 1:
-        raise ParameterError(f"samples must be at least 1, got {samples}")
+    require_count("seed", seed)
+    require_count("samples", samples, 1)
     rng = np.random.default_rng(seed)
     z = rng.integers(0, 2, size=N**d0)
     target = SpikeTarget(d0, N, z / (2.0 * N))

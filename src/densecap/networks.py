@@ -8,6 +8,8 @@ nontrivial computation has to be collective.
 """
 
 import io
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,10 @@ from .errors import (
     InvalidNetworkError,
     ParseError,
 )
+
+# rows per chunk of a batched forward pass; a fixed grid keeps the output
+# products' rounding independent of how the chunks are spread over threads
+FORWARD_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -88,25 +94,83 @@ class DenseNetwork:
         return (self.L + 2) * self.d
 
 
+def forward_threads(rows):
+    """Threads that ``forward`` spreads a batch of ``rows`` inputs over."""
+    chunks = -(-rows // FORWARD_CHUNK)
+    if chunks < 2:
+        return 1
+    # sched_getaffinity is missing off Linux
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, chunks)
+
+
 def forward(net, x):
     """Evaluate the normalized forward pass; final layer carries no ReLU.
 
     Accepts a single input of shape (d0,) or a batch (..., d0); returns the
     matching (dL,) or (..., dL) output.
+
+    The inputs, read as rows, are cut into chunks of ``FORWARD_CHUNK`` rows
+    on a grid that starts at row 0. Each chunk goes through the hidden
+    layers in two (chunk, d) buffers that its thread reuses from chunk to
+    chunk; the output layer writes into the result. With two or more
+    chunks, contiguous runs of chunks go to ``forward_threads(rows)``
+    threads: the calling thread and others started for the call and joined
+    before it returns (numpy releases the GIL in the products and the
+    ufuncs). Every chunk makes the same BLAS calls whatever the thread
+    count, so outputs do not depend on it; they are bitwise reproducible
+    only at a fixed BLAS thread count, since BLAS may sum a product in an
+    order that depends on its own.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (net.d0,):
         raise DimensionMismatchError("input", (net.d0,), x.shape)
-    h = x
-    dims = net.layer_dims
-    for ell in range(1, net.L + 1):
-        w, b = net.weights[ell - 1], net.biases[ell - 1]
-        d_prev = dims[ell - 1]
-        pre = h @ w.T
-        pre += d_prev * b
-        pre /= d_prev * (net.L + 2)
-        h = pre if ell == net.L else np.maximum(pre, 0.0, out=pre)
-    return h
+    rows = x.reshape(-1, net.d0)
+    n = len(rows)
+    out = np.empty((n, net.dL))
+    last = net.L - 1
+    layers = [
+        (w, d_prev * b, d_prev * (net.L + 2))
+        for w, b, d_prev in zip(net.weights, net.biases, net.layer_dims)
+    ]
+
+    workers = forward_threads(n)
+    chunks = -(-n // FORWARD_CHUNK)
+    cuts = [min(n, FORWARD_CHUNK * (chunks * k // workers)) for k in range(workers + 1)]
+    # allocated on the calling thread: allocations on the workers would grow
+    # one glibc arena per thread, which keeps its pages resident
+    bufs = np.empty((workers, 2, min(FORWARD_CHUNK, n), net.d))
+    errors = []
+
+    def run(k):
+        for lo in range(cuts[k], cuts[k + 1], FORWARD_CHUNK):
+            hi = min(lo + FORWARD_CHUNK, cuts[k + 1])
+            h = rows[lo:hi]
+            for ell, (w, shift, scale) in enumerate(layers):
+                pre = out[lo:hi] if ell == last else bufs[k, ell % 2, : hi - lo]
+                np.matmul(h, w.T, out=pre)
+                pre += shift
+                pre /= scale
+                h = pre if ell == last else np.maximum(pre, 0.0, out=pre)
+
+    def guarded(k):
+        try:
+            run(k)
+        except Exception as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(k,)) for k in range(1, workers)]
+    try:
+        for t in threads:
+            t.start()
+        run(0)
+    finally:
+        for t in threads:
+            if t.ident is not None:  # started
+                t.join()
+    if errors:
+        raise errors[0]
+    return out.reshape(x.shape[:-1] + (net.dL,))
 
 
 def clamp_dense(net, bound):

@@ -29,6 +29,7 @@ and a compression to the network's own width reproduces it.
 """
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -51,10 +52,8 @@ from .kernels import (
     unit_blocks,
     validate_computational,
 )
-from .networks import DenseNetwork, forward
+from .networks import DenseNetwork, forward, forward_threads
 from .partitions import Partition
-
-GAP_CHUNK = 1024  # sampled inputs per forward pass of the output gap
 
 
 def _project_grouping(kernel, labels):
@@ -359,7 +358,8 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
     route). Arguments are checked before any array is built: ``target_d``
     must be a positive multiple of lcm(d0, dL), ``epsilon`` lie in (0, 4]
     (the loop runs at epsilon/2), ``oracle`` be one of ``ORACLES``,
-    ``seed`` a non-negative integer and ``samples`` a positive one.
+    ``seed`` a non-negative integer and ``samples`` a positive one
+    (a ``bool`` is neither a count nor an ``epsilon``).
     ``_slot_weights`` cuts each hidden layer's d_new ticks per unit into
     slots of d ticks, grouped by the refined labels, so a slot's weights
     are its tick counts over d. The slot matrices P average the neurons:
@@ -367,8 +367,10 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
     b'_l = P_l b_l and b'_L = b_L, clipped to [-B, B]. Only the new
     network's kernel, small at d_new, is induced, to be validated once;
     the distance is taken between the two networks' quotients and the
-    output gap in chunks of ``GAP_CHUNK`` samples, so the input's n x n
-    kernel is never built and no array grows as samples * d. Compressing
+    output gap by ``forward``, whose chunks keep its working memory
+    independent of ``samples``, so the input's n x n kernel is never
+    built and no array grows as samples * d; the stage log's empirical
+    detail names the threads ``forward`` ran on. Compressing
     to the network's own width returns its weights and biases unchanged,
     with delta_hat and the output gap 0.
 
@@ -394,6 +396,8 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
             )
         if target_d > net.d:
             raise ParameterError(f"target width {target_d} exceeds the network width {net.d}")
+    elif isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
+        raise ParameterError(f"epsilon must be a real number, got {epsilon!r}")
     elif not 0 < epsilon <= 4:
         raise ParameterError(f"epsilon must lie in (0, 4], got {epsilon}")
     if oracle not in ORACLES:
@@ -476,11 +480,10 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
     output_factor = (ls.L + 2) * ls.dL
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, 1.0, size=(samples, ls.d0))
-    gap = max(
-        float(np.max(np.abs(forward(net, x) - forward(net_new, x))))
-        for x in np.split(xs, range(GAP_CHUNK, samples, GAP_CHUNK))
-    )
-    stage("empirical", "ok", f"max gap {gap:.6g} over {samples} samples")
+    gap = float(np.max(np.abs(forward(net, xs) - forward(net_new, xs))))
+    threads = forward_threads(samples)
+    stage("empirical", "ok",
+          f"max gap {gap:.6g} over {samples} samples on {threads} thread{'s' * (threads > 1)}")
 
     rep = CompressionReport(
         d_original=net.d,

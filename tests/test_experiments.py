@@ -210,6 +210,19 @@ def test_spike_dataset_all_zero_labels():
         assert ds.train_y.max() <= 0.5
 
 
+@pytest.mark.parametrize(
+    "kw,message",
+    [({"seed": -1}, "seed must be non-negative, got -1"),
+     ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+     ({"samples": 0}, "samples must be at least 1, got 0"),
+     ({"samples": 2.5}, "samples must be an integer, got 2.5"),
+     ({"samples": True}, "samples must be an integer, got True")],
+)
+def test_spike_dataset_checks_seed_and_samples(kw, message):
+    with pytest.raises(ParameterError, match=message):
+        make_spike_dataset(2, 4, **{"seed": 0, "samples": 10, **kw})
+
+
 def test_gradcheck_against_finite_differences():
     assert numeric_gradient_check(width=8, seed=0) <= 1e-5
 

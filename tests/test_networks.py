@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,10 +13,12 @@ from densecap.errors import (
     ParseError,
 )
 from densecap.networks import (
+    FORWARD_CHUNK,
     DenseNetwork,
     clamp_dense,
     deserialize_network,
     forward,
+    forward_threads,
     param_count,
     random_network,
     serialize_network,
@@ -279,19 +283,31 @@ def test_rebuilding_a_network_copies_no_layer():
     assert peak < max(w.nbytes for w in net.weights) / 8
 
 
+def expression_forward(net, x):
+    """The forward pass as one out-of-place expression per layer."""
+    h = np.asarray(x, dtype=float)
+    dims = net.layer_dims
+    for ell in range(1, net.L + 1):
+        w, b = net.weights[ell - 1], net.biases[ell - 1]
+        d_prev = dims[ell - 1]
+        pre = (h @ w.T + d_prev * b) / (d_prev * (net.L + 2))
+        h = pre if ell == net.L else np.maximum(pre, 0.0)
+    return h
+
+
+def chunked_expression(net, x):
+    """``expression_forward`` on forward's grid of FORWARD_CHUNK rows."""
+    rows = np.asarray(x, dtype=float).reshape(-1, net.d0)
+    out = np.empty((len(rows), net.dL))
+    for lo in range(0, len(rows), FORWARD_CHUNK):
+        out[lo : lo + FORWARD_CHUNK] = expression_forward(net, rows[lo : lo + FORWARD_CHUNK])
+    return out.reshape(np.shape(x)[:-1] + (net.dL,))
+
+
 def test_forward_in_place_matches_the_expression():
     # forward updates its pre-activations in place; the out-of-place
     # expression is the reference, bit for bit
-    def reference(net, x):
-        h = np.asarray(x, dtype=float)
-        dims = net.layer_dims
-        for ell in range(1, net.L + 1):
-            w, b = net.weights[ell - 1], net.biases[ell - 1]
-            d_prev = dims[ell - 1]
-            pre = (h @ w.T + d_prev * b) / (d_prev * (net.L + 2))
-            h = pre if ell == net.L else np.maximum(pre, 0.0)
-        return h
-
+    reference = expression_forward
     rng = np.random.default_rng(17)
     for _ in range(20):
         net = random_layered_net(rng)
@@ -299,3 +315,68 @@ def test_forward_in_place_matches_the_expression():
             x_before = x.copy()
             assert forward(net, x).tobytes() == reference(net, x).tobytes()
             assert np.array_equal(x, x_before)
+
+
+# at d = 240 the 240 -> 2 output product rounds differently for chunks of
+# 512 and 1,024 rows, so these pin forward's grid, not just its arithmetic
+WIDE = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(23))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(0, 2), (1, 2), (FORWARD_CHUNK - 1, 2), (FORWARD_CHUNK, 2), (FORWARD_CHUNK + 1, 2),
+     (5 * FORWARD_CHUNK // 2, 2), (3, 300, 2)],
+)
+def test_forward_follows_the_chunk_grid(shape):
+    x = np.random.default_rng(sum(shape)).uniform(0.0, 1.0, shape)
+    out = forward(WIDE, x)
+    assert out.shape == shape[:-1] + (2,)
+    assert out.tobytes() == chunked_expression(WIDE, x).tobytes()
+
+
+def test_forward_does_not_depend_on_the_thread_count(monkeypatch):
+    x = np.random.default_rng(29).uniform(0.0, 1.0, (10_000, 2))
+    outs = []
+    for cpus in (1, 8):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
+        assert forward_threads(len(x)) == cpus
+        outs.append(forward(WIDE, x).tobytes())
+    assert outs[0] == outs[1]
+
+
+def test_forward_joins_its_threads():
+    x = np.random.default_rng(31).uniform(0.0, 1.0, (10_000, 2))
+    before = threading.active_count()
+    forward(WIDE, x)
+    assert threading.active_count() == before
+
+
+def test_forward_raises_a_worker_thread_error(monkeypatch):
+    real = np.matmul
+
+    def failing(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("worker failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
+    monkeypatch.setattr(np, "matmul", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="worker failed"):
+        forward(WIDE, np.zeros((2 * FORWARD_CHUNK, 2)))
+    assert threading.active_count() == before
+
+
+def test_forward_peak_is_its_chunk_buffers():
+    # each thread holds two (chunk, d) buffers, whatever the batch size, and
+    # up to numpy's 64 KB ufunc buffer while it adds the broadcast biases
+    x = np.random.default_rng(37).uniform(0.0, 1.0, (10_000, 2))
+    threads = forward_threads(len(x))
+    output = len(x) * WIDE.dL * 8
+    tracemalloc.start()
+    try:
+        forward(WIDE, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < threads * (2 * FORWARD_CHUNK * WIDE.d * 8 + 128 * 1024) + output

@@ -375,6 +375,8 @@ def test_compress_checks_inputs_before_inducing(monkeypatch):
         compress_network(net, target_d=6, samples=0)
     with pytest.raises(ParameterError, match="samples must be an integer"):
         compress_network(net, target_d=6, samples=2.5)
+    with pytest.raises(ParameterError, match="samples must be an integer, got True"):
+        compress_network(net, target_d=6, samples=True)
     with pytest.raises(ParameterError, match="seed must be non-negative"):
         compress_network(net, target_d=6, seed=-1)
     with pytest.raises(ParameterError, match="exceeds"):
@@ -391,6 +393,12 @@ def test_compress_checks_inputs_before_inducing(monkeypatch):
         compress_network(net, epsilon=float("nan"))
     with pytest.raises(ParameterError, match=r"epsilon must lie in \(0, 4\], got 5.0"):
         compress_network(net, epsilon=5.0)
+    with pytest.raises(ParameterError, match="epsilon must be a real number, got '0.5'"):
+        compress_network(net, epsilon="0.5")
+    with pytest.raises(ParameterError, match="epsilon must be a real number, got True"):
+        compress_network(net, epsilon=True)
+    with pytest.raises(ParameterError, match="target_d must be an integer, got True"):
+        compress_network(net, target_d=True)
     monkeypatch.undo()
     _, rep = compress_network(net, target_d=12, samples=1)
     assert rep.d_compressed == 12 and rep.delta_hat == 0.0
@@ -592,17 +600,21 @@ def test_compress_peak_stays_below_two_full_kernels():
 @pytest.mark.parametrize("samples", [1, 1023, 1024, 1025, 10_000])
 def test_chunked_gap_is_the_one_shot_gap(samples, monkeypatch):
     net = random_network(3, 2, 2, 24, 5.0, np.random.default_rng(19))
-    rows = []
+    # the chunks are forward's own: each network sees the whole batch once
+    calls = []
     real_forward = regularity.forward
 
     def recording(n, x):
-        rows.append(len(x))
+        calls.append((n.d, len(x)))
         return real_forward(n, x)
 
     monkeypatch.setattr(regularity, "forward", recording)
     new, rep = compress_network(net, target_d=12, seed=4, samples=samples)
     monkeypatch.undo()
-    assert sum(rows) == 2 * samples and max(rows) <= regularity.GAP_CHUNK
+    assert calls == [(24, samples), (12, samples)]
+    threads = regularity.forward_threads(samples)
+    detail = f"over {samples} samples on {threads} thread{'s' * (threads > 1)}"
+    assert rep.stages[-1]["detail"].endswith(detail)
     xs = np.random.default_rng(4).uniform(0.0, 1.0, size=(samples, net.d0))
     one_shot = float(np.max(np.abs(forward(net, xs) - forward(new, xs))))
     assert rep.empirical_max.hex() == one_shot.hex()
