@@ -303,6 +303,7 @@ def kernel_cut_norm_exact(kern, cap=EXACT_CAP_DEFAULT, *, reduction=None):
     cap; use kernel_cut_norm_lower then. ``reduction`` is ``_reduce(kern)``
     when the caller has already computed it.
     """
+    require_count("cap", cap)
     c, rmeas, cmeas, rmap, cmap = reduction or _reduce(kern)
     if c.size == 0:
         return CutWitness(0.0, (), ())
@@ -431,6 +432,7 @@ def kernel_cut_norm(kern, oracle="auto", cap=EXACT_CAP_DEFAULT, restarts=32, see
     and whenever a hash collision undercounted, the heuristic runs on the
     shrink, as the standalone ``kernel_cut_norm_lower`` does.
     """
+    require_count("cap", cap)
     require_count("restarts", restarts)
     require_count("seed", seed)
     if oracle not in ORACLES:

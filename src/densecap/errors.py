@@ -58,6 +58,12 @@ def require_count(name, value, least=0):
         raise ParameterError(f"{name} must be {bound}, got {value}")
 
 
+def require_real(name, value):
+    """Refuse a value that is not a real number; a ``bool`` is none."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+
+
 class EquivalenceViolationError(DensecapError):
     """A quantity that should be constant on a cell varies beyond tolerance."""
 

@@ -124,6 +124,8 @@ def make_spike_dataset(d0, N, seed, samples):
     as many (at least one) to test on; grid labels are Boolean picks scaled
     to keep the target 1-Lipschitz.
     """
+    require_count("d0", d0, 1)
+    require_count("N", N, 1)
     require_count("seed", seed)
     require_count("samples", samples, 1)
     rng = np.random.default_rng(seed)

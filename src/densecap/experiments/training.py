@@ -36,8 +36,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in ("standard", "dense"):
             raise ParameterError(f"mode must be standard|dense, got {self.mode!r}")
-        if min(self.width, self.batch) < 1 or self.epochs < 0:
-            raise ParameterError("width and batch must be positive, epochs >= 0")
+        require_count("width", self.width, 1)
+        require_count("batch", self.batch, 1)
+        require_count("epochs", self.epochs)
         # written so that a NaN learning rate or numerator fails the check
         if not (self.lr > 0 and self.clamp_numerator > 0):
             raise ParameterError("learning rate and clamp numerator must be positive")

@@ -10,12 +10,11 @@ Compression runs the loop on the network's unit quotient: the layered
 kernel with each unit's twin parts merged into one part of their summed
 measure, (L-1)*d + d0 + dL + 1 parts instead of (L+2)*d, with the same cut
 norms and projections. The loop takes a StepKernel or a BlockKernel, a
-StepKernel being the one-block case; the budgeted refinement gets the
-quotient as its layer blocks (``kernels.unit_blocks``). Its groups never
-mix layers, so the projection and the residual vanish off those blocks
-too: each round computes them, and the oracle's products, block by block,
-and no n_units x n_units array is built. The epsilon loop starts from one
-group spanning every layer, so it runs on the dense quotient. The
+StepKernel being the one-block case; compression gets the quotient as
+its layer blocks (``kernels.unit_blocks``) and starts from the structural
+labels. Its groups never mix layers, so the projection and the residual
+vanish off those blocks too: each round computes them, and the oracle's
+products, block by block, and no n_units x n_units array is built. The
 final partition respects the layered structure, and each hidden layer's
 units are averaged over equal slots: with ``P_l`` the (d' x d) slot
 matrix of hidden layer l, the smaller network has
@@ -29,7 +28,6 @@ and a compression to the network's own width reproduces it.
 """
 
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -41,7 +39,7 @@ from .cutnorm import (
     difference_cut_norm,
     kernel_cut_norm,  # noqa: F401 - bench/tracing.py wraps this name here
 )
-from .errors import ParameterError, ValidationFailedError, require_count
+from .errors import ParameterError, ValidationFailedError, require_count, require_real
 from .kernels import (
     BlockKernel,
     StepKernel,
@@ -198,6 +196,7 @@ def weak_regularity(kernel, eps, oracle="exact", seed=0):
     hit; the cap is generous because every completed refinement raises the
     projection energy by at least eps^2 and the energy never exceeds 1.
     """
+    require_real("eps", eps)
     if not 0 < eps <= 2:
         raise ParameterError(f"eps must lie in (0, 2], got {eps}")
     require_count("seed", seed)
@@ -299,7 +298,7 @@ def _layer_group_counts(labels, ls):
     }
 
 
-def _budgeted_fk(ls, quotient, budget, oracle, seed):
+def _budgeted_fk(ls, quotient, budget, stop, max_iter, oracle, seed):
     """Cut refinement of a unit quotient within a group budget per hidden layer.
 
     Splits are applied per hidden layer; a layer is left untouched whenever
@@ -331,7 +330,7 @@ def _budgeted_fk(ls, quotient, budget, oracle, seed):
         # layers re-separated by pairing with the structural label
         return _pair_labels(new_labels, struct) if changed else None
 
-    return _refine(quotient, struct, split, 1e-9, 200, oracle, seed)
+    return _refine(quotient, struct, split, stop, max_iter, oracle, seed)
 
 
 def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, samples=10_000):
@@ -349,17 +348,18 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
     measured on the common refinement of their unit quotients, so any two
     widths can be compared without lifting either kernel.
 
-    Every refinement (``target_d``, the network's own width, or
-    ``epsilon``) runs on the unit quotient read off the weights, one part
-    per unit, so group counts and budgets count units and a hidden unit
-    is never split; the ``target_d`` runs keep it as its layer blocks,
-    and the stage log's distance detail names the reduced size its oracle
-    ran on (the shrink of the quotients' difference on the heuristic
-    route). Arguments are checked before any array is built: ``target_d``
-    must be a positive multiple of lcm(d0, dL), ``epsilon`` lie in (0, 4]
-    (the loop runs at epsilon/2), ``oracle`` be one of ``ORACLES``,
-    ``seed`` a non-negative integer and ``samples`` a positive one
-    (a ``bool`` is neither a count nor an ``epsilon``).
+    One refinement runs on the unit quotient's layer blocks, read off the
+    weights, from the structural labels: groups count units, and a
+    ``target_d`` run allows target_d per hidden layer and stops below
+    1e-9 or after 200 splits, an ``epsilon`` run d and stops below
+    epsilon or after ceil(4/epsilon^2). Groups never mix layers, so the
+    ``refinement`` stage's last witness is the final residual's, a bound
+    certified only if every oracle call was exact; the distance detail
+    names the reduced size its oracle ran on. Arguments are checked
+    before any array is built: ``target_d`` must be a positive multiple
+    of lcm(d0, dL), ``epsilon`` a real number in (0, 4], ``oracle`` one
+    of ``ORACLES``, ``seed`` a non-negative integer and ``samples`` a
+    positive one (a ``bool`` is neither a count nor an ``epsilon``).
     ``_slot_weights`` cuts each hidden layer's d_new ticks per unit into
     slots of d ticks, grouped by the refined labels, so a slot's weights
     are its tick counts over d. The slot matrices P average the neurons:
@@ -396,10 +396,10 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
             )
         if target_d > net.d:
             raise ParameterError(f"target width {target_d} exceeds the network width {net.d}")
-    elif isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
-        raise ParameterError(f"epsilon must be a real number, got {epsilon!r}")
-    elif not 0 < epsilon <= 4:
-        raise ParameterError(f"epsilon must lie in (0, 4], got {epsilon}")
+    else:
+        require_real("epsilon", epsilon)
+        if not 0 < epsilon <= 4:
+            raise ParameterError(f"epsilon must lie in (0, 4], got {epsilon}")
     if oracle not in ORACLES:
         raise ParameterError(f"unknown oracle {oracle!r}")
     quotient = unit_blocks(net)
@@ -413,35 +413,28 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
                        "elapsed_s": now - mark})
         mark = now
 
-    if target_d is not None:
-        if target_d == net.d:
-            # one round on the network's own units: the residual is zero
-            trace = _refine(quotient, np.arange(ls.n_units), None, 2.0, 1, oracle, seed)
-        else:
-            trace = _budgeted_fk(ls, quotient, target_d, oracle, seed)
-        labels = trace.labels
-        d_new = int(target_d)
-        fk_status = trace.status
-        stage("refinement", fk_status, f"{len(trace.iterations)} iterations")
+    if target_d is None:
+        budget, stop, max_iter = ls.d, epsilon, math.ceil(4.0 / (epsilon * epsilon))
     else:
-        # the loop runs at eps/2, then its groups are split by the layered
-        # structure; that refinement at most doubles the residual cut norm
-        # (on any union of refined parts the residual integrates as against
-        # the coarse projection), so 2 * bound is the structured residual's
-        # bound, certified only when every oracle call was exact
-        # its groups mix layers, so it runs on the dense quotient
-        trace = weak_regularity(quotient.dense(), epsilon / 2.0, oracle=oracle, seed=seed)
-        labels = _pair_labels(trace.labels, ls.structural_labels())
+        budget, stop, max_iter = target_d, 1e-9, 200
+    if target_d == net.d:
+        # one round on the network's own units: the residual is zero
+        trace = _refine(quotient, np.arange(ls.n_units), None, 2.0, 1, oracle, seed)
+    else:
+        trace = _budgeted_fk(ls, quotient, budget, stop, max_iter, oracle, seed)
+    labels, fk_status = trace.labels, trace.status
+    if target_d is None:
         # a layer of k groups fits k slots only if its groups are equal
         need = 0
         for ell in range(1, ls.L):
             _, sizes = np.unique(labels[ls.unit_slice(ell)], return_counts=True)
             need = max(need, sizes.size + int(np.ptp(sizes) != 0))
         d_new = ls.M * -(-need // ls.M)
-        fk_status = trace.status
-        kind = "certified bound" if trace.oracle_exact else "bound estimate"
-        stage("regularity", fk_status, f"{kind} {2.0 * trace.bound:.4g}")
+    else:
+        d_new = int(target_d)
     iterations = len(trace.iterations)
+    kind = "certified bound" if trace.oracle_exact else "bound estimate"
+    stage("refinement", fk_status, f"{iterations} iterations; {kind} {trace.bound:.4g}")
     # the distance builds its own quotients; the refinement's quotient-sized
     # arrays would only raise its peak
     del quotient, trace

@@ -557,6 +557,23 @@ def test_negative_restarts_are_refused(call):
         call(random_kernel(np.random.default_rng(0), 4))
 
 
+@pytest.mark.parametrize("cap, message", [
+    (None, "cap must be an integer, got None"),
+    (2.5, "cap must be an integer, got 2.5"),
+    (True, "cap must be an integer, got True"),
+    (-1, "cap must be non-negative, got -1"),
+])
+@pytest.mark.parametrize("call", [
+    kernel_cut_norm_exact,
+    lambda k, cap: kernel_cut_norm(k, oracle="exact", cap=cap),
+    lambda k, cap: kernel_cut_norm(k, oracle="auto", cap=cap),
+])
+def test_bad_caps_are_refused(cap, message, call):
+    # a negative cap is a bad argument, not an instance over capacity
+    with pytest.raises(ParameterError, match=message):
+        call(random_kernel(np.random.default_rng(0), 4), cap)
+
+
 @pytest.mark.parametrize("cap, exact", [(24, True), (2, False)])
 def test_auto_oracle_reduces_once(monkeypatch, cap, exact):
     kern = random_kernel(np.random.default_rng(12), 6)
@@ -742,14 +759,16 @@ def test_exact_route_is_pinned(seed, value, rows, cols):
 
 
 def test_oracle_peaks_stay_within_three_quotients():
-    # refinement and distance hold the quotient as its layer blocks; the
-    # parent's dense route peaked at 6.0 quotient-sized arrays in each
+    # refinement, in either mode, and distance hold the quotient as its
+    # layer blocks; the parent's dense route peaked at 6.0 quotient-sized
+    # arrays in each
     net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42))
     new, _ = compress_network(net, target_d=24, seed=5, samples=10)
     ls, quotient = LayerStructure(3, 2, 2, 240), unit_blocks(net)
     limit = 3 * ls.n_units**2 * 8
     for call in (
-        lambda: regularity._budgeted_fk(ls, quotient, 24, "auto", 5),
+        lambda: regularity._budgeted_fk(ls, quotient, 24, 1e-9, 200, "auto", 5),
+        lambda: compress_network(net, epsilon=0.01, seed=5, samples=10),
         lambda: comp_cut_distance_upper(net, new),
     ):
         tracemalloc.start()

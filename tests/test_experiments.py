@@ -223,6 +223,18 @@ def test_spike_dataset_checks_seed_and_samples(kw, message):
         make_spike_dataset(2, 4, **{"seed": 0, "samples": 10, **kw})
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [((2.5, 2), "d0 must be an integer, got 2.5"),
+     ((0, 2), "d0 must be at least 1, got 0"),
+     ((2, 2.5), "N must be an integer, got 2.5"),
+     ((2, True), "N must be an integer, got True")],
+)
+def test_spike_dataset_checks_its_dimensions(args, message):
+    with pytest.raises(ParameterError, match=message):
+        make_spike_dataset(*args, 0, 64)
+
+
 def test_gradcheck_against_finite_differences():
     assert numeric_gradient_check(width=8, seed=0) <= 1e-5
 
@@ -271,6 +283,21 @@ def test_config_validation():
             TrainConfig(**{field: float("nan")})
     with pytest.raises(ParameterError, match="seed must be non-negative"):
         TrainConfig(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [({"width": 2.5}, "width must be an integer, got 2.5"),
+     ({"width": 0}, "width must be at least 1, got 0"),
+     ({"batch": 2.5}, "batch must be an integer, got 2.5"),
+     ({"batch": True}, "batch must be an integer, got True"),
+     ({"epochs": 1.5}, "epochs must be an integer, got 1.5"),
+     ({"epochs": -1}, "epochs must be non-negative, got -1")],
+)
+def test_config_counts_are_checked(kw, message):
+    # refused in the config, not by a TypeError deep in train
+    with pytest.raises(ParameterError, match=message):
+        TrainConfig(**kw)
 
 
 def test_sweep_cardinality_order_and_csv():

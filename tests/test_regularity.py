@@ -12,6 +12,7 @@ from densecap import regularity
 from densecap.cutnorm import kernel_cut_norm_exact
 from densecap.errors import ParameterError
 from densecap.kernels import (
+    BlockKernel,
     ComputationalKernel,
     LayerStructure,
     StepKernel,
@@ -159,26 +160,21 @@ def test_weak_regularity_rejects_bad_eps():
         weak_regularity(kern, 0.0)
     with pytest.raises(ParameterError):
         weak_regularity(kern, 2.5)
+    with pytest.raises(ParameterError, match="eps must be a real number, got True"):
+        weak_regularity(kern, True)
+    with pytest.raises(ParameterError, match="eps must be a real number, got '0.5'"):
+        weak_regularity(kern, "0.5")
 
 
 def epsilon_mode_run(net, epsilon, **kw):
-    """Epsilon-mode compression with its regularity trace and final labels."""
-    seen = {}
-    weak, pair = regularity.weak_regularity, regularity._pair_labels
-
-    def recording_weak(*args, **kwargs):
-        seen["trace"] = weak(*args, **kwargs)
-        return seen["trace"]
-
-    def recording_pair(*args):
-        seen["labels"] = pair(*args)
-        return seen["labels"]
-
+    """Epsilon-mode compression with its refinement trace and final labels."""
+    traces = []
+    refine = regularity._refine
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(regularity, "weak_regularity", recording_weak)
-        mp.setattr(regularity, "_pair_labels", recording_pair)
+        mp.setattr(regularity, "_refine", lambda *a: traces.append(refine(*a)) or traces[-1])
         _, rep = compress_network(net, epsilon=epsilon, **kw)
-    return seen["trace"], seen["labels"], rep
+    (trace,) = traces
+    return trace, trace.labels, rep
 
 
 def test_layer_respecting_partition_refines_structure():
@@ -188,7 +184,7 @@ def test_layer_respecting_partition_refines_structure():
     # every final group must sit inside one structural group
     for lab in np.unique(labels):
         assert np.unique(struct[labels == lab]).size == 1
-    assert rep.stages[0]["detail"].startswith("bound estimate ")
+    assert rep.stages[0]["detail"].startswith("1 iterations; bound estimate ")
 
 
 def _slice_stream_reference(groups, unit, tol=1e-12):
@@ -266,17 +262,21 @@ def test_slot_weights_match_piece_walk(pieces, unit):
 
 
 def test_layer_refinement_does_not_increase_distance_small_instances():
+    # the groups never mix layers, so the loop's last exact witness is the
+    # cut norm of the final labels' residual itself, with no doubling
     rng = np.random.default_rng(8)
+    iterated = 0
     for _ in range(8):
         net = random_layered_net(rng, L=2, max_d=4)
-        trace, labels, rep = epsilon_mode_run(net, 0.6, oracle="exact", samples=10)
+        trace, labels, rep = epsilon_mode_run(net, 0.01, oracle="exact", samples=10)
         kern = unit_blocks(induce_kernel(net)).dense()  # the kernel the run refined
-        before = residual_cut_norm_exact(kern, trace.projected_fine)
-        after = residual_cut_norm_exact(kern, group_average(kern, labels)[1])
-        assert after <= before + 1e-12
-        # with an exact oracle the reported bound is certified and covers it
-        assert 2.0 * trace.bound >= after - 1e-12
-        assert rep.stages[0]["detail"] == f"certified bound {2.0 * trace.bound:.4g}"
+        residual = residual_cut_norm_exact(kern, group_average(kern, labels)[1])
+        assert abs(trace.bound - residual) <= 1e-12
+        assert rep.stages[0]["detail"] == (
+            f"{len(trace.iterations)} iterations; certified bound {trace.bound:.4g}"
+        )
+        iterated += len(trace.iterations) > 1
+    assert iterated >= 6
 
 
 def test_compress_epsilon_stage_label_names_estimates():
@@ -285,7 +285,19 @@ def test_compress_epsilon_stage_label_names_estimates():
     _, rep = compress_network(net, epsilon=0.03, seed=5, samples=100)
     stage = rep.stages[0]
     assert stage["status"] == "heuristic_termination"
-    assert stage["detail"] == "bound estimate 0.02907"
+    assert stage["detail"] == "1 iterations; bound estimate 0.02847"
+
+
+def test_compress_never_builds_the_dense_quotient(monkeypatch):
+    # both modes refine and measure the quotient as its layer blocks
+    def never(self):
+        raise AssertionError("BlockKernel.dense reached")
+
+    monkeypatch.setattr(BlockKernel, "dense", never)
+    net = random_network(3, 2, 2, 48, 5.0, np.random.default_rng(42))
+    for kw in ({"target_d": 12}, {"epsilon": 0.01}, {"target_d": 48}):
+        _, rep = compress_network(net, seed=5, samples=100, **kw)
+        assert rep.validation_ok
 
 
 def test_compress_records_oracle_routes_and_stage_times(monkeypatch):
@@ -570,7 +582,7 @@ def test_structural_labels_are_layout_ordered_ids(L, d0, dL, d):
 def test_budgeted_refinement_respects_budget_and_structure(L, d0, dL, d, budget, seed):
     ck = induce_kernel(random_network(L, d0, dL, d, 6.0, np.random.default_rng(seed)))
     ls = ck.layers
-    tr = regularity._budgeted_fk(ls, unit_blocks(ck), budget, "auto", seed)
+    tr = regularity._budgeted_fk(ls, unit_blocks(ck), budget, 1e-9, 200, "auto", seed)
     for ell in list(range(1, L)) + ["bias"]:
         assert np.unique(tr.labels[ls.unit_slice(ell)]).size <= budget
     struct = ls.structural_labels()
@@ -629,7 +641,9 @@ def test_refinement_does_not_hinge_on_summation_order():
     # rounding picked the sign)
     net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42))
     ls, q = layers_of(net), unit_blocks(net)
-    blocks, dense = (regularity._budgeted_fk(ls, k, 24, "auto", 5) for k in (q, q.dense()))
+    blocks, dense = (
+        regularity._budgeted_fk(ls, k, 24, 1e-9, 200, "auto", 5) for k in (q, q.dense())
+    )
     assert np.array_equal(blocks.labels, dense.labels)
     for a, b in zip(blocks.iterations, dense.iterations, strict=True):
         assert abs(a.witness_value - b.witness_value) <= 1e-15
