@@ -139,6 +139,8 @@ def compression_hidden_dim(eps, B, L, d0, dL):
     eps, B = _frac(eps), _frac(B)
     if eps <= 0:
         raise ParameterError("eps must be positive")
+    if L < 1 or d0 < 1 or dL < 1:
+        raise ParameterError("dimensions must be positive")
     if B < L + 2:
         raise ParameterError(f"need B >= L+2, got B={float(B)}, L={L}")
     M = math.lcm(d0, dL)
@@ -236,6 +238,8 @@ def non_universality_check(B, L, dL, d0, c=1):
     family (at half the working accuracy 1/8) and the VC lower bound at
     1/8, plus the exact integer threshold on d0 that certifies the gap.
     """
+    if d0 < 1:
+        raise ParameterError("need d0 >= 1")
     Bf, cf = _frac(B), _frac(c)
     thr = d0_threshold(B, L, dL, c).exact
     m14 = Fraction(2) ** 14 * (L + 2) ** 2 * dL**2 * (2 * Bf) ** (2 * L)

@@ -3,8 +3,8 @@
 For step objects the cut norm is attained on unions of parts, so the
 kernel cut norm is a finite maximization: enumerate subsets on one side,
 pick the other side in closed form from the signs of the induced sums.
-Kernels come as StepKernels or as BlockKernels, which vanish outside a few
-blocks of consecutive parts; a StepKernel is the one-block case.
+Kernels are BlockKernels, which vanish outside a few blocks of consecutive
+parts; a StepKernel is the one-block case.
 
 Every call first shrinks the kernel once (``_shrink``): it drops the
 all-zero rows and columns and cuts each block down to the rest, in layout
@@ -103,7 +103,7 @@ def evaluate_witness(obj, witness):
     if rows.size == 0 or cols.size == 0:
         return 0.0
     meas = obj.partition.measures
-    block = _gather(BlockKernel.of(obj), rows, cols)
+    block = _gather(obj, rows, cols)
     block *= np.outer(meas[rows], meas[cols])
     return float(abs(block.sum()))
 
@@ -133,9 +133,8 @@ def signal_cut_norm(signal):
 def l1_norm(obj):
     if isinstance(obj, StepSignal):
         return float(np.sum(np.abs(obj.values) * obj.partition.measures))
-    bk = BlockKernel.of(obj)
-    m = bk.partition.measures
-    return float(sum(np.sum(np.abs(a) * np.outer(m[rs], m[cs])) for rs, cs, a in bk.blocks))
+    m = obj.partition.measures
+    return float(sum(np.sum(np.abs(a) * np.outer(m[rs], m[cs])) for rs, cs, a in obj.blocks))
 
 
 def _merge_rows(mat, meas):
@@ -184,20 +183,19 @@ def _shrink(kern):
     heuristic runs on it unmerged: on 1,200-part induced kernels with 52 to
     484 distinct rows, a merge cost it more than its smaller products saved.
     """
-    bk = BlockKernel.of(kern)
-    nonzero = np.zeros((2, bk.n), dtype=bool)
-    for rs, cs, a in bk.blocks:
+    nonzero = np.zeros((2, kern.n), dtype=bool)
+    for rs, cs, a in kern.blocks:
         nonzero[0, rs] |= a.any(axis=1)
         nonzero[1, cs] |= a.any(axis=0)
     maps = np.where(nonzero, np.cumsum(nonzero, axis=1) - 1, -1)
     blocks = []
-    for rs, cs, a in bk.blocks:
+    for rs, cs, a in kern.blocks:
         r, c = maps[0][rs], maps[1][cs]
         kr, kc = r[r >= 0], c[c >= 0]
         if kr.size and kc.size:
             a = a if kr.size == r.size and kc.size == c.size else a[np.ix_(r >= 0, c >= 0)]
             blocks.append((slice(int(kr[0]), int(kr[-1]) + 1), slice(int(kc[0]), int(kc[-1]) + 1), a))
-    meas = bk.partition.measures
+    meas = kern.partition.measures
     return blocks, meas[nonzero[0]], meas[nonzero[1]], maps[0], maps[1]
 
 

@@ -146,29 +146,6 @@ class LayerStructure:
 
 
 @dataclass(frozen=True)
-class StepKernel:
-    """Kernel constant on blocks of a partition; rows and columns share it."""
-
-    partition: Partition
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.ascontiguousarray(self.coeffs, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-        n = self.partition.size
-        if c.shape != (n, n):
-            raise DimensionMismatchError("kernel coefficients", (n, n), c.shape)
-        top = max(c.max(initial=0.0), -c.min(initial=0.0))  # no |c| copy
-        if not top <= 1.0 + 1e-9:  # also refuses NaN
-            raise ParameterError(f"coefficient magnitude {top} exceeds 1")
-
-    @property
-    def n(self):
-        return self.partition.size
-
-
-@dataclass(frozen=True)
 class BlockKernel:
     """A step kernel that vanishes outside a few blocks of consecutive parts.
 
@@ -176,8 +153,8 @@ class BlockKernel:
     slices of the parts with explicit bounds; every entry outside them is 0.
     They are kept in row-major order of their corners, which sets the order
     in which a part's row or column is summed across blocks. A StepKernel is
-    the one-block case (``BlockKernel.of``); a layered kernel's unit quotient
-    has one block per entry of ``LayerStructure.blocks()`` (``unit_blocks``).
+    the one-block case; a layered kernel's unit quotient has one block per
+    entry of ``LayerStructure.blocks()`` (``unit_blocks``).
     """
 
     partition: Partition
@@ -207,14 +184,6 @@ class BlockKernel:
                 raise ParameterError(f"blocks {r} x {c} and {r2} x {c2} overlap")
         object.__setattr__(self, "blocks", tuple(out))
 
-    @classmethod
-    def of(cls, kern):
-        """The kernel itself if it is a BlockKernel, else its one block."""
-        if isinstance(kern, BlockKernel):
-            return kern
-        whole = slice(0, kern.n)
-        return cls(kern.partition, ((whole, whole, kern.coeffs),))
-
     @property
     def n(self):
         return self.partition.size
@@ -225,6 +194,18 @@ class BlockKernel:
         for rows, cols, a in self.blocks:
             c[rows, cols] = a
         return StepKernel(self.partition, c)
+
+
+class StepKernel(BlockKernel):
+    """The BlockKernel whose one block is the whole n x n array ``coeffs``."""
+
+    def __init__(self, partition, coeffs):
+        whole = slice(0, partition.size)
+        super().__init__(partition, ((whole, whole, coeffs),))
+
+    @property
+    def coeffs(self):
+        return self.blocks[0][2]
 
 
 @dataclass(frozen=True)
@@ -249,7 +230,9 @@ class ComputationalKernel:
     B: float
 
     def __post_init__(self):
-        if not self.B >= self.layers.L + 2:  # also refuses NaN
+        if not self.B < math.inf:  # also refuses NaN
+            raise InvalidBoundError(f"B={self.B} is not finite")
+        if not self.B >= self.layers.L + 2:
             raise InvalidBoundError(
                 f"B={self.B} below L+2={self.layers.L + 2}: the bias block "
                 "(L+2)/B would exceed 1"

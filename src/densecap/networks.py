@@ -8,6 +8,7 @@ nontrivial computation has to be collective.
 """
 
 import io
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -30,7 +31,8 @@ class DenseNetwork:
     """Depth-L ReLU network with hidden width d and parameter bound B.
 
     Layer widths are (d0, d, ..., d, dL); d must be divisible by both d0
-    and dL, every weight and bias must lie in [-B, B], and B >= L+2.
+    and dL, every weight and bias must lie in [-B, B], and B is finite
+    with B >= L+2.
     """
 
     L: int
@@ -59,7 +61,9 @@ class DenseNetwork:
             raise InvalidNetworkError(
                 f"hidden width {self.d} not divisible by d0={self.d0}, dL={self.dL}"
             )
-        if not self.B >= self.L + 2:  # also refuses NaN
+        if not self.B < math.inf:  # also refuses NaN
+            raise InvalidNetworkError(f"bound B={self.B} is not finite")
+        if not self.B >= self.L + 2:
             raise InvalidNetworkError(f"bound B={self.B} below L+2={self.L + 2}")
         if len(self.weights) != self.L or len(self.biases) != self.L:
             raise InvalidNetworkError(

@@ -135,9 +135,10 @@ def check_equivalence(net, x, tolerance=1e-9):
     g = induce_graph(net)
     y_graph = graph_readout(sr_mpnn_forward(g, graph_features(x, g.layers), net.L), g.layers)
 
-    disc = max(
-        float(np.max(np.abs(y_net - y_ker))),
-        float(np.max(np.abs(y_net - y_graph))),
-        float(np.max(np.abs(y_ker - y_graph))),
-    )
+    # np.max, unlike max, keeps a NaN, so a NaN output never passes
+    disc = float(np.max([
+        np.max(np.abs(y_net - y_ker)),
+        np.max(np.abs(y_net - y_graph)),
+        np.max(np.abs(y_ker - y_graph)),
+    ]))
     return EquivalenceReport(y_net, y_ker, y_graph, disc, bias_values, tolerance)

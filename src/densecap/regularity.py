@@ -9,8 +9,8 @@ witness value squared, which caps the iteration count.
 Compression runs the loop on the network's unit quotient: the layered
 kernel with each unit's twin parts merged into one part of their summed
 measure, (L-1)*d + d0 + dL + 1 parts instead of (L+2)*d, with the same cut
-norms and projections. The loop takes a StepKernel or a BlockKernel, a
-StepKernel being the one-block case; compression gets the quotient as
+norms and projections. The loop takes a BlockKernel, of which a
+StepKernel is the one-block case; compression gets the quotient as
 its layer blocks (``kernels.unit_blocks``) and starts from the structural
 labels. Its groups never mix layers, so the projection and the residual
 vanish off those blocks too: each round computes them, and the oracle's
@@ -41,7 +41,6 @@ from .cutnorm import (
 )
 from .errors import ParameterError, ValidationFailedError, require_count, require_real
 from .kernels import (
-    BlockKernel,
     StepKernel,
     extract_network,  # noqa: F401 - bench/tracing.py wraps this name here
     induce_kernel,
@@ -57,20 +56,19 @@ from .partitions import Partition
 def _project_grouping(kernel, labels):
     """Blockwise average over label groups; exact measure weighting.
 
-    ``kernel`` is a StepKernel or a BlockKernel. Each block gets the
-    averages of the groups it meets, from one product per side, so on a
-    StepKernel this is the one product ``W @ coeffs @ W.T``. A group must
-    lie within one region of the parts the blocks' bounds cut out, so that
-    the average vanishes off the blocks, as the kernel does; labels that
-    mix regions raise ParameterError. Returns (group values, group
-    measures, group index of each part).
+    Each block of ``kernel`` gets the averages of the groups it meets,
+    from one product per side, so on a StepKernel this is the one product
+    ``W @ coeffs @ W.T``. A group must lie within one region of the parts
+    the blocks' bounds cut out, so that the average vanishes off the
+    blocks, as the kernel does; labels that mix regions raise
+    ParameterError. Returns (group values, group measures, group index of
+    each part).
     """
-    bk = BlockKernel.of(kernel)
-    measures = bk.partition.measures
+    measures = kernel.partition.measures
     uniq, inverse = np.unique(labels, return_inverse=True)
     k = uniq.size
     n = measures.size
-    bounds = [x for rs, cs, _ in bk.blocks for x in (rs.start, rs.stop, cs.start, cs.stop)]
+    bounds = [x for rs, cs, _ in kernel.blocks for x in (rs.start, rs.stop, cs.start, cs.stop)]
     region = np.searchsorted(np.unique(bounds), np.arange(n), side="right")
     if np.unique(inverse * (len(bounds) + 1) + region).size != k:
         raise ParameterError("label groups mix regions of the kernel's blocks")
@@ -79,7 +77,7 @@ def _project_grouping(kernel, labels):
     gm = wg.sum(axis=1)
     wg /= gm[:, None]
     vals = np.zeros((k, k))
-    for rs, cs, a in bk.blocks:
+    for rs, cs, a in kernel.blocks:
         gr, gc = np.unique(inverse[rs]), np.unique(inverse[cs])
         vals[np.ix_(gr, gc)] = wg[gr, rs] @ a @ wg[gc, cs].T
     return vals, gm, inverse
@@ -150,18 +148,17 @@ def _refine(kernel, labels, split, stop, max_iter, oracle, seed):
     be None when the first round is sure to stop, as for labels that are
     the kernel's own parts: their residual, and so their witness, is zero.
     """
-    bk = BlockKernel.of(kernel)
     records = []
     exact_used = True
     for it in range(max_iter + 1):
         t0 = time.monotonic()
-        vals, gm, inverse = _project_grouping(bk, labels)
+        vals, gm, inverse = _project_grouping(kernel, labels)
         energy = float(np.sum(vals * vals * np.outer(gm, gm)))
         residual = []
-        for rs, cs, a in bk.blocks:
+        for rs, cs, a in kernel.blocks:
             proj = vals[np.ix_(inverse[rs], inverse[cs])]
             residual.append((rs, cs, np.subtract(a, proj, out=proj)))
-        witness, was_exact = difference_cut_norm(bk.partition, residual, oracle, seed)
+        witness, was_exact = difference_cut_norm(kernel.partition, residual, oracle, seed)
         exact_used = exact_used and was_exact
         records.append(IterationRecord(
             it, int(gm.size), energy, witness.value, was_exact, witness.dims,
@@ -173,8 +170,8 @@ def _refine(kernel, labels, split, stop, max_iter, oracle, seed):
         if it == max_iter:
             status = "cap_reached"
             break
-        s = np.zeros(bk.n, dtype=np.int64)
-        t = np.zeros(bk.n, dtype=np.int64)
+        s = np.zeros(kernel.n, dtype=np.int64)
+        t = np.zeros(kernel.n, dtype=np.int64)
         s[list(witness.row_set)] = 1
         t[list(witness.col_set)] = 1
         refined = split(labels, s, t)
@@ -184,7 +181,7 @@ def _refine(kernel, labels, split, stop, max_iter, oracle, seed):
         labels = refined
     coarse = StepKernel(Partition(gm), np.clip(vals, -1, 1))
     return RegularityTrace(
-        records, labels, coarse, bk.partition, witness.value, status, exact_used
+        records, labels, coarse, kernel.partition, witness.value, status, exact_used
     )
 
 

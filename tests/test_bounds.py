@@ -116,6 +116,18 @@ def test_non_universality_margin_monotone_in_d0():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("L, d0, dL", [(0, 1, 1), (2, 0, 1), (2, 1, 0)])
+def test_compression_dim_checks_its_dimensions(L, d0, dL):
+    with pytest.raises(ParameterError, match="dimensions must be positive"):
+        compression_hidden_dim("1/2", 4, L, d0, dL)
+
+
+@pytest.mark.parametrize("d0", [0, -3])
+def test_non_universality_checks_d0(d0):
+    with pytest.raises(ParameterError, match="d0 >= 1"):
+        non_universality_check(4, 2, 1, d0)
+
+
 def test_bound_value_consistency_everywhere():
     for v in (
         lipschitz_constant(4, 3),

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from densecap.cli import build_parser
-from densecap.networks import random_network, save_network
+from densecap.kernels import induce_kernel, save_kernel
+from densecap.networks import DenseNetwork, random_network, save_network, serialize_network
 
 from conftest import package_env
 
@@ -32,6 +33,13 @@ def run_cli(*args, **kw):
 def net_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "net.txt"
     save_network(random_network(2, 1, 1, 6, 4.0, np.random.default_rng(0)), path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def kernel_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "kernel.txt"
+    save_kernel(induce_kernel(random_network(2, 1, 1, 4, 4.0, np.random.default_rng(0))), path)
     return str(path)
 
 
@@ -392,3 +400,72 @@ def test_abbreviated_config_is_usage_error(tmp_path):
     r = run_cli("bounds", "lipschitz", "--config", str(cfg), "--L", "2")
     assert r.returncode == 0, r.stderr
     assert "64" in r.stdout
+
+
+@pytest.mark.parametrize("args, text", [
+    (("non-universality", "--B", "4", "--L", "2", "--dL", "1", "--d0", "0"), "d0 >= 1"),
+    (("compression-dim", "--eps", "1/2", "--B", "4", "--L", "2", "--d0", "0", "--dL", "1"),
+     "dimensions must be positive"),
+    (("compression-dim", "--eps", "1/2", "--B", "4", "--L", "0", "--d0", "1", "--dL", "1"),
+     "dimensions must be positive"),
+])
+def test_bounds_bad_dimension_is_one_line_error(args, text):
+    assert_one_line_error(run_cli("bounds", *args), text)
+
+
+def test_network_file_with_an_infinite_bound_is_refused(tmp_path):
+    lines = serialize_network(random_network(2, 1, 1, 2, 4.0, np.random.default_rng(0))).splitlines()
+    lines[1] = lines[1].rsplit(" ", 1)[0] + " inf"
+    net = tmp_path / "inf.txt"
+    net.write_text("\n".join(lines) + "\n")
+    for command in (
+        ("equiv-check", "--net", str(net)),
+        ("compress", str(net), "--target-d", "1", "--out", str(tmp_path / "out.txt")),
+    ):
+        assert_one_line_error(run_cli(*command), "not finite")
+
+
+def test_equiv_check_fails_on_a_nan_discrepancy(tmp_path):
+    # B is finite, but every path overflows to inf, and inf - inf is NaN
+    B = 1e300
+    ws = (np.array([[B]]), np.array([[B]]))
+    path = tmp_path / "big.txt"
+    save_network(DenseNetwork(2, 1, 1, 1, B, ws, (np.zeros(1), np.zeros(1))), path)
+    r = run_cli("equiv-check", "--net", str(path))
+    assert r.returncode == 1
+    assert "max discrepancy nan (> 1e-09)" in r.stdout
+
+
+@pytest.mark.parametrize("command, values, text", [
+    (("cutnorm", "KERNEL"), {"heuristic": "false"}, "heuristic takes true or false"),
+    (("cutnorm", "KERNEL"), {"exact": 1}, "exact takes true or false"),
+    (("verify",), {"quick": None}, "quick takes true or false"),
+    (("cutnorm", "KERNEL"), {"exact": True, "heuristic": True},
+     "sets --exact and --heuristic, which exclude each other"),
+    (("compress", "NET", "--out", "OUT"), {"target_d": 2, "epsilon": 0.1},
+     "sets --target-d and --epsilon, which exclude each other"),
+])
+def test_config_flag_misuse_is_one_line_error(command, values, text, net_file, kernel_file,
+                                              tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    swap = {"NET": net_file, "KERNEL": kernel_file, "OUT": str(tmp_path / "out.txt")}
+    r = run_cli(*(swap.get(a, a) for a in command), "--config", str(cfg))
+    assert_one_line_error(r, text)
+    assert r.stdout == ""
+
+
+def test_config_exclusive_flags_yield_to_the_command_line(net_file, kernel_file, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"heuristic": True, "epsilon": 0.1}))
+    r = run_cli("cutnorm", kernel_file, "--config", str(cfg))
+    assert r.returncode == 0 and r.stdout.startswith("cut norm (heuristic lower bound)")
+    r = run_cli("cutnorm", kernel_file, "--config", str(cfg), "--exact")
+    assert r.returncode == 0 and r.stdout.startswith("cut norm (exact)")
+    out = str(tmp_path / "out.txt")
+    r = run_cli("compress", net_file, "--config", str(cfg), "--target-d", "2", "--out", out)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("width 6 -> 2")
+    cfg.write_text(json.dumps({"exact": True, "heuristic": False}))
+    r = run_cli("cutnorm", kernel_file, "--config", str(cfg))
+    assert r.returncode == 0 and r.stdout.startswith("cut norm (exact)")

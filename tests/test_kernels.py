@@ -262,6 +262,25 @@ def test_step_kernel_rejects_out_of_range_coefficients(bad):
         StepKernel(equipartition(2), np.array([[0.5, bad], [0.0, 1.0]]))
 
 
+def test_step_kernel_refuses_a_wrong_shape():
+    with pytest.raises(DimensionMismatchError):
+        StepKernel(equipartition(2), np.zeros((2, 3)))
+
+
+def test_step_kernel_is_the_one_block_block_kernel():
+    coeffs = np.random.default_rng(0).uniform(-1, 1, (3, 3))
+    kern = StepKernel(equipartition(3), coeffs)
+    assert isinstance(kern, BlockKernel)
+    ((rows, cols, a),) = kern.blocks
+    assert rows == cols == slice(0, 3)
+    assert a is kern.coeffs and np.array_equal(a, coeffs)
+    assert not kern.coeffs.flags.writeable
+    assert np.array_equal(BlockKernel(kern.partition, kern.blocks).dense().coeffs, coeffs)
+    # the class adds its constructor and ``coeffs``, and checks nothing of its own
+    own = {k for k, v in vars(StepKernel).items() if callable(v) or isinstance(v, property)}
+    assert own == {"__init__", "coeffs"}
+
+
 def test_layer_structure_rejects_bad_divisibility():
     with pytest.raises(ParameterError):
         LayerStructure(2, 2, 1, 3)
@@ -273,6 +292,23 @@ def test_nan_bound_is_refused():
     text = serialize_kernel(induce_kernel(zero_net(B=4.0))).splitlines()
     text[1] = text[1].rsplit(" ", 1)[0] + " nan"
     with pytest.raises(InvalidBoundError, match="B=nan"):
+        deserialize_kernel("\n".join(text))
+
+
+@pytest.mark.parametrize("B", [math.inf, math.nan])
+def test_non_finite_bound_is_refused(B):
+    with pytest.raises(InvalidNetworkError, match="not finite"):
+        zero_net(B=B)
+    ls = LayerStructure(2, 1, 1, 4)
+    with pytest.raises(InvalidBoundError, match="not finite"):
+        ComputationalKernel(StepKernel(ls.fine_partition(), np.zeros((16, 16))), ls, B)
+
+
+@pytest.mark.parametrize("B", ["inf", "Infinity"])
+def test_kernel_file_with_an_infinite_bound_is_refused(B):
+    text = serialize_kernel(induce_kernel(zero_net(B=4.0))).splitlines()
+    text[1] = text[1].rsplit(" ", 1)[0] + f" {B}"
+    with pytest.raises(InvalidBoundError, match="not finite"):
         deserialize_kernel("\n".join(text))
 
 

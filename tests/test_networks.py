@@ -226,6 +226,14 @@ def test_deserialize_rejects_out_of_bound_weight():
     assert "W[1]" in str(exc.value)
 
 
+@pytest.mark.parametrize("B", ["inf", "Infinity", "nan"])
+def test_deserialize_refuses_a_non_finite_bound(B):
+    lines = serialize_network(all_b_net(B=4.0)).splitlines()
+    lines[1] = lines[1].rsplit(" ", 1)[0] + f" {B}"
+    with pytest.raises(InvalidNetworkError, match="not finite"):
+        deserialize_network("\n".join(lines))
+
+
 def test_deserialize_checks_layers_before_allocating():
     # a 38-byte file whose header claims ten million layers
     tracemalloc.start()

@@ -177,6 +177,17 @@ def test_three_path_equivalence_random():
     assert worst <= 1e-9
 
 
+def test_a_nan_discrepancy_fails_the_check(monkeypatch):
+    from test_networks import all_b_net
+
+    import densecap.propagation as propagation
+
+    # the network and kernel paths agree; only the graph path reads NaN
+    monkeypatch.setattr(propagation, "sr_mpnn_forward", lambda g, f, L: np.full(g.layers.n, np.nan))
+    rep = check_equivalence(all_b_net(), np.array([1.0]))
+    assert np.isnan(rep.max_discrepancy) and not rep.passed
+
+
 def test_graph_readout_rejects_non_constant():
     ls = LayerStructure(2, 1, 1, 4)
     vals = np.zeros(ls.n)
