@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from .cutnorm import ORACLES, kernel_cut_norm
+from .cutnorm import ORACLES, enumeration_threads, kernel_cut_norm
 from .errors import DensecapError
 from .kernels import load_kernel, save_kernel, induce_kernel, validate_computational
 from .networks import load_network, random_small_network, save_network
@@ -144,7 +144,10 @@ def _apply_config(ap, argv):
     would spell it (a list joined by commas), because argparse passes only
     string defaults through the flag's type and its checks. An on/off flag
     takes only true or false. The file may set one flag of a mutually
-    exclusive group, and none of it when the command line names one.
+    exclusive group, and none of it when the command line names one. A
+    required flag or group that the file sets is no longer required, since
+    argparse counts only the command line toward it; with neither source
+    setting it, parsing still stops with a usage error.
     """
     # no abbreviations here, or "--c" (the VC constant) would read as --config
     pre = argparse.ArgumentParser(prog=ap.prog, add_help=False, allow_abbrev=False)
@@ -184,6 +187,11 @@ def _apply_config(ap, argv):
             if action.nargs != 0 and value is not None and not isinstance(value, str):
                 value = ",".join(map(str, value)) if isinstance(value, list) else str(value)
             parser.set_defaults(**{action.dest: value})
+            if value is not None and value is not False:
+                action.required = False
+                for group in parser._mutually_exclusive_groups:
+                    if action in group._group_actions:
+                        group.required = False
 
 
 def cmd_induce(args):
@@ -224,6 +232,9 @@ def cmd_cutnorm(args):
     print(f"cut norm ({'exact' if exact else 'heuristic lower bound'}): {w.value!r}")
     print(f"row parts: {list(w.row_set)}")
     print(f"col parts: {list(w.col_set)}")
+    print(f"reduced dims: {w.dims[0]} x {w.dims[1]}")
+    if exact:
+        print(f"enumeration threads: {enumeration_threads(min(w.dims), max(w.dims))}")
     return 0
 
 

@@ -34,7 +34,12 @@ entries; the high rows' sums come from a second doubling table of the same
 size (and, past it, from adding the remaining rows in increasing order).
 Each value of the high rows adds its sum to the whole low table, then an
 absolute value, a sum down the columns and an argmax score every subset,
-still in index order.
+still in index order. The enumeration runs on every core: the values of
+the high rows are cut into contiguous runs, one thread each (at most one
+per value, so with no high rows it starts none), and each thread holds
+one table of its own for the absolute values. A subset's score takes the
+same operations in any run and the runs' first maxima are joined in
+order, so the result does not depend on the thread count.
 
 The heuristic oracle advances all its starts together, two block products
 per round: ``G = S @ weighted`` gives every moving start's column sums, and
@@ -63,11 +68,13 @@ from .errors import CapacityError, ParameterError, ValidationFailedError, requir
 from .kernels import BlockKernel, ComputationalKernel, StepSignal, layered_conditions
 from .kernels import layers_of, unit_blocks
 from .partitions import Partition
+from .threads import cores, spread
 
 EXACT_CAP_DEFAULT = 24
 PERM_CAP_DEFAULT = 1_000_000
 LOWER_MAX_ROUNDS = 200  # alternating updates per heuristic restart
 ORACLES = ("auto", "exact", "heuristic")
+ENUM_BLOCK = 1 << 16  # entries in the enumeration's table of low-row subset sums
 
 
 @dataclass
@@ -220,52 +227,98 @@ def reduced_dims(kern):
     return _reduce(kern)[0].shape
 
 
-def _best_subset_enumeration(weighted, n_enum, *, block=1 << 16):
+def enumeration_threads(n_enum, n_cols, *, block=ENUM_BLOCK):
+    """Threads ``_best_subset_enumeration`` spreads ``n_enum`` rows of ``n_cols`` over.
+
+    One per core, at most one per value of the high rows: each value is a
+    pass over the whole low table. With no high rows it is 1.
+    """
+    return min(cores(), 1 << (n_enum - _low_rows(n_enum, n_cols + 1, block)))
+
+
+def _low_rows(n_enum, n_cols, block):
+    """Rows whose 2^n_lo subset sums of ``n_cols`` entries fit in ``block`` entries."""
+    return min(n_enum, max(1, block // n_cols).bit_length() - 1)
+
+
+def _aligned(shape):
+    """An empty array whose data starts on a 64-byte boundary.
+
+    malloc promises only 16, and on an AVX-512 Xeon loads straddling cache
+    lines made the enumeration a third slower whenever the heap happened to
+    place its table so.
+    """
+    size = math.prod(shape)
+    raw = np.empty(size + 8)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start : start + size].reshape(shape)
+
+
+def _best_subset_enumeration(weighted, n_enum, *, block=ENUM_BLOCK):
     """Max over row subsets of max(sum of positive, -sum of negative) column sums.
 
     Returns (value, subset_index, side): bit b of the index selects row b,
     the index is the first in index order that attains the value, and side
     (+1 for the positive class) is the sign of the row-total column there.
     The table (see the module docstring) holds the low ``n_lo`` rows' 2^n_lo
-    subset sums, column by column, within ``block`` entries; with its
-    absolute-valued copy and one score row it takes 2 * (columns + 1) + 1
-    rows of 2^n_lo entries: 1 MB at the default block, within a core's cache.
-    The sums of the next ``n_mid <= n_lo`` rows come from a second doubling
-    table, each extended by any rows past those in increasing order, so a
-    high sum adds its rows one at a time in increasing order, as the sum of
-    the selected rows does.
+    subset sums, column by column, within ``block`` entries: 0.5 MB at the
+    default block. The sums of the next ``n_mid <= n_lo`` rows come from a
+    second doubling table, each extended by any rows past those in
+    increasing order, so a high sum adds its rows one at a time in
+    increasing order, as the sum of the selected rows does.
+
+    The values of the high rows are cut into contiguous runs, one for each
+    of ``enumeration_threads`` threads (``threads.spread``). Each thread
+    holds its own absolute-valued copy of the table and score row, a
+    second 0.5 MB, and returns the first strict maximum of its run; the
+    runs are joined in order by a strict ``>``. Every subset's score is
+    made by the same operations in any run, so the result does not depend
+    on the thread count, bit for bit.
     """
     n_cols = weighted.shape[1] + 1
     aug = np.column_stack([weighted[:n_enum], weighted[:n_enum].sum(axis=1)])
-    n_lo = min(n_enum, max(1, block // n_cols).bit_length() - 1)
-    # the buffers start on a 64-byte boundary: malloc promises only 16, and
-    # on an AVX-512 Xeon loads straddling cache lines made the loop a third
-    # slower whenever the heap happened to place them so
-    size = (2 * n_cols + 1) << n_lo
-    raw = np.empty(size + 8)
-    start = -raw.ctypes.data % 64 // 8
-    buf = raw[start : start + size].reshape(2 * n_cols + 1, 1 << n_lo)
-    low, sums, cand = buf[:n_cols], buf[n_cols:-1], buf[-1]
+    n_lo = _low_rows(n_enum, n_cols, block)
+    low = _aligned((n_cols, 1 << n_lo))
     _subset_sums(aug[:n_lo], low.T)
     high = aug[n_lo:]
     n_mid = min(len(high), n_lo)
     mid = _subset_sums(high[:n_mid], np.empty((1 << n_mid, n_cols)))
-    best_val, best_idx, best_side = 0.0, 0, 1
-    for top in range(1 << (len(high) - n_mid)):
-        shifts = mid.copy() if top else mid
-        for b, row in enumerate(high[n_mid:]):
-            if (top >> b) & 1:
-                shifts += row
-        for hi, shift in enumerate(shifts, top << n_mid):
-            np.add(low, shift[:, None], out=sums)
-            np.abs(sums, out=sums)
-            sums.sum(axis=0, out=cand)
-            k = int(np.argmax(cand))
-            if cand[k] > best_val:
-                best_val = float(cand[k])
-                best_idx = (hi << n_lo) + k
-                best_side = 1 if low[-1, k] + shift[-1] >= 0.0 else -1
-    return best_val / 2, best_idx, best_side
+    workers = enumeration_threads(n_enum, n_cols - 1, block=block)
+    cuts = [(k << len(high)) // workers for k in range(workers + 1)]
+    # allocated on the calling thread (see threads); where a value sets rows
+    # above mid, its run adds them to its own copy of mid
+    bufs = [_aligned((n_cols + 1, 1 << n_lo)) for _ in range(workers)]
+    tops = np.empty((workers,) + mid.shape) if len(high) > n_mid else None
+
+    def run(k):
+        sums, cand = bufs[k][:-1], bufs[k][-1]
+        best_val, best_idx, best_side = 0.0, 0, 1
+        for top in range(cuts[k] >> n_mid, ((cuts[k + 1] - 1) >> n_mid) + 1):
+            shifts = mid
+            if top:
+                shifts = tops[k]
+                shifts[...] = mid
+                for b, row in enumerate(high[n_mid:]):
+                    if (top >> b) & 1:
+                        shifts += row
+            first = max(cuts[k], top << n_mid)
+            for hi in range(first, min(cuts[k + 1], (top + 1) << n_mid)):
+                shift = shifts[hi - (top << n_mid)]
+                np.add(low, shift[:, None], out=sums)
+                np.abs(sums, out=sums)
+                sums.sum(axis=0, out=cand)
+                j = int(np.argmax(cand))
+                if cand[j] > best_val:
+                    best_val = float(cand[j])
+                    best_idx = (hi << n_lo) + j
+                    best_side = 1 if low[-1, j] + shift[-1] >= 0.0 else -1
+        return best_val, best_idx, best_side
+
+    best = (0.0, 0, 1)
+    for found in spread(run, workers):
+        if found[0] > best[0]:
+            best = found
+    return best[0] / 2, best[1], best[2]
 
 
 def _subset_sums(rows, out):

@@ -9,8 +9,6 @@ nontrivial computation has to be collective.
 
 import io
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +18,7 @@ from .errors import (
     InvalidNetworkError,
     ParseError,
 )
+from .threads import cores, spread
 
 # rows per chunk of a batched forward pass; a fixed grid keeps the output
 # products' rounding independent of how the chunks are spread over threads
@@ -101,11 +100,7 @@ class DenseNetwork:
 def forward_threads(rows):
     """Threads that ``forward`` spreads a batch of ``rows`` inputs over."""
     chunks = -(-rows // FORWARD_CHUNK)
-    if chunks < 2:
-        return 1
-    # sched_getaffinity is missing off Linux
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, chunks)
+    return 1 if chunks < 2 else min(cores(), chunks)
 
 
 def forward(net, x):
@@ -119,12 +114,13 @@ def forward(net, x):
     layers in two (chunk, d) buffers that its thread reuses from chunk to
     chunk; the output layer writes into the result. With two or more
     chunks, contiguous runs of chunks go to ``forward_threads(rows)``
-    threads: the calling thread and others started for the call and joined
-    before it returns (numpy releases the GIL in the products and the
-    ufuncs). Every chunk makes the same BLAS calls whatever the thread
-    count, so outputs do not depend on it; they are bitwise reproducible
-    only at a fixed BLAS thread count, since BLAS may sum a product in an
-    order that depends on its own.
+    threads, one per core at most, through ``threads.spread`` (which the
+    exact cut norm's enumeration shares): the calling thread and others
+    started for the call and joined before it returns. Every chunk makes
+    the same BLAS calls whatever the thread count, so outputs do not
+    depend on it; they are bitwise reproducible only at a fixed BLAS
+    thread count, since BLAS may sum a product in an order that depends
+    on its own.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (net.d0,):
@@ -141,10 +137,8 @@ def forward(net, x):
     workers = forward_threads(n)
     chunks = -(-n // FORWARD_CHUNK)
     cuts = [min(n, FORWARD_CHUNK * (chunks * k // workers)) for k in range(workers + 1)]
-    # allocated on the calling thread: allocations on the workers would grow
-    # one glibc arena per thread, which keeps its pages resident
+    # allocated on the calling thread (see threads)
     bufs = np.empty((workers, 2, min(FORWARD_CHUNK, n), net.d))
-    errors = []
 
     def run(k):
         for lo in range(cuts[k], cuts[k + 1], FORWARD_CHUNK):
@@ -157,23 +151,7 @@ def forward(net, x):
                 pre /= scale
                 h = pre if ell == last else np.maximum(pre, 0.0, out=pre)
 
-    def guarded(k):
-        try:
-            run(k)
-        except Exception as exc:  # raised again on the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=(k,)) for k in range(1, workers)]
-    try:
-        for t in threads:
-            t.start()
-        run(0)
-    finally:
-        for t in threads:
-            if t.ident is not None:  # started
-                t.join()
-    if errors:
-        raise errors[0]
+    spread(run, workers)
     return out.reshape(x.shape[:-1] + (net.dL,))
 
 

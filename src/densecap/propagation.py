@@ -37,11 +37,11 @@ def mpnn_forward(kernel, signal, B, L, return_hidden=False):
         raise ParameterError(
             f"message passing needs the kernel's {kernel.partition.size}-part partition"
         )
-    weighted = kernel.coeffs * kernel.partition.measures[None, :]
+    measures = kernel.partition.measures
     g = signal.values
     hidden = [StepSignal(kernel.partition, g)]
     for ell in range(1, L + 1):
-        g = B * (weighted @ g)
+        g = B * (kernel.coeffs @ (measures * g))
         if ell < L:
             g = np.maximum(g, 0.0)
         if return_hidden:

@@ -121,8 +121,11 @@ def test_induce_validate_cutnorm(net_file, tmp_path):
     r = run_cli("cutnorm", kern, "--exact")
     assert r.returncode == 0
     assert "cut norm (exact)" in r.stdout
+    # the 6-wide network's kernel merges to 8 x 8: no high rows, one thread
+    assert r.stdout.endswith("reduced dims: 8 x 8\nenumeration threads: 1\n")
     r = run_cli("cutnorm", kern, "--heuristic", "--restarts", "4", "--seed", "9")
     assert "heuristic" in r.stdout
+    assert r.stdout.endswith("reduced dims: 18 x 18\n")
 
 
 def test_cutnorm_prints_plain_int_parts(net_file, tmp_path):
@@ -469,3 +472,32 @@ def test_config_exclusive_flags_yield_to_the_command_line(net_file, kernel_file,
     cfg.write_text(json.dumps({"exact": True, "heuristic": False}))
     r = run_cli("cutnorm", kernel_file, "--config", str(cfg))
     assert r.returncode == 0 and r.stdout.startswith("cut norm (exact)")
+
+
+@pytest.mark.parametrize("values, command", [
+    ({"epsilon": 0.1}, ("--out", "OUT")),
+    ({"out": "OUT"}, ("--target-d", "2")),
+    ({"target_d": 2, "out": "OUT"}, ()),
+])
+def test_config_supplies_required_flags(values, command, net_file, tmp_path):
+    out = str(tmp_path / "out.txt")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: out if v == "OUT" else v for k, v in values.items()}))
+    r = run_cli("compress", net_file, *(out if a == "OUT" else a for a in command),
+                "--config", str(cfg))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("width 6 -> ") and Path(out).exists()
+
+
+@pytest.mark.parametrize("values, text", [
+    ({"out": "OUT"}, "one of the arguments --target-d --epsilon is required"),
+    ({"epsilon": None, "out": "OUT"}, "one of the arguments --target-d --epsilon is required"),
+    ({"target_d": 2, "out": None}, "the following arguments are required: --out"),
+])
+def test_required_flags_set_nowhere_are_usage_errors(values, text, net_file, tmp_path):
+    out = str(tmp_path / "out.txt")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: out if v == "OUT" else v for k, v in values.items()}))
+    r = run_cli("compress", net_file, "--config", str(cfg))
+    assert r.returncode == 2 and text in r.stderr and r.stdout == ""
+    assert not Path(out).exists()

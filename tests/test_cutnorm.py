@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import sys
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -843,6 +847,62 @@ def test_subset_enumeration_matches_bit_matrix_reference(inst):
     assert abs(value - (g[g > 0].sum() if side > 0 else -g[g < 0].sum())) <= 1e-12
     if not tied:
         assert (idx, side) == want[1:]
+
+
+def enumerate_at_cores(cpus, weighted, n_enum, block=cutnorm.ENUM_BLOCK):
+    """The enumeration's (value as hex, index, side) with ``cpus`` cores available."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+        value, idx, side = cutnorm._best_subset_enumeration(weighted, n_enum, block=block)
+    return value.hex(), idx, side
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=enumeration_instances())
+def test_subset_enumeration_does_not_depend_on_the_thread_count(inst):
+    weighted, n_enum, block, _ = inst
+    outs = {enumerate_at_cores(cpus, weighted, n_enum, block) for cpus in (1, 2, 3)}
+    assert len(outs) == 1
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_subset_enumeration_split_unevenly_matches_one_thread(cpus, tied):
+    # 8 high rows over 6 low ones: 256 values cut at 85 and 170 on 3 cores,
+    # both inside a run of 64 that shares the rows above mid; 8 threads, more
+    # than the cores, switch every few microseconds. Quarters sum exactly, so
+    # the maximum ties across runs and the first run must keep it
+    rng = np.random.default_rng(43)
+    weighted = rng.integers(-4, 5, (14, 2)) / 4.0 if tied else rng.uniform(-1.0, 1.0, (14, 2))
+    block = 3 << 6
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+        assert cutnorm.enumeration_threads(14, 2, block=block) == cpus
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = enumerate_at_cores(cpus, weighted, 14, block)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == enumerate_at_cores(1, weighted, 14, block)
+    assert got[1:] == reference_enumeration(weighted, 14)[1:]
+
+
+@pytest.mark.parametrize("n_enum, n_cols, started", [(8, 10, 0), (11, 30, 0), (14, 6, 1)])
+def test_small_enumerations_start_no_thread(monkeypatch, n_enum, n_cols, started):
+    # 8 x 10 is the benchmark's warm-up; 11 rows of 30 columns fill the table
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
+    real, seen = np.argmax, set()
+
+    def counting(*args, **kwargs):
+        seen.add(threading.active_count())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argmax", counting)
+    weighted = np.random.default_rng(47).uniform(-1.0, 1.0, (n_enum, n_cols))
+    before = threading.active_count()
+    cutnorm._best_subset_enumeration(weighted, n_enum)
+    assert cutnorm.enumeration_threads(n_enum, n_cols) == 1 + started
+    # a worker sees itself; the calling thread may outlast it
+    assert max(seen) == before + started
 
 
 @st.composite

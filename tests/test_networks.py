@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densecap import cutnorm
 from densecap.errors import (
     DimensionMismatchError,
     InvalidNetworkError,
@@ -352,15 +353,28 @@ def test_forward_does_not_depend_on_the_thread_count(monkeypatch):
     assert outs[0] == outs[1]
 
 
-def test_forward_joins_its_threads():
+# each spreads its work over threads.spread: (the numpy function its
+# workers call, a call given work for two threads at least)
+SPREAD = {
+    "forward": ("matmul", lambda x: forward(WIDE, x)),
+    "enumeration": (
+        "abs", lambda x: cutnorm._best_subset_enumeration(x.ravel()[:84].reshape(14, 6), 14)
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", SPREAD)
+def test_threads_are_joined(caller):
     x = np.random.default_rng(31).uniform(0.0, 1.0, (10_000, 2))
     before = threading.active_count()
-    forward(WIDE, x)
+    SPREAD[caller][1](x)
     assert threading.active_count() == before
 
 
-def test_forward_raises_a_worker_thread_error(monkeypatch):
-    real = np.matmul
+@pytest.mark.parametrize("caller", SPREAD)
+def test_a_worker_thread_error_is_raised(monkeypatch, caller):
+    name, call = SPREAD[caller]
+    real = getattr(np, name)
 
     def failing(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
@@ -368,10 +382,10 @@ def test_forward_raises_a_worker_thread_error(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
-    monkeypatch.setattr(np, "matmul", failing)
+    monkeypatch.setattr(np, name, failing)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="worker failed"):
-        forward(WIDE, np.zeros((2 * FORWARD_CHUNK, 2)))
+        call(np.zeros((2 * FORWARD_CHUNK, 2)))
     assert threading.active_count() == before
 
 
