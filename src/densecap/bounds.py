@@ -9,12 +9,12 @@ by less than one part in 2^exponent).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 
 MAX_EXACT_BITS = 50_000_000
 
@@ -44,6 +44,14 @@ def _log2_int(n):
 
 def _log2_frac(fr):
     return _log2_int(fr.numerator) - _log2_int(fr.denominator)
+
+
+def _as_float(x, formula):
+    """float(x) for an exponent or a log2; refused beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise CapacityError(f"{formula}: log2 exceeds the float range") from None
 
 
 def _ceil_frac(fr):
@@ -101,21 +109,24 @@ def _from_fraction(fr, formula):
 
 def lipschitz_constant(B, L):
     """Amplification factor (2B)^L of L message-passing rounds."""
-    B = _frac(B)
+    B, f = _frac(B), "lipschitz_constant"
     if B <= 0 or L < 1:
         raise ParameterError("need B > 0 and L >= 1")
-    return _from_fraction((2 * B) ** L, "lipschitz_constant")
+    amp = 2 * B
+    # (2B)^L has parts n^L and d^L; exact products leave float() to refuse an overflow
+    if L * Fraction(_log2_int(max(amp.numerator, amp.denominator))) <= MAX_EXACT_BITS:
+        return _from_fraction(amp**L, f)
+    return BoundValue(None, _as_float(L * Fraction(_log2_frac(amp)), f), f)
 
 
 def _scaled_pow2_ceil(exp, rest, factor, formula):
     """BoundValue of factor * ceil(2^exp * rest) with exact/log-space switch."""
-    bits = exp + _log2_frac(rest)
-    if bits <= MAX_EXACT_BITS:
+    e = _as_float(exp, formula)
+    if e + _log2_frac(rest) <= MAX_EXACT_BITS:
         val = factor * _ceil_frac(Fraction(2) ** exp * rest)
         return _from_fraction(Fraction(val), formula)
     # ceil shifts the log by < 2^-exp here: far below float resolution
-    log2 = _log2_int(factor) + exp + _log2_frac(rest)
-    return BoundValue(None, log2, formula)
+    return BoundValue(None, _log2_int(factor) + e + _log2_frac(rest), formula)
 
 
 def wrl_hidden_dim(eps, L, d0, dL):
@@ -137,18 +148,15 @@ def compression_hidden_dim(eps, B, L, d0, dL):
     i.e. 8*M*L*ceil(2^(2*ceil(16((L+2)dL)^2(2B)^(2L)/eps^2)) (L+2)dL(2B)^L / eps).
     """
     eps, B = _frac(eps), _frac(B)
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
     if L < 1 or d0 < 1 or dL < 1:
-        raise ParameterError("dimensions must be positive")
+        raise ParameterError("dimensions must be positive")  # before dL divides
     if B < L + 2:
         raise ParameterError(f"need B >= L+2, got B={float(B)}, L={L}")
-    M = math.lcm(d0, dL)
-    amp = (2 * B) ** L
-    inner = 16 * ((L + 2) * dL) ** 2 * (2 * B) ** (2 * L) / eps**2
-    e = 2 * _ceil_frac(inner)
-    rest = (L + 2) * dL * amp / eps
-    return _scaled_pow2_ceil(e, rest, 8 * M * L, "compression_hidden_dim")
+    try:
+        v = wrl_hidden_dim(eps / ((L + 2) * dL * (2 * B) ** L), L, d0, dL)
+    except CapacityError as exc:
+        raise CapacityError(f"compression_hidden_dim via {exc}") from None
+    return replace(v, formula="compression_hidden_dim")
 
 
 def vc_lower_bound(eps, d0, c=1):
@@ -170,17 +178,23 @@ def vc_lower_bound(eps, d0, c=1):
     return BoundValue(None, 0.5 * _log2_frac(q), "vc_lower_bound")
 
 
-def _threshold_log_term(B, L, dL, c):
-    """ceil(17 * log2(sqrt(c) * L^3 (L+2)^2 dL^4 (2B)^(2L))), exactly."""
-    A = Fraction(L) ** 3 * (L + 2) ** 2 * Fraction(dL) ** 4 * (2 * _frac(B)) ** (2 * L)
-    nd = (_frac(c) * A * A) ** 17
+def _threshold_terms(B, L, dL, c):
+    """d0_threshold's terms A, T and m = ceil(17 log2(sqrt(c) A)), exactly."""
+    B, c = _frac(B), _frac(c)
+    if B < L + 2:
+        raise ParameterError(f"need B >= L+2, got B={float(B)}, L={L}")
+    if c <= 0 or dL < 1 or L < 2:
+        raise ParameterError("need c > 0, dL >= 1, L >= 2")
+    A = Fraction(L) ** 3 * (L + 2) ** 2 * Fraction(dL) ** 4 * (2 * B) ** (2 * L)
+    T = Fraction(2) ** 14 * (L + 2) ** 2 * dL**2 * (2 * B) ** (2 * L)
+    nd = (c * A * A) ** 17
     # smallest m with 2^(2m) >= nd
     m = (nd.numerator.bit_length() - nd.denominator.bit_length()) // 2 + 2
     while m > -(10**9) and Fraction(2) ** (2 * (m - 1)) >= nd:
         m -= 1
     while Fraction(2) ** (2 * m) < nd:
         m += 1
-    return m, A
+    return m, A, T
 
 
 def d0_threshold(B, L, dL, c=1):
@@ -189,15 +203,8 @@ def d0_threshold(B, L, dL, c=1):
     17*log2(sqrt(c) L^3 (L+2)^2 dL^4 (2B)^(2L)) + 17*2^14 (L+2)^2 dL^2 (2B)^(2L) + 306,
     with each term rounded up to keep the total an exact sufficient integer.
     """
-    B, c = _frac(B), _frac(c)
-    if B < L + 2:
-        raise ParameterError(f"need B >= L+2, got B={float(B)}, L={L}")
-    if c <= 0 or dL < 1 or L < 2:
-        raise ParameterError("need c > 0, dL >= 1, L >= 2")
-    m, _ = _threshold_log_term(B, L, dL, c)
-    main = _ceil_frac(17 * Fraction(2) ** 14 * (L + 2) ** 2 * dL**2 * (2 * B) ** (2 * L))
-    total = m + main + 306
-    return _from_fraction(Fraction(total), "d0_threshold")
+    m, _, T = _threshold_terms(B, L, dL, c)
+    return _from_fraction(Fraction(m + _ceil_frac(17 * T) + 306), "d0_threshold")
 
 
 @dataclass(frozen=True)
@@ -240,21 +247,15 @@ def non_universality_check(B, L, dL, d0, c=1):
     """
     if d0 < 1:
         raise ParameterError("need d0 >= 1")
-    Bf, cf = _frac(B), _frac(c)
-    thr = d0_threshold(B, L, dL, c).exact
-    m14 = Fraction(2) ** 14 * (L + 2) ** 2 * dL**2 * (2 * Bf) ** (2 * L)
-    A = Fraction(L) ** 3 * (L + 2) ** 2 * Fraction(dL) ** 4 * (2 * Bf) ** (2 * L)
-    log_term = 0.5 * _log2_frac(cf) + _log2_frac(A)
-    margin = d0 / 17.0 - (log_term + float(m14) + 18.0)
-    wtilde_log2 = 2.0 * math.log2(d0) + _log2_frac(A) + float(m14) + 18.0
-    vc_log2 = (d0 / 2.0) * math.log2(4.0 / 3.0) - 0.5 * _log2_frac(cf)
+    m, A, T = _threshold_terms(B, L, dL, c)
+    threshold = m + _ceil_frac(17 * T) + 306
+    f, half_log2_c = "non_universality_check", 0.5 * _log2_frac(_frac(c))
+    t, d0f = _as_float(T, f), _as_float(d0, f)
+    margin_log2 = d0f / 17.0 - (half_log2_c + _log2_frac(A) + t + 18.0)
+    wtilde_log2 = 2.0 * math.log2(d0) + _log2_frac(A) + t + 18.0
+    vc_lower_log2 = (d0f / 2.0) * math.log2(4.0 / 3.0) - half_log2_c
     return NonUniversalityReport(
-        d0=int(d0),
-        threshold=thr,
-        holds=d0 >= thr,
-        margin_log2=margin,
-        wtilde_log2=wtilde_log2,
-        vc_lower_log2=vc_log2,
+        int(d0), threshold, d0 >= threshold, margin_log2, wtilde_log2, vc_lower_log2
     )
 
 

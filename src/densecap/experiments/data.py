@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bounds import SpikeTarget
-from ..errors import IngestionError, require_count
+from ..errors import CapacityError, IngestionError, require_count
 
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
@@ -19,6 +19,8 @@ TEST_IMAGES = "t10k-images-idx3-ubyte"
 TEST_LABELS = "t10k-labels-idx1-ubyte"
 
 DATA_ENV = "DENSECAP_DATA"
+
+SPIKE_MAX_ENTRIES = 2**24  # most grid labels N^d0, and most input entries samples * d0
 
 
 def _open_maybe_gz(path):
@@ -128,6 +130,12 @@ def make_spike_dataset(d0, N, seed, samples):
     require_count("N", N, 1)
     require_count("seed", seed)
     require_count("samples", samples, 1)
+    # N >= 2 to the limit's bit length already passes it, so N^d0 is never built
+    if max(N ** min(d0, SPIKE_MAX_ENTRIES.bit_length()), samples * d0) > SPIKE_MAX_ENTRIES:
+        raise CapacityError(
+            f"spike data of {N}^{d0} grid labels and {samples} x {d0} inputs "
+            f"exceeds {SPIKE_MAX_ENTRIES} entries"
+        )
     rng = np.random.default_rng(seed)
     z = rng.integers(0, 2, size=N**d0)
     target = SpikeTarget(d0, N, z / (2.0 * N))

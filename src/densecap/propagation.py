@@ -1,9 +1,9 @@
 """Message passing on step kernels and on their weighted-graph form.
 
-Both schemes are fixed, not trainable. On kernels each round integrates
-the signal against the kernel, amplifies by B, and applies ReLU; on graphs
-each round averages neighbor features weighted by the adjacency. The last
-round of either scheme drops the ReLU. Integrals over step objects are
+Both schemes are fixed, not trainable, and run one round loop that applies
+ReLU after every round but the last. On kernels a round integrates the
+signal against the kernel and amplifies by B; on graphs it averages
+neighbor features weighted by the adjacency. Integrals over step objects are
 measure-weighted finite sums, so evaluation is exact up to float rounding.
 """
 
@@ -24,6 +24,17 @@ from .networks import forward
 READOUT_TOL = 1e-10  # largest spread of a signal over one output cell
 
 
+def _run_rounds(step, x, L):
+    """Values after rounds 0..L of ``step``, with ReLU after all but the last."""
+    if L < 1:
+        raise ParameterError(f"need at least one round, got L={L}")
+    values = [x]
+    for _ in range(L - 1):
+        values.append(np.maximum(step(values[-1]), 0.0))
+    values.append(step(values[-1]))
+    return values
+
+
 def mpnn_forward(kernel, signal, B, L, return_hidden=False):
     """Run L rounds of amplified integral-ReLU message passing.
 
@@ -31,25 +42,14 @@ def mpnn_forward(kernel, signal, B, L, return_hidden=False):
     StepSignal; with ``return_hidden=True`` also the list of signals after
     rounds 0..L.
     """
-    if L < 1:
-        raise ParameterError(f"need at least one round, got L={L}")
     if signal.partition != kernel.partition:
         raise ParameterError(
             f"message passing needs the kernel's {kernel.partition.size}-part partition"
         )
     measures = kernel.partition.measures
-    g = signal.values
-    hidden = [StepSignal(kernel.partition, g)]
-    for ell in range(1, L + 1):
-        g = B * (kernel.coeffs @ (measures * g))
-        if ell < L:
-            g = np.maximum(g, 0.0)
-        if return_hidden:
-            hidden.append(StepSignal(kernel.partition, g))
-    out = StepSignal(kernel.partition, g)
-    if return_hidden:
-        return out, hidden
-    return out
+    values = _run_rounds(lambda g: B * (kernel.coeffs @ (measures * g)), signal.values, L)
+    hidden = [StepSignal(kernel.partition, g) for g in values]
+    return (hidden[-1], hidden) if return_hidden else hidden[-1]
 
 
 def readout(signal, layers):
@@ -67,23 +67,12 @@ def readout(signal, layers):
 
 def sr_mpnn_forward(graph, features, L, return_hidden=False):
     """L rounds of sum-ReLU message passing on a weighted graph."""
-    if L < 1:
-        raise ParameterError(f"need at least one round, got L={L}")
     features = np.asarray(features, dtype=float)
     n = graph.n
     if features.shape != (n,):
         raise ParameterError(f"features must have shape ({n},), got {features.shape}")
-    f = features
-    hidden = [f]
-    for ell in range(1, L + 1):
-        f = (graph.adjacency @ f) / n
-        if ell < L:
-            f = np.maximum(f, 0.0)
-        if return_hidden:
-            hidden.append(f)
-    if return_hidden:
-        return f, hidden
-    return f
+    hidden = _run_rounds(lambda f: (graph.adjacency @ f) / n, features, L)
+    return (hidden[-1], hidden) if return_hidden else hidden[-1]
 
 
 def graph_readout(features, layers):

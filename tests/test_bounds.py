@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from densecap import bounds
 from densecap.bounds import (
     BoundValue,
     SpikeTarget,
@@ -33,6 +34,15 @@ def test_lipschitz_non_integer_bound():
     assert abs(v.log2_float - math.log2(14 / 3)) <= 1e-12
 
 
+def test_lipschitz_keeps_to_the_exact_bit_limit(monkeypatch):
+    monkeypatch.setattr(bounds, "MAX_EXACT_BITS", 64)
+    v = lipschitz_constant(5, 30)  # 10^30 has 100 bits
+    assert v.exact is None and v.formula == "lipschitz_constant"
+    assert abs(v.log2_float - 30 * math.log2(10)) <= 1e-9
+    assert lipschitz_constant(4, 21).exact == 2**63  # (2B)^L = 8^21 stays exact
+    assert lipschitz_constant(4, 21).log2 == Fraction(63)
+
+
 def test_wrl_dim_spot_values():
     assert wrl_hidden_dim(4, 2, 1, 1).exact == 16
     v = wrl_hidden_dim(1, 2, 1, 1)
@@ -45,6 +55,19 @@ def test_compression_dim_exact_log2():
     v = compression_hidden_dim(1, 4, 2, 1, 1)
     assert v.log2 == Fraction(2_097_164)
     assert v.exact == 2**2_097_164
+
+
+@pytest.mark.parametrize("eps, B, L, d0, dL", [
+    (1, 4, 2, 1, 1), (4, 4, 2, 1, 1), ("1/2", 4, 2, 1, 1), (2, 5, 2, 1, 1),
+    ("3/2", "9/2", 2, 2, 3), (8, 4, 1, 1, 1), (100, 3, 1, 2, 2),
+    (1, 5, 3, 1, 1), (64, 6, 4, 1, 1),  # log space
+])
+def test_compression_dim_is_the_regularity_width_at_the_scaled_accuracy(eps, B, L, d0, dL):
+    v = compression_hidden_dim(eps, B, L, d0, dL)
+    scaled = Fraction(eps) / ((L + 2) * dL * (2 * Fraction(B)) ** L)
+    w = wrl_hidden_dim(scaled, L, d0, dL)
+    assert (v.exact, v.log2, v.formula) == (w.exact, w.log2, "compression_hidden_dim")
+    assert type(v.log2) is type(w.log2)
 
 
 def test_compression_dim_monotone_decreasing_in_eps():
@@ -106,6 +129,21 @@ def test_non_universality_check_at_threshold_and_below():
     below = non_universality_check(4, 2, 1, 1)
     assert not below.holds and below.margin_log2 < 0.0
     assert below.direct_gap_log2 < 0.0
+
+
+@pytest.mark.parametrize("args, threshold, margin, wtilde, vc", [
+    ((4, 2, 1, 18_253_611_637), 18_253_611_637, 0.0, 1073741929.1749258, 3787966663.313841),
+    ((4, 2, 1, 1), 18_253_611_637, -1073741860.9411764, 1073741861.0, 0.20751874963942188),
+    ((5, 3, 2, 7, 4), 27_852_800_000_890, -1638400000051.9185, 1638400000056.945,
+     0.45263124747595307),
+    (("9/2", 2, 3, 10**12, "1/3"), 263_148_798_687, 43344188312.53764, 15479341179.745825,
+     207518749640.21436),
+])
+def test_non_universality_fields_are_pinned(args, threshold, margin, wtilde, vc):
+    r = non_universality_check(*args)
+    assert r.threshold == threshold == d0_threshold(*args[:3], *args[4:]).exact
+    assert (r.margin_log2, r.wtilde_log2, r.vc_lower_log2) == (margin, wtilde, vc)
+    assert r.holds == (args[3] >= threshold) and r.d0 == args[3]
 
 
 def test_non_universality_margin_monotone_in_d0():

@@ -416,6 +416,28 @@ def test_bounds_bad_dimension_is_one_line_error(args, text):
     assert_one_line_error(run_cli("bounds", *args), text)
 
 
+@pytest.mark.parametrize("args, text", [
+    (("wrl-dim", "--eps", "1e-200", "--L", "2", "--d0", "1", "--dL", "1"), "wrl_hidden_dim"),
+    (("compression-dim", "--eps", "1/2", "--B", "200", "--L", "100", "--d0", "1", "--dL", "1"),
+     "compression_hidden_dim"),
+    (("non-universality", "--B", "200", "--L", "100", "--dL", "1", "--d0", "5"),
+     "non_universality_check"),
+])
+def test_bounds_beyond_the_float_range_are_one_line_errors(args, text):
+    r = run_cli("bounds", *args)
+    assert_one_line_error(r, text)
+    assert "log2 exceeds the float range" in r.stderr
+
+
+@pytest.mark.parametrize("spike", [
+    "spike:d0=30", "spike:d0=20", "spike:samples=10000000000", "spike:d0=2,N=4097",
+])
+def test_oversized_spike_data_is_one_line_error(spike):
+    r = run_cli("train", "--dataset", spike, "--width", "4", "--epochs", "1")
+    assert_one_line_error(r, "exceeds 16777216 entries")
+    assert r.stdout == ""
+
+
 def test_network_file_with_an_infinite_bound_is_refused(tmp_path):
     lines = serialize_network(random_network(2, 1, 1, 2, 4.0, np.random.default_rng(0))).splitlines()
     lines[1] = lines[1].rsplit(" ", 1)[0] + " inf"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from densecap.cli import main
-from densecap.errors import DensecapError, IngestionError, ParameterError
+from densecap.errors import CapacityError, DensecapError, IngestionError, ParameterError
 from densecap.experiments import (
     TrainConfig,
     load_mnist,
@@ -18,6 +18,7 @@ from densecap.experiments import (
     take_subset,
     train,
 )
+from densecap.experiments import data as data_mod
 from densecap.experiments.data import (
     TEST_IMAGES,
     TEST_LABELS,
@@ -233,6 +234,20 @@ def test_spike_dataset_checks_seed_and_samples(kw, message):
 def test_spike_dataset_checks_its_dimensions(args, message):
     with pytest.raises(ParameterError, match=message):
         make_spike_dataset(*args, 0, 64)
+
+
+@pytest.mark.parametrize("d0, N, samples, refused", [
+    (2, 4, 8, False), (2, 4, 9, True),  # 8 x 2 inputs fit 16, 9 x 2 do not
+    (4, 2, 4, False), (5, 2, 1, True), (1, 17, 1, True),  # 2^4 labels fit, 2^5 and 17 not
+    (16, 1, 1, False),  # one label however large d0 is
+])
+def test_spike_dataset_size_limit(d0, N, samples, refused, monkeypatch):
+    monkeypatch.setattr(data_mod, "SPIKE_MAX_ENTRIES", 16)
+    if refused:
+        with pytest.raises(CapacityError, match="exceeds 16 entries"):
+            make_spike_dataset(d0, N, 0, samples)
+    else:
+        assert make_spike_dataset(d0, N, 0, samples).train_x.shape == (samples, d0)
 
 
 def test_gradcheck_against_finite_differences():
