@@ -54,6 +54,14 @@ def _as_float(x, formula):
         raise CapacityError(f"{formula}: log2 exceeds the float range") from None
 
 
+def _show(x):
+    """A rational as a float for a message; beyond the float range, as sign and log2."""
+    try:
+        return str(float(x))
+    except OverflowError:
+        return f"{'-' if x < 0 else ''}2^{_log2_frac(abs(x)):.6g}"
+
+
 def _ceil_frac(fr):
     return -((-fr.numerator) // fr.denominator)
 
@@ -151,7 +159,7 @@ def compression_hidden_dim(eps, B, L, d0, dL):
     if L < 1 or d0 < 1 or dL < 1:
         raise ParameterError("dimensions must be positive")  # before dL divides
     if B < L + 2:
-        raise ParameterError(f"need B >= L+2, got B={float(B)}, L={L}")
+        raise ParameterError(f"need B >= L+2, got B={_show(B)}, L={L}")
     try:
         v = wrl_hidden_dim(eps / ((L + 2) * dL * (2 * B) ** L), L, d0, dL)
     except CapacityError as exc:
@@ -168,7 +176,7 @@ def vc_lower_bound(eps, d0, c=1):
     """
     eps, c = _frac(eps), _frac(c)
     if not 0 < eps < Fraction(1, 3):
-        raise ParameterError(f"eps must lie in (0, 1/3), got {float(eps)}")
+        raise ParameterError(f"eps must lie in (0, 1/3), got {_show(eps)}")
     if c <= 0 or d0 < 1:
         raise ParameterError("need c > 0 and d0 >= 1")
     q = (1 / (6 * eps)) ** d0 / c
@@ -182,19 +190,18 @@ def _threshold_terms(B, L, dL, c):
     """d0_threshold's terms A, T and m = ceil(17 log2(sqrt(c) A)), exactly."""
     B, c = _frac(B), _frac(c)
     if B < L + 2:
-        raise ParameterError(f"need B >= L+2, got B={float(B)}, L={L}")
+        raise ParameterError(f"need B >= L+2, got B={_show(B)}, L={L}")
     if c <= 0 or dL < 1 or L < 2:
         raise ParameterError("need c > 0, dL >= 1, L >= 2")
     A = Fraction(L) ** 3 * (L + 2) ** 2 * Fraction(dL) ** 4 * (2 * B) ** (2 * L)
     T = Fraction(2) ** 14 * (L + 2) ** 2 * dL**2 * (2 * B) ** (2 * L)
     nd = (c * A * A) ** 17
-    # smallest m with 2^(2m) >= nd
-    m = (nd.numerator.bit_length() - nd.denominator.bit_length()) // 2 + 2
-    while m > -(10**9) and Fraction(2) ** (2 * (m - 1)) >= nd:
-        m -= 1
-    while Fraction(2) ** (2 * m) < nd:
-        m += 1
-    return m, A, T
+    # the smallest k with 2^k >= p/q = nd is a-b or a-b+1, a and b the bit
+    # lengths of p and q; then m = ceil(k/2) is the smallest with 2^(2m) >= nd
+    p, q = nd.numerator, nd.denominator
+    k = p.bit_length() - q.bit_length()
+    k += (p << max(-k, 0)) > (q << max(k, 0))
+    return -(-k // 2), A, T
 
 
 def d0_threshold(B, L, dL, c=1):

@@ -26,17 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CapacityError,
     DimensionMismatchError,
     InvalidBoundError,
     InvalidNetworkError,
     ParameterError,
-    ParseError,
     ValidationFailedError,
 )
-from .networks import DenseNetwork, _lines, _numbers, _row_buffer
+from .networks import DenseNetwork, _fmt, _LineReader
 from .partitions import Partition, equipartition
 
 VALIDATION_ATOL = 1e-12  # absolute tolerance of every validation condition
+MAX_INDUCED_ENTRIES = 1 << 28  # n*n cap of an induced kernel or graph (2 GiB)
 
 
 @dataclass(frozen=True)
@@ -276,8 +277,13 @@ class ComputationalGraph:
 
 
 def _fill_blocks(net, divisor):
-    """Common block layout for induced kernels (divisor=B) and graphs (1)."""
+    """Common block layout for induced kernels (divisor=B) and graphs (1).
+
+    Refuses an n x n array of more than MAX_INDUCED_ENTRIES entries.
+    """
     ls = LayerStructure(net.L, net.d0, net.dL, net.d)
+    if ls.n * ls.n > MAX_INDUCED_ENTRIES:
+        raise CapacityError(f"induced {ls.n} x {ls.n} array exceeds {MAX_INDUCED_ENTRIES} entries")
     a = np.zeros((ls.n, ls.n))
     params = [p for wb in zip(net.weights, net.biases) for p in wb] + [net.L + 2.0]
     for (rows, cols), p in zip(ls.blocks(), params):
@@ -485,7 +491,7 @@ def serialize_kernel(ck):
     ls = ck.layers
     out.write(f"{ck.n} {ls.L} {ls.d0} {ls.dL} {ck.B!r}\n")
     for row in ck.kernel.coeffs:
-        out.write(" ".join(repr(float(v)) for v in row) + "\n")
+        out.write(_fmt(row) + "\n")
     return out.getvalue()
 
 
@@ -495,34 +501,14 @@ def deserialize_kernel(text):
     The rows fill a preallocated (n x n) array one line at a time, so the
     peak memory stays near the array's size on top of the text.
     """
-    lines = _lines(text)
-    if next(lines, "").strip() != MAGIC_KERNEL:
-        raise ParseError(f"bad header, expected {MAGIC_KERNEL!r}", line=1)
-    head = next(lines, None)
-    if head is None:
-        raise ParseError("truncated record: missing dimensions line", line=2)
-    head = head.split()
-    if len(head) != 5:
-        raise ParseError("dimensions line needs 'n L d0 dL B'", line=2)
-    n, L, d0, dL = _numbers(head[:4], int, 2, "dimensions 'n L d0 dL'")
-    (B,) = _numbers(head[4:], float, 2, "bound B")
+    reader = _LineReader(text, MAGIC_KERNEL)
+    n, L, d0, dL, B = reader.dims("n L d0 dL")
     if L < 2:
-        raise ParseError(f"depth L={L} must be at least 2", line=2)
+        raise reader.error(f"depth L={L} must be at least 2")
     if n % (L + 2):
-        raise ParseError(f"size {n} not divisible by L+2={L + 2}", line=2)
+        raise reader.error(f"size {n} not divisible by L+2={L + 2}")
     ls = LayerStructure(L, d0, dL, n // (L + 2))
-    found = text.count("\n") + (not text.endswith("\n")) - 2
-    if found < n:
-        raise ParseError(
-            f"truncated record: expected {n} coefficient rows, found {found}",
-            line=found + 3,
-        )
-    coeffs = _row_buffer(text, n, n)
-    for r in range(n):
-        vals = next(lines).split()
-        if len(vals) != n:
-            raise ParseError(f"row {r} has {len(vals)} entries, expected {n}", line=3 + r)
-        coeffs[r % len(coeffs)] = _numbers(vals, float, 3 + r, f"row {r}")
+    coeffs = reader.rows(n, n, "")
     return ComputationalKernel(StepKernel(ls.fine_partition(), coeffs), ls, B)
 
 

@@ -194,89 +194,90 @@ def serialize_network(net):
     return out.getvalue()
 
 
-def _lines(text):
-    """The newline-separated lines of ``text``, one at a time."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end
-        yield text[start:end]
-        start = end + 1
+class _LineReader:
+    """A text record read one line at a time, lines numbered from 1.
 
-
-def _numbers(fields, kind, line, what):
-    """Convert text fields with ``kind`` (int or float); ParseError if one fails."""
-    try:
-        return [kind(v) for v in fields]
-    except ValueError:
-        raise ParseError(
-            f"{what}: expected {kind.__name__} values, got {' '.join(fields)!r}",
-            line=line,
-        ) from None
-
-
-def _row_buffer(text, rows, cols):
-    """Array for ``rows`` parsed rows of ``cols`` numbers; row r goes to r % len.
-
-    A text shorter than such rows (rows*(2*cols - 1) characters) has a short
-    or missing row, which raises before it is stored: one scratch row will do.
+    Building it checks line 1 against ``magic``. Each error names the line
+    last taken, or the first missing one for a truncated record.
     """
-    fits = rows * (2 * cols - 1) <= len(text)
-    return np.empty((rows, cols) if fits else (1, min(cols, len(text))))
+
+    def __init__(self, text, magic):
+        self.text, self.line, self._start = text, 0, 0
+        if self.take("header").strip() != magic:
+            raise self.error(f"bad header, expected {magic!r}")
+
+    def error(self, message):
+        """A ParseError at the current line, for the caller to raise."""
+        return ParseError(message, line=self.line)
+
+    def take(self, what):
+        """The next line; ``what`` names it if the text has ended."""
+        self.line += 1
+        if self._start >= len(self.text):
+            raise self.error(f"truncated record: missing {what}")
+        end = self.text.find("\n", self._start)
+        end = len(self.text) if end < 0 else end
+        line, self._start = self.text[self._start:end], end + 1
+        return line
+
+    def numbers(self, fields, kind, what):
+        """Convert text fields with ``kind`` (int or float)."""
+        try:
+            return [kind(v) for v in fields]
+        except ValueError:
+            got = " ".join(fields)
+            raise self.error(f"{what}: expected {kind.__name__} values, got {got!r}") from None
+
+    def dims(self, names):
+        """The dimensions line: four ints called ``names``, then the float bound B."""
+        head = self.take("dimensions line").split()
+        if len(head) != 5:
+            raise self.error(f"dimensions line needs '{names} B'")
+        return (*self.numbers(head[:4], int, f"dimensions '{names}'"),
+                *self.numbers(head[4:], float, "bound B"))
+
+    def rows(self, count, width, what):
+        """``count`` lines of ``width`` floats, filling one array row by row.
+
+        A text shorter than such rows (count*(2*width - 1) characters) has a
+        short or missing row, which raises before it is stored: one scratch
+        row then stands in for the array, so a large header allocates nothing.
+        """
+        fits = count * (2 * width - 1) <= len(self.text)
+        out = np.empty((count, width) if fits else (1, min(width, len(self.text))))
+        for r in range(count):
+            vals = self.take(f"{what}row {r}").split()
+            if len(vals) != width:
+                raise self.error(f"{what}row {r} has {len(vals)} entries, expected {width}")
+            out[r % len(out)] = self.numbers(vals, float, f"{what}row {r}")
+        return out
 
 
 def deserialize_network(text):
     """Parse a network file; each layer fills a preallocated array line by line."""
-    lines = _lines(text)
-    pos = 0
-
-    def take(what):
-        nonlocal pos
-        pos += 1
-        line = next(lines, None)
-        if line is None:
-            raise ParseError(f"truncated record: missing {what}", line=pos)
-        return line
-
-    if take("header").strip() != MAGIC_NET:
-        raise ParseError(f"bad header, expected {MAGIC_NET!r}", line=1)
-    head = take("dimensions line").split()
-    if len(head) != 5:
-        raise ParseError("dimensions line needs 'L d0 dL d B'", line=2)
-    L, d0, dL, d = _numbers(head[:4], int, 2, "dimensions 'L d0 dL d'")
-    (B,) = _numbers(head[4:], float, 2, "bound B")
+    reader = _LineReader(text, MAGIC_NET)
+    L, d0, dL, d, B = reader.dims("L d0 dL d")
     if min(d0, dL, d) < 1:
-        raise ParseError("widths d0, dL and d must be positive", line=2)
+        raise reader.error("widths d0, dL and d must be positive")
 
     def width(k):
         # per layer, so a header's L allocates nothing before its layers
         return d0 if k == 0 else dL if k == L else d
 
     def marker(name):
-        tag = take(f"{name} marker").split()
+        tag = reader.take(f"{name} marker").split()
         if tag != name.split():
-            raise ParseError(f"expected '{name}' marker, got {' '.join(tag)!r}", line=pos)
+            raise reader.error(f"expected '{name}' marker, got {' '.join(tag)!r}")
 
     weights, biases = [], []
     for ell in range(1, L + 1):
         marker(f"W {ell}")
-        w = _row_buffer(text, width(ell), width(ell - 1))
-        for r in range(width(ell)):
-            vals = take(f"W {ell} row {r}").split()
-            if len(vals) != width(ell - 1):
-                raise ParseError(
-                    f"W {ell} row {r} has {len(vals)} entries, expected {width(ell - 1)}",
-                    line=pos,
-                )
-            w[r % len(w)] = _numbers(vals, float, pos, f"W {ell} row {r}")
+        weights.append(reader.rows(width(ell), width(ell - 1), f"W {ell} "))
         marker(f"b {ell}")
-        vals = take(f"b {ell} values").split()
+        vals = reader.take(f"b {ell} values").split()
         if len(vals) != width(ell):
-            raise ParseError(
-                f"b {ell} has {len(vals)} entries, expected {width(ell)}", line=pos
-            )
-        weights.append(w)
-        biases.append(np.array(_numbers(vals, float, pos, f"b {ell} values")))
+            raise reader.error(f"b {ell} has {len(vals)} entries, expected {width(ell)}")
+        biases.append(np.array(reader.numbers(vals, float, f"b {ell} values")))
     return DenseNetwork(L, d0, dL, d, B, tuple(weights), tuple(biases))
 
 

@@ -111,6 +111,25 @@ def test_d0_threshold_spot_value():
     assert v.consistent()
 
 
+@pytest.mark.parametrize("B, L, dL, c", [
+    (4, 2, 1, 1), (5, 3, 2, 4), ("9/2", 2, 3, "1/3"), (4, 2, 1, Fraction(1, 10**400)),
+    (7, 5, 1, Fraction(1, 2**380)), (7, 5, 1, Fraction(3, 2**381)),
+])
+def test_threshold_m_is_the_smallest_power_of_four_above(B, L, dL, c):
+    m, A, _ = bounds._threshold_terms(B, L, dL, c)
+    nd = (Fraction(c) * A * A) ** 17
+    assert Fraction(4) ** m >= nd > Fraction(4) ** (m - 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: compression_hidden_dim(1, "-1e400", 2, 1, 1),
+    lambda: d0_threshold("-1e400", 2, 1),
+])
+def test_a_bound_beyond_the_float_range_is_named_in_its_error(call):
+    with pytest.raises(ParameterError, match=r"got B=-2\^1328.77"):
+        call()
+
+
 def test_d0_threshold_monotone_in_c_and_dL():
     base = d0_threshold(4, 2, 1, 1).exact
     assert d0_threshold(4, 2, 1, 4).exact > base

@@ -429,6 +429,27 @@ def test_bounds_beyond_the_float_range_are_one_line_errors(args, text):
     assert "log2 exceeds the float range" in r.stderr
 
 
+@pytest.mark.parametrize("args, text", [
+    (("compression-dim", "--eps", "1", "--B=-1e400", "--L", "2", "--d0", "1", "--dL", "1"),
+     "need B >= L+2, got B=-2^1328.77"),
+    (("d0-threshold", "--B=-1e400", "--L", "2", "--dL", "1"), "need B >= L+2, got B=-2^1328.77"),
+    (("vc-lower", "--eps=-1e400", "--d0", "2"), "got -2^1328.77"),
+])
+def test_bounds_far_below_the_float_range_are_one_line_errors(args, text):
+    assert_one_line_error(run_cli("bounds", *args), text)
+
+
+def test_an_oversized_induced_kernel_is_one_line_error(tmp_path):
+    # n = 4 * 8192: a 2^30-entry kernel (8 GiB) from a 98 kB network file
+    net = tmp_path / "big.txt"
+    save_network(DenseNetwork(2, 1, 1, 8192, 4.0, (np.ones((8192, 1)), np.ones((1, 8192))),
+                              (np.ones(8192), np.ones(1))), net)
+    for command in (("induce", str(net), "--out", str(tmp_path / "k.txt")),
+                    ("equiv-check", "--net", str(net))):
+        assert_one_line_error(run_cli(*command), "induced 32768 x 32768 array exceeds")
+    assert not (tmp_path / "k.txt").exists()
+
+
 @pytest.mark.parametrize("spike", [
     "spike:d0=30", "spike:d0=20", "spike:samples=10000000000", "spike:d0=2,N=4097",
 ])

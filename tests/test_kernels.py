@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from densecap import kernels
 from densecap.errors import (
+    CapacityError,
     DimensionMismatchError,
     InvalidBoundError,
     InvalidNetworkError,
@@ -572,3 +574,13 @@ def _top_right(a):
 def test_block_kernel_refuses_bad_blocks(blocks, error):
     with pytest.raises(error):
         BlockKernel(equipartition(4), blocks)
+
+
+def test_induction_refuses_an_array_over_the_entry_cap(monkeypatch):
+    net = zero_net(d=4)  # n = 16: 256 entries
+    monkeypatch.setattr(kernels, "MAX_INDUCED_ENTRIES", 255)
+    for induce in (induce_kernel, induce_graph):
+        with pytest.raises(CapacityError, match="induced 16 x 16 array exceeds 255 entries"):
+            induce(net)
+    monkeypatch.setattr(kernels, "MAX_INDUCED_ENTRIES", 256)
+    assert induce_kernel(net).n == induce_graph(net).n == 16
