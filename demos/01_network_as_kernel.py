@@ -21,11 +21,12 @@ net = random_network(L=3, d0=2, dL=2, d=12, B=6.0, rng=rng)
 print(f"network: depth {net.L}, widths {net.layer_dims}, bound {net.B}")
 
 ck = induce_kernel(net)
-print(f"kernel: {ck.n} x {ck.n} step kernel, hidden dim {ck.d}")
+print(f"kernel: {ck.n} x {ck.n} step kernel in {len(ck.kernel.blocks)} blocks, hidden dim {ck.d}")
 print(validate_computational(ck))
 
 g = induce_graph(net)
-print(f"graph: {g.n} vertices, bias block weight {g.adjacency[-1, -1]:.0f}")
+bias_block = g.blocks[-1][2]  # the bias region's rows and columns come last
+print(f"graph: {g.n} vertices, bias block weight {bias_block[0, 0]:.0f}")
 
 x = rng.uniform(0, 1, 2)
 rep = check_equivalence(net, x)

@@ -174,20 +174,36 @@ def vc_lower_bound(eps, d0, c=1):
     construction does not stay 1-Lipschitz and bounded, so the evaluator
     rejects it rather than extrapolate.
     """
-    eps, c = _frac(eps), _frac(c)
+    eps, c, f = _frac(eps), _frac(c), "vc_lower_bound"
     if not 0 < eps < Fraction(1, 3):
         raise ParameterError(f"eps must lie in (0, 1/3), got {_show(eps)}")
     if c <= 0 or d0 < 1:
         raise ParameterError("need c > 0 and d0 >= 1")
-    q = (1 / (6 * eps)) ** d0 / c
-    root = _isqrt_frac(q) if q.numerator.bit_length() <= MAX_EXACT_BITS else None
-    if root is not None:
-        return _from_fraction(root, "vc_lower_bound")
-    return BoundValue(None, 0.5 * _log2_frac(q), "vc_lower_bound")
+    # q = r^d0 / c has an integer root only if it is an integer, which needs
+    # b^d0 to divide c's denominator; q is formed only then, and only if its
+    # parts stay within MAX_EXACT_BITS
+    r = 1 / (6 * eps)
+    a, b = r.numerator, r.denominator
+    integral = b == 1 or d0 * (b.bit_length() - 1) < c.denominator.bit_length()
+    bits = d0 * Fraction(_log2_int(max(a, b))) + max(c.numerator, c.denominator).bit_length()
+    if integral and bits <= MAX_EXACT_BITS:
+        root = _isqrt_frac(r**d0 / c)
+        if root is not None and root.denominator == 1:
+            return _from_fraction(root, f)
+    log2_q = d0 * Fraction(_log2_frac(r)) - Fraction(_log2_frac(c))
+    return BoundValue(None, _as_float(log2_q / 2, f), f)
 
 
 def _threshold_terms(B, L, dL, c):
-    """d0_threshold's terms A, T and m = ceil(17 log2(sqrt(c) A)), exactly."""
+    """d0_threshold's terms A, T and m = ceil(17 log2(sqrt(c) A)), exactly.
+
+    m = ceil(k/2) for k = ceil(x), x = 17 log2(c A^2), read off a float x
+    summed from the logs of the parts of c and A. Each ``_log2_int`` is off
+    by at most 2^-46 + 2^-53 |log|, and the sum and the product by 17 round
+    by at most 2^-53 of s = 17 (sum of the logs' magnitudes) each, so the
+    float x is within 2^-40 (s + 1024) of the true one. Only when it lies
+    that close to an integer is (c A^2)^17 formed and compared exactly.
+    """
     B, c = _frac(B), _frac(c)
     if B < L + 2:
         raise ParameterError(f"need B >= L+2, got B={_show(B)}, L={L}")
@@ -195,12 +211,18 @@ def _threshold_terms(B, L, dL, c):
         raise ParameterError("need c > 0, dL >= 1, L >= 2")
     A = Fraction(L) ** 3 * (L + 2) ** 2 * Fraction(dL) ** 4 * (2 * B) ** (2 * L)
     T = Fraction(2) ** 14 * (L + 2) ** 2 * dL**2 * (2 * B) ** (2 * L)
-    nd = (c * A * A) ** 17
-    # the smallest k with 2^k >= p/q = nd is a-b or a-b+1, a and b the bit
-    # lengths of p and q; then m = ceil(k/2) is the smallest with 2^(2m) >= nd
-    p, q = nd.numerator, nd.denominator
-    k = p.bit_length() - q.bit_length()
-    k += (p << max(-k, 0)) > (q << max(k, 0))
+    logs = [_log2_int(c.numerator), -_log2_int(c.denominator),
+            2 * _log2_int(A.numerator), -2 * _log2_int(A.denominator)]
+    x = 17 * sum(logs)
+    if abs(x - round(x)) > 2.0**-40 * (17 * sum(map(abs, logs)) + 1024):
+        k = math.ceil(x)
+    else:
+        # the smallest k with 2^k >= p/q = (c A^2)^17 is a-b or a-b+1, a
+        # and b the bit lengths of p and q
+        nd = (c * A * A) ** 17
+        p, q = nd.numerator, nd.denominator
+        k = p.bit_length() - q.bit_length()
+        k += (p << max(-k, 0)) > (q << max(k, 0))
     return -(-k // 2), A, T
 
 

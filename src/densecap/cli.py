@@ -222,6 +222,9 @@ def cmd_equiv_check(args):
     ok = all(rep.passed for rep in reports)
     print(f"{len(cases)} instances, max discrepancy {worst:.3e} "
           f"({'<=' if ok else '>'} {args.tolerance:g})")
+    big = max(reports, key=lambda rep: rep.kernel_entries)
+    print(f"kernel held in {big.kernel_blocks} blocks, "
+          f"{big.kernel_entries:,} of {big.n * big.n:,} entries")
     return 0 if ok else 1
 
 

@@ -10,6 +10,11 @@ output units; the bias region is one unit). Only the blocks
 bias column, and (L+2)/B on the bias diagonal block so a unit bias signal
 is preserved by message passing.
 
+Inducing a kernel or graph fills one d x d array per entry of
+``blocks()`` on the fine parts, and message passing multiplies by those
+blocks alone, so the three-path check never builds the n x n array. Files,
+validation, extraction and lifting read the n x n array ``.dense()`` gives.
+
 The parts of one unit are twins, with equal rows and columns, so
 ``unit_blocks`` merges them: the same kernel on (L-1)*d + d0 + dL + 1
 unequal parts, held as a BlockKernel of one array per entry of
@@ -21,7 +26,7 @@ weights without building the n x n kernel.
 import io
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +42,7 @@ from .networks import DenseNetwork, _fmt, _LineReader
 from .partitions import Partition, equipartition
 
 VALIDATION_ATOL = 1e-12  # absolute tolerance of every validation condition
-MAX_INDUCED_ENTRIES = 1 << 28  # n*n cap of an induced kernel or graph (2 GiB)
+MAX_INDUCED_ENTRIES = 1 << 28  # cap on the entries of induced blocks or a dense array (2 GiB)
 
 
 @dataclass(frozen=True)
@@ -146,6 +151,46 @@ class LayerStructure:
         return out + [("bias", "bias")]
 
 
+def _checked_blocks(n, blocks, bound, what):
+    """Disjoint (rows, cols, array) blocks of an n x n array, |entry| <= bound.
+
+    Returns them read-only in row-major order of their corners, empty ones
+    dropped. ``what`` names the entries and their bound in the error.
+    """
+    out = []
+    for rows, cols, a in blocks:
+        for s in (rows, cols):
+            ok = isinstance(s, slice) and s.step in (None, 1)
+            if not (ok and all(isinstance(b, (int, np.integer)) for b in (s.start, s.stop))
+                    and 0 <= s.start <= s.stop <= n):
+                raise ParameterError(f"block bounds {s} are not a slice of 0..{n}")
+        a = np.ascontiguousarray(a, dtype=float)
+        a.setflags(write=False)
+        want = (len(range(n)[rows]), len(range(n)[cols]))
+        if a.shape != want:
+            raise DimensionMismatchError(f"block {rows} x {cols}", want, a.shape)
+        top = max(a.max(initial=0.0), -a.min(initial=0.0))  # no |a| copy
+        if not top <= bound + 1e-9:  # also refuses NaN
+            raise ParameterError(f"{what[0]} magnitude {top} exceeds {what[1]}")
+        if a.size:
+            out.append((rows, cols, a))
+    out.sort(key=lambda b: (b[0].start, b[1].start))
+    for (r, c, _), (r2, c2, _) in itertools.combinations(out, 2):
+        if r2.start < r.stop and r.start < r2.stop and c2.start < c.stop and c.start < c2.stop:
+            raise ParameterError(f"blocks {r} x {c} and {r2} x {c2} overlap")
+    return tuple(out)
+
+
+def _dense(n, blocks):
+    """The n x n array the blocks fill, zero elsewhere; refused over the entry cap."""
+    if n * n > MAX_INDUCED_ENTRIES:
+        raise CapacityError(f"dense {n} x {n} array exceeds {MAX_INDUCED_ENTRIES} entries")
+    c = np.zeros((n, n))
+    for rows, cols, a in blocks:
+        c[rows, cols] = a
+    return c
+
+
 @dataclass(frozen=True)
 class BlockKernel:
     """A step kernel that vanishes outside a few blocks of consecutive parts.
@@ -154,47 +199,27 @@ class BlockKernel:
     slices of the parts with explicit bounds; every entry outside them is 0.
     They are kept in row-major order of their corners, which sets the order
     in which a part's row or column is summed across blocks. A StepKernel is
-    the one-block case; a layered kernel's unit quotient has one block per
-    entry of ``LayerStructure.blocks()`` (``unit_blocks``).
+    the one-block case; an induced kernel has one block per entry of
+    ``LayerStructure.blocks()`` on its fine parts, and its unit quotient one
+    per entry on its units (``unit_blocks``).
     """
 
     partition: Partition
     blocks: tuple
 
     def __post_init__(self):
-        n, out = self.partition.size, []
-        for rows, cols, a in self.blocks:
-            for s in (rows, cols):
-                ok = isinstance(s, slice) and s.step in (None, 1)
-                if not (ok and all(isinstance(b, (int, np.integer)) for b in (s.start, s.stop))
-                        and 0 <= s.start <= s.stop <= n):
-                    raise ParameterError(f"block bounds {s} are not a slice of 0..{n}")
-            a = np.ascontiguousarray(a, dtype=float)
-            a.setflags(write=False)
-            want = (len(range(n)[rows]), len(range(n)[cols]))
-            if a.shape != want:
-                raise DimensionMismatchError(f"block {rows} x {cols}", want, a.shape)
-            top = max(a.max(initial=0.0), -a.min(initial=0.0))
-            if not top <= 1.0 + 1e-9:  # also refuses NaN
-                raise ParameterError(f"coefficient magnitude {top} exceeds 1")
-            if a.size:
-                out.append((rows, cols, a))
-        out.sort(key=lambda b: (b[0].start, b[1].start))
-        for (r, c, _), (r2, c2, _) in itertools.combinations(out, 2):
-            if r2.start < r.stop and r.start < r2.stop and c2.start < c.stop and c.start < c2.stop:
-                raise ParameterError(f"blocks {r} x {c} and {r2} x {c2} overlap")
-        object.__setattr__(self, "blocks", tuple(out))
+        blocks = _checked_blocks(self.n, self.blocks, 1.0, ("coefficient", 1))
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n(self):
         return self.partition.size
 
     def dense(self):
-        """The same kernel as a StepKernel on its n x n array."""
-        c = np.zeros((self.n, self.n))
-        for rows, cols, a in self.blocks:
-            c[rows, cols] = a
-        return StepKernel(self.partition, c)
+        """The same kernel as a StepKernel on its n x n array: itself if it is one."""
+        if isinstance(self, StepKernel):
+            return self
+        return StepKernel(self.partition, _dense(self.n, self.blocks))
 
 
 class StepKernel(BlockKernel):
@@ -207,6 +232,11 @@ class StepKernel(BlockKernel):
     @property
     def coeffs(self):
         return self.blocks[0][2]
+
+
+def _array(kernel):
+    """The n x n array of ``kernel.dense()``, without wrapping it in a StepKernel."""
+    return kernel.coeffs if isinstance(kernel, StepKernel) else _dense(kernel.n, kernel.blocks)
 
 
 @dataclass(frozen=True)
@@ -226,7 +256,7 @@ class StepSignal:
 
 @dataclass(frozen=True)
 class ComputationalKernel:
-    kernel: StepKernel
+    kernel: BlockKernel
     layers: LayerStructure
     B: float
 
@@ -254,54 +284,62 @@ class ComputationalKernel:
 
 @dataclass(frozen=True)
 class ComputationalGraph:
-    """Weighted-graph form: same layout, weights unscaled, bias block L+2."""
+    """Weighted-graph form: same layout and blocks, weights unscaled, bias block L+2.
 
-    adjacency: np.ndarray
+    ``blocks`` are (rows, cols, array) triples as in a BlockKernel, with
+    edge weights of magnitude at most B; ``dense()`` is the n x n adjacency.
+    """
+
+    blocks: tuple
     layers: LayerStructure
     B: float
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.adjacency, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(self, "adjacency", a)
-        n = self.layers.n
-        if a.shape != (n, n):
-            raise DimensionMismatchError("adjacency", (n, n), a.shape)
-        top = max(a.max(initial=0.0), -a.min(initial=0.0))  # no |a| copy
-        if not top <= self.B + 1e-9:  # also refuses NaN
-            raise ParameterError(f"edge weight magnitude {top} exceeds B={self.B}")
+        blocks = _checked_blocks(self.n, self.blocks, self.B, ("edge weight", f"B={self.B}"))
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n(self):
         return self.layers.n
 
+    def dense(self):
+        return _dense(self.n, self.blocks)
+
 
 def _fill_blocks(net, divisor):
-    """Common block layout for induced kernels (divisor=B) and graphs (1).
+    """Blocks of induced kernels (divisor=B) and graphs (1), one per ``blocks()`` entry.
 
-    Refuses an n x n array of more than MAX_INDUCED_ENTRIES entries.
+    Each is a d x d array on the fine parts, constant on every (unit, unit)
+    pair. Refuses blocks of more than MAX_INDUCED_ENTRIES entries in total.
     """
     ls = LayerStructure(net.L, net.d0, net.dL, net.d)
-    if ls.n * ls.n > MAX_INDUCED_ENTRIES:
-        raise CapacityError(f"induced {ls.n} x {ls.n} array exceeds {MAX_INDUCED_ENTRIES} entries")
-    a = np.zeros((ls.n, ls.n))
+    pairs, d = ls.blocks(), ls.d
+    if len(pairs) * d * d > MAX_INDUCED_ENTRIES:
+        raise CapacityError(
+            f"induced {ls.n} x {ls.n} array exceeds {MAX_INDUCED_ENTRIES} entries "
+            f"even as its {len(pairs)} blocks of {d} x {d}"
+        )
     params = [p for wb in zip(net.weights, net.biases) for p in wb] + [net.L + 2.0]
-    for (rows, cols), p in zip(ls.blocks(), params):
-        u = ls.units(a, rows, cols)
-        u[...] = np.reshape(p / divisor, (u.shape[0], 1, u.shape[2], 1))
-    return ls, a
+    out = []
+    for (rows, cols), p in zip(pairs, params):
+        r, c = ls.width(rows), ls.width(cols)
+        # reshape copies the broadcast, but for a view of p / divisor where
+        # each unit is one part (hidden to hidden)
+        a = np.broadcast_to(np.reshape(p / divisor, (r, 1, c, 1)), (r, d // r, c, d // c))
+        out.append((ls.layer_slice(rows), ls.layer_slice(cols), a.reshape(d, d)))
+    return ls, tuple(out)
 
 
 def induce_kernel(net):
     """Computational kernel of a network: weights/B on the layered blocks."""
-    ls, coeffs = _fill_blocks(net, float(net.B))
-    return ComputationalKernel(StepKernel(ls.fine_partition(), coeffs), ls, float(net.B))
+    ls, blocks = _fill_blocks(net, float(net.B))
+    return ComputationalKernel(BlockKernel(ls.fine_partition(), blocks), ls, float(net.B))
 
 
 def induce_graph(net):
     """Weighted-graph encoding of a network (raw weights, bias block L+2)."""
-    ls, adj = _fill_blocks(net, 1.0)
-    return ComputationalGraph(adj, ls, float(net.B))
+    ls, blocks = _fill_blocks(net, 1.0)
+    return ComputationalGraph(blocks, ls, float(net.B))
 
 
 def layers_of(obj):
@@ -335,7 +373,7 @@ def unit_blocks(obj):
             for (rows, cols), p in zip(ls.blocks(), params)
         ]
     else:
-        c = obj.kernel.coeffs
+        c = _array(obj.kernel)
         blocks = [ls.units(c, rows, cols)[:, 0, :, 0] for rows, cols in ls.blocks()]
     return BlockKernel(Partition(ls.unit_parts() / ls.n), tuple(
         (ls.unit_slice(rows), ls.unit_slice(cols), block)
@@ -398,7 +436,11 @@ def layered_conditions(ck):
     network (condition 3, reported at the largest entry off the blocks, the
     first in row-major order on ties). Returns them as a report.
     """
-    ls, c, allowed = ck.layers, ck.kernel.coeffs, ck.layers.blocks()
+    return _layered_conditions(ck.layers, _array(ck.kernel))
+
+
+def _layered_conditions(ls, c):
+    allowed = ls.blocks()
     regions = list(range(ls.L + 1)) + ["bias"]
     constancy, worst = ConditionCheck(True), (0.0, 0, 0)  # (|c[i, j]|, -i, -j)
     for rows, cols in itertools.product(regions, regions):
@@ -426,9 +468,13 @@ def layered_conditions(ck):
 
 
 def validate_computational(ck):
-    """Diagnostics for the four structural conditions; never raises."""
+    """Diagnostics for the four structural conditions.
+
+    Never raises on a kernel whose n x n array fits MAX_INDUCED_ENTRIES;
+    beyond that, reading the array raises CapacityError before allocating.
+    """
     ls, B, kernel = ck.layers, ck.B, ck.kernel
-    c = kernel.coeffs
+    c = _array(kernel)  # one n x n array for all four
     out = {}
 
     # condition 1: the types already fix n = (L+2)*d with d0 and dL dividing d
@@ -441,7 +487,7 @@ def validate_computational(ck):
         return ValidationReport(out)
     out["1 (size and equipartition)"] = ConditionCheck(True)
 
-    out.update(layered_conditions(ck).conditions)
+    out.update(_layered_conditions(ls, c).conditions)
 
     # condition 4: bias diagonal block pinned to (L+2)/B
     want = (ls.L + 2) / B
@@ -456,6 +502,7 @@ def validate_computational(ck):
 
 def extract_network(ck):
     """Read the inducing network back off a valid computational kernel."""
+    ck = replace(ck, kernel=ck.kernel.dense())  # one n x n array, validated and read
     report = validate_computational(ck)
     if not report.ok:
         raise ValidationFailedError(
@@ -478,7 +525,7 @@ def lift_computational(ck, factor):
     if factor == 1:
         return ck
     ls = LayerStructure(ck.layers.L, ck.layers.d0, ck.layers.dL, ck.layers.d * factor)
-    c = np.repeat(np.repeat(ck.kernel.coeffs, factor, axis=0), factor, axis=1)
+    c = np.repeat(np.repeat(_array(ck.kernel), factor, axis=0), factor, axis=1)
     return ComputationalKernel(StepKernel(ls.fine_partition(), c), ls, ck.B)
 
 
@@ -490,7 +537,7 @@ def serialize_kernel(ck):
     out.write(MAGIC_KERNEL + "\n")
     ls = ck.layers
     out.write(f"{ck.n} {ls.L} {ls.d0} {ls.dL} {ck.B!r}\n")
-    for row in ck.kernel.coeffs:
+    for row in _array(ck.kernel):
         out.write(_fmt(row) + "\n")
     return out.getvalue()
 

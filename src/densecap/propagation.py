@@ -5,6 +5,8 @@ ReLU after every round but the last. On kernels a round integrates the
 signal against the kernel and amplifies by B; on graphs it averages
 neighbor features weighted by the adjacency. Integrals over step objects are
 measure-weighted finite sums, so evaluation is exact up to float rounding.
+Both multiply by the blocks alone, so an induced kernel or graph runs on
+its 2L+1 fine blocks and no n x n array is built.
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,17 @@ from .kernels import (
 from .networks import forward
 
 READOUT_TOL = 1e-10  # largest spread of a signal over one output cell
+
+
+def _block_product(blocks, v):
+    """The product of the blocks' n x n array with v: ``out[rows] += a @ v[cols]``.
+
+    On a one-block StepKernel this is ``coeffs @ v``.
+    """
+    out = np.zeros(v.size)
+    for rows, cols, a in blocks:
+        out[rows] += a @ v[cols]
+    return out
 
 
 def _run_rounds(step, x, L):
@@ -47,7 +60,9 @@ def mpnn_forward(kernel, signal, B, L, return_hidden=False):
             f"message passing needs the kernel's {kernel.partition.size}-part partition"
         )
     measures = kernel.partition.measures
-    values = _run_rounds(lambda g: B * (kernel.coeffs @ (measures * g)), signal.values, L)
+    values = _run_rounds(
+        lambda g: B * _block_product(kernel.blocks, measures * g), signal.values, L
+    )
     hidden = [StepSignal(kernel.partition, g) for g in values]
     return (hidden[-1], hidden) if return_hidden else hidden[-1]
 
@@ -71,7 +86,7 @@ def sr_mpnn_forward(graph, features, L, return_hidden=False):
     n = graph.n
     if features.shape != (n,):
         raise ParameterError(f"features must have shape ({n},), got {features.shape}")
-    hidden = _run_rounds(lambda f: (graph.adjacency @ f) / n, features, L)
+    hidden = _run_rounds(lambda f: _block_product(graph.blocks, f) / n, features, L)
     return (hidden[-1], hidden) if return_hidden else hidden[-1]
 
 
@@ -89,12 +104,23 @@ def graph_readout(features, layers):
 
 @dataclass
 class EquivalenceReport:
+    """The three outputs and their agreement, plus what the encodings held.
+
+    ``kernel_entries`` and ``graph_entries`` count the entries of the
+    ``kernel_blocks`` arrays each encoding was held in, against ``n * n``
+    for the dense array.
+    """
+
     net_output: np.ndarray
     kernel_output: np.ndarray
     graph_output: np.ndarray
     max_discrepancy: float
     bias_values: list
     tolerance: float
+    n: int
+    kernel_blocks: int
+    kernel_entries: int
+    graph_entries: int
 
     @property
     def passed(self):
@@ -130,4 +156,7 @@ def check_equivalence(net, x, tolerance=1e-9):
         np.max(np.abs(y_net - y_graph)),
         np.max(np.abs(y_ker - y_graph)),
     ]))
-    return EquivalenceReport(y_net, y_ker, y_graph, disc, bias_values, tolerance)
+    held = [sum(a.size for _, _, a in blocks) for blocks in (ck.kernel.blocks, g.blocks)]
+    return EquivalenceReport(
+        y_net, y_ker, y_graph, disc, bias_values, tolerance, ck.n, len(ck.kernel.blocks), *held
+    )

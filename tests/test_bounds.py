@@ -15,7 +15,7 @@ from densecap.bounds import (
     vc_lower_bound,
     wrl_hidden_dim,
 )
-from densecap.errors import ParameterError
+from densecap.errors import CapacityError, ParameterError
 
 
 def test_lipschitz_spot_values():
@@ -96,6 +96,24 @@ def test_vc_lower_bound_spot_values():
     assert abs(v.log2_float - 153 * math.log2(4 / 3)) <= 1e-9
 
 
+def test_vc_lower_bound_sizes_before_it_builds(monkeypatch):
+    # (4/3)^d0 can never have an integer root, so no power is formed
+    monkeypatch.setattr(bounds, "_isqrt_frac", None)
+    v = vc_lower_bound("1/8", 20_000_000)
+    assert v.exact is None
+    assert v.log2 == pytest.approx(0.5 * 20_000_000 * math.log2(4 / 3), rel=1e-15)
+    with pytest.raises(CapacityError, match="float range"):
+        vc_lower_bound("1/8", 10**400)
+
+
+def test_vc_lower_bound_keeps_its_exact_roots():
+    assert vc_lower_bound("1/12", 40).exact == 2**20
+    # c's denominator cancels r's: (4/3)^2 / (16/9) = 1
+    assert vc_lower_bound("1/8", 2, Fraction(16, 9)).exact == 1
+    assert vc_lower_bound("1/8", 2, Fraction(1, 9)).exact == 4
+    assert vc_lower_bound("1/8", 2).exact is None
+
+
 def test_vc_lower_bound_domain():
     with pytest.raises(ParameterError):
         vc_lower_bound("1/3", 2)
@@ -119,6 +137,31 @@ def test_threshold_m_is_the_smallest_power_of_four_above(B, L, dL, c):
     m, A, _ = bounds._threshold_terms(B, L, dL, c)
     nd = (Fraction(c) * A * A) ** 17
     assert Fraction(4) ** m >= nd > Fraction(4) ** (m - 1)
+
+
+def exact_threshold_m(B, L, dL, c):
+    """m from (c A^2)^17 itself, the way _threshold_terms computed it before."""
+    B, c = Fraction(B), Fraction(c)
+    A = Fraction(L) ** 3 * (L + 2) ** 2 * Fraction(dL) ** 4 * (2 * B) ** (2 * L)
+    nd = (c * A * A) ** 17
+    p, q = nd.numerator, nd.denominator
+    k = p.bit_length() - q.bit_length()
+    k += (p << max(-k, 0)) > (q << max(k, 0))
+    return -(-k // 2)
+
+
+def test_threshold_m_matches_the_exact_comparison():
+    rng = np.random.default_rng(31)
+    for i in range(20_000):
+        L, dL = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        B = L + 2 + Fraction(int(rng.integers(0, 10**6)), int(rng.integers(1, 10**6)))
+        if i % 4 == 0:  # c A^2 a power of two: x is an integer, the exact route decides
+            _, A, _ = bounds._threshold_terms(B, L, dL, 1)
+            c = Fraction(2) ** int(rng.integers(-50, 50)) / (A * A)
+        else:
+            c = Fraction(int(rng.integers(1, 10**9)), int(rng.integers(1, 10**9)))
+            c *= Fraction(2) ** int(rng.integers(-600, 600))
+        assert bounds._threshold_terms(B, L, dL, c)[0] == exact_threshold_m(B, L, dL, c)
 
 
 @pytest.mark.parametrize("call", [

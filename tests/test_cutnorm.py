@@ -168,7 +168,7 @@ def test_comp_distance_swap_recovered_by_exhaustive():
     idx = np.arange(ck.n)  # the first two hidden parts trade places
     first = ck.layers.layer_slice(1).start
     idx[[first, first + 1]] = [first + 1, first]
-    swapped = ck.kernel.coeffs[np.ix_(idx, idx)]
+    swapped = ck.kernel.dense().coeffs[np.ix_(idx, idx)]
     cj = type(ck)(StepKernel(ck.layers.fine_partition(), swapped), ck.layers, ck.B)
     ident = comp_cut_distance_upper(ck, cj, mode="identity")
     exh = comp_cut_distance_upper(ck, cj, mode="exhaustive")
@@ -180,16 +180,16 @@ def test_comp_distance_refuses_kernels_that_are_not_layered():
     # a layer-0 row must vanish; the unit quotient would not read it and so
     # measure 0.0, where the full kernels are 0.05625 apart
     ck = induce_kernel(random_network(2, 1, 1, 4, 6.0, np.random.default_rng(0)))
-    c = ck.kernel.coeffs.copy()
+    c = ck.kernel.dense().coeffs.copy()
     c[0] = 0.9
     cj = ComputationalKernel(StepKernel(ck.kernel.partition, c), ck.layers, ck.B)
-    half = StepKernel(ck.kernel.partition, (c - ck.kernel.coeffs) / 2)
+    half = StepKernel(ck.kernel.partition, (c - ck.kernel.dense().coeffs) / 2)
     assert 2 * kernel_cut_norm_exact(half).value == pytest.approx(0.05625, abs=1e-12)
     for pair, which in (((ck, cj), "second"), ((cj, ck), "first")):
         with pytest.raises(ValidationFailedError, match=f"{which} kernel .*3 \\(zero"):
             comp_cut_distance_upper(*pair)
     # variation inside a unit is not read either
-    c = ck.kernel.coeffs.copy()
+    c = ck.kernel.dense().coeffs.copy()
     c[ck.layers.layer_slice(1).start, ck.layers.layer_slice(0).start] += 0.01
     cj = ComputationalKernel(StepKernel(ck.kernel.partition, c), ck.layers, ck.B)
     with pytest.raises(ValidationFailedError, match="2 \\(cell constancy"):
@@ -1166,11 +1166,11 @@ def full_kernel_distance_reference(ck, cj, mode, oracle="exact"):
     cuts = np.union1d(np.arange(0, N + 1, N // a.n), np.arange(0, N + 1, N // b.n))
     refined = Partition(np.diff(cuts) / N)
     ri, rj = cuts[:-1] // (N // a.n), cuts[:-1] // (N // b.n)
-    kc = ck.kernel.coeffs[np.ix_(ri, ri)]
+    kc = ck.kernel.dense().coeffs[np.ix_(ri, ri)]
     best = None
     for perms in candidates:
         idx = fine_permutation_index(b, perms)[rj]
-        diff = kc - cj.kernel.coeffs[np.ix_(idx, idx)]
+        diff = kc - cj.kernel.dense().coeffs[np.ix_(idx, idx)]
         whole = slice(0, refined.size)
         w, _ = difference_cut_norm(refined, [(whole, whole, diff)], oracle, 0)
         best = w.value if best is None else min(best, w.value)

@@ -50,7 +50,7 @@ def zero_net(L=2, d0=1, dL=1, d=4, B=None):
 def test_zero_net_kernel_is_bias_block_only():
     net = zero_net(B=4.0)  # B = L+2
     ck = induce_kernel(net)
-    c = ck.kernel.coeffs.copy()
+    c = ck.kernel.dense().coeffs.copy()
     bias = ck.layers.bias_slice
     assert np.all(c[bias, bias] == 1.0)
     c[bias, bias] = 0.0
@@ -64,7 +64,7 @@ def test_first_layer_weight_scaled_to_one():
     net = DenseNetwork(2, 1, 1, 4, 4.0, (w1, net.weights[1]), net.biases)
     ck = induce_kernel(net)
     ls = ck.layers
-    block = ck.kernel.coeffs[ls.layer_slice(1), ls.in_cell_slice(0)]
+    block = ck.kernel.dense().coeffs[ls.layer_slice(1), ls.in_cell_slice(0)]
     assert block[0, 0] == 1.0
 
 
@@ -90,19 +90,19 @@ def test_single_block_perturbations_fail_exactly_one_condition():
 
     # zero-required block: a full input-cell column block against a
     # non-successor row (whole block, so cell constancy stays intact)
-    c = ck.kernel.coeffs.copy()
+    c = ck.kernel.dense().coeffs.copy()
     c[ls.layer_slice(2).start, ls.in_cell_slice(0)] = 0.5
     fails = failing(c)
     assert len(fails) == 1 and fails[0].startswith("3")
 
     # columns under the output layer must vanish too
-    c = ck.kernel.coeffs.copy()
+    c = ck.kernel.dense().coeffs.copy()
     c[ls.layer_slice(1).start, ls.layer_slice(ls.L).start] = 0.25
     fails = failing(c)
     assert len(fails) == 1 and fails[0].startswith("3")
 
     # bias block off (L+2)/B
-    c = ck.kernel.coeffs.copy()
+    c = ck.kernel.dense().coeffs.copy()
     c[ls.bias_slice, ls.bias_slice] = 1.0  # wrong unless B == L+2
     assert ck.B > ls.L + 2 or pytest.skip("bound equals L+2 here")
     fails = failing(c)
@@ -110,7 +110,7 @@ def test_single_block_perturbations_fail_exactly_one_condition():
 
     # break constancy within an input cell (needs d > d0)
     if ls.d > ls.d0:
-        c = ck.kernel.coeffs.copy()
+        c = ck.kernel.dense().coeffs.copy()
         row, col = ls.layer_slice(1).start, ls.in_cell_slice(0).start
         c[row, col] = 0.5 if c[row, col] <= 0.0 else -0.5
         fails = failing(c)
@@ -147,7 +147,7 @@ def test_roundtrip_near_exact_general_bound():
 def test_extract_requires_valid_kernel():
     rng = np.random.default_rng(4)
     ck = induce_kernel(random_layered_net(rng))
-    c = ck.kernel.coeffs.copy()
+    c = ck.kernel.dense().coeffs.copy()
     c[ck.layers.layer_slice(0).start, ck.layers.layer_slice(0).start] = 0.9
     bad = ComputationalKernel(
         StepKernel(ck.layers.fine_partition(), c), ck.layers, ck.B
@@ -161,14 +161,14 @@ def test_graph_kernel_commuting_square_exact():
     for _ in range(20):
         net = random_layered_net(rng)
         ck = induce_kernel(net)
-        via_graph = induce_graph(net).adjacency / net.B
-        assert np.array_equal(ck.kernel.coeffs, via_graph)
+        via_graph = induce_graph(net).dense() / net.B
+        assert np.array_equal(ck.kernel.dense().coeffs, via_graph)
 
 
 def test_zero_net_graph_has_only_bias_edges():
     net = zero_net(L=2, d=4, B=4.0)
     g = induce_graph(net)
-    a = g.adjacency.copy()
+    a = g.dense()
     bias = g.layers.bias_slice
     assert np.all(a[bias, bias] == 4.0)  # L+2
     a[bias, bias] = 0.0
@@ -215,7 +215,7 @@ def test_lift_preserves_kernel_function():
     assert validate_computational(lifted).ok
     # block values repeat
     assert np.array_equal(
-        lifted.kernel.coeffs[::3, ::3][: ck.n, : ck.n], ck.kernel.coeffs
+        lifted.kernel.coeffs[::3, ::3][: ck.n, : ck.n], ck.kernel.dense().coeffs
     )
 
 
@@ -223,7 +223,7 @@ def test_kernel_serialization_round_trip():
     rng = np.random.default_rng(9)
     ck = induce_kernel(random_layered_net(rng, max_d=6))
     back = deserialize_kernel(serialize_kernel(ck))
-    assert np.array_equal(back.kernel.coeffs, ck.kernel.coeffs)
+    assert np.array_equal(back.kernel.coeffs, ck.kernel.dense().coeffs)
     assert back.B == ck.B
     assert (back.layers.L, back.layers.d0, back.layers.dL) == (
         ck.layers.L, ck.layers.d0, ck.layers.dL,
@@ -323,8 +323,8 @@ def test_deserialize_kernel_peak_is_near_the_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert back.kernel.coeffs.tobytes() == ck.kernel.coeffs.tobytes()
-    assert peak <= 2 * ck.kernel.coeffs.nbytes
+    assert back.kernel.coeffs.tobytes() == ck.kernel.dense().coeffs.tobytes()
+    assert peak <= 2 * ck.kernel.dense().coeffs.nbytes
 
 
 def test_deserialize_kernel_checks_the_header_before_the_rows():
@@ -361,8 +361,9 @@ def test_graph_refuses_nan(where):
     ls = LayerStructure(2, 1, 1, 2)
     a = np.zeros((ls.n, ls.n))
     a[0, 0] = np.nan if where == "entry" else 0.0
+    whole = slice(0, ls.n)
     with pytest.raises(ParameterError, match="exceeds B"):
-        ComputationalGraph(a, ls, float("nan") if where == "B" else 4.0)
+        ComputationalGraph(((whole, whole, a),), ls, float("nan") if where == "B" else 4.0)
 
 
 # Per-cell statements of the layered layout, one loop per input or output
@@ -399,7 +400,7 @@ def reference_input_signal(x, ls):
 
 
 def reference_extract(ck):
-    ls, c, B = ck.layers, ck.kernel.coeffs, ck.B
+    ls, c, B = ck.layers, ck.kernel.dense().coeffs, ck.B
     w1 = np.empty((ls.d, ls.d0))
     for j in range(ls.d0):
         w1[:, j] = B * c[ls.layer_slice(1), ls.in_cell_slice(j).start]
@@ -420,7 +421,7 @@ def reference_extract(ck):
 
 def reference_verdicts(ck, atol=1e-12):
     """Pass/fail of conditions 1-4, with condition 2 over whole cell columns/rows."""
-    ls, c = ck.layers, ck.kernel.coeffs
+    ls, c = ck.layers, ck.kernel.dense().coeffs
     if not np.allclose(ck.kernel.partition.measures, 1.0 / ls.n, rtol=0, atol=1e-12):
         return [False] * 4
     devs = [np.abs(c[:, s] - c[:, s][:, :1]).max() for s in map(ls.in_cell_slice, range(ls.d0))]
@@ -471,8 +472,8 @@ def test_layout_matches_the_per_cell_reference(layout, seed):
     rng = np.random.default_rng(seed)
     net = random_network(L, d0, dL, d, float(rng.uniform(L + 2, 10.0)), rng)
     ck, g = induce_kernel(net), induce_graph(net)
-    assert same_bits(ck.kernel.coeffs, reference_fill(net, float(net.B)))
-    assert same_bits(g.adjacency, reference_fill(net, 1.0))
+    assert same_bits(ck.kernel.dense().coeffs, reference_fill(net, float(net.B)))
+    assert same_bits(g.dense(), reference_fill(net, 1.0))
     x = rng.uniform(-1.0, 1.0, d0)
     assert same_bits(induce_input_signal(x, ck.layers).values, reference_input_signal(x, ck.layers))
     back = extract_network(ck)
@@ -501,7 +502,7 @@ def test_validation_matches_the_per_cell_reference(seed, hits, log_size):
     """
     rng = np.random.default_rng(seed)
     ck = induce_kernel(random_layered_net(rng, max_d=12))
-    c = ck.kernel.coeffs.copy()
+    c = ck.kernel.dense().coeffs.copy()
     for _ in range(hits):
         i, j = rng.integers(0, ck.n, 2)
         c[i, j] = np.clip(c[i, j] + rng.choice([-1.0, 1.0]) * 10.0**log_size, -1.0, 1.0)
@@ -540,7 +541,7 @@ def test_unit_quotient_is_the_kernel_on_its_units(L, d0, dL, mult, seed):
     assert np.array_equal(q.partition.measures, parts / ls.n)
     # spreading each unit back over its parts gives the kernel bitwise
     fine = np.repeat(np.repeat(q.coeffs, parts, axis=0), parts, axis=1)
-    assert np.array_equal(fine, ck.kernel.coeffs)
+    assert np.array_equal(fine, ck.kernel.dense().coeffs)
     # read straight off the weights, the quotient is the same bits
     qn = unit_blocks(net).dense()
     assert same_bits(qn.coeffs, q.coeffs)
@@ -577,10 +578,23 @@ def test_block_kernel_refuses_bad_blocks(blocks, error):
 
 
 def test_induction_refuses_an_array_over_the_entry_cap(monkeypatch):
-    net = zero_net(d=4)  # n = 16: 256 entries
-    monkeypatch.setattr(kernels, "MAX_INDUCED_ENTRIES", 255)
+    net = zero_net(d=4)  # n = 16: 5 blocks of 4 x 4 hold 80 entries
+    monkeypatch.setattr(kernels, "MAX_INDUCED_ENTRIES", 79)
     for induce in (induce_kernel, induce_graph):
-        with pytest.raises(CapacityError, match="induced 16 x 16 array exceeds 255 entries"):
+        with pytest.raises(CapacityError, match="induced 16 x 16 array exceeds 79 entries "
+                           "even as its 5 blocks of 4 x 4"):
             induce(net)
-    monkeypatch.setattr(kernels, "MAX_INDUCED_ENTRIES", 256)
+    monkeypatch.setattr(kernels, "MAX_INDUCED_ENTRIES", 80)
     assert induce_kernel(net).n == induce_graph(net).n == 16
+
+
+def test_dense_keeps_the_n_squared_cap(monkeypatch):
+    net = zero_net(d=4)  # 80 entries in the blocks, 256 in the dense array
+    monkeypatch.setattr(kernels, "MAX_INDUCED_ENTRIES", 255)
+    ck, g = induce_kernel(net), induce_graph(net)  # the blocks fit
+    for dense in (ck.kernel.dense, g.dense, lambda: serialize_kernel(ck),
+                  lambda: validate_computational(ck), lambda: extract_network(ck)):
+        with pytest.raises(CapacityError, match="dense 16 x 16 array exceeds 255 entries"):
+            dense()
+    monkeypatch.setattr(kernels, "MAX_INDUCED_ENTRIES", 256)
+    assert ck.kernel.dense().n == g.dense().shape[0] == 16

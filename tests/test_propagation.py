@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densecap.errors import EquivalenceViolationError, ParameterError
 from densecap.kernels import (
@@ -10,7 +14,7 @@ from densecap.kernels import (
     induce_input_signal,
     induce_kernel,
 )
-from densecap.networks import forward
+from densecap.networks import forward, random_network, random_small_network
 from densecap.partitions import Partition, equipartition
 from densecap.propagation import (
     check_equivalence,
@@ -119,7 +123,7 @@ def test_sr_mpnn_zero_adjacency():
     rng = np.random.default_rng(3)
     net = random_layered_net(rng, max_d=4)
     g = induce_graph(net)
-    zero = type(g)(np.zeros((g.n, g.n)), g.layers, g.B)
+    zero = type(g)(((slice(0, g.n), slice(0, g.n), np.zeros((g.n, g.n))),), g.layers, g.B)
     out = sr_mpnn_forward(zero, rng.uniform(-1, 1, g.n), net.L)
     assert np.all(out == 0.0)
 
@@ -213,3 +217,40 @@ def test_mpnn_refuses_a_signal_off_the_kernel_partition():
     sig_coarse = StepSignal(equipartition(2), np.array([1.0, -1.0]))
     with pytest.raises(ParameterError, match="4-part partition"):
         mpnn_forward(kern, sig_coarse, B=3.0, L=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_block_encodings_are_the_dense_ones(seed):
+    from test_kernels import reference_fill, same_bits
+
+    rng = np.random.default_rng(seed)
+    net = random_small_network(rng)
+    x = rng.uniform(0, 1, net.d0)
+    ck, g = induce_kernel(net), induce_graph(net)
+    dense = ck.kernel.dense()
+    assert same_bits(dense.coeffs, reference_fill(net, float(net.B)))
+    assert same_bits(g.dense(), reference_fill(net, 1.0))
+    assert len(ck.kernel.blocks) == len(g.blocks) == 2 * net.L + 1
+    sig = induce_input_signal(x, ck.layers)
+    _, on_blocks = mpnn_forward(ck.kernel, sig, ck.B, net.L, return_hidden=True)
+    _, on_dense = mpnn_forward(dense, sig, ck.B, net.L, return_hidden=True)
+    for a, b in zip(on_blocks, on_dense):
+        assert np.abs(a.values - b.values).max() <= 1e-12
+    rep = check_equivalence(net, x)
+    assert rep.max_discrepancy <= 1e-9 and rep.max_bias_drift <= 1e-12
+    assert (rep.n, rep.kernel_blocks) == (ck.n, 2 * net.L + 1)
+    assert rep.kernel_entries == rep.graph_entries == (2 * net.L + 1) * net.d**2
+
+
+def test_equivalence_check_builds_no_n_by_n_array():
+    net = random_network(4, 2, 3, 240, 7.0, np.random.default_rng(0))  # n = 1,440
+    x = np.random.default_rng(1).uniform(0, 1, 2)
+    tracemalloc.start()
+    try:
+        rep = check_equivalence(net, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.max_bias_drift <= 1e-12
+    assert peak < rep.n * rep.n * 8  # one n x n float64 array, 15.8 MiB

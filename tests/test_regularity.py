@@ -435,7 +435,7 @@ def sandwich_reference(net, labels, d_new):
         groups = struct[sl] if ell in (0, ls.L) else labels[sl]
         ticks, _ = regularity._slot_weights(np.full(ls.d, d_new), groups, ls.d)
         weights[ls_new.layer_slice(ell), sl] = ticks / ls.d
-    full = weights @ ck.kernel.coeffs @ weights.T
+    full = weights @ ck.kernel.dense().coeffs @ weights.T
     coeffs = np.zeros_like(full)  # every block outside blocks() is zeroed
     for rows, cols in ls_new.blocks():
         sl = np.s_[ls_new.layer_slice(rows), ls_new.layer_slice(cols)]
