@@ -1,17 +1,16 @@
-"""Compress a wide dense network by regularizing its kernel.
+"""Compress a wide dense network by grouping its hidden units.
 
-The pipeline: read the network's step kernel on its units straight off
-the weights (each unit's twin parts merged into one, the kernel's unit
-quotient; the full (L+2)*d-part kernel is never built), refine a
-coarse partition along cut-norm witnesses (each refinement is forced to
-respect the layer structure and a per-layer group budget), cut every
-hidden layer into equal slots of its units, and build the smaller
-network from the per-layer slot averages: W'_l = P_l W_l P_{l-1}^T and
-b'_l = P_l b_l, with P_l the slot matrix of hidden layer l. The report
-bounds the worst output gap by (L+2) * dL * (2B)^L times the measured
-kernel distance, a bound certified only when that distance is exact and
-labelled an estimate otherwise; the empirical gap is typically orders of
-magnitude below it.
+The pipeline: split each hidden layer's units into equal groups by
+recursive splits along the top principal direction of their entries in
+the layered kernel's thin blocks (a low-rank view of a matrix gives a
+weak regularity partition with few parts), permute the units into group
+order (the same function), cut that order into contiguous slots and
+build the smaller network from the slot averages: W'_l = P W_l P^T and
+b'_l = P b_l, with P the slot matrix. The report gives the cut norm of
+the difference of the two kernels, identity layout, and bounds the worst
+output gap by (L+2) * dL * (2B)^L times it, a bound certified only when
+that distance is exact and labelled an estimate otherwise; the empirical
+gap is typically orders of magnitude below it.
 """
 
 import numpy as np
@@ -24,7 +23,7 @@ print(f"original width: {net.d} ({sum(w.size for w in net.weights)} weights)")
 
 small, rep = compress_network(net, target_d=24, seed=3)
 print(f"compressed width: {small.d} ({sum(w.size for w in small.weights)} weights)")
-print(f"kernel distance delta_hat = {rep.delta_hat:.5f} "
+print(f"cut norm of the difference, identity layout = {rep.delta_hat:.5f} "
       f"({'exact' if rep.delta_exact else 'heuristic lower bound'})")
 print(f"{rep.bound_label}  (L+2)*dL*(2B)^L*delta = {rep.theoretical_bound:.2f}")
 print(f"empirical max gap over {rep.samples} inputs = {rep.empirical_max:.5f}")

@@ -255,8 +255,8 @@ def cmd_compress(args):
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(rep.to_dict(), fh, indent=2)
-    print(f"width {rep.d_original} -> {rep.d_compressed}; "
-          f"delta_hat {rep.delta_hat:.6g} ({'exact' if rep.delta_exact else 'heuristic'})")
+    print(f"width {rep.d_original} -> {rep.d_compressed}; cut norm of the difference, "
+          f"identity layout {rep.delta_hat:.6g} ({'exact' if rep.delta_exact else 'heuristic'})")
     print(f"{rep.bound_label} {rep.theoretical_bound:.6g}, "
           f"empirical max {rep.empirical_max:.6g} over {rep.samples} samples")
     return 0

@@ -9,6 +9,7 @@ into this form.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +47,8 @@ class Partition:
         return b
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Partition):
             return NotImplemented
         return self.size == other.size and np.allclose(
@@ -53,8 +56,9 @@ class Partition:
         )
 
 
+@lru_cache
 def equipartition(n):
-    """The partition of [0, 1] into n equal parts."""
+    """The partition of [0, 1] into n equal parts, one shared read-only object per n."""
     if n < 1:
         raise ParameterError("need at least one part")
     return Partition(np.full(n, 1.0 / n))

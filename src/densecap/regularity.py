@@ -1,30 +1,20 @@
-"""Constructive weak regularity for step kernels and network compression.
+"""Constructive weak regularity for step kernels, and network compression.
 
-The driver is the classical energy-increment loop: average the kernel
-over the blocks of the current partition, locate a set pair on which the
+``weak_regularity`` is the energy-increment loop: average the kernel over
+the blocks of the current partition, locate a set pair on which the
 residual has large integral, refine the partition by that pair, repeat.
-Each completed refinement raises the squared L2 norm of the projection by at least the
-witness value squared, which caps the iteration count.
+Each refinement raises the squared L2 norm of the projection by at least
+the witness value squared, which caps the iteration count.
 
-Compression runs the loop on the network's unit quotient: the layered
-kernel with each unit's twin parts merged into one part of their summed
-measure, (L-1)*d + d0 + dL + 1 parts instead of (L+2)*d, with the same cut
-norms and projections. The loop takes a BlockKernel, of which a
-StepKernel is the one-block case; compression gets the quotient as
-its layer blocks (``kernels.unit_blocks``) and starts from the structural
-labels. Its groups never mix layers, so the projection and the residual
-vanish off those blocks too: each round computes them, and the oracle's
-products, block by block, and no n_units x n_units array is built. The
-final partition respects the layered structure, and each hidden layer's
-units are averaged over equal slots: with ``P_l`` the (d' x d) slot
-matrix of hidden layer l, the smaller network has
-``W'_l = P_l W_l P_{l-1}^T`` and ``b'_l = P_l b_l`` (the first layer
-keeps its inputs, the last its outputs). The input's n x n kernel is
-never built: the quotient is read off the weights, the distance measured
-between the two networks' quotients, and only the smaller network's
-kernel is induced, to be validated. ``_slot_weights`` cuts the slots
-from one stream of integer ticks, so every slot weight is an exact ratio
-and a compression to the network's own width reproduces it.
+``compress_network`` cuts each hidden layer's units into equal groups
+by recursive splits along the top principal direction of their features
+(principal direction divisive partitioning; Boley, Data Mining and
+Knowledge Discovery, 1998): their rows of the layered kernel's thin
+blocks, scaled by the square root of the measure on the other side. A
+low-rank view of a matrix gives a weak regularity partition with few
+parts (Frieze and Kannan, Combinatorica, 1999). The original's hidden
+units are permuted into group order, the same function, and averaged
+over contiguous slots of that order.
 """
 
 import math
@@ -46,7 +36,6 @@ from .kernels import (
     induce_kernel,
     layers_of,
     lift_computational,  # noqa: F401 - bench/tracing.py wraps this name here
-    unit_blocks,
     validate_computational,
 )
 from .networks import DenseNetwork, forward, forward_threads
@@ -137,16 +126,13 @@ class RegularityTrace:
 
 
 def _refine(kernel, labels, split, stop, max_iter, oracle, seed):
-    """The energy-increment loop shared by every refinement in this module.
+    """The energy-increment loop of ``weak_regularity``, from ``labels``.
 
     Each round projects the kernel onto the label groups, records the
     projection energy and the residual's cut witness, and stops once the
     witness drops below ``stop`` or after ``max_iter`` splits. Otherwise
     ``split(labels, s, t)`` refines the labels by the witness indicator
-    vectors s (rows) and t (columns); it returns None when it refuses to
-    refine, which ends the run as "budget_exhausted". ``split`` may itself
-    be None when the first round is sure to stop, as for labels that are
-    the kernel's own parts: their residual, and so their witness, is zero.
+    vectors s (rows) and t (columns).
     """
     records = []
     exact_used = True
@@ -174,11 +160,7 @@ def _refine(kernel, labels, split, stop, max_iter, oracle, seed):
         t = np.zeros(kernel.n, dtype=np.int64)
         s[list(witness.row_set)] = 1
         t[list(witness.col_set)] = 1
-        refined = split(labels, s, t)
-        if refined is None:
-            status = "budget_exhausted"
-            break
-        labels = refined
+        labels = split(labels, s, t)
     coarse = StepKernel(Partition(gm), np.clip(vals, -1, 1))
     return RegularityTrace(
         records, labels, coarse, kernel.partition, witness.value, status, exact_used
@@ -200,7 +182,7 @@ def weak_regularity(kernel, eps, oracle="exact", seed=0):
     return _refine(
         kernel,
         np.zeros(kernel.n, dtype=np.int64),
-        lambda labels, s, t: _relabel(labels * 4 + 2 * s + t),
+        lambda labels, s, t: np.unique(labels * 4 + 2 * s + t, return_inverse=True)[1],
         eps,
         math.ceil(4.0 / (eps * eps)),
         oracle,
@@ -208,57 +190,13 @@ def weak_regularity(kernel, eps, oracle="exact", seed=0):
     )
 
 
-def _relabel(raw):
-    _, inv = np.unique(raw, return_inverse=True)
-    return inv.astype(np.int64)
-
-
-def _first_occurrence(codes):
-    """Ids of the distinct values of ``codes``, numbered by first occurrence."""
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    rank = np.empty(first.size, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(first.size)
-    return rank[inverse]
-
-
-def _pair_labels(a, b):
-    """Group ids of the pairs (a[i], b[i]), numbered by first occurrence.
-
-    Both inputs are non-negative integer label arrays.
-    """
-    return _first_occurrence(a * (b.max() + 1) + b)
-
-
-def _slot_weights(sizes, groups, unit):
-    """Cut grouped pieces into equal units; returns (amounts, h).
-
-    The pieces form one stream of integer ticks, ``sizes[i]`` for piece i:
-    group after group, numbered by their first piece, each group's pieces
-    in index order. A group's ticks past its whole units are leftovers; a
-    stable sort moves them behind every group's front, and the stream is
-    cut every ``unit`` ticks, so the sizes must total a whole number of
-    units. ``amounts[k, i]`` counts the ticks of piece i in unit k, as
-    floats, and h, the number of units cut from leftovers, is below the
-    number of groups.
-    """
-    g = _first_occurrence(groups)
-    order = np.argsort(g, kind="stable")
-    piece = np.repeat(order, sizes[order])
-    group, tick = g[piece], np.arange(piece.size)
-    count = np.bincount(group)  # group k's ticks end at cumsum(count)[k]
-    left = tick >= (np.cumsum(count) - count % unit)[group]
-    piece = piece[np.argsort(left, kind="stable")]
-    n = len(sizes)
-    ticks = np.bincount(tick // unit * n + piece, minlength=tick.size // unit * n)
-    return ticks.reshape(-1, n).astype(float), int(left.sum()) // unit
-
-
 @dataclass
 class CompressionReport:
-    """What ``compress_network`` measured. Each ``stages`` entry has a name,
-    status, detail and ``elapsed_s``, the wall time from the end of the
-    previous stage (the first from the unit quotient) to its own end, so
-    the stage times sum to at most ``elapsed_s``."""
+    """What ``compress_network`` measured. ``delta_hat`` is the cut norm of
+    the difference, identity layout, ``iterations`` the widths tried (1
+    for ``target_d``) and ``fk_status`` why the width search stopped. Each
+    ``stages`` entry has a name, status, detail and ``elapsed_s``, the wall
+    time from the end of the previous stage to its own end."""
 
     d_original: int
     d_compressed: int
@@ -271,7 +209,6 @@ class CompressionReport:
     samples: int
     seed: int
     iterations: int
-    layer_counts: dict
     validation_ok: bool
     fk_status: str
     stages: list = field(default_factory=list)
@@ -288,96 +225,170 @@ class CompressionReport:
         return "output bound estimate (heuristic delta_hat, not certified)"
 
 
-def _layer_group_counts(labels, ls):
-    return {
-        ell: int(np.unique(labels[ls.unit_slice(ell)]).size)
-        for ell in list(range(1, ls.L)) + ["bias"]
-    }
+POWER_ITERATIONS = 30
 
 
-def _budgeted_fk(ls, quotient, budget, stop, max_iter, oracle, seed):
-    """Cut refinement of a unit quotient within a group budget per hidden layer.
+def _principal_order(x, power):
+    """Stable order of the rows of ``x`` along their top principal direction.
 
-    Splits are applied per hidden layer; a layer is left untouched whenever
-    the full split (and its one-sided fallbacks) would push it past the
-    budget, unless a split lands exactly on the budget with equal-size
-    groups. Every other unit is its own structural group from the start,
-    so only hidden layers can split. The run ends once none can.
+    The direction is the top right singular vector of the centred rows:
+    from an SVD, or, with ``power``, from POWER_ITERATIONS power iterations
+    started at the row farthest from the mean. Its largest entry is made
+    positive, so the order does not hang on the vector's sign.
     """
-    struct = ls.structural_labels()
-    hidden = [ls.unit_slice(ell) for ell in range(1, ls.L)]
+    xc = x - x.mean(axis=0)
+    if power:
+        v = xc[np.argmax(np.einsum("ij,ij->i", xc, xc))]
+        for _ in range(POWER_ITERATIONS):
+            v = xc.T @ (xc @ v)
+            v /= np.linalg.norm(v) or 1.0
+    else:
+        v = np.linalg.svd(xc, full_matrices=False)[2][0]
+    return np.argsort(xc @ (v * np.sign(v[np.argmax(np.abs(v))])), kind="stable")
 
-    def split(labels, s, t):
-        new_labels = labels.copy()
-        changed = False
-        for sl in hidden:
-            before = int(np.unique(labels[sl]).size)
-            for raw in (
-                labels[sl] * 4 + 2 * s[sl] + t[sl],
-                labels[sl] * 2 + s[sl],
-                labels[sl] * 2 + t[sl],
-            ):
-                cand = _relabel(raw)
-                count = int(cand.max()) + 1
-                if count > budget or (count == budget and np.ptp(np.bincount(cand))):
-                    continue
-                changed = changed or count > before
-                new_labels[sl] = cand
-                break
-        # layers re-separated by pairing with the structural label
-        return _pair_labels(new_labels, struct) if changed else None
 
-    return _refine(quotient, struct, split, stop, max_iter, oracle, seed)
+def _group_order(x, d_new, power):
+    """Order of a hidden layer's units, rows of ``x``, into d_new groups.
+
+    Slot k holds units k*d/d_new to (k+1)*d/d_new of the order. A run of g
+    slots is split into floor(g/2) and ceil(g/2) slots, each side taking
+    the units of its slots, at the principal order of the run's units.
+    """
+    d = len(x)
+    order = np.arange(d)
+    runs = [(0, d_new)]
+    while runs:
+        a, b = runs.pop()
+        if b - a > 1:
+            units = order[a * d // d_new:b * d // d_new]
+            units[:] = units[_principal_order(x[units], power)]
+            runs += [(a, (a + b) // 2), ((a + b) // 2, b)]
+    return order
+
+
+def _layer_features(net, ell):
+    """Hidden layer ell's units' rows of the blocks they are grouped by.
+
+    A unit's entries are scaled by the square root of the measure, in
+    parts, of the unit on the other side. The first hidden layer takes its
+    input weights and the last its output weights (at L = 2 the one hidden
+    layer takes both), beside the bias; a middle layer takes its full row
+    and column.
+    """
+    W, L, d = net.weights, net.L, net.d
+    parts = [math.sqrt(d) * net.biases[ell - 1][:, None]]
+    if ell == 1:
+        parts.append(math.sqrt(d // net.d0) * W[0])
+    elif ell < L - 1:
+        parts.append(W[ell - 1])
+    if ell == L - 1:
+        parts.append(math.sqrt(d // net.dL) * W[-1].T)
+    elif ell > 1:
+        parts.append(W[ell].T)
+    return np.hstack(parts)
+
+
+def _slot_matrix(d, d_new):
+    """The (d_new x d) matrix averaging d units into d_new contiguous slots.
+
+    Unit i holds ticks i*d_new to (i+1)*d_new of one stream and slot k
+    ticks k*d to (k+1)*d; entry (k, i) is their overlap over d, so each row
+    is a convex average and the entries are exact tick ratios.
+    """
+    unit, slot = np.arange(d) * d_new, np.arange(d_new) * d
+    overlap = np.minimum.outer(slot + d, unit + d_new) - np.maximum.outer(slot, unit)
+    return np.maximum(overlap, 0) / d
+
+
+def _grouped(net, d_new):
+    """(``net`` with its hidden units in group order, its d_new-wide average).
+
+    At the network's own width nothing is grouped and both are ``net``.
+    """
+    if d_new == net.d:
+        return net, net
+    L = net.L
+    idx = [np.arange(net.d0)]
+    idx += [_group_order(_layer_features(net, ell), d_new, 1 < ell < L - 1)
+            for ell in range(1, L)]
+    idx.append(np.arange(net.dL))
+    W = [w[np.ix_(idx[k + 1], idx[k])] for k, w in enumerate(net.weights)]
+    b = [c[idx[k + 1]] for k, c in enumerate(net.biases)]
+    permuted = DenseNetwork(L, net.d0, net.dL, net.d, net.B, tuple(W), tuple(b))
+    P = _slot_matrix(net.d, d_new)
+    weights = [P @ W[0]] + [P @ w @ P.T for w in W[1:-1]] + [W[-1] @ P.T]
+    biases = [P @ c for c in b[:-1]] + [b[-1]]
+    # a convex average can overshoot the bound by an ulp
+    B = float(net.B)
+    return permuted, DenseNetwork(
+        L, net.d0, net.dL, d_new, B,
+        tuple(np.clip(a, -B, B) for a in weights),
+        tuple(np.clip(a, -B, B) for a in biases),
+    )
+
+
+def _width_search(net, epsilon, measure):
+    """The smallest width found whose distance is at most ``epsilon``.
+
+    Tries multiples of M = lcm(d0, dL) below d, doubling from M, then
+    bisects between the last width over ``epsilon`` and the first within;
+    when none is within, the network's own width, at distance 0, ends the
+    search. ``measure(permuted, averaged)`` is the distance. Returns
+    (width, network, distance, widths tried).
+    """
+    M, d = layers_of(net).M, net.d
+    tried = {}
+
+    def fits(w):
+        permuted, averaged = _grouped(net, w)
+        tried[w] = averaged, measure(permuted, averaged)
+        return tried[w][1].value <= epsilon
+
+    lo, w = 0, M
+    while w < d and not fits(w):
+        lo, w = w, 2 * w
+    hi = min(w, d)
+    while (mid := M * ((lo + hi) // (2 * M))) > lo:
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    if hi == d:
+        fits(d)
+    return hi, *tried[hi], len(tried)
 
 
 def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, samples=10_000):
     """Compress a dense network to a smaller hidden width.
 
-    Either ``epsilon`` (regularity accuracy; the width follows from the
-    final partition) or ``target_d`` (explicit width, at most the
-    network's and divisible by lcm(d0, dL)) must be given. Returns the
-    compressed network and a report carrying the measured kernel distance
-    ``delta_hat``, the output bound (L+2) * dL * (2B)^L * delta_hat it
-    implies (certified only if ``delta_exact``; ``bound_label`` names it
-    an estimate otherwise), and the empirical maximum output gap over
-    uniformly sampled inputs. ``delta_hat`` is the cut distance between
-    the kernels of the input and the returned network as laid out,
-    measured on the common refinement of their unit quotients, so any two
-    widths can be compared without lifting either kernel.
+    Either ``epsilon`` (the largest distance allowed) or ``target_d`` (a
+    width at most the network's) must be given. Returns the compressed
+    network and a report carrying the measured distance ``delta_hat``, the
+    output bound (L+2) * dL * (2B)^L * delta_hat it implies (certified only
+    if ``delta_exact``; ``bound_label`` names it an estimate otherwise),
+    and the empirical maximum output gap over uniformly sampled inputs.
+    ``delta_hat`` is the cut norm of the difference, identity layout,
+    between the original with its hidden units in group order (the same
+    function) and the result, measured on their unit quotients, so neither
+    n x n kernel is built.
 
-    One refinement runs on the unit quotient's layer blocks, read off the
-    weights, from the structural labels: groups count units, and a
-    ``target_d`` run allows target_d per hidden layer and stops below
-    1e-9 or after 200 splits, an ``epsilon`` run d and stops below
-    epsilon or after ceil(4/epsilon^2). Groups never mix layers, so the
-    ``refinement`` stage's last witness is the final residual's, a bound
-    certified only if every oracle call was exact; the distance detail
-    names the reduced size its oracle ran on. Arguments are checked
-    before any array is built: ``target_d`` must be a positive multiple
-    of lcm(d0, dL), ``epsilon`` a real number in (0, 4], ``oracle`` one
-    of ``ORACLES``, ``seed`` a non-negative integer and ``samples`` a
-    positive one (a ``bool`` is neither a count nor an ``epsilon``).
-    ``_slot_weights`` cuts each hidden layer's d_new ticks per unit into
-    slots of d ticks, grouped by the refined labels, so a slot's weights
-    are its tick counts over d. The slot matrices P average the neurons:
-    W'_1 = P_1 W_1, W'_l = P_l W_l P_{l-1}^T, W'_L = W_L P_{L-1}^T,
-    b'_l = P_l b_l and b'_L = b_L, clipped to [-B, B]. Only the new
-    network's kernel, small at d_new, is induced, to be validated once;
-    the distance is taken between the two networks' quotients and the
-    output gap by ``forward``, whose chunks keep its working memory
-    independent of ``samples``, so the input's n x n kernel is never
-    built and no array grows as samples * d; the stage log's empirical
-    detail names the threads ``forward`` ran on. Compressing
-    to the network's own width returns its weights and biases unchanged,
-    with delta_hat and the output gap 0.
+    Each hidden layer's units are grouped as the module describes and cut
+    into target_d slots of a stream of d * target_d ticks, d per slot and
+    target_d per unit, so a slot boundary may share a unit between two
+    slots. The slot matrix P averages the neurons: W'_1 = P W_1,
+    W'_l = P W_l P^T, W'_L = W_L P^T, b'_l = P b_l and b'_L = b_L, clipped
+    to [-B, B]. At the network's own width nothing is grouped, and its
+    weights come back bitwise with delta_hat and the output gap 0. An
+    ``epsilon`` run searches the multiples of lcm(d0, dL) (``_width_search``)
+    and returns the smallest width it tried whose delta_hat is at most
+    ``epsilon``, or the network itself when none below d is. Only the
+    returned network's kernel is induced, to be validated once; the gap is
+    taken by ``forward``, in chunks, on the threads the empirical stage
+    names. Arguments are checked before any array is built: ``target_d``
+    must be a positive multiple of lcm(d0, dL), ``epsilon`` a real number
+    in (0, 4], ``oracle`` one of ``ORACLES``, ``seed`` a non-negative
+    integer and ``samples`` a positive one (a ``bool`` is neither).
 
     Outputs are reproducible bit for bit only at a fixed BLAS thread
-    count. The slot averages, the projections and the heuristic oracle
-    sum through BLAS matrix products, whose summation order depends on
-    the thread count, so runs at different counts can differ in the last
-    bits and then in the oracle's choices (with the dense quotient,
-    ``delta_hat`` at 960->48 read 0.0366834 on one thread and 0.0366598
-    on two).
+    count: the principal directions, the averages and the heuristic oracle
+    sum through BLAS products, whose order depends on the thread count.
     """
     t0 = time.monotonic()
     if (epsilon is None) == (target_d is None):
@@ -399,7 +410,6 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
             raise ParameterError(f"epsilon must lie in (0, 4], got {epsilon}")
     if oracle not in ORACLES:
         raise ParameterError(f"unknown oracle {oracle!r}")
-    quotient = unit_blocks(net)
     stages = []
     mark = time.monotonic()
 
@@ -410,50 +420,21 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
                        "elapsed_s": now - mark})
         mark = now
 
-    if target_d is None:
-        budget, stop, max_iter = ls.d, epsilon, math.ceil(4.0 / (epsilon * epsilon))
-    else:
-        budget, stop, max_iter = target_d, 1e-9, 200
-    if target_d == net.d:
-        # one round on the network's own units: the residual is zero
-        trace = _refine(quotient, np.arange(ls.n_units), None, 2.0, 1, oracle, seed)
-    else:
-        trace = _budgeted_fk(ls, quotient, budget, stop, max_iter, oracle, seed)
-    labels, fk_status = trace.labels, trace.status
-    if target_d is None:
-        # a layer of k groups fits k slots only if its groups are equal
-        need = 0
-        for ell in range(1, ls.L):
-            _, sizes = np.unique(labels[ls.unit_slice(ell)], return_counts=True)
-            need = max(need, sizes.size + int(np.ptp(sizes) != 0))
-        d_new = ls.M * -(-need // ls.M)
-    else:
-        d_new = int(target_d)
-    iterations = len(trace.iterations)
-    kind = "certified bound" if trace.oracle_exact else "bound estimate"
-    stage("refinement", fk_status, f"{iterations} iterations; {kind} {trace.bound:.4g}")
-    # the distance builds its own quotients; the refinement's quotient-sized
-    # arrays would only raise its peak
-    del quotient, trace
+    def measure(permuted, averaged):
+        return comp_cut_distance_upper(
+            permuted, averaged, mode="identity", oracle=oracle, seed=seed
+        )
 
-    counts = _layer_group_counts(labels, ls)
-    P = [
-        _slot_weights(np.full(ls.d, d_new), labels[ls.unit_slice(k + 1)], ls.d)[0] / ls.d
-        for k in range(ls.L - 1)
-    ]
-    stage("equitize", "ok", f"width {d_new}")
-
-    W, b = net.weights, net.biases
-    weights = [P[0] @ W[0]]
-    weights += [P[k] @ W[k] @ P[k - 1].T for k in range(1, ls.L - 1)]
-    weights.append(W[-1] @ P[-1].T)
-    biases = [p @ c for p, c in zip(P, b)] + [b[-1]]
-    # a convex average can overshoot the bound by an ulp
-    net_new = DenseNetwork(
-        ls.L, ls.d0, ls.dL, d_new, B,
-        tuple(np.clip(a, -B, B) for a in weights),
-        tuple(np.clip(a, -B, B) for a in biases),
-    )
+    if target_d is None:
+        d_new, net_new, dist, tried = _width_search(net, epsilon, measure)
+        status = "within_epsilon" if d_new < net.d else "full_width"
+        kind = "exact" if dist.exact else "estimate"
+        stage("grouping", status,
+              f"{tried} widths tried; width {d_new}, delta_hat {kind} {dist.value:.4g}")
+    else:
+        d_new, tried, status = int(target_d), 1, "target_width"
+        permuted, net_new = _grouped(net, d_new)
+        stage("grouping", status, f"{d_new} groups per hidden layer")
     report = validate_computational(induce_kernel(net_new))
     if not report.ok:
         raise ValidationFailedError(
@@ -461,10 +442,11 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
         )
     stage("validate", "ok")
 
-    dist = comp_cut_distance_upper(net, net_new, mode="identity", oracle=oracle, seed=seed)
-    rows, cols = dist.witness.dims
-    stage("distance", "exact" if dist.exact else "heuristic",
-          f"delta_hat {dist.value:.6g}; oracle on {rows} x {cols}")
+    if target_d is not None:
+        dist = measure(permuted, net_new)
+        rows, cols = dist.witness.dims
+        stage("distance", "exact" if dist.exact else "heuristic",
+              f"delta_hat {dist.value:.6g}; oracle on {rows} x {cols}")
 
     amplifier = (2.0 * B) ** ls.L
     output_factor = (ls.L + 2) * ls.dL
@@ -486,10 +468,9 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
         empirical_max=gap,
         samples=samples,
         seed=seed,
-        iterations=iterations,
-        layer_counts=counts,
+        iterations=tried,
         validation_ok=report.ok,
-        fk_status=fk_status,
+        fk_status=status,
         stages=stages,
         elapsed_s=time.monotonic() - t0,
     )

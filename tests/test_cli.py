@@ -173,7 +173,7 @@ def test_compress_writes_outputs(net_file, tmp_path):
     rep = json.loads(open(report).read())
     assert rep["d_compressed"] == 2
     assert rep["empirical_max"] <= rep["theoretical_bound"]
-    assert "bias" in rep["layer_counts"]
+    assert (rep["iterations"], rep["fk_status"]) == (1, "target_width")
     r2 = run_cli("validate-file-missing")
     assert r2.returncode == 2
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densecap import cutnorm, regularity
+from densecap import cutnorm
 from densecap.cutnorm import (
     CutWitness,
     _reduce,
@@ -763,15 +763,12 @@ def test_exact_route_is_pinned(seed, value, rows, cols):
 
 
 def test_oracle_peaks_stay_within_three_quotients():
-    # refinement, in either mode, and distance hold the quotient as its
-    # layer blocks; the parent's dense route peaked at 6.0 quotient-sized
-    # arrays in each
+    # compression, in either mode, and distance hold the quotient as its
+    # layer blocks; a dense route peaked at 6.0 quotient-sized arrays
     net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42))
     new, _ = compress_network(net, target_d=24, seed=5, samples=10)
-    ls, quotient = LayerStructure(3, 2, 2, 240), unit_blocks(net)
-    limit = 3 * ls.n_units**2 * 8
+    limit = 3 * LayerStructure(3, 2, 2, 240).n_units**2 * 8
     for call in (
-        lambda: regularity._budgeted_fk(ls, quotient, 24, 1e-9, 200, "auto", 5),
         lambda: compress_network(net, epsilon=0.01, seed=5, samples=10),
         lambda: comp_cut_distance_upper(net, new),
     ):
@@ -1119,24 +1116,16 @@ def test_compression_is_unchanged_under_the_start_loop(monkeypatch):
 
 def test_compression_runs_no_merge(monkeypatch):
     # the heuristic route merges nothing and builds no dense array of the
-    # quotient, and the records say so
+    # quotients, and the distance stage says so
     def refuse(*args):
         raise AssertionError("the heuristic route merged")
 
     for name in ("_merge_rows", "_reduce"):
         monkeypatch.setattr(cutnorm, name, refuse)
     net = random_network(3, 2, 2, 120, 5.0, np.random.default_rng(42))
-    traces = []
-    refine = regularity._refine
-    monkeypatch.setattr(
-        regularity, "_refine", lambda *a: traces.append(refine(*a)) or traces[-1]
-    )
     _, rep = compress_network(net, target_d=12, seed=5)
-    # 245 units: the 2 input rows, the 2 output columns and the bias row
-    # (its own group, so its residual vanishes) are dropped
-    for r in traces[0].iterations:
-        assert (r.exact, r.oracle_dims) == (False, (242, 243))
-    assert rep.stages[3]["detail"].endswith("; oracle on 242 x 243")
+    assert rep.stages[2]["name"] == "distance" and not rep.delta_exact
+    assert rep.stages[2]["detail"].endswith("; oracle on 242 x 243")
 
 
 def fine_permutation_index(layers, perms):

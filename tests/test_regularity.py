@@ -94,7 +94,8 @@ def test_block_projection_matches_the_dense_one(L, d, groups, seed):
     net = random_network(L, 1, 1, d, L + 3.0, np.random.default_rng(seed))
     ls, bk = layers_of(net), unit_blocks(net)
     raw = np.random.default_rng(seed).integers(0, groups, ls.n_units)
-    labels = regularity._pair_labels(raw, ls.structural_labels())
+    struct = ls.structural_labels()
+    labels = raw * (struct.max() + 1) + struct  # groups within the layers
     vals, gm, inverse = regularity._project_grouping(bk, labels)
     want, want_gm, want_inverse = regularity._project_grouping(bk.dense(), labels)
     assert np.array_equal(gm, want_gm) and np.array_equal(inverse, want_inverse)
@@ -117,7 +118,10 @@ def test_weak_regularity_constant_kernel_immediate():
 def test_weak_regularity_own_partition_start_terminates_at_zero():
     rng = np.random.default_rng(3)
     kern = StepKernel(equipartition(10), rng.uniform(-1, 1, (10, 10)))
-    tr = regularity._refine(kern, np.arange(10), None, 2.0, 1, "exact", 0)
+    def never(*args):
+        raise AssertionError("a zero residual was split")
+
+    tr = regularity._refine(kern, np.arange(10), never, 2.0, 1, "exact", 0)
     assert tr.status == "certified"
     assert tr.bound == 0.0
     assert np.array_equal(tr.projected_fine.coeffs, kern.coeffs)
@@ -166,25 +170,40 @@ def test_weak_regularity_rejects_bad_eps():
         weak_regularity(kern, "0.5")
 
 
-def epsilon_mode_run(net, epsilon, **kw):
-    """Epsilon-mode compression with its refinement trace and final labels."""
-    traces = []
-    refine = regularity._refine
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(regularity, "_refine", lambda *a: traces.append(refine(*a)) or traces[-1])
-        _, rep = compress_network(net, epsilon=epsilon, **kw)
-    (trace,) = traces
-    return trace, trace.labels, rep
+def recorded_groupings(monkeypatch):
+    """Every (permuted, averaged) pair ``compress_network`` builds, in order."""
+    pairs = []
+    grouped = regularity._grouped
+    monkeypatch.setattr(
+        regularity, "_grouped", lambda *a: pairs.append(grouped(*a)) or pairs[-1]
+    )
+    return pairs
 
 
-def test_layer_respecting_partition_refines_structure():
+def hidden_orders(net, permuted):
+    """Each hidden layer's unit order in ``permuted``, read off its bias and weights."""
+    orders = []
+    for ell in range(1, net.L):
+        rows = np.column_stack([net.biases[ell - 1], net.weights[ell - 1]])
+        prows = np.column_stack([permuted.biases[ell - 1], permuted.weights[ell - 1]])
+        if ell > 1:  # the previous layer's order moved the columns
+            rows = rows[:, np.r_[0, 1 + orders[-1]]]
+        index = {r.tobytes(): i for i, r in enumerate(rows)}
+        orders.append(np.array([index[r.tobytes()] for r in prows]))
+    return orders
+
+
+def test_layer_respecting_partition_refines_structure(monkeypatch):
+    # every width tried groups each hidden layer's own units, all of them
     net = random_network(3, 2, 2, 120, 5.0, np.random.default_rng(7))
-    _, labels, rep = epsilon_mode_run(net, 0.8, oracle="heuristic", samples=10)
-    struct = induce_kernel(net).layers.structural_labels()
-    # every final group must sit inside one structural group
-    for lab in np.unique(labels):
-        assert np.unique(struct[labels == lab]).size == 1
-    assert rep.stages[0]["detail"].startswith("1 iterations; bound estimate ")
+    pairs = recorded_groupings(monkeypatch)
+    _, rep = compress_network(net, epsilon=0.8, oracle="heuristic", samples=10)
+    assert len(pairs) == rep.iterations == 1 and rep.fk_status == "within_epsilon"
+    (permuted, averaged), = pairs
+    assert averaged.d == rep.d_compressed == 2
+    for order in hidden_orders(net, permuted):
+        assert np.array_equal(np.sort(order), np.arange(net.d))
+    assert rep.stages[0]["detail"].startswith("1 widths tried; width 2, delta_hat estimate ")
 
 
 def _slice_stream_reference(groups, unit, tol=1e-12):
@@ -235,61 +254,71 @@ def _slice_stream_reference(groups, unit, tol=1e-12):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(1, 20), st.integers(0, 4)), min_size=1, max_size=25
-    ),
-    st.integers(1, 12),
-)
-def test_slot_weights_match_piece_walk(pieces, unit):
-    sizes = np.array([s for s, _ in pieces])
-    sizes[-1] += -int(sizes.sum()) % unit  # a whole number of units
-    labels = np.array([g for _, g in pieces])
-    amounts, h = regularity._slot_weights(sizes, labels, unit)
-
-    streams = {}
-    for i, g in enumerate(labels):
-        streams.setdefault(g, []).append((i, int(sizes[i])))
-    ref, ref_h = _slice_stream_reference(list(streams.values()), unit)
-    assert h == ref_h < len(streams)
-    assert len(ref) == amounts.shape[0] == sizes.sum() // unit
-    for row, comp in zip(amounts, ref):
-        assert {int(k): row[k] for k in np.flatnonzero(row)} == dict(comp)
-    assert np.array_equal(amounts.sum(axis=1), np.full(len(ref), unit))
-    assert np.array_equal(amounts.sum(axis=0), sizes)
-    for row in amounts[: len(ref) - h]:
-        assert np.unique(labels[row > 0]).size == 1
+@given(st.integers(1, 40), st.data())
+def test_slot_weights_match_piece_walk(d, data):
+    # one stream of d units of d_new ticks each, cut every d ticks
+    d_new = data.draw(st.integers(1, d))
+    P = regularity._slot_matrix(d, d_new)
+    ref, h = _slice_stream_reference([[(i, d_new) for i in range(d)]], d)
+    assert h == 0 and len(ref) == P.shape[0] == d_new
+    for row, comp in zip(P, ref):  # exact tick ratios
+        assert {int(k): row[k] for k in np.flatnonzero(row)} == {k: m / d for k, m in comp}
+    ticks = np.rint(P * d)
+    assert np.array_equal(ticks.sum(axis=1), np.full(d_new, d))
+    assert np.array_equal(ticks.sum(axis=0), np.full(d, d_new))
+    if d % d_new == 0:  # whole units: 0/1 times d_new / d
+        assert set(np.unique(ticks)) <= {0.0, float(d_new)}
 
 
-def test_layer_refinement_does_not_increase_distance_small_instances():
-    # the groups never mix layers, so the loop's last exact witness is the
-    # cut norm of the final labels' residual itself, with no doubling
+def dense_distance_exact(net, new):
+    """The exact cut norm of the difference of two networks' kernels, identity
+    layout, on the common refinement of their fine partitions, from the
+    n x n kernels."""
+    a, b = induce_kernel(net), induce_kernel(new)
+    N = math.lcm(a.layers.n, b.layers.n)
+    ua, ub = N // a.layers.n, N // b.layers.n
+    cuts = np.union1d(np.arange(0, N + 1, ua), np.arange(0, N + 1, ub))
+    ri, rj = cuts[:-1] // ua, cuts[:-1] // ub
+    diff = a.kernel.dense().coeffs[np.ix_(ri, ri)] - b.kernel.dense().coeffs[np.ix_(rj, rj)]
+    half = StepKernel(Partition(np.diff(cuts) / N), diff / 2.0)
+    return 2.0 * kernel_cut_norm_exact(half).value
+
+
+def test_layer_refinement_does_not_increase_distance_small_instances(monkeypatch):
+    # with the exact oracle, the width returned is within epsilon of the
+    # original as the dense kernels measure it, or it is the original
     rng = np.random.default_rng(8)
-    iterated = 0
+    pairs = recorded_groupings(monkeypatch)
+    shrunk = 0
     for _ in range(8):
-        net = random_layered_net(rng, L=2, max_d=4)
-        trace, labels, rep = epsilon_mode_run(net, 0.01, oracle="exact", samples=10)
-        kern = unit_blocks(induce_kernel(net)).dense()  # the kernel the run refined
-        residual = residual_cut_norm_exact(kern, group_average(kern, labels)[1])
-        assert abs(trace.bound - residual) <= 1e-12
-        assert rep.stages[0]["detail"] == (
-            f"{len(trace.iterations)} iterations; certified bound {trace.bound:.4g}"
+        net = random_layered_net(rng, L=2, max_d=8, d0=1, dL=1)
+        pairs.clear()
+        new, rep = compress_network(net, epsilon=0.02, oracle="exact", samples=10)
+        assert rep.delta_exact and rep.stages[0]["detail"].endswith(
+            f"width {new.d}, delta_hat exact {rep.delta_hat:.4g}"
         )
-        iterated += len(trace.iterations) > 1
-    assert iterated >= 6
+        if new.d == net.d:
+            assert new is net and rep.delta_hat == 0.0 and rep.fk_status == "full_width"
+            continue
+        (permuted,) = [p for p, a in pairs if a is new]
+        assert rep.delta_hat <= 0.02
+        assert abs(dense_distance_exact(permuted, new) - rep.delta_hat) <= 1e-12
+        shrunk += 1
+    assert shrunk >= 6
 
 
 def test_compress_epsilon_stage_label_names_estimates():
-    # the loop ends on a heuristic witness, so its bound is no certificate
+    # the search ends on a heuristic distance, so its value is no certificate
     net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42))
     _, rep = compress_network(net, epsilon=0.03, seed=5, samples=100)
     stage = rep.stages[0]
-    assert stage["status"] == "heuristic_termination"
-    assert stage["detail"] == "1 iterations; bound estimate 0.02847"
+    assert stage["status"] == rep.fk_status == "within_epsilon"
+    assert stage["detail"] == "1 widths tried; width 2, delta_hat estimate 0.02081"
+    assert not rep.delta_exact and "certified" not in rep.bound_label.replace("not certified", "")
 
 
 def test_compress_never_builds_the_dense_quotient(monkeypatch):
-    # both modes refine and measure the quotient as its layer blocks
+    # both modes measure the quotients as their layer blocks
     def never(self):
         raise AssertionError("BlockKernel.dense reached")
 
@@ -300,24 +329,20 @@ def test_compress_never_builds_the_dense_quotient(monkeypatch):
         assert rep.validation_ok
 
 
-def test_compress_records_oracle_routes_and_stage_times(monkeypatch):
-    # every 240->24 oracle call is heuristic; the stage times partition the run
-    traces = []
-    refine = regularity._refine
-    monkeypatch.setattr(
-        regularity, "_refine", lambda *a: traces.append(refine(*a)) or traces[-1]
-    )
+def test_compress_records_oracle_routes_and_stage_times():
+    # the 240->24 distance takes the heuristic route; the stage times
+    # partition the run
     net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42))
-    _, rep = compress_network(net, target_d=24, seed=5, samples=100)
-    (trace,) = traces
-    assert len(trace.iterations) == rep.iterations
-    assert all(r.exact is False and r.elapsed_s > 0.0 for r in trace.iterations)
-    assert [st["name"] for st in rep.stages] == [
-        "refinement", "equitize", "validate", "distance", "empirical"
-    ]
-    assert all(st["elapsed_s"] >= 0.0 for st in rep.stages)
-    assert sum(st["elapsed_s"] for st in rep.stages) <= rep.elapsed_s
-    assert sum(r.elapsed_s for r in trace.iterations) <= rep.stages[0]["elapsed_s"]
+    for kw, names in (
+        ({"target_d": 24}, ["grouping", "validate", "distance", "empirical"]),
+        ({"epsilon": 0.015}, ["grouping", "validate", "empirical"]),
+    ):
+        _, rep = compress_network(net, seed=5, samples=100, **kw)
+        assert [st["name"] for st in rep.stages] == names
+        assert not rep.delta_exact
+        assert all(st["elapsed_s"] > 0.0 for st in rep.stages)
+        assert sum(st["elapsed_s"] for st in rep.stages) <= rep.elapsed_s
+    assert rep.stages[0]["detail"] == "4 widths tried; width 8, delta_hat estimate 0.01454"
 
 
 def test_iteration_records_name_the_exact_route():
@@ -329,7 +354,7 @@ def test_iteration_records_name_the_exact_route():
 
 
 def test_compress_identity_width():
-    # slot weights are exact tick ratios, so the own width is reproduced bitwise
+    # nothing is grouped at the own width, so it is reproduced bitwise
     for net, seed in (
         (random_network(2, 2, 2, 8, 8.0, np.random.default_rng(11)), 0),
         (random_network(3, 2, 2, 24, 5.0, np.random.default_rng(42)), 5),
@@ -338,9 +363,9 @@ def test_compress_identity_width():
         assert rep.delta_hat == 0.0
         assert rep.empirical_max == 0.0
         assert rep.iterations == 1
-        assert rep.fk_status == "certified"
+        assert rep.fk_status == "target_width"
         assert [st["name"] for st in rep.stages] == [
-            "refinement", "equitize", "validate", "distance", "empirical"
+            "grouping", "validate", "distance", "empirical"
         ]
         for a, b in zip(net.weights + net.biases, net2.weights + net2.biases):
             assert np.array_equal(a, b)
@@ -382,7 +407,7 @@ def test_compress_checks_inputs_before_inducing(monkeypatch):
         raise AssertionError("induce_kernel reached")
 
     monkeypatch.setattr(regularity, "induce_kernel", never)
-    monkeypatch.setattr(regularity, "unit_blocks", never)
+    monkeypatch.setattr(regularity, "_grouped", never)
     with pytest.raises(ParameterError, match="samples"):
         compress_network(net, target_d=6, samples=0)
     with pytest.raises(ParameterError, match="samples must be an integer"):
@@ -416,25 +441,26 @@ def test_compress_checks_inputs_before_inducing(monkeypatch):
     assert rep.d_compressed == 12 and rep.delta_hat == 0.0
 
 
-def sandwich_reference(net, labels, d_new):
-    """The kernel-sandwich construction that ``compress_network`` replaced.
+def sandwich_reference(net, d_new):
+    """The kernel-sandwich construction of ``compress_network``'s average.
 
-    One slot matrix over all L+2 regions (layers 0 and L grouped by their
-    cells) averages the whole kernel, P K P^T; the forbidden blocks are
-    zeroed, the bias block pinned, the coefficients clipped and the
-    network read back off the kernel.
+    One slot matrix over all L+2 regions, each region's d parts cut into
+    d_new contiguous slots by the piece walk, averages the whole kernel of
+    the grouped network, P K P^T; the forbidden blocks are zeroed, the bias
+    block pinned, the coefficients clipped and the network read back off
+    the kernel.
     """
     ck = induce_kernel(net)
     ls = ck.layers
     ls_new = LayerStructure(ls.L, ls.d0, ls.dL, d_new)
-    struct = np.asarray(structural_labels_reference(ls))
-    labels = np.repeat(labels, ls.unit_parts())  # from units to fine parts
+    slots, _ = _slice_stream_reference([[(i, d_new) for i in range(ls.d)]], ls.d)
+    band = np.zeros((d_new, ls.d))
+    for k, comp in enumerate(slots):
+        for i, m in comp:
+            band[k, i] = m / ls.d
     weights = np.zeros((ls_new.n, ls.n))
     for ell in list(range(ls.L + 1)) + ["bias"]:
-        sl = ls.layer_slice(ell)
-        groups = struct[sl] if ell in (0, ls.L) else labels[sl]
-        ticks, _ = regularity._slot_weights(np.full(ls.d, d_new), groups, ls.d)
-        weights[ls_new.layer_slice(ell), sl] = ticks / ls.d
+        weights[ls_new.layer_slice(ell), ls.layer_slice(ell)] = band
     full = weights @ ck.kernel.dense().coeffs @ weights.T
     coeffs = np.zeros_like(full)  # every block outside blocks() is zeroed
     for rows, cols in ls_new.blocks():
@@ -457,20 +483,14 @@ def test_compress_matches_kernel_sandwich(L, d0, dL, d, seed, data):
     d = M * max(1, d // M)
     target = M * data.draw(st.integers(1, d // M))
     net = random_network(L, d0, dL, d, L + 3.0, np.random.default_rng(seed))
-    traces = []
-    refine = regularity._refine
-
-    def recording(*args):
-        traces.append(refine(*args))
-        return traces[-1]
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(regularity, "_refine", recording)
+        pairs = recorded_groupings(mp)
         got, _ = compress_network(
             net, target_d=target, oracle="heuristic", seed=seed, samples=1
         )
-    assert len(traces) == 1
-    ref = sandwich_reference(net, traces[0].labels, target)
+    ((permuted, averaged),) = pairs
+    assert averaged is got
+    ref = sandwich_reference(permuted, target)
     # rounding scales with the averaged entries, which can cancel to far less
     for a, b, c in zip(
         got.weights + got.biases, ref.weights + ref.biases, net.weights + net.biases
@@ -531,24 +551,6 @@ def test_compressed_network_outputs_track_original():
     assert gap <= rep.theoretical_bound
 
 
-def pair_labels_reference(a, b):
-    """Ids of the pairs (a[i], b[i]) numbered by first occurrence."""
-    seen = {}
-    return np.array([seen.setdefault(p, len(seen)) for p in zip(a.tolist(), b.tolist())])
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    pairs=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6)), min_size=1, max_size=60)
-)
-def test_pair_labels_numbers_pairs_by_first_occurrence(pairs):
-    a = np.array([p[0] for p in pairs], dtype=np.int64)
-    b = np.array([p[1] for p in pairs], dtype=np.int64)
-    got = regularity._pair_labels(a, b)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, pair_labels_reference(a, b))
-
-
 def structural_labels_reference(ls):
     """Input cell / hidden layer / output cell / bias keys, first-occurrence ids."""
     keys = [("in", i // (ls.d // ls.d0)) for i in range(ls.d)]
@@ -580,17 +582,20 @@ def test_structural_labels_are_layout_ordered_ids(L, d0, dL, d):
     [(3, 2, 2, 24, 6, 0), (2, 1, 3, 12, 6, 1), (2, 2, 2, 16, 4, 2), (4, 1, 1, 10, 5, 3)],
 )
 def test_budgeted_refinement_respects_budget_and_structure(L, d0, dL, d, budget, seed):
-    ck = induce_kernel(random_network(L, d0, dL, d, 6.0, np.random.default_rng(seed)))
-    ls = ck.layers
-    tr = regularity._budgeted_fk(ls, unit_blocks(ck), budget, 1e-9, 200, "auto", seed)
-    for ell in list(range(1, L)) + ["bias"]:
-        assert np.unique(tr.labels[ls.unit_slice(ell)]).size <= budget
-    struct = ls.structural_labels()
-    for lab in np.unique(tr.labels):
-        assert np.unique(struct[tr.labels == lab]).size == 1
-    en = tr.energies
-    assert all(b >= a - 1e-12 for a, b in zip(en, en[1:]))
-    assert tr.status in ("certified", "heuristic_termination", "budget_exhausted", "cap_reached")
+    # the recursive splits refine each hidden layer into exactly ``budget``
+    # slots of d/budget whole units, of that layer alone, and the permuted
+    # network is the original with its hidden units reordered
+    net = random_network(L, d0, dL, d, 6.0, np.random.default_rng(seed))
+    permuted, averaged = regularity._grouped(net, budget)
+    orders = hidden_orders(net, permuted)
+    assert len(orders) == L - 1 and averaged.d == budget
+    for ell, order in enumerate(orders, 1):
+        assert np.array_equal(np.sort(order), np.arange(d))
+        features = regularity._layer_features(net, ell)
+        assert np.array_equal(order, regularity._group_order(features, budget, 1 < ell < L - 1))
+    P = regularity._slot_matrix(d, budget)
+    assert np.array_equal(P, np.kron(np.eye(budget), np.full(d // budget, budget / d)))
+    assert validate_computational(induce_kernel(averaged)).ok
 
 
 def test_compress_peak_stays_below_two_full_kernels():
@@ -637,16 +642,80 @@ def test_refinement_does_not_hinge_on_summation_order():
     # start's sign classes tie exactly, and a singleton group's row and
     # column sums are exactly 0; the heuristic reads sums within its
     # rounding bound as 0, so the blocks and the dense quotient, which sum
-    # in other orders, refine 240 -> 24 alike (they did not when a 1-ulp
-    # rounding picked the sign)
+    # in other orders, refine alike from the structural labels' residual
+    # (they did not when a 1-ulp rounding picked the sign)
     net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42))
     ls, q = layers_of(net), unit_blocks(net)
+
+    def split(labels, s, t):
+        return np.unique(labels * 4 + 2 * s + t, return_inverse=True)[1]
+
     blocks, dense = (
-        regularity._budgeted_fk(ls, k, 24, 1e-9, 200, "auto", 5) for k in (q, q.dense())
+        regularity._refine(k, ls.structural_labels(), split, 1e-9, 3, "auto", 5)
+        for k in (q, q.dense())
     )
     assert np.array_equal(blocks.labels, dense.labels)
     for a, b in zip(blocks.iterations, dense.iterations, strict=True):
         assert abs(a.witness_value - b.witness_value) <= 1e-15
+
+
+def test_grouped_network_computes_the_same_function():
+    xs = np.random.default_rng(1).uniform(0.0, 1.0, (1000, 2))
+    for L, B in ((2, 5.0), (3, 5.0), (4, 6.0)):
+        net = random_network(L, 2, 2, 240, B, np.random.default_rng(42))
+        permuted, _ = regularity._grouped(net, 24)
+        assert not np.array_equal(permuted.weights[0], net.weights[0])
+        assert np.abs(forward(permuted, xs) - forward(net, xs)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("L, d, target", [(3, 240, 14), (3, 50, 24), (2, 240, 24), (4, 240, 24)])
+def test_grouping_validates_at_every_multiple(L, d, target):
+    # 14 and 24 do not divide 240 and 50: a slot boundary shares a unit
+    net = random_network(L, 2, 2, d, max(5.0, L + 2.0), np.random.default_rng(42))
+    new, rep = compress_network(net, target_d=target, seed=5, samples=200)
+    assert new.d == target and rep.validation_ok
+    assert rep.empirical_max <= rep.theoretical_bound
+
+
+# delta_hat of the budgeted cut refinement that the grouping replaced, on
+# the criterion-5 network with seed 5 at one BLAS thread
+REFINEMENT_DELTA_HAT = {
+    2: 0.028428, 4: 0.034021, 8: 0.036079, 12: 0.035908, 24: 0.036904, 48: 0.038055,
+    120: 0.036417,
+}
+
+
+def test_grouping_is_closer_than_the_refinement_at_every_width():
+    net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42))
+    got = {
+        w: compress_network(net, target_d=w, seed=5, samples=10)[1].delta_hat
+        for w in REFINEMENT_DELTA_HAT
+    }
+    assert all(got[w] < old for w, old in REFINEMENT_DELTA_HAT.items())
+    assert got[24] <= 0.0125
+    wide = random_network(3, 2, 2, 960, 5.0, np.random.default_rng(42))
+    assert compress_network(wide, target_d=48, seed=5, samples=10)[1].delta_hat <= 0.0100
+
+
+def test_grouping_is_deterministic():
+    net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42))
+    (a, ra), (b, rb) = (compress_network(net, target_d=24, seed=5, samples=100) for _ in "ab")
+    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+        assert x.tobytes() == y.tobytes()
+    assert ra.delta_hat == rb.delta_hat
+
+
+@pytest.mark.parametrize("d, seed, eps, width", [
+    (240, 42, 0.03, 2), (240, 42, 0.015, 8), (120, 1, 0.02, 4),
+])
+def test_epsilon_mode_returns_a_width_within_epsilon(d, seed, eps, width):
+    # the 120-wide network at 0.02 once gave width 6 at a distance of 0.0368
+    net = random_network(3, 2, 2, d, 5.0, np.random.default_rng(seed))
+    new, rep = compress_network(net, epsilon=eps, seed=5, samples=100)
+    assert (new.d, rep.d_compressed) == (width, width) and rep.delta_hat <= eps
+    # the width search measures each width as a target_d run does
+    _, target = compress_network(net, target_d=width, seed=5, samples=100)
+    assert target.delta_hat == rep.delta_hat
 
 
 PINNED_RUN = """
@@ -664,9 +733,9 @@ for d, t in ((240, 24), (120, 12)):
 
 
 def test_compress_outputs_are_pinned_at_one_blas_thread():
-    """240->24 and 120->12 as computed on the quotient's layer blocks: a
-    sha256 of the weights and biases, then delta_hat, empirical_max,
-    iterations and the refinement status. Bitwise equality holds only at a
+    """240->24 and 120->12 by the principal-direction grouping: a sha256 of
+    the weights and biases, then delta_hat, empirical_max, the widths
+    tried and the search status. Bitwise equality holds only at a
     fixed BLAS thread count (see ``compress_network``), so the run gets one
     thread. The pins are numpy 2.4's bundled OpenBLAS on x86-64; another
     BLAS build may round the matrix products differently.
@@ -679,8 +748,8 @@ def test_compress_outputs_are_pinned_at_one_blas_thread():
         timeout=600, env=env, check=True,
     ).stdout.splitlines()
     assert out == [
-        "ed20c8276e62508fda4628bf77ddbdf003eb7c5ddbe3cf0272b4b55106006b7f "
-        "0x1.2e51926a65632p-5 0x1.fd9d14e344240p-9 3 budget_exhausted",
-        "591b802019ace3bd3bca3a32ffaa92fa813037c1ade7eb08f1722ca985d2fc27 "
-        "0x1.2501041bb51bap-5 0x1.0c7afb53805f0p-6 3 budget_exhausted",
+        "dc62434cd0ca7f275a933caadc6278099c6b466e077ac68251e72576ddbb3213 "
+        "0x1.2c0f59f41d515p-7 0x1.6029568917000p-10 1 target_width",
+        "d8bd4757a2b1a846af4bd1bab017f053ce9ecf61801633eca15bd50aae31dcc9 "
+        "0x1.9ea81d9a71772p-7 0x1.4cd2eaaa51980p-8 1 target_width",
     ]
