@@ -195,7 +195,8 @@ def vc_lower_bound(eps, d0, c=1):
 
 
 def _threshold_terms(B, L, dL, c):
-    """d0_threshold's terms A, T and m = ceil(17 log2(sqrt(c) A)), exactly.
+    """d0_threshold's terms m = ceil(17 log2(sqrt(c) A)), A and T, exactly, and
+    the threshold itself, m + ceil(17 T) + 306.
 
     m = ceil(k/2) for k = ceil(x), x = 17 log2(c A^2), read off a float x
     summed from the logs of the parts of c and A. Each ``_log2_int`` is off
@@ -223,7 +224,8 @@ def _threshold_terms(B, L, dL, c):
         p, q = nd.numerator, nd.denominator
         k = p.bit_length() - q.bit_length()
         k += (p << max(-k, 0)) > (q << max(k, 0))
-    return -(-k // 2), A, T
+    m = -(-k // 2)
+    return m, A, T, m + _ceil_frac(17 * T) + 306
 
 
 def d0_threshold(B, L, dL, c=1):
@@ -232,8 +234,8 @@ def d0_threshold(B, L, dL, c=1):
     17*log2(sqrt(c) L^3 (L+2)^2 dL^4 (2B)^(2L)) + 17*2^14 (L+2)^2 dL^2 (2B)^(2L) + 306,
     with each term rounded up to keep the total an exact sufficient integer.
     """
-    m, _, T = _threshold_terms(B, L, dL, c)
-    return _from_fraction(Fraction(m + _ceil_frac(17 * T) + 306), "d0_threshold")
+    *_, threshold = _threshold_terms(B, L, dL, c)
+    return _from_fraction(Fraction(threshold), "d0_threshold")
 
 
 @dataclass(frozen=True)
@@ -276,8 +278,7 @@ def non_universality_check(B, L, dL, d0, c=1):
     """
     if d0 < 1:
         raise ParameterError("need d0 >= 1")
-    m, A, T = _threshold_terms(B, L, dL, c)
-    threshold = m + _ceil_frac(17 * T) + 306
+    _, A, T, threshold = _threshold_terms(B, L, dL, c)
     f, half_log2_c = "non_universality_check", 0.5 * _log2_frac(_frac(c))
     t, d0f = _as_float(T, f), _as_float(d0, f)
     margin_log2 = d0f / 17.0 - (half_log2_c + _log2_frac(A) + t + 18.0)

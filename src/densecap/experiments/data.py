@@ -1,8 +1,10 @@
 """Dataset ingestion: IDX-format image files and synthetic spike targets."""
 
 import gzip
+import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,7 @@ TEST_LABELS = "t10k-labels-idx1-ubyte"
 DATA_ENV = "DENSECAP_DATA"
 
 SPIKE_MAX_ENTRIES = 2**24  # most grid labels N^d0, and most input entries samples * d0
+READ_CHUNK = 1 << 26  # bytes per read, so memory grows with the data, not a header's count
 
 
 def _open_maybe_gz(path):
@@ -36,37 +39,45 @@ def _open_maybe_gz(path):
 
 
 def _read_exact(fh, count, path, offset):
-    buf = fh.read(count)
-    if len(buf) != count:
+    chunks, got = [], 0
+    while got < count and (chunk := fh.read(min(count - got, READ_CHUNK))):
+        chunks.append(chunk)
+        got += len(chunk)
+    if got != count:
         raise IngestionError(
-            f"truncated file: wanted {count} bytes, got {len(buf)}",
+            f"truncated file: wanted {count} bytes, got {got}",
             path=path,
             offset=offset,
         )
-    return buf
+    return b"".join(chunks)
+
+
+def _read_idx(path, magic, dims, kind):
+    """An IDX file's ``dims`` dimensions and payload; every fault is an IngestionError."""
+    head = 4 * (dims + 1)
+    try:
+        with _open_maybe_gz(path) as fh:
+            got, *shape = struct.unpack(f">{dims + 1}I", _read_exact(fh, head, path, 0))
+            if got != magic:
+                raise IngestionError(
+                    f"bad magic {got}, expected {magic} for {kind} file", path=path
+                )
+            return shape, _read_exact(fh, math.prod(shape), path, head)
+    except (OSError, EOFError, zlib.error) as exc:  # a gzip stream's faults among them
+        raise IngestionError(f"unreadable file: {exc}", path=path) from None
 
 
 def read_idx_images(path):
     """Big-endian IDX image file -> float array in [0,1], shape (n, rows*cols)."""
-    with _open_maybe_gz(path) as fh:
-        magic, n, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, path, 0))
-        if magic != IMAGE_MAGIC:
-            raise IngestionError(
-                f"bad magic {magic}, expected {IMAGE_MAGIC} for an image file", path=path
-            )
-        raw = _read_exact(fh, n * rows * cols, path, 16)
+    (n, rows, cols), raw = _read_idx(path, IMAGE_MAGIC, 3, "an image")
+    if rows * cols > np.iinfo(np.intp).max // 8:  # with n = 0 no byte bounds them
+        raise IngestionError(f"images of {rows} x {cols} pixels exceed any array", path=path)
     arr = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
     return arr.reshape(n, rows * cols)
 
 
 def read_idx_labels(path):
-    with _open_maybe_gz(path) as fh:
-        magic, n = struct.unpack(">II", _read_exact(fh, 8, path, 0))
-        if magic != LABEL_MAGIC:
-            raise IngestionError(
-                f"bad magic {magic}, expected {LABEL_MAGIC} for a label file", path=path
-            )
-        raw = _read_exact(fh, n, path, 8)
+    (n,), raw = _read_idx(path, LABEL_MAGIC, 1, "a label")
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 

@@ -18,7 +18,7 @@ validation, extraction and lifting read the n x n array ``.dense()`` gives.
 The parts of one unit are twins, with equal rows and columns, so
 ``unit_blocks`` merges them: the same kernel on (L-1)*d + d0 + dL + 1
 unequal parts, held as a BlockKernel of one array per entry of
-``blocks()``, which compression and the kernel distance work on. It
+``blocks()``, which the kernel distance and weak regularity work on. It
 reads those blocks off an induced kernel, or straight off a network's
 weights without building the n x n kernel.
 """
@@ -108,20 +108,6 @@ class LayerStructure:
         return np.concatenate(
             [np.full(self.width(k), self.d // self.width(k)) for k in regions]
         )
-
-    def structural_labels(self):
-        """Per unit: input unit / hidden layer / output unit / bias.
-
-        This is the coarsest structure a compressed kernel must respect:
-        d0 + (L-1) + dL + 1 groups, numbered in layout order. Only a hidden
-        layer's group holds more than one unit.
-        """
-        d0, L, dL = self.d0, self.L, self.dL
-        return np.concatenate([
-            np.arange(d0),
-            np.repeat(np.arange(d0, d0 + L - 1), self.d),
-            np.arange(d0 + L - 1, d0 + L + dL),
-        ]).astype(np.int64)
 
     def region_of(self, idx):
         ell = idx // self.d

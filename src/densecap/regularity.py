@@ -5,6 +5,10 @@ the blocks of the current partition, locate a set pair on which the
 residual has large integral, refine the partition by that pair, repeat.
 Each refinement raises the squared L2 norm of the projection by at least
 the witness value squared, which caps the iteration count.
+It starts from the regions that the kernel's block bounds cut out, so it
+runs on ``induce_kernel(net).kernel`` and ``unit_blocks(net)``. There
+``oracle="exact"`` raises CapacityError above the exact cap (over 24
+distinct rows on a 12-wide net), so network kernels want ``oracle="auto"``.
 
 ``compress_network`` cuts each hidden layer's units into equal groups
 by recursive splits along the top principal direction of their features
@@ -47,20 +51,13 @@ def _project_grouping(kernel, labels):
 
     Each block of ``kernel`` gets the averages of the groups it meets,
     from one product per side, so on a StepKernel this is the one product
-    ``W @ coeffs @ W.T``. A group must lie within one region of the parts
-    the blocks' bounds cut out, so that the average vanishes off the
-    blocks, as the kernel does; labels that mix regions raise
-    ParameterError. Returns (group values, group measures, group index of
+    ``W @ coeffs @ W.T``. Returns (group values, group measures, group index of
     each part).
     """
     measures = kernel.partition.measures
     uniq, inverse = np.unique(labels, return_inverse=True)
     k = uniq.size
     n = measures.size
-    bounds = [x for rs, cs, _ in kernel.blocks for x in (rs.start, rs.stop, cs.start, cs.stop)]
-    region = np.searchsorted(np.unique(bounds), np.arange(n), side="right")
-    if np.unique(inverse * (len(bounds) + 1) + region).size != k:
-        raise ParameterError("label groups mix regions of the kernel's blocks")
     wg = np.zeros((k, n))
     wg[inverse, np.arange(n)] = measures
     gm = wg.sum(axis=1)
@@ -125,14 +122,14 @@ class RegularityTrace:
         return [r.energy for r in self.iterations]
 
 
-def _refine(kernel, labels, split, stop, max_iter, oracle, seed):
+def _refine(kernel, labels, stop, max_iter, oracle, seed):
     """The energy-increment loop of ``weak_regularity``, from ``labels``.
 
     Each round projects the kernel onto the label groups, records the
     projection energy and the residual's cut witness, and stops once the
     witness drops below ``stop`` or after ``max_iter`` splits. Otherwise
-    ``split(labels, s, t)`` refines the labels by the witness indicator
-    vectors s (rows) and t (columns).
+    it splits every group four ways by the witness indicator vectors s
+    (rows) and t (columns).
     """
     records = []
     exact_used = True
@@ -160,7 +157,7 @@ def _refine(kernel, labels, split, stop, max_iter, oracle, seed):
         t = np.zeros(kernel.n, dtype=np.int64)
         s[list(witness.row_set)] = 1
         t[list(witness.col_set)] = 1
-        labels = split(labels, s, t)
+        labels = np.unique(labels * 4 + 2 * s + t, return_inverse=True)[1]
     coarse = StepKernel(Partition(gm), np.clip(vals, -1, 1))
     return RegularityTrace(
         records, labels, coarse, kernel.partition, witness.value, status, exact_used
@@ -170,24 +167,24 @@ def _refine(kernel, labels, split, stop, max_iter, oracle, seed):
 def weak_regularity(kernel, eps, oracle="exact", seed=0):
     """Approximate a step kernel in cut norm by iterative cut refinement.
 
-    Starts from the one-part partition and stops as soon as the residual's
+    Starts from the block regions and stops as soon as the residual's
     cut witness drops below ``eps`` or the iteration cap ceil(4/eps^2) is
     hit; the cap is generous because every completed refinement raises the
     projection energy by at least eps^2 and the energy never exceeds 1.
+    The regions that the kernel's block bounds cut out, numbered from 0,
+    are one on a StepKernel and the L+2 layers on ``induce_kernel(net).kernel``
+    and ``unit_blocks(net)``; splits only refine them, so averages vanish off
+    the blocks, as the kernel does. There ``oracle="exact"`` raises
+    CapacityError above the exact cap (over 24 distinct rows on a 12-wide
+    net), so network kernels want ``oracle="auto"``.
     """
     require_real("eps", eps)
     if not 0 < eps <= 2:
         raise ParameterError(f"eps must lie in (0, 2], got {eps}")
     require_count("seed", seed)
-    return _refine(
-        kernel,
-        np.zeros(kernel.n, dtype=np.int64),
-        lambda labels, s, t: np.unique(labels * 4 + 2 * s + t, return_inverse=True)[1],
-        eps,
-        math.ceil(4.0 / (eps * eps)),
-        oracle,
-        seed,
-    )
+    cuts = np.unique([(rs.start, rs.stop, cs.start, cs.stop) for rs, cs, _ in kernel.blocks])
+    labels = np.searchsorted(cuts[cuts > 0], np.arange(kernel.n), side="right")
+    return _refine(kernel, labels, eps, math.ceil(4.0 / (eps * eps)), oracle, seed)
 
 
 @dataclass

@@ -134,7 +134,7 @@ def test_d0_threshold_spot_value():
     (7, 5, 1, Fraction(1, 2**380)), (7, 5, 1, Fraction(3, 2**381)),
 ])
 def test_threshold_m_is_the_smallest_power_of_four_above(B, L, dL, c):
-    m, A, _ = bounds._threshold_terms(B, L, dL, c)
+    m, A, _, _ = bounds._threshold_terms(B, L, dL, c)
     nd = (Fraction(c) * A * A) ** 17
     assert Fraction(4) ** m >= nd > Fraction(4) ** (m - 1)
 
@@ -156,7 +156,7 @@ def test_threshold_m_matches_the_exact_comparison():
         L, dL = int(rng.integers(2, 7)), int(rng.integers(1, 5))
         B = L + 2 + Fraction(int(rng.integers(0, 10**6)), int(rng.integers(1, 10**6)))
         if i % 4 == 0:  # c A^2 a power of two: x is an integer, the exact route decides
-            _, A, _ = bounds._threshold_terms(B, L, dL, 1)
+            _, A, _, _ = bounds._threshold_terms(B, L, dL, 1)
             c = Fraction(2) ** int(rng.integers(-50, 50)) / (A * A)
         else:
             c = Fraction(int(rng.integers(1, 10**9)), int(rng.integers(1, 10**9)))

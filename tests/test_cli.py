@@ -1,16 +1,24 @@
-"""End-to-end checks that invoke the installed command-line binary."""
+"""End-to-end checks that invoke the installed command-line binary.
 
+The config fuzz alone calls ``main`` in process, to run many cases fast.
+"""
+
+import contextlib
+import io
 import json
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from densecap.cli import build_parser
+from densecap.cli import BOUNDS, build_parser, main
 from densecap.kernels import induce_kernel, save_kernel
 from densecap.networks import DenseNetwork, random_network, save_network, serialize_network
 
@@ -281,6 +289,14 @@ def test_train_bad_spike_field_is_one_line_error():
     assert_one_line_error(r, "'N'")
 
 
+def test_train_on_an_oversized_idx_header_is_one_line_error(tmp_path):
+    # 2^63 pixels in a 16-byte file: read in chunks, never asked for whole
+    images = tmp_path / "train-images-idx3-ubyte"
+    images.write_bytes(struct.pack(">4I", 2051, 2**31, 2**16, 2**16))
+    r = run_cli("train", "--data-dir", str(tmp_path), "--width", "4", "--epochs", "1")
+    assert_one_line_error(r, str(images))
+
+
 def test_train_and_sweep_on_spike(tmp_path):
     r = run_cli(
         "train", "--dataset", "spike:d0=1,N=2,samples=400", "--width", "8",
@@ -544,3 +560,47 @@ def test_required_flags_set_nowhere_are_usage_errors(values, text, net_file, tmp
     r = run_cli("compress", net_file, "--config", str(cfg))
     assert r.returncode == 2 and text in r.stderr and r.stdout == ""
     assert not Path(out).exists()
+
+
+SUBPARSERS = build_parser()._subparsers._group_actions[0].choices
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config")
+
+
+# values a hand-edited config may hold: nothing, the wrong type, NaN, a
+# float overflow, an exact fraction, a division by zero, a list or a table
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.sampled_from([2**70, -(2**70)]),
+    st.floats(), st.text(max_size=6),
+    st.sampled_from(["1/8", "1e400", "-1e400", "nan", "inf", "1/0", "4", "9/2"]),
+    st.lists(st.integers(-3, 40), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+# half the keys are the bounds formulas' own flags, the rest any command's
+FLAG = st.one_of(
+    st.sampled_from(sorted(a.dest for a in SUBPARSERS["bounds"]._actions)),
+    st.sampled_from(sorted({a.dest for p in SUBPARSERS.values() for a in p._actions})),
+)
+
+
+# a config every formula accepts, which the junk then overwrites in part
+GOOD_BOUNDS = {"B": "6", "L": 2, "d0": 2, "dL": 1, "eps": "1/8", "c": "1"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(formula=st.sampled_from(sorted(BOUNDS)), junk=st.dictionaries(FLAG, JUNK, max_size=4))
+def test_config_junk_ends_in_an_exit_code(config_dir, formula, junk):
+    """In process: any config for ``bounds`` ends in exit 0, 1 or 2, not a traceback."""
+    cfg = config_dir / "cfg.json"
+    cfg.write_text(json.dumps({**GOOD_BOUNDS, **junk}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(["bounds", formula, "--config", str(cfg)])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

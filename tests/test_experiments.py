@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from densecap.cli import main
 from densecap.errors import CapacityError, DensecapError, IngestionError, ParameterError
@@ -20,6 +22,8 @@ from densecap.experiments import (
 )
 from densecap.experiments import data as data_mod
 from densecap.experiments.data import (
+    IMAGE_MAGIC,
+    LABEL_MAGIC,
     TEST_IMAGES,
     TEST_LABELS,
     TRAIN_IMAGES,
@@ -86,6 +90,50 @@ def test_idx_truncation_reports_offset(tmp_path):
         read_idx_images(str(p))
     assert "truncated" in str(exc.value)
     assert exc.value.offset == 16
+
+
+@pytest.fixture(scope="module")
+def idx_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("idx")
+
+
+# header fields a damaged or hostile file may hold: none, small, MNIST's,
+# and counts whose product passes 2^31, 2^63 or any array
+HEADER_FIELDS = st.one_of(
+    st.sampled_from([0, 1, 2, 28, 60000, 2**16, 2**31, 2**32 - 1]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    magic=st.sampled_from([IMAGE_MAGIC, LABEL_MAGIC, 0]),
+    dims=st.lists(HEADER_FIELDS, min_size=3, max_size=3),
+    keep=st.integers(0, 16),
+    payload=st.binary(max_size=64),
+    packing=st.sampled_from(["plain", "gzip", "gzip cut", "gzip flipped"]),
+    at=st.integers(0, 2**16),
+)
+@example(IMAGE_MAGIC, [2**31, 2**16, 2**16], 16, b"", "plain", 0)  # 2^63 pixels
+@example(IMAGE_MAGIC, [0, 2**32 - 1, 2**32 - 1], 16, b"", "plain", 0)  # no image, no array
+def test_malformed_idx_files_raise_only_ingestion_errors(
+    idx_dir, magic, dims, keep, payload, packing, at
+):
+    data = struct.pack(">4I", magic, *dims)[:keep] + payload
+    if packing != "plain":
+        data = gzip.compress(data)
+        if packing == "gzip cut":
+            data = data[:at % len(data)]
+        elif packing == "gzip flipped":
+            data = bytearray(data)
+            data[at % len(data)] ^= 1 << (at % 8)
+    path = idx_dir / "file"
+    path.write_bytes(bytes(data))
+    for read in (read_idx_images, read_idx_labels):
+        try:
+            read(str(path))
+        except IngestionError as exc:
+            assert str(path) in str(exc)
 
 
 def test_missing_directory_is_ingestion_error(tmp_path, monkeypatch):

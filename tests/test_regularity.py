@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from densecap import regularity
 from densecap.cutnorm import kernel_cut_norm_exact
-from densecap.errors import ParameterError
+from densecap.errors import CapacityError, ParameterError
 from densecap.kernels import (
     BlockKernel,
     ComputationalKernel,
@@ -94,16 +94,13 @@ def test_block_projection_matches_the_dense_one(L, d, groups, seed):
     net = random_network(L, 1, 1, d, L + 3.0, np.random.default_rng(seed))
     ls, bk = layers_of(net), unit_blocks(net)
     raw = np.random.default_rng(seed).integers(0, groups, ls.n_units)
-    struct = ls.structural_labels()
+    struct = unit_structural_labels(ls)
     labels = raw * (struct.max() + 1) + struct  # groups within the layers
     vals, gm, inverse = regularity._project_grouping(bk, labels)
     want, want_gm, want_inverse = regularity._project_grouping(bk.dense(), labels)
     assert np.array_equal(gm, want_gm) and np.array_equal(inverse, want_inverse)
     assert np.abs(vals - want).max() <= 4 * ls.n_units * np.finfo(float).eps
     assert np.array_equal(vals == 0.0, want == 0.0)
-    # one group across every layer would average over blocks that vanish
-    with pytest.raises(ParameterError, match="mix regions"):
-        regularity._project_grouping(bk, np.zeros(ls.n_units, dtype=np.int64))
 
 
 def test_weak_regularity_constant_kernel_immediate():
@@ -118,13 +115,55 @@ def test_weak_regularity_constant_kernel_immediate():
 def test_weak_regularity_own_partition_start_terminates_at_zero():
     rng = np.random.default_rng(3)
     kern = StepKernel(equipartition(10), rng.uniform(-1, 1, (10, 10)))
-    def never(*args):
-        raise AssertionError("a zero residual was split")
-
-    tr = regularity._refine(kern, np.arange(10), never, 2.0, 1, "exact", 0)
+    tr = regularity._refine(kern, np.arange(10), 2.0, 1, "exact", 0)
+    assert len(tr.iterations) == 1
     assert tr.status == "certified"
     assert tr.bound == 0.0
     assert np.array_equal(tr.projected_fine.coeffs, kern.coeffs)
+
+
+def test_weak_regularity_runs_on_a_networks_block_kernels():
+    # the start is the L+2 layer regions: a one-part start would average
+    # across them, where the kernel vanishes
+    net = random_network(3, 2, 2, 12, 5.0, np.random.default_rng(0))
+    for kern in (induce_kernel(net).kernel, unit_blocks(net)):
+        tr = weak_regularity(kern, 0.5, oracle="auto")
+        assert isinstance(tr, regularity.RegularityTrace)
+        assert tr.partition_sizes[0] == net.L + 2
+        # the exact oracle refuses the residual's distinct rows, over its cap
+        with pytest.raises(CapacityError):
+            weak_regularity(kern, 0.5, oracle="exact")
+
+
+SMALL_NETS = [(2, 1, 1, 6, 4.0, 0), (2, 2, 3, 6, 4.0, 0), (3, 1, 1, 4, 5.0, 1),
+              (2, 3, 2, 6, 4.0, 2)]
+
+
+@pytest.mark.parametrize("L, d0, dL, d, B, seed", SMALL_NETS)
+def test_fine_and_unit_kernels_refine_alike(L, d0, dL, d, B, seed):
+    net = random_network(L, d0, dL, d, B, np.random.default_rng(seed))
+    fine, units = (
+        weak_regularity(k, 0.005, oracle="exact")
+        for k in (induce_kernel(net).kernel, unit_blocks(net))
+    )
+    assert len(fine.iterations) > 2
+    assert fine.partition_sizes == units.partition_sizes
+    assert np.allclose(fine.energies, units.energies, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("L, d0, dL, d, B, seed", SMALL_NETS)
+def test_certified_block_residual_is_within_eps(L, d0, dL, d, B, seed):
+    # the final residual, measured again on the fine n x n array
+    net = random_network(L, d0, dL, d, B, np.random.default_rng(seed))
+    fine = induce_kernel(net).kernel
+    dense = fine.dense()
+    for kern, lift in ((fine, 1), (unit_blocks(net), layers_of(net).unit_parts())):
+        tr = weak_regularity(kern, 0.005, oracle="exact")
+        assert tr.certified
+        proj = np.repeat(np.repeat(tr.projected_fine.coeffs, lift, axis=0), lift, axis=1)
+        v = residual_cut_norm_exact(dense, StepKernel(dense.partition, proj))
+        assert v < 0.005
+        assert abs(v - tr.bound) <= 1e-12
 
 
 def test_weak_regularity_iterates_and_certifies():
@@ -561,20 +600,10 @@ def structural_labels_reference(ls):
     return [seen.setdefault(k, len(seen)) for k in keys]
 
 
-@pytest.mark.parametrize("L,d0,dL,d", [(2, 1, 1, 3), (3, 2, 3, 12), (4, 3, 1, 6)])
-def test_structural_labels_are_layout_ordered_ids(L, d0, dL, d):
-    ls = LayerStructure(L, d0, dL, d)
-    ids = ls.structural_labels()
-    assert ids.dtype == np.int64 and ids.shape == (ls.n_units,)
-    # each unit's label, repeated over its parts, is the per-part reference
-    assert np.repeat(ids, ls.unit_parts()).tolist() == structural_labels_reference(ls)
-    assert np.array_equal(np.unique(ids), np.arange(d0 + (L - 1) + dL + 1))
-    assert np.all(np.diff(ids) >= 0)
-    for ell in range(1, L):
-        assert np.unique(ids[ls.unit_slice(ell)]).size == 1
-    assert np.unique(ids[ls.unit_slice("bias")]).size == 1
-    assert np.unique(ids[ls.unit_slice(0)]).size == d0
-    assert np.unique(ids[ls.unit_slice(L)]).size == dL
+def unit_structural_labels(ls):
+    """``structural_labels_reference`` on the units: each unit's first part's label."""
+    parts = ls.unit_parts()
+    return np.array(structural_labels_reference(ls))[np.cumsum(parts) - parts]
 
 
 @pytest.mark.parametrize(
@@ -646,12 +675,8 @@ def test_refinement_does_not_hinge_on_summation_order():
     # (they did not when a 1-ulp rounding picked the sign)
     net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42))
     ls, q = layers_of(net), unit_blocks(net)
-
-    def split(labels, s, t):
-        return np.unique(labels * 4 + 2 * s + t, return_inverse=True)[1]
-
     blocks, dense = (
-        regularity._refine(k, ls.structural_labels(), split, 1e-9, 3, "auto", 5)
+        regularity._refine(k, unit_structural_labels(ls), 1e-9, 3, "auto", 5)
         for k in (q, q.dense())
     )
     assert np.array_equal(blocks.labels, dense.labels)
