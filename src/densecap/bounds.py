@@ -62,10 +62,6 @@ def _show(x):
         return f"{'-' if x < 0 else ''}2^{_log2_frac(abs(x)):.6g}"
 
 
-def _ceil_frac(fr):
-    return -((-fr.numerator) // fr.denominator)
-
-
 def _isqrt_frac(fr):
     """Exact square root of a nonnegative rational, or None."""
     n, d = fr.numerator, fr.denominator
@@ -131,7 +127,7 @@ def _scaled_pow2_ceil(exp, rest, factor, formula):
     """BoundValue of factor * ceil(2^exp * rest) with exact/log-space switch."""
     e = _as_float(exp, formula)
     if e + _log2_frac(rest) <= MAX_EXACT_BITS:
-        val = factor * _ceil_frac(Fraction(2) ** exp * rest)
+        val = factor * math.ceil(Fraction(2) ** exp * rest)
         return _from_fraction(Fraction(val), formula)
     # ceil shifts the log by < 2^-exp here: far below float resolution
     return BoundValue(None, _log2_int(factor) + e + _log2_frac(rest), formula)
@@ -145,7 +141,7 @@ def wrl_hidden_dim(eps, L, d0, dL):
     if L < 1 or d0 < 1 or dL < 1:
         raise ParameterError("dimensions must be positive")
     M = math.lcm(d0, dL)
-    e = 2 * _ceil_frac(16 / eps**2)
+    e = 2 * math.ceil(16 / eps**2)
     return _scaled_pow2_ceil(e, 1 / eps, 8 * M * L, "wrl_hidden_dim")
 
 
@@ -225,7 +221,7 @@ def _threshold_terms(B, L, dL, c):
         k = p.bit_length() - q.bit_length()
         k += (p << max(-k, 0)) > (q << max(k, 0))
     m = -(-k // 2)
-    return m, A, T, m + _ceil_frac(17 * T) + 306
+    return m, A, T, m + math.ceil(17 * T) + 306
 
 
 def d0_threshold(B, L, dL, c=1):

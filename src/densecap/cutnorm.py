@@ -65,8 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError, ValidationFailedError, require_count
-from .kernels import BlockKernel, ComputationalKernel, StepSignal, layered_conditions
-from .kernels import layers_of, unit_blocks
+from .kernels import BlockKernel, StepSignal, layers_of, unit_blocks
 from .partitions import Partition
 from .threads import cores, spread
 
@@ -591,11 +590,12 @@ def comp_cut_distance_upper(ck, cj, mode="identity", oracle="auto", seed=0):
         raise ParameterError(f"kernels disagree on B: {ck.B} vs {cj.B}")
     if mode not in ("identity", "exhaustive"):
         raise ParameterError(f"unknown mode {mode!r}")
+    quotients = []
     for which, k in (("first", ck), ("second", cj)):
-        if not isinstance(k, ComputationalKernel):
-            continue
-        if failure := layered_conditions(k).first_failure():
-            raise ValidationFailedError(f"{which} kernel is not layered: {failure}")
+        try:
+            quotients.append(unit_blocks(k))
+        except ValidationFailedError as exc:
+            raise ValidationFailedError(f"{which} {exc}") from None
     if a.d != b.d and mode != "identity":
         raise ParameterError(f"mode {mode!r} needs equal hidden dims, got {a.d} vs {b.d}")
     candidates = [(None,) * (a.L - 1)]
@@ -618,8 +618,7 @@ def comp_cut_distance_upper(ck, cj, mode="identity", oracle="auto", seed=0):
     refined = Partition(np.diff(cuts) / N)
     ri = np.searchsorted(ta, cuts[:-1], side="right") - 1
     rj = np.searchsorted(tb, cuts[:-1], side="right") - 1
-    qc = _on_refinement(unit_blocks(ck), ri, ri)
-    qj = unit_blocks(cj)
+    qc, qj = _on_refinement(quotients[0], ri, ri), quotients[1]
     best, best_perms, ex_all = None, None, True
     for perms in candidates:
         idx = _hidden_permutation_index(b, perms)[rj]

@@ -345,10 +345,11 @@ def unit_blocks(obj):
     ``obj`` is a network or a computational kernel. A network's blocks are
     its parameters over B, the values ``induce_kernel`` spreads over the
     parts, so ``unit_blocks(net)`` equals ``unit_blocks(induce_kernel(net))``
-    bitwise and never builds the n x n kernel. A kernel's blocks are read
-    as ``units(c, rows, cols)[:, 0, :, 0]``; it must be layered (conditions
-    2 and 3 of ``validate_computational``): variation inside a unit and
-    entries outside ``blocks()`` are not read.
+    bitwise and never builds the n x n kernel. A kernel's blocks are copied
+    off ``units(c, rows, cols)[:, 0, :, 0]``, so none holds on to ``c``. It
+    must be layered (conditions 2 and 3 of ``validate_computational``), since
+    variation inside a unit and entries outside ``blocks()`` are not read:
+    one failing condition raises ValidationFailedError.
     """
     ls = layers_of(obj)
     if isinstance(obj, DenseNetwork):
@@ -360,7 +361,9 @@ def unit_blocks(obj):
         ]
     else:
         c = _array(obj.kernel)
-        blocks = [ls.units(c, rows, cols)[:, 0, :, 0] for rows, cols in ls.blocks()]
+        if failure := _layered_conditions(ls, c).first_failure():
+            raise ValidationFailedError(f"kernel is not layered: {failure}")
+        blocks = [ls.units(c, rows, cols)[:, 0, :, 0].copy() for rows, cols in ls.blocks()]
     return BlockKernel(Partition(ls.unit_parts() / ls.n), tuple(
         (ls.unit_slice(rows), ls.unit_slice(cols), block)
         for (rows, cols), block in zip(ls.blocks(), blocks)
@@ -412,7 +415,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def layered_conditions(ck):
+def _layered_conditions(ls, c):
     """Conditions 2 and 3 of ``validate_computational``, one block at a time.
 
     The region pairs are visited in row-major order, which is the order of
@@ -422,10 +425,6 @@ def layered_conditions(ck):
     network (condition 3, reported at the largest entry off the blocks, the
     first in row-major order on ties). Returns them as a report.
     """
-    return _layered_conditions(ck.layers, _array(ck.kernel))
-
-
-def _layered_conditions(ls, c):
     allowed = ls.blocks()
     regions = list(range(ls.L + 1)) + ["bias"]
     constancy, worst = ConditionCheck(True), (0.0, 0, 0)  # (|c[i, j]|, -i, -j)

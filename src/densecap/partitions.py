@@ -38,14 +38,6 @@ class Partition:
     def size(self):
         return int(self.measures.size)
 
-    def boundaries(self):
-        """Interval endpoints: 0, the running sums of the measures, then 1."""
-        b = np.empty(self.size + 1)
-        b[0] = 0.0
-        np.cumsum(self.measures, out=b[1:])
-        b[-1] = 1.0
-        return b
-
     def __eq__(self, other):
         if self is other:
             return True

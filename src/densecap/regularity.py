@@ -6,9 +6,8 @@ residual has large integral, refine the partition by that pair, repeat.
 Each refinement raises the squared L2 norm of the projection by at least
 the witness value squared, which caps the iteration count.
 It starts from the regions that the kernel's block bounds cut out, so it
-runs on ``induce_kernel(net).kernel`` and ``unit_blocks(net)``. There
-``oracle="exact"`` raises CapacityError above the exact cap (over 24
-distinct rows on a 12-wide net), so network kernels want ``oracle="auto"``.
+runs on ``induce_kernel(net).kernel`` and ``unit_blocks(net)``. Its default
+``oracle="auto"`` takes the exact route wherever that fits under the cap.
 
 ``compress_network`` cuts each hidden layer's units into equal groups
 by recursive splits along the top principal direction of their features
@@ -164,7 +163,7 @@ def _refine(kernel, labels, stop, max_iter, oracle, seed):
     )
 
 
-def weak_regularity(kernel, eps, oracle="exact", seed=0):
+def weak_regularity(kernel, eps, oracle="auto", seed=0):
     """Approximate a step kernel in cut norm by iterative cut refinement.
 
     Starts from the block regions and stops as soon as the residual's
@@ -174,9 +173,8 @@ def weak_regularity(kernel, eps, oracle="exact", seed=0):
     The regions that the kernel's block bounds cut out, numbered from 0,
     are one on a StepKernel and the L+2 layers on ``induce_kernel(net).kernel``
     and ``unit_blocks(net)``; splits only refine them, so averages vanish off
-    the blocks, as the kernel does. There ``oracle="exact"`` raises
-    CapacityError above the exact cap (over 24 distinct rows on a 12-wide
-    net), so network kernels want ``oracle="auto"``.
+    the blocks, as the kernel does. The default ``oracle="auto"`` runs the
+    exact route wherever ``oracle="exact"`` would not raise CapacityError.
     """
     require_real("eps", eps)
     if not 0 < eps <= 2:

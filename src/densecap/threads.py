@@ -9,7 +9,6 @@ thread, which keeps its pages resident.
 """
 
 import os
-import threading
 
 
 def cores():
@@ -22,28 +21,18 @@ def cores():
 def spread(run, workers):
     """``[run(k) for k in range(workers)]``, each call on its own thread.
 
-    ``run(0)`` runs on the calling thread and the others on threads started
-    here, all joined before the call returns, also when one of them fails.
-    The first error a worker raised is raised again on the calling thread.
+    ``run(0)`` runs on the calling thread and the others on a pool of
+    ``workers - 1`` threads, all joined before the call returns, also when
+    one of them fails. The error of the lowest failing k is raised on the
+    calling thread, whichever run failed first in time.
     """
-    results = [None] * workers
-    errors = []
+    if workers < 2:  # no thread to start
+        return [run(0)]
+    # imported here: concurrent.futures imports logging, which
+    # ``import densecap`` and single-threaded calls should not pay for
+    from concurrent.futures import ThreadPoolExecutor
 
-    def guarded(k):
-        try:
-            results[k] = run(k)
-        except Exception as exc:  # raised again on the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=(k,)) for k in range(1, workers)]
-    try:
-        for t in threads:
-            t.start()
-        results[0] = run(0)
-    finally:
-        for t in threads:
-            if t.ident is not None:  # started
-                t.join()
-    if errors:
-        raise errors[0]
-    return results
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(run, k) for k in range(1, workers)]
+        first = run(0)
+    return [first] + [f.result() for f in futures]

@@ -554,6 +554,34 @@ def test_unit_quotient_is_the_kernel_on_its_units(L, d0, dL, mult, seed):
     assert all(same_bits(a, q.coeffs[r, c]) for r, c, a in bk.blocks)
 
 
+def test_unit_quotient_of_a_kernel_holds_only_its_blocks():
+    # a 1 x 1 view of the n x n array counts as contiguous, so a block kept
+    # as a view would hold the whole 11 MiB array
+    net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(1))
+    ck = induce_kernel(net)
+    tracemalloc.start()
+    try:
+        q = unit_blocks(ck)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    size = sum(a.nbytes for _, _, a in q.blocks)
+    assert held < 2 * size < 1 << 20
+    assert all(same_bits(a, b[2]) for (_, _, a), b in zip(q.blocks, unit_blocks(net).blocks))
+
+
+def test_unit_quotient_refuses_a_kernel_that_is_not_layered():
+    ck = induce_kernel(random_network(2, 1, 1, 4, 6.0, np.random.default_rng(0)))
+    ls = ck.layers
+    off, varies = ck.kernel.dense().coeffs.copy(), ck.kernel.dense().coeffs.copy()
+    off[0] = 0.9  # a layer-0 row must vanish
+    varies[ls.layer_slice(1).start, ls.layer_slice(0).start] += 0.01
+    for c, condition in ((off, "3 \\(zero"), (varies, "2 \\(cell constancy")):
+        bent = ComputationalKernel(StepKernel(ck.kernel.partition, c), ls, ck.B)
+        with pytest.raises(ValidationFailedError, match=f"^kernel is not layered: {condition}"):
+            unit_blocks(bent)
+
+
 def _top_right(a):
     return ((slice(0, 2), slice(2, 4), a),)
 

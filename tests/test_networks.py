@@ -24,6 +24,7 @@ from densecap.networks import (
     random_network,
     serialize_network,
 )
+from densecap.threads import spread
 from densecap.verify import straight_line_forward
 
 from conftest import random_layered_net
@@ -387,6 +388,26 @@ def test_a_worker_thread_error_is_raised(monkeypatch, caller):
     with pytest.raises(FloatingPointError, match="worker failed"):
         call(np.zeros((2 * FORWARD_CHUNK, 2)))
     assert threading.active_count() == before
+
+
+def test_spread_raises_the_lowest_failing_run():
+    # run 2 fails first in time, run 1 after it: run 1's error is raised
+    failed = threading.Event()
+
+    def run(k):
+        if k == 2:
+            failed.set()
+            raise ValueError("run 2")
+        if k == 1:
+            failed.wait(10)
+            raise ValueError("run 1")
+        return k
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="run 1"):
+        spread(run, 3)
+    assert threading.active_count() == before
+    assert spread(lambda k: k * k, 3) == [0, 1, 4]
 
 
 def test_forward_peak_is_its_chunk_buffers():

@@ -135,6 +135,24 @@ def test_weak_regularity_runs_on_a_networks_block_kernels():
             weak_regularity(kern, 0.5, oracle="exact")
 
 
+def test_weak_regularity_defaults_to_the_auto_oracle():
+    # the exact oracle refuses the first residual here (27 and 26 distinct
+    # rows, cap 24); the default measures it with the heuristic instead
+    net = random_network(3, 2, 2, 12, 5.0, np.random.default_rng(0))
+    for kern in (induce_kernel(net).kernel, unit_blocks(net)):
+        tr = weak_regularity(kern, 0.5)
+        assert tr.partition_sizes == [net.L + 2] and not tr.oracle_exact
+    # where the exact oracle runs, the default gives its trace
+    rng = np.random.default_rng(5)
+    for n in (6, 10, 16):
+        kern = StepKernel(equipartition(n), rng.uniform(-1.0, 1.0, (n, n)))
+        got, want = weak_regularity(kern, 0.05), weak_regularity(kern, 0.05, oracle="exact")
+        assert len(want.iterations) == 3
+        assert np.array_equal(got.labels, want.labels)
+        assert got.energies == want.energies and got.bound == want.bound
+        assert (got.status, got.oracle_exact) == (want.status, want.oracle_exact)
+
+
 SMALL_NETS = [(2, 1, 1, 6, 4.0, 0), (2, 2, 3, 6, 4.0, 0), (3, 1, 1, 4, 5.0, 1),
               (2, 3, 2, 6, 4.0, 2)]
 
