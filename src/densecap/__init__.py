@@ -11,7 +11,6 @@ width-saturation experiment for clamped-weight networks.
 
 from .networks import (
     DenseNetwork,
-    clamp_dense,
     forward,
     param_count,
     random_network,

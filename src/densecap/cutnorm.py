@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError, ValidationFailedError, require_count
-from .kernels import BlockKernel, StepSignal, layers_of, unit_blocks
+from .kernels import BlockKernel, StepSignal, unit_blocks
 from .partitions import Partition
 from .threads import cores, spread
 
@@ -581,7 +581,7 @@ def comp_cut_distance_upper(ck, cj, mode="identity", oracle="auto", seed=0):
     exact route and the shrink's on the heuristic one.
     """
     require_count("seed", seed)
-    a, b = layers_of(ck), layers_of(cj)
+    a, b = ck.layers, cj.layers
     if (a.L, a.d0, a.dL) != (b.L, b.d0, b.dL):
         raise ParameterError(
             f"kernels disagree on (L, d0, dL): {(a.L, a.d0, a.dL)} vs {(b.L, b.d0, b.dL)}"

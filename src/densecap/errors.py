@@ -17,14 +17,6 @@ class DimensionMismatchError(DensecapError):
         super().__init__(f"{where}: expected {expected}, got {actual}")
 
 
-class InvalidNetworkError(DensecapError):
-    """A network violates a structural invariant (bounds, divisibility, depth)."""
-
-
-class InvalidBoundError(DensecapError):
-    """The amplification bound is too small for the requested construction."""
-
-
 class ParseError(DensecapError):
     """A serialized record could not be decoded."""
 
@@ -44,6 +36,14 @@ class CapacityError(DensecapError):
 
 class ParameterError(DensecapError):
     """An argument is outside the operation's stated domain."""
+
+
+class InvalidNetworkError(ParameterError):
+    """A network violates a structural invariant (bounds, divisibility, depth)."""
+
+
+class InvalidBoundError(InvalidNetworkError):
+    """The parameter bound B is not finite or is below L+2."""
 
 
 def require_count(name, value, least=0):

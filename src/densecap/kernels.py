@@ -8,7 +8,8 @@ output units; the bias region is one unit). Only the blocks
 ``LayerStructure.blocks()`` lists may be nonzero, each constant on every
 (unit, unit) pair: weights/B from layer k-1 to layer k, biases/B in the
 bias column, and (L+2)/B on the bias diagonal block so a unit bias signal
-is preserved by message passing.
+is preserved by message passing. The layout is ``networks``' LayerStructure,
+which a network and a computational kernel both hold as ``.layers``.
 
 Inducing a kernel or graph fills one d x d array per entry of
 ``blocks()`` on the fine parts, and message passing multiplies by those
@@ -25,7 +26,6 @@ weights without building the n x n kernel.
 
 import io
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,108 +33,15 @@ import numpy as np
 from .errors import (
     CapacityError,
     DimensionMismatchError,
-    InvalidBoundError,
     InvalidNetworkError,
     ParameterError,
     ValidationFailedError,
 )
-from .networks import DenseNetwork, _fmt, _LineReader
-from .partitions import Partition, equipartition
+from .networks import DenseNetwork, LayerStructure, _fmt, _LineReader, check_bound
+from .partitions import Partition
 
 VALIDATION_ATOL = 1e-12  # absolute tolerance of every validation condition
 MAX_INDUCED_ENTRIES = 1 << 28  # cap on the entries of induced blocks or a dense array (2 GiB)
-
-
-@dataclass(frozen=True)
-class LayerStructure:
-    """Index bookkeeping for the layered layout on n = (L+2)*d intervals."""
-
-    L: int
-    d0: int
-    dL: int
-    d: int
-
-    def __post_init__(self):
-        if self.L < 2 or min(self.d0, self.dL, self.d) < 1:
-            raise ParameterError("need L >= 2 and positive dimensions")
-        if self.d % self.d0 or self.d % self.dL:
-            raise ParameterError(
-                f"hidden dim {self.d} not divisible by d0={self.d0} and dL={self.dL}"
-            )
-
-    @property
-    def n(self):
-        return (self.L + 2) * self.d
-
-    @property
-    def M(self):
-        return math.lcm(self.d0, self.dL)
-
-    def layer_slice(self, ell):
-        """Fine-interval range of layer ell (0..L); ell='bias' for the bias."""
-        k = self.L + 1 if ell == "bias" else ell
-        return slice(k * self.d, (k + 1) * self.d)
-
-    @property
-    def bias_slice(self):
-        return self.layer_slice("bias")
-
-    def in_cell_slice(self, j):
-        w = self.d // self.d0
-        return slice(j * w, (j + 1) * w)
-
-    def out_cell_slice(self, i):
-        w = self.d // self.dL
-        base = self.L * self.d
-        return slice(base + i * w, base + (i + 1) * w)
-
-    def fine_partition(self):
-        return equipartition(self.n)
-
-    @property
-    def n_units(self):
-        """Units in the layout, (L-1)*d + d0 + dL + 1: the unit quotient's size."""
-        return (self.L - 1) * self.d + self.d0 + self.dL + 1
-
-    def unit_slice(self, ell):
-        """Range of region ell's units (0..L, or 'bias') in layout order."""
-        k = self.L + 1 if ell == "bias" else ell
-        start = sum(map(self.width, range(k)))
-        return slice(start, start + self.width(ell))
-
-    def unit_parts(self):
-        """Parts per unit in layout order: d // width(k) for a unit of region k."""
-        regions = list(range(self.L + 1)) + ["bias"]
-        return np.concatenate(
-            [np.full(self.width(k), self.d // self.width(k)) for k in regions]
-        )
-
-    def region_of(self, idx):
-        ell = idx // self.d
-        return ("bias",) if ell == self.L + 1 else ("layer", ell)
-
-    def width(self, k):
-        """Number of units in region k (0..L, or 'bias')."""
-        return {0: self.d0, self.L: self.dL, "bias": 1}.get(k, self.d)
-
-    def units(self, a, rows, cols):
-        """Block (rows, cols) of an n x n array as a (units, parts, units, parts) view.
-
-        The reshape only splits axes, so it never copies: writes go through.
-        """
-        r, c = self.width(rows), self.width(cols)
-        block = a[self.layer_slice(rows), self.layer_slice(cols)]
-        return block.reshape(r, self.d // r, c, self.d // c)
-
-    def blocks(self):
-        """The (rows, cols) region pairs a layered kernel may fill, once each.
-
-        In the order of the network's parameters: layer k-1 to layer k (W_k)
-        and the bias column of layer k (b_k) for k = 1..L, then the bias
-        diagonal block. Every other block must vanish.
-        """
-        out = [b for k in range(1, self.L + 1) for b in ((k, k - 1), (k, "bias"))]
-        return out + [("bias", "bias")]
 
 
 def _checked_blocks(n, blocks, bound, what):
@@ -247,17 +154,9 @@ class ComputationalKernel:
     B: float
 
     def __post_init__(self):
-        if not self.B < math.inf:  # also refuses NaN
-            raise InvalidBoundError(f"B={self.B} is not finite")
-        if not self.B >= self.layers.L + 2:
-            raise InvalidBoundError(
-                f"B={self.B} below L+2={self.layers.L + 2}: the bias block "
-                "(L+2)/B would exceed 1"
-            )
-        if self.kernel.n != self.layers.n:
-            raise DimensionMismatchError(
-                "kernel size", self.layers.n, self.kernel.n
-            )
+        check_bound(self.B, self.layers.L)
+        if self.kernel.partition != self.layers.fine_partition():  # another size too
+            raise ParameterError(f"kernel partition is not the layout's {self.n} equal parts")
 
     @property
     def n(self):
@@ -298,7 +197,7 @@ def _fill_blocks(net, divisor):
     Each is a d x d array on the fine parts, constant on every (unit, unit)
     pair. Refuses blocks of more than MAX_INDUCED_ENTRIES entries in total.
     """
-    ls = LayerStructure(net.L, net.d0, net.dL, net.d)
+    ls = net.layers
     pairs, d = ls.blocks(), ls.d
     if len(pairs) * d * d > MAX_INDUCED_ENTRIES:
         raise CapacityError(
@@ -328,13 +227,6 @@ def induce_graph(net):
     return ComputationalGraph(blocks, ls, float(net.B))
 
 
-def layers_of(obj):
-    """Layout of a computational kernel, or of the kernel a network induces."""
-    if isinstance(obj, DenseNetwork):
-        return LayerStructure(obj.L, obj.d0, obj.dL, obj.d)
-    return obj.layers
-
-
 def unit_blocks(obj):
     """A layered kernel on its units, held as its ``blocks()``: a BlockKernel.
 
@@ -351,7 +243,7 @@ def unit_blocks(obj):
     variation inside a unit and entries outside ``blocks()`` are not read:
     one failing condition raises ValidationFailedError.
     """
-    ls = layers_of(obj)
+    ls = obj.layers
     if isinstance(obj, DenseNetwork):
         B = float(obj.B)
         params = [p for wb in zip(obj.weights, obj.biases) for p in wb] + [obj.L + 2.0]
@@ -458,20 +350,11 @@ def validate_computational(ck):
     Never raises on a kernel whose n x n array fits MAX_INDUCED_ENTRIES;
     beyond that, reading the array raises CapacityError before allocating.
     """
-    ls, B, kernel = ck.layers, ck.B, ck.kernel
-    c = _array(kernel)  # one n x n array for all four
-    out = {}
+    ls, B = ck.layers, ck.B
+    c = _array(ck.kernel)  # one n x n array for all four
 
-    # condition 1: the types already fix n = (L+2)*d with d0 and dL dividing d
-    if not np.allclose(kernel.partition.measures, 1.0 / ls.n, rtol=0, atol=VALIDATION_ATOL):
-        out["1 (size and equipartition)"] = ConditionCheck(
-            False, "partition is not the equipartition"
-        )
-        for name in ("2 (cell constancy)", "3 (zero pattern)", "4 (bias block)"):
-            out[name] = ConditionCheck(False, "skipped: bad partition")
-        return ValidationReport(out)
-    out["1 (size and equipartition)"] = ConditionCheck(True)
-
+    # condition 1: the types fix n = (L+2)*d, d0 and dL dividing d, and the equipartition
+    out = {"1 (size and equipartition)": ConditionCheck(True)}
     out.update(_layered_conditions(ls, c).conditions)
 
     # condition 4: bias diagonal block pinned to (L+2)/B
@@ -509,7 +392,7 @@ def lift_computational(ck, factor):
     factor = int(factor)
     if factor == 1:
         return ck
-    ls = LayerStructure(ck.layers.L, ck.layers.d0, ck.layers.dL, ck.layers.d * factor)
+    ls = replace(ck.layers, d=ck.layers.d * factor)
     c = np.repeat(np.repeat(_array(ck.kernel), factor, axis=0), factor, axis=1)
     return ComputationalKernel(StepKernel(ls.fine_partition(), c), ls, ck.B)
 

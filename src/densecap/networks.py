@@ -5,6 +5,11 @@ puts the bias inside the sum over input channels, so a bias contributes
 b/(L+2) to the pre-activation (not b as in a conventional MLP). With all
 parameters bounded by B, no small set of channels can dominate the output:
 nontrivial computation has to be collective.
+
+A network's shape is ``layers``, a ``LayerStructure`` that also lays out
+its kernel (``kernels``). Building one is the only check of depth, widths
+and divisibility, as ``check_bound`` is of B; a file's header and
+``random_network`` build one before any array is read or drawn.
 """
 
 import io
@@ -15,14 +20,120 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidBoundError,
     InvalidNetworkError,
     ParseError,
 )
+from .partitions import equipartition
 from .threads import cores, spread
 
 # rows per chunk of a batched forward pass; a fixed grid keeps the output
 # products' rounding independent of how the chunks are spread over threads
 FORWARD_CHUNK = 512
+
+
+@dataclass(frozen=True)
+class LayerStructure:
+    """Index bookkeeping for the layered layout on n = (L+2)*d intervals."""
+
+    L: int
+    d0: int
+    dL: int
+    d: int
+
+    def __post_init__(self):
+        if self.L < 2:
+            raise InvalidNetworkError(f"depth must be >= 2, got {self.L}")
+        if min(self.d0, self.dL, self.d) < 1:
+            raise InvalidNetworkError("dimensions must be positive")
+        if self.d % self.d0 or self.d % self.dL:
+            raise InvalidNetworkError(
+                f"hidden width {self.d} not divisible by d0={self.d0}, dL={self.dL}"
+            )
+
+    @property
+    def n(self):
+        return (self.L + 2) * self.d
+
+    @property
+    def M(self):
+        return math.lcm(self.d0, self.dL)
+
+    def layer_slice(self, ell):
+        """Fine-interval range of layer ell (0..L); ell='bias' for the bias."""
+        k = self.L + 1 if ell == "bias" else ell
+        return slice(k * self.d, (k + 1) * self.d)
+
+    @property
+    def bias_slice(self):
+        return self.layer_slice("bias")
+
+    def in_cell_slice(self, j):
+        w = self.d // self.d0
+        return slice(j * w, (j + 1) * w)
+
+    def out_cell_slice(self, i):
+        w = self.d // self.dL
+        base = self.L * self.d
+        return slice(base + i * w, base + (i + 1) * w)
+
+    def fine_partition(self):
+        return equipartition(self.n)
+
+    @property
+    def n_units(self):
+        """Units in the layout, (L-1)*d + d0 + dL + 1: the unit quotient's size."""
+        return (self.L - 1) * self.d + self.d0 + self.dL + 1
+
+    def unit_slice(self, ell):
+        """Range of region ell's units (0..L, or 'bias') in layout order."""
+        k = self.L + 1 if ell == "bias" else ell
+        start = sum(map(self.width, range(k)))
+        return slice(start, start + self.width(ell))
+
+    def unit_parts(self):
+        """Parts per unit in layout order: d // width(k) for a unit of region k."""
+        regions = list(range(self.L + 1)) + ["bias"]
+        return np.concatenate(
+            [np.full(self.width(k), self.d // self.width(k)) for k in regions]
+        )
+
+    def region_of(self, idx):
+        ell = idx // self.d
+        return ("bias",) if ell == self.L + 1 else ("layer", ell)
+
+    def width(self, k):
+        """Number of units in region k (0..L, or 'bias')."""
+        return {0: self.d0, self.L: self.dL, "bias": 1}.get(k, self.d)
+
+    def units(self, a, rows, cols):
+        """Block (rows, cols) of an n x n array as a (units, parts, units, parts) view.
+
+        The reshape only splits axes, so it never copies: writes go through.
+        """
+        r, c = self.width(rows), self.width(cols)
+        block = a[self.layer_slice(rows), self.layer_slice(cols)]
+        return block.reshape(r, self.d // r, c, self.d // c)
+
+    def blocks(self):
+        """The (rows, cols) region pairs a layered kernel may fill, once each.
+
+        In the order of the network's parameters: layer k-1 to layer k (W_k)
+        and the bias column of layer k (b_k) for k = 1..L, then the bias
+        diagonal block. Every other block must vanish.
+        """
+        out = [b for k in range(1, self.L + 1) for b in ((k, k - 1), (k, "bias"))]
+        return out + [("bias", "bias")]
+
+
+def check_bound(B, L):
+    """Refuse a parameter bound B that is not finite or is below L+2."""
+    if not B < math.inf:  # also refuses NaN
+        raise InvalidBoundError(f"B={B} is not finite")
+    if not B >= L + 2:
+        raise InvalidBoundError(
+            f"B={B} below L+2={L + 2}: the bias block (L+2)/B would exceed 1"
+        )
 
 
 @dataclass(frozen=True)
@@ -52,31 +163,20 @@ class DenseNetwork:
         self._validate()
 
     def _validate(self):
-        if self.L < 2:
-            raise InvalidNetworkError(f"depth must be >= 2, got {self.L}")
-        if min(self.d0, self.dL, self.d) < 1:
-            raise InvalidNetworkError("dimensions must be positive")
-        if self.d % self.d0 or self.d % self.dL:
-            raise InvalidNetworkError(
-                f"hidden width {self.d} not divisible by d0={self.d0}, dL={self.dL}"
-            )
-        if not self.B < math.inf:  # also refuses NaN
-            raise InvalidNetworkError(f"bound B={self.B} is not finite")
-        if not self.B >= self.L + 2:
-            raise InvalidNetworkError(f"bound B={self.B} below L+2={self.L + 2}")
+        ls = self.layers  # building it checks depth, widths and divisibility
+        check_bound(self.B, self.L)
         if len(self.weights) != self.L or len(self.biases) != self.L:
             raise InvalidNetworkError(
                 f"expected {self.L} weight/bias entries, got "
                 f"{len(self.weights)}/{len(self.biases)}"
             )
-        dims = self.layer_dims
         for ell in range(1, self.L + 1):
             w, b = self.weights[ell - 1], self.biases[ell - 1]
-            want = (dims[ell], dims[ell - 1])
+            want = (ls.width(ell), ls.width(ell - 1))
             if w.shape != want:
                 raise DimensionMismatchError(f"W[{ell}]", want, w.shape)
-            if b.shape != (dims[ell],):
-                raise DimensionMismatchError(f"b[{ell}]", (dims[ell],), b.shape)
+            if b.shape != want[:1]:
+                raise DimensionMismatchError(f"b[{ell}]", want[:1], b.shape)
             for name, arr in (("W", w), ("b", b)):
                 top = max(arr.max(initial=0.0), -arr.min(initial=0.0))  # no |arr| copy
                 if top <= self.B:  # fails on NaN too
@@ -92,9 +192,9 @@ class DenseNetwork:
         return (self.d0,) + (self.d,) * (self.L - 1) + (self.dL,)
 
     @property
-    def size(self):
-        """Effective size (L+2)*d of the fixed-width network."""
-        return (self.L + 2) * self.d
+    def layers(self):
+        """The network's LayerStructure: its shape and its kernel's layout."""
+        return LayerStructure(self.L, self.d0, self.dL, self.d)
 
 
 def forward_threads(rows):
@@ -153,17 +253,6 @@ def forward(net, x):
 
     spread(run, workers)
     return out.reshape(x.shape[:-1] + (net.dL,))
-
-
-def clamp_dense(net, bound):
-    """Project every parameter onto [-bound, bound] entrywise (idempotent)."""
-    if bound <= 0:
-        raise InvalidNetworkError(f"clamp bound must be positive, got {bound}")
-    ws = tuple(np.clip(w, -bound, bound) for w in net.weights)
-    bs = tuple(np.clip(b, -bound, bound) for b in net.biases)
-    # the stored envelope only shrinks, and never below the L+2 floor
-    new_b = net.B if bound >= net.B else max(float(bound), float(net.L + 2))
-    return DenseNetwork(net.L, net.d0, net.dL, net.d, new_b, ws, bs)
 
 
 def param_count(L, d0, dL, d):
@@ -254,15 +343,17 @@ class _LineReader:
 
 
 def deserialize_network(text):
-    """Parse a network file; each layer fills a preallocated array line by line."""
+    """Parse a network file; each layer fills a preallocated array line by line.
+
+    The header's shape is checked before any row is read, as a ParseError
+    on line 2.
+    """
     reader = _LineReader(text, MAGIC_NET)
     L, d0, dL, d, B = reader.dims("L d0 dL d")
-    if min(d0, dL, d) < 1:
-        raise reader.error("widths d0, dL and d must be positive")
-
-    def width(k):
-        # per layer, so a header's L allocates nothing before its layers
-        return d0 if k == 0 else dL if k == L else d
+    try:
+        ls = LayerStructure(L, d0, dL, d)
+    except InvalidNetworkError as exc:
+        raise reader.error(str(exc)) from None
 
     def marker(name):
         tag = reader.take(f"{name} marker").split()
@@ -272,11 +363,11 @@ def deserialize_network(text):
     weights, biases = [], []
     for ell in range(1, L + 1):
         marker(f"W {ell}")
-        weights.append(reader.rows(width(ell), width(ell - 1), f"W {ell} "))
+        weights.append(reader.rows(ls.width(ell), ls.width(ell - 1), f"W {ell} "))
         marker(f"b {ell}")
         vals = reader.take(f"b {ell} values").split()
-        if len(vals) != width(ell):
-            raise reader.error(f"b {ell} has {len(vals)} entries, expected {width(ell)}")
+        if len(vals) != ls.width(ell):
+            raise reader.error(f"b {ell} has {len(vals)} entries, expected {ls.width(ell)}")
         biases.append(np.array(reader.numbers(vals, float, f"b {ell} values")))
     return DenseNetwork(L, d0, dL, d, B, tuple(weights), tuple(biases))
 
@@ -291,15 +382,15 @@ def load_network(path):
         return deserialize_network(fh.read())
 
 
-def random_network(L, d0, dL, d, B, rng, scale=1.0):
-    """Network with parameters uniform in [-scale*B, scale*B] (scale <= 1)."""
-    dims = (d0,) + (d,) * (L - 1) + (dL,)
-    lim = scale * B
+def random_network(L, d0, dL, d, B, rng):
+    """Network with parameters uniform in [-B, B]; shape and B are checked before any draw."""
+    ls = LayerStructure(L, d0, dL, d)
+    check_bound(B, L)
     ws = tuple(
-        rng.uniform(-lim, lim, size=(dims[ell], dims[ell - 1]))
+        rng.uniform(-B, B, size=(ls.width(ell), ls.width(ell - 1)))
         for ell in range(1, L + 1)
     )
-    bs = tuple(rng.uniform(-lim, lim, size=dims[ell]) for ell in range(1, L + 1))
+    bs = tuple(rng.uniform(-B, B, size=ls.width(ell)) for ell in range(1, L + 1))
     return DenseNetwork(L, d0, dL, d, B, ws, bs)
 
 

@@ -22,7 +22,7 @@ over contiguous slots of that order.
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .kernels import (
     StepKernel,
     extract_network,  # noqa: F401 - bench/tracing.py wraps this name here
     induce_kernel,
-    layers_of,
     lift_computational,  # noqa: F401 - bench/tracing.py wraps this name here
     validate_computational,
 )
@@ -331,7 +330,7 @@ def _width_search(net, epsilon, measure):
     search. ``measure(permuted, averaged)`` is the distance. Returns
     (width, network, distance, widths tried).
     """
-    M, d = layers_of(net).M, net.d
+    M, d = net.layers.M, net.d
     tried = {}
 
     def fits(w):
@@ -390,13 +389,10 @@ def compress_network(net, epsilon=None, target_d=None, oracle="auto", seed=0, sa
         raise ParameterError("give exactly one of epsilon or target_d")
     require_count("samples", samples, 1)
     require_count("seed", seed)
-    ls, B = layers_of(net), float(net.B)
+    ls, B = net.layers, float(net.B)
     if target_d is not None:
         require_count("target_d", target_d, ls.M)
-        if target_d % ls.M:
-            raise ParameterError(
-                f"target width {target_d} not divisible by lcm(d0, dL) = {ls.M}"
-            )
+        replace(ls, d=target_d)  # refuses a width that d0 or dL does not divide
         if target_d > net.d:
             raise ParameterError(f"target width {target_d} exceeds the network width {net.d}")
     else:

@@ -27,14 +27,13 @@ from densecap.kernels import (
     induce_graph,
     induce_input_signal,
     induce_kernel,
-    layers_of,
     lift_computational,
     serialize_kernel,
     unit_blocks,
     validate_computational,
 )
 from densecap.networks import DenseNetwork, random_network
-from densecap.partitions import equipartition
+from densecap.partitions import Partition, equipartition
 
 from conftest import random_layered_net
 
@@ -124,6 +123,15 @@ def test_bound_below_depth_plus_two_is_refused():
     ls = LayerStructure(2, 1, 1, 4)
     with pytest.raises(InvalidBoundError, match="below L\\+2"):
         ComputationalKernel(StepKernel(ls.fine_partition(), np.zeros((16, 16))), ls, 3.0)
+
+
+def test_computational_kernel_refuses_a_partition_other_than_the_layout():
+    ls = LayerStructure(2, 1, 1, 4)
+    uneven = Partition(np.random.default_rng(0).dirichlet(np.ones(ls.n)))
+    with pytest.raises(ParameterError, match="layout's 16 equal parts"):
+        ComputationalKernel(StepKernel(uneven, np.zeros((16, 16))), ls, 4.0)
+    with pytest.raises(ParameterError, match="layout's 16 equal parts"):
+        ComputationalKernel(StepKernel(equipartition(20), np.zeros((20, 20))), ls, 4.0)
 
 
 def test_roundtrip_exact_power_of_two_bound():
@@ -526,7 +534,7 @@ def test_unit_quotient_is_the_kernel_on_its_units(L, d0, dL, mult, seed):
     net = random_network(L, d0, dL, d, L + 3.0, np.random.default_rng(seed))
     ck = induce_kernel(net)
     ls = ck.layers
-    assert layers_of(net) == ls
+    assert net.layers == ls
     parts = ls.unit_parts()
     assert parts.size == ls.n_units and parts.sum() == ls.n
     # the regions' unit ranges tile 0..n_units in layout order

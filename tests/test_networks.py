@@ -4,19 +4,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from densecap import cutnorm
+from densecap import cutnorm, kernels
 from densecap.errors import (
     DimensionMismatchError,
+    InvalidBoundError,
     InvalidNetworkError,
     ParseError,
 )
 from densecap.networks import (
     FORWARD_CHUNK,
     DenseNetwork,
-    clamp_dense,
+    LayerStructure,
     deserialize_network,
     forward,
     forward_threads,
@@ -46,7 +45,11 @@ def test_forward_hand_example_all_b():
 
 def test_forward_zero_network():
     rng = np.random.default_rng(0)
-    net = random_network(3, 2, 2, 4, 6.0, rng, scale=0.0)
+    net = DenseNetwork(
+        3, 2, 2, 4, 6.0,
+        (np.zeros((4, 2)), np.zeros((4, 4)), np.zeros((2, 4))),
+        (np.zeros(4), np.zeros(4), np.zeros(2)),
+    )
     assert np.all(forward(net, rng.uniform(-5, 5, 2)) == 0.0)
 
 
@@ -83,49 +86,6 @@ def test_forward_dimension_mismatch():
     with pytest.raises(DimensionMismatchError) as exc:
         forward(net, np.zeros(3))
     assert "expected (1,)" in str(exc.value)
-
-
-def test_forward_never_nan_after_clamp():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        net = random_layered_net(rng, max_d=6)
-        clamped = clamp_dense(net, 1.0)
-        out = forward(clamped, rng.uniform(-10, 10, net.d0))
-        assert np.all(np.isfinite(out))
-
-
-def test_clamp_identity_on_feasible():
-    rng = np.random.default_rng(5)
-    net = random_layered_net(rng)
-    same = clamp_dense(net, net.B)
-    for a, b in zip(net.weights + net.biases, same.weights + same.biases):
-        assert np.array_equal(a, b)
-    assert same.B == net.B
-
-
-def test_clamp_projects_entries():
-    net = all_b_net(B=4.0)
-    # push entries to 2B and -3B via a looser-bound container
-    big = DenseNetwork(
-        2, 1, 1, 4, 24.0,
-        (np.full((4, 1), 8.0), np.full((1, 4), -12.0)),
-        (np.zeros(4), np.zeros(1)),
-    )
-    cl = clamp_dense(big, 4.0)
-    assert np.all(cl.weights[0] == 4.0)
-    assert np.all(cl.weights[1] == -4.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(bound=st.floats(min_value=0.5, max_value=12.0), seed=st.integers(0, 999))
-def test_clamp_idempotent_and_bounded(bound, seed):
-    rng = np.random.default_rng(seed)
-    net = random_network(2, 1, 1, 3, 9.0, rng)
-    once = clamp_dense(net, bound)
-    twice = clamp_dense(once, bound)
-    for a, b in zip(once.weights + once.biases, twice.weights + twice.biases):
-        assert np.array_equal(a, b)
-        assert np.all(np.abs(a) <= bound)
 
 
 def test_param_count_formula_examples():
@@ -270,6 +230,36 @@ def test_deserialize_refuses_non_positive_widths_on_their_line(header):
     assert exc.value.line == 2
 
 
+def test_deserialize_refuses_an_indivisible_width_at_its_header():
+    # a complete file whose hidden width 3 the output width 2 does not divide
+    text = "densecap-net v1\n2 1 2 3 5.0\nW 1\n0.0\n0.0\n0.0\nb 1\n0.0 0.0 0.0\n"
+    text += "W 2\n0.0 0.0 0.0\n0.0 0.0 0.0\nb 2\n0.0 0.0\n"
+    with pytest.raises(ParseError, match="not divisible by d0=1, dL=2") as exc:
+        deserialize_network(text)
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("args, error", [
+    ((2, 1, 2, 3, 5.0), InvalidNetworkError),  # dL=2 does not divide d=3
+    ((1, 1, 1, 3, 5.0), InvalidNetworkError),  # depth below 2
+    ((2, 1, 1, 3, 3.0), InvalidBoundError),  # B below L+2
+])
+def test_random_network_refuses_before_drawing(args, error):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(error):
+        random_network(*args, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_network_layers_is_its_layer_structure():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        net = random_layered_net(rng)
+        assert net.layers == LayerStructure(net.L, net.d0, net.dL, net.d)
+    assert kernels.LayerStructure is LayerStructure
+
+
 def test_deserialize_bad_header():
     with pytest.raises(ParseError):
         deserialize_network("not-a-net v9\n2 1 1 4 4.0\n")
@@ -277,7 +267,7 @@ def test_deserialize_bad_header():
 
 def test_size_is_fixed_width_form():
     net = all_b_net(L=2, d=4)
-    assert net.size == 16
+    assert net.layers.n == 16
 
 
 def test_rebuilding_a_network_copies_no_layer():

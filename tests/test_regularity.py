@@ -18,7 +18,6 @@ from densecap.kernels import (
     StepKernel,
     extract_network,
     induce_kernel,
-    layers_of,
     unit_blocks,
     validate_computational,
 )
@@ -92,7 +91,7 @@ def test_block_projection_matches_the_dense_one(L, d, groups, seed):
     # groups within the layers: the blocks give the dense averages up to the
     # order of their sums, and vanish where the dense ones are exactly 0
     net = random_network(L, 1, 1, d, L + 3.0, np.random.default_rng(seed))
-    ls, bk = layers_of(net), unit_blocks(net)
+    ls, bk = net.layers, unit_blocks(net)
     raw = np.random.default_rng(seed).integers(0, groups, ls.n_units)
     struct = unit_structural_labels(ls)
     labels = raw * (struct.max() + 1) + struct  # groups within the layers
@@ -175,7 +174,7 @@ def test_certified_block_residual_is_within_eps(L, d0, dL, d, B, seed):
     net = random_network(L, d0, dL, d, B, np.random.default_rng(seed))
     fine = induce_kernel(net).kernel
     dense = fine.dense()
-    for kern, lift in ((fine, 1), (unit_blocks(net), layers_of(net).unit_parts())):
+    for kern, lift in ((fine, 1), (unit_blocks(net), net.layers.unit_parts())):
         tr = weak_regularity(kern, 0.005, oracle="exact")
         assert tr.certified
         proj = np.repeat(np.repeat(tr.projected_fine.coeffs, lift, axis=0), lift, axis=1)
@@ -650,7 +649,7 @@ def test_compress_peak_stays_below_two_full_kernels():
     # so no array scales as the 1,200 x 1,200 kernel or as samples x d; what
     # is left is the refinement on 485 units and the small new kernel
     net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42))
-    full_kernel = (net.size**2) * 8
+    full_kernel = (net.layers.n**2) * 8
     tracemalloc.start()
     try:
         _, rep = compress_network(net, target_d=24, seed=5, samples=10_000)
@@ -692,7 +691,7 @@ def test_refinement_does_not_hinge_on_summation_order():
     # in other orders, refine alike from the structural labels' residual
     # (they did not when a 1-ulp rounding picked the sign)
     net = random_network(3, 2, 2, 240, 5.0, np.random.default_rng(42))
-    ls, q = layers_of(net), unit_blocks(net)
+    ls, q = net.layers, unit_blocks(net)
     blocks, dense = (
         regularity._refine(k, unit_structural_labels(ls), 1e-9, 3, "auto", 5)
         for k in (q, q.dense())
